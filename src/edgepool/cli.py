@@ -312,8 +312,9 @@ def _bench_graph(num_directed_edges: int, seed: int):
     u = rng.integers(0, n, size=int(target_undirected * 1.15))
     v = rng.integers(0, n, size=int(target_undirected * 1.15))
     keep = u != v
-    pairs = np.stack([np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])], axis=1)
-    pairs = np.unique(pairs, axis=0)[:target_undirected]
+    key = np.unique(np.minimum(u[keep], v[keep]) * np.int64(n) + np.maximum(u[keep], v[keep]))
+    key = key[:target_undirected]
+    pairs = np.stack([key // n, key % n], axis=1)
     from .graph import build_graph, symmetrize
 
     features = rng.normal(0.0, 1.0, size=(n, 8)).astype(np.float32)

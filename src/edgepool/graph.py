@@ -100,12 +100,20 @@ def build_graph(
 ) -> Graph:
     """Validate inputs and return a Graph with edges in canonical order.
 
+    Edges are ordered by the int64 key ``src * num_nodes + dst``, which
+    needs ``num_nodes**2 < 2**63``. Input whose keys already increase
+    strictly is canonical and duplicate-free, so it is not sorted again.
+
     Raises ValueError on out-of-range indices, duplicate directed edges,
-    self-loops, or dimension mismatches.
+    self-loops, dimension mismatches, or a node count too large for the key.
     """
     num_nodes = int(num_nodes)
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
+    if num_nodes * num_nodes >= 2**63:
+        raise ValueError(
+            f"num_nodes ({num_nodes}) is too large: num_nodes**2 must be < 2**63"
+        )
 
     features = np.asarray(node_features)
     if features.dtype.kind not in "fiu":
@@ -142,14 +150,16 @@ def build_graph(
             raise ValueError("edge endpoint index out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        if ef is not None:
-            ef = ef[order]
-        dup = np.all(edges[1:] == edges[:-1], axis=1)
-        if np.any(dup):
-            i, j = edges[np.flatnonzero(dup)[0] + 1]
-            raise ValueError(f"duplicate directed edge ({i}, {j})")
+        key = edges[:, 0] * np.int64(num_nodes) + edges[:, 1]
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            edges = edges[order]
+            if ef is not None:
+                ef = ef[order]
+            dup = np.flatnonzero(np.diff(key[order]) == 0)
+            if dup.size:
+                i, j = edges[dup[0] + 1]
+                raise ValueError(f"duplicate directed edge ({i}, {j})")
 
     return Graph(
         num_nodes,

@@ -52,14 +52,6 @@ class PoolParams:
     weight: np.ndarray
     bias: float
 
-    def expected_widths(self) -> tuple[int, int]:
-        """(node feature width, edge feature width) this scorer accepts.
-
-        Ambiguous on its own; resolved against a concrete graph in
-        :func:`raw_scores`.
-        """
-        return len(self.weight) // 2, len(self.weight) % 2
-
 
 @dataclass(frozen=True)
 class EdgeScores:
@@ -134,12 +126,12 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     """Linear raw score per directed edge, in float64.
 
     For edge (i, j): weight . (features_i ++ features_j [++ edge_features])
-    plus bias.
+    plus bias. The node terms are projected once per node, then gathered.
     """
     f = _check_widths(graph, params)
     w = np.asarray(params.weight, dtype=np.float64)
     x = graph.node_features.astype(np.float64, copy=False)
-    r = x[graph.edge_src] @ w[:f] + x[graph.edge_dst] @ w[f : 2 * f]
+    r = (x @ w[:f])[graph.edge_src] + (x @ w[f : 2 * f])[graph.edge_dst]
     if graph.edge_feature_width:
         r += graph.edge_features.astype(np.float64, copy=False) @ w[2 * f :]
     return r + float(params.bias)
@@ -281,15 +273,16 @@ def contract(
     nodes in original order. Pooled edges are the image of the original
     edges under the cluster map, with self-loops removed and parallel
     edges deduplicated (edge features of collapsing edges are summed).
+    Deduplication runs on the int64 key ``src * pooled_n + dst`` (the
+    bound of :func:`build_graph`), whose sorted unique values decode to
+    canonical edges, so the pooled graph is built without another sort.
     """
     matching = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
     v = graph.num_nodes
     k = matching.shape[0]
 
-    if k:
-        ends = matching.ravel()
-        if len(np.unique(ends)) != 2 * k:
-            raise ValueError("invalid matching: a node appears in two matched edges")
+    if k and np.bincount(matching.ravel(), minlength=v).max() > 1:
+        raise ValueError("invalid matching: a node appears in two matched edges")
 
     edge_idx = _edge_lookup(graph, matching)
     s = scores.normalized[edge_idx] if k else np.zeros(0)
@@ -313,18 +306,15 @@ def contract(
 
     mapped = cluster_of[graph.edges]
     keep = mapped[:, 0] != mapped[:, 1]
-    mapped = mapped[keep]
+    n = np.int64(pooled_n)
+    key = mapped[keep, 0] * n + mapped[keep, 1]
+    uniq_key, inverse = np.unique(key, return_inverse=True)
+    uniq = np.stack([uniq_key // n, uniq_key % n], axis=1)
     ef = None
-    if mapped.shape[0]:
-        uniq, inverse = np.unique(mapped, axis=0, return_inverse=True)
-        if graph.edge_features is not None:
-            ef = np.zeros((uniq.shape[0], graph.edge_feature_width), dtype=np.float64)
-            np.add.at(ef, inverse, graph.edge_features[keep].astype(np.float64))
-            ef = ef.astype(graph.edge_features.dtype)
-    else:
-        uniq = np.zeros((0, 2), dtype=np.int64)
-        if graph.edge_features is not None:
-            ef = np.zeros((0, graph.edge_feature_width), dtype=graph.edge_features.dtype)
+    if graph.edge_features is not None:
+        ef = np.zeros((uniq.shape[0], graph.edge_feature_width), dtype=np.float64)
+        np.add.at(ef, inverse, graph.edge_features[keep].astype(np.float64))
+        ef = ef.astype(graph.edge_features.dtype)
 
     pooled = build_graph(pooled_n, uniq, feats.astype(graph.node_features.dtype), ef)
     info = PoolInfo(
@@ -404,8 +394,9 @@ def edgepool_backward(
 
         w_src = combine.w_src if combine is not None else 1.0
         w_dst = combine.w_dst if combine is not None else 1.0
-        np.add.at(grad_x, mi, (w_src * s)[:, None] * g_out)
-        np.add.at(grad_x, mj, (w_dst * s)[:, None] * g_out)
+        # A matching's endpoints are distinct, so plain indexing accumulates.
+        grad_x[mi] += (w_src * s)[:, None] * g_out
+        grad_x[mj] += (w_dst * s)[:, None] * g_out
 
         pair = _pair_features(graph, info.matching, e_idx, combine)
         g_s = np.einsum("kf,kf->k", g_out, pair)
@@ -457,18 +448,19 @@ def score_path_backward(
     grad_r = -group_coeff[graph.edge_dst] * p
     grad_r[e_idx] += g_s * p[e_idx]
 
-    # Linear scorer backward, restricted to edges with nonzero grad_r.
+    # Linear scorer backward, restricted to edges with nonzero grad_r and
+    # summed per endpoint node before touching the (v, f) features.
     live = np.flatnonzero(grad_r != 0.0)
     if live.size:
         gr = grad_r[live]
-        src, dst = graph.edges[live, 0], graph.edges[live, 1]
-        grad_w[:f] = gr @ x[src]
-        grad_w[f : 2 * f] = gr @ x[dst]
+        g_src = np.bincount(graph.edges[live, 0], gr, minlength=v)
+        g_dst = np.bincount(graph.edges[live, 1], gr, minlength=v)
+        grad_w[:f] = g_src @ x
+        grad_w[f : 2 * f] = g_dst @ x
         if graph.edge_feature_width:
             grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
         grad_b = float(gr.sum())
-        np.add.at(grad_x, src, gr[:, None] * w[:f])
-        np.add.at(grad_x, dst, gr[:, None] * w[f : 2 * f])
+        grad_x += g_src[:, None] * w[:f] + g_dst[:, None] * w[f : 2 * f]
     return grad_x, grad_w, grad_b
 
 

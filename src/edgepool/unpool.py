@@ -45,7 +45,8 @@ def unpool_once(pooled_features: np.ndarray, info: PoolInfo) -> np.ndarray:
             f"expected {info.pooled_num_nodes} pooled feature rows, "
             f"got shape {pooled_features.shape}"
         )
-    assert np.all(info.node_score > 0.0), "gate scores must be positive"
+    if not np.all(info.node_score > 0.0):
+        raise ValueError("gate scores must be positive")
     out = pooled_features[info.cluster_of].astype(np.float64)
     out /= info.node_score[:, None]
     return out.astype(pooled_features.dtype)

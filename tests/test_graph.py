@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgepool import (
     batch,
@@ -17,6 +18,8 @@ from edgepool import (
     to_dot,
 )
 from edgepool.rng import seeded_rng
+
+from strategies import simple_digraphs
 
 
 def features(n, f=1):
@@ -73,6 +76,43 @@ class TestBuildGraph:
             assert rebuilt.edges.tolist() == g.edges.tolist()
             key = [tuple(e) for e in g.edges.tolist()]
             assert key == sorted(key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_edge_order_gives_the_same_graph(self, data):
+        n, pairs = data.draw(simple_digraphs())
+        shuffled = [pairs[k] for k in data.draw(st.permutations(range(len(pairs))))]
+
+        def tag(edges):  # edge feature that names its edge
+            return np.asarray([[100.0 * i + j] for i, j in edges]).reshape(-1, 1)
+
+        ref = build_graph(n, sorted(pairs), features(n), tag(sorted(pairs)))
+        got = build_graph(n, shuffled, features(n), tag(shuffled))
+        assert [tuple(e) for e in ref.edges.tolist()] == sorted(pairs)
+        assert np.array_equal(got.edges, ref.edges)
+        assert np.array_equal(got.edge_features, ref.edge_features)
+        assert np.array_equal(got.edge_features, tag(got.edges.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_duplicate_reported_alike_from_sorted_or_shuffled_input(self, data):
+        n, pairs = data.draw(simple_digraphs(min_edges=1))
+        dup = data.draw(st.sampled_from(pairs))
+        edges = pairs + [dup]
+        shuffled = [edges[k] for k in data.draw(st.permutations(range(len(edges))))]
+        with pytest.raises(ValueError) as from_sorted:
+            build_graph(n, sorted(edges), features(n))
+        with pytest.raises(ValueError) as from_shuffled:
+            build_graph(n, shuffled, features(n))
+        assert str(from_sorted.value) == f"duplicate directed edge {dup}"
+        assert str(from_shuffled.value) == str(from_sorted.value)
+
+    def test_num_nodes_bound_of_the_edge_key(self):
+        # (n, 0) features allocate nothing, so the bound itself is testable.
+        largest = 3037000499  # largest n with n**2 < 2**63
+        assert build_graph(largest, [], np.zeros((largest, 0))).num_nodes == largest
+        with pytest.raises(ValueError, match="too large"):
+            build_graph(largest + 1, [], np.zeros((largest + 1, 0)))
 
     def test_immutable_arrays(self):
         g = build_graph(2, [(0, 1)], features(2))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgepool import (
     EdgeScores,
@@ -23,6 +24,7 @@ from edgepool.data import make_connected_erdos_renyi, make_cycle, make_star
 from edgepool.rng import seeded_rng
 
 from oracles import naive_contract_features, naive_matching, naive_normalize
+from strategies import simple_digraphs
 
 
 def path_graph(n, feats=None):
@@ -321,6 +323,30 @@ class TestContract:
         # (1,2) carries 10 and (0,3) carries 1000; both map to cluster (0,1).
         assert lookup[(0, 1)] == 1010.0
         assert lookup[(1, 0)] == 1010.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=simple_digraphs(), seed=st.integers(0, 2**16))
+    def test_pooled_edges_match_row_unique_reference(self, case, seed):
+        n, pairs = case
+        rng = seeded_rng(seed, "contract-reference")
+        ef = rng.normal(size=(len(pairs), 2))
+        g = build_graph(n, pairs, rng.normal(size=(n, 1)), ef)
+        raw = rng.normal(size=g.num_edges)
+        normalized = normalize_scores(g, raw, no_dropout(g))
+        scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+        pooled, info = contract(g, select_contractions(g, scores), scores)
+
+        # Reference: deduplicate the mapped (src, dst) rows themselves.
+        mapped = info.cluster_of[g.edges]
+        keep = mapped[:, 0] != mapped[:, 1]
+        ref_edges = np.zeros((0, 2), dtype=np.int64)
+        ref_ef = np.zeros((0, 2))
+        if keep.any():
+            ref_edges, inverse = np.unique(mapped[keep], axis=0, return_inverse=True)
+            ref_ef = np.zeros((ref_edges.shape[0], 2))
+            np.add.at(ref_ef, inverse.reshape(-1), g.edge_features[keep])
+        assert np.array_equal(pooled.edges, ref_edges)
+        assert np.array_equal(pooled.edge_features, ref_ef)
 
     def test_invalid_matching_shared_endpoint(self):
         g = path_graph(4)

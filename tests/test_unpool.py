@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgepool import (
+    PoolInfo,
     PoolParams,
     UnpoolPlan,
     edgepool_forward,
@@ -52,6 +53,17 @@ class TestUnpoolOnce:
             unpool_once(np.zeros((pooled.num_nodes + 1, 3)), info)
         with pytest.raises(ValueError):
             unpool_once(np.zeros(pooled.num_nodes), info)
+
+    def test_zero_gate_score_rejected(self):
+        info = PoolInfo(
+            matching=np.asarray([[0, 1]]),
+            cluster_of=np.asarray([0, 0, 1]),
+            node_score=np.asarray([0.0, 0.0, 1.0]),
+            pooled_num_nodes=2,
+            matched_edge_index=np.asarray([0]),
+        )
+        with pytest.raises(ValueError, match="gate scores must be positive"):
+            unpool_once(np.ones((2, 3)), info)
 
     def test_feature_width_free(self):
         # The expansion is per-row: any column count works.
