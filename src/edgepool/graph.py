@@ -4,23 +4,25 @@ Graphs store edges as explicit directed (src, dst) pairs in a canonical
 order (sorted by src, then dst). The canonical order is what makes every
 downstream tie-break deterministic, so it is established at construction
 and never changes. Node features are dense row-major matrices; structure
-is sparse.
+is sparse, and row reductions over it are products with unit-weight CSR
+operators whose rows keep their entries in canonical order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Graph",
     "BatchedGraph",
     "build_graph",
     "symmetrize",
-    "in_neighbors",
     "batch",
     "to_dot",
     "graph_to_json",
@@ -33,6 +35,24 @@ __all__ = [
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _unit_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
+    """CSR operator with a 1.0 at each of the distinct (rows[k], cols[k]) pairs.
+
+    A product sums each row's terms in ascending column order; where the
+    columns of each row ascend in k, that is the order of a scatter-add in k.
+    """
+    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
+def _segment_sum(index: np.ndarray, values: np.ndarray, num_segments: int) -> np.ndarray:
+    """Row k of the result sums ``values[i]`` over ``index[i] == k``, in order of i.
+
+    Bit-identical to an in-order scatter-add into zeros; empty segments are 0.
+    """
+    m = len(index)
+    return _unit_csr(index, np.arange(m), (num_segments, m)) @ values
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,17 @@ class Graph:
     @property
     def edge_dst(self) -> np.ndarray:
         return self.edges[:, 1]
+
+    @cached_property
+    def in_adjacency(self) -> sparse.csr_array:
+        """Unit-weight ``(num_nodes, num_nodes)`` CSR operator, rows dst, columns src.
+
+        Row j lists the in-neighbors of node j in ascending (canonical) order,
+        so ``in_adjacency @ x`` sums them as a scatter-add in edge order does,
+        and ``in_adjacency.T @ y`` (a CSC view, no copy) sums into each source
+        in ascending dst order. Built on first access and kept.
+        """
+        return _unit_csr(self.edge_dst, self.edge_src, (self.num_nodes, self.num_nodes))
 
     def in_degrees(self) -> np.ndarray:
         """Number of incoming edges per node."""
@@ -190,13 +221,6 @@ def symmetrize(graph: Graph) -> Graph:
         ef_both = np.concatenate([graph.edge_features, graph.edge_features], axis=0)
         ef = ef_both[first]
     return build_graph(graph.num_nodes, edges, graph.node_features, ef)
-
-
-def in_neighbors(graph: Graph, j: int) -> np.ndarray:
-    """Sources of all edges ending at node ``j``, in canonical edge order."""
-    if not 0 <= j < graph.num_nodes:
-        raise ValueError(f"node index {j} out of range")
-    return graph.edge_src[graph.edge_dst == j].copy()
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:

@@ -2,8 +2,10 @@
 
 All ops take and return :class:`~edgepool.autodiff.Var` nodes. Structural
 inputs (graphs, index vectors, labels, dropout masks) are constants of the
-backward pass. Neighbor and segment reductions accumulate in double
-precision with a fixed order, then cast back to the activation dtype.
+backward pass. Neighbor and segment reductions are products with unit-weight
+sparse operators (the graph's cached in-adjacency, or a segment matrix):
+they accumulate in double precision in fixed canonical order, then cast back
+to the activation dtype.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var
-from .graph import Graph
+from .graph import Graph, _segment_sum
 from .pool import (
     EdgeScores,
     PoolInfo,
@@ -55,9 +57,13 @@ def dense(x: Var, weight: Var, bias: Var) -> Var:
 
 
 def _neighbor_mean(graph: Graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of in-neighbor features per node; zero where there are none."""
-    acc = np.zeros((graph.num_nodes, x.shape[1]), dtype=np.float64)
-    np.add.at(acc, graph.edge_dst, x[graph.edge_src].astype(np.float64))
+    """Mean of in-neighbor features per node; zero where there are none.
+
+    The sum is ``graph.in_adjacency @ x`` in double precision, adding each
+    node's in-neighbors in ascending (canonical) order. Also returns the
+    inverse in-degrees (0 for isolated nodes).
+    """
+    acc = graph.in_adjacency @ x.astype(np.float64)
     deg = graph.in_degrees().astype(np.float64)
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
     return (acc * inv[:, None]).astype(x.dtype), inv
@@ -67,7 +73,9 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
     """Graph convolution with mean aggregation.
 
     y_i = x_i @ w_self + mean over in-neighbors k of x_k @ w_neigh + bias;
-    isolated nodes use a zero neighbor term.
+    isolated nodes use a zero neighbor term. Forward and backward aggregate
+    with the cached ``graph.in_adjacency`` and its transpose, in fixed
+    canonical order.
     """
     if x.data.shape[0] != graph.num_nodes:
         raise ValueError(
@@ -75,13 +83,11 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
         )
     nm, inv_deg = _neighbor_mean(graph, x.data)
     y = x.data @ w_self.data + nm @ w_neigh.data + bias.data
-    src, dst = graph.edge_src, graph.edge_dst
 
     def vjp(dy):
         dx = dy @ w_self.data.T
         d_nm = dy @ w_neigh.data.T
-        scatter = np.zeros_like(dx, dtype=np.float64)
-        np.add.at(scatter, src, d_nm[dst] * inv_deg[dst][:, None])
+        scatter = graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
         dx = dx + scatter.astype(dx.dtype)
         return dx, x.data.T @ dy, nm.T @ dy, dy.sum(axis=0)
 
@@ -142,8 +148,7 @@ def global_mean_pool(x: Var, graph_id: np.ndarray, num_graphs: int) -> Var:
     counts = np.bincount(graph_id, minlength=num_graphs).astype(np.float64)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
-    acc = np.zeros((num_graphs, x.data.shape[1]), dtype=np.float64)
-    np.add.at(acc, graph_id, x.data.astype(np.float64))
+    acc = _segment_sum(graph_id, x.data.astype(np.float64), num_graphs)
     y = (acc / counts[:, None]).astype(x.data.dtype)
 
     def vjp(dy):
@@ -166,8 +171,7 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
     y = x.data[index]
 
     def vjp(dy):
-        dx = np.zeros_like(x.data, dtype=np.float64)
-        np.add.at(dx, index, dy.astype(np.float64))
+        dx = _segment_sum(index, dy.astype(np.float64), x.data.shape[0])
         return (dx.astype(x.data.dtype),)
 
     return Var(y, (x,), vjp)

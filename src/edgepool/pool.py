@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, _segment_sum, build_graph
 from .rng import seeded_rng
 
 __all__ = [
@@ -312,8 +312,7 @@ def contract(
     uniq = np.stack([uniq_key // n, uniq_key % n], axis=1)
     ef = None
     if graph.edge_features is not None:
-        ef = np.zeros((uniq.shape[0], graph.edge_feature_width), dtype=np.float64)
-        np.add.at(ef, inverse, graph.edge_features[keep].astype(np.float64))
+        ef = _segment_sum(inverse, graph.edge_features[keep].astype(np.float64), len(uniq_key))
         ef = ef.astype(graph.edge_features.dtype)
 
     pooled = build_graph(pooled_n, uniq, feats.astype(graph.node_features.dtype), ef)

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _segment_sum
 from .pool import PoolInfo
 
 __all__ = ["UnpoolPlan", "unpool_once", "unpool_chain", "unpool_backward"]
@@ -71,6 +72,10 @@ def unpool_backward(upstream_grad: np.ndarray, info: PoolInfo) -> np.ndarray:
         raise ValueError(
             f"expected {len(info.cluster_of)} gradient rows, got shape {upstream.shape}"
         )
-    out = np.zeros((info.pooled_num_nodes, upstream.shape[1]), dtype=np.float64)
-    np.add.at(out, info.cluster_of, upstream.astype(np.float64) / info.node_score[:, None])
+    if not np.all(info.node_score > 0.0):
+        raise ValueError("gate scores must be positive")
+    # Divide before summing; folding 1/score into the operator's weights
+    # rounds differently.
+    scaled = upstream.astype(np.float64) / info.node_score[:, None]
+    out = _segment_sum(info.cluster_of, scaled, info.pooled_num_nodes)
     return out.astype(upstream.dtype)

@@ -11,12 +11,12 @@ from edgepool import (
     build_graph,
     graph_from_json,
     graph_to_json,
-    in_neighbors,
     load_graph_file,
     save_graph_file,
     symmetrize,
     to_dot,
 )
+from edgepool.graph import _segment_sum
 from edgepool.rng import seeded_rng
 
 from strategies import simple_digraphs
@@ -160,23 +160,28 @@ class TestSymmetrize:
         assert s.edge_features.tolist() == [[1.0], [2.0]]
 
 
+def in_neighbors(g, j):
+    """Row j of the cached in-adjacency: column indices, checked unit-weight."""
+    a = g.in_adjacency
+    row = slice(a.indptr[j], a.indptr[j + 1])
+    assert np.all(a.data[row] == 1.0)
+    return a.indices[row].tolist()
+
+
 class TestInNeighbors:
+    """In-neighbors of a node, read from the rows of ``Graph.in_adjacency``."""
+
     def test_path_middle(self):
         g = symmetrize(build_graph(3, [(0, 1), (1, 2)], features(3)))
-        assert in_neighbors(g, 1).tolist() == [0, 2]
+        assert in_neighbors(g, 1) == [0, 2]
 
     def test_isolated_node(self):
         g = build_graph(3, [(0, 1)], features(3))
-        assert in_neighbors(g, 2).tolist() == []
+        assert in_neighbors(g, 2) == []
 
     def test_star_center(self):
         g = symmetrize(build_graph(4, [(0, 1), (0, 2), (0, 3)], features(4)))
-        assert in_neighbors(g, 0).tolist() == [1, 2, 3]
-
-    def test_out_of_range(self):
-        g = build_graph(2, [(0, 1)], features(2))
-        with pytest.raises(ValueError):
-            in_neighbors(g, 2)
+        assert in_neighbors(g, 0) == [1, 2, 3]
 
     def test_sizes_sum_to_num_edges(self):
         rng = seeded_rng(3, "inn")
@@ -184,8 +189,46 @@ class TestInNeighbors:
             n = int(rng.integers(2, 10))
             pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(15, 2)) if a != b}
             g = build_graph(n, sorted(pairs), features(n))
-            total = sum(len(in_neighbors(g, j)) for j in range(n))
-            assert total == g.num_edges
+            assert g.in_adjacency.shape == (n, n)
+            assert g.in_adjacency.nnz == g.num_edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=simple_digraphs())
+    def test_rows_list_sources_in_ascending_order(self, case):
+        n, pairs = case
+        g = build_graph(n, pairs, features(n))
+        for j in range(n):
+            assert in_neighbors(g, j) == sorted(i for i, k in pairs if k == j)
+
+    def test_built_once(self):
+        g = build_graph(3, [(0, 1), (2, 1)], features(3))
+        assert g.in_adjacency is g.in_adjacency
+
+    def test_edgeless_graph_gives_zero_rows(self):
+        g = build_graph(3, [], features(3))
+        assert g.in_adjacency.nnz == 0
+        assert np.array_equal(g.in_adjacency @ np.ones((3, 2)), np.zeros((3, 2)))
+
+
+class TestSegmentSum:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        index=st.lists(st.integers(0, 7), max_size=30),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_scatter_add(self, index, extra, seed):
+        # num_segments above the largest index leaves trailing segments empty;
+        # values of mixed magnitude make the summation order visible.
+        index = np.asarray(index, dtype=np.int64)
+        num_segments = 8 + extra
+        rng = seeded_rng(seed, "segment-sum")
+        values = rng.normal(size=(len(index), 3)) * 10.0 ** rng.integers(-8, 9, size=(len(index), 1))
+        expected = np.zeros((num_segments, 3))
+        np.add.at(expected, index, values)
+        out = _segment_sum(index, values, num_segments)
+        assert out.shape == (num_segments, 3)
+        assert np.array_equal(out, expected)
 
 
 class TestBatch:

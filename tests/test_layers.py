@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgepool import (
     ParamStore,
@@ -34,6 +35,8 @@ from edgepool import (
 )
 from edgepool.data import make_connected_erdos_renyi
 from edgepool.rng import seeded_rng
+
+from strategies import simple_digraphs
 
 
 class TestTrainConfig:
@@ -182,6 +185,11 @@ def leaf(rng, *shape):
     return Var(rng.normal(size=shape))
 
 
+def spread_values(rng, shape, dtype):
+    """Normals scaled by 1e-8 .. 1e8, so that float64 sums round."""
+    return (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)).astype(dtype)
+
+
 class TestDense:
     def test_forward_and_grads(self):
         rng = seeded_rng(4, "dense")
@@ -299,6 +307,40 @@ class TestMeanConv:
                 fd = (value(*args_p) - value(*args_m)) / (2 * h)
                 assert abs(fd - var.grad.flat[idx]) <= 1e-7 + 1e-4 * abs(fd)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=60, deadline=None)
+    @given(case=simple_digraphs(), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_scatter_reference(self, dtype, case, seed):
+        # Edgeless graphs and isolated nodes are drawn too. In float64 the
+        # spread of the values lets a change of summation order show.
+        n, pairs = case
+        rng = seeded_rng(seed, "conv-scatter")
+        g = build_graph(n, pairs, np.zeros((n, 1)))
+        x, dy = (spread_values(rng, shape, dtype) for shape in [(n, 5), (n, 4)])
+        ws, wn, b = (
+            rng.normal(size=shape).astype(dtype) for shape in [(5, 4), (5, 4), (4,)]
+        )
+        y = mean_conv(g, Var(x), Var(ws), Var(wn), Var(b))
+        grads = y.vjp(dy)
+
+        src, dst = g.edge_src, g.edge_dst
+        acc = np.zeros((n, 5))
+        np.add.at(acc, dst, x[src].astype(np.float64))
+        deg = g.in_degrees().astype(np.float64)
+        inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+        nm = (acc * inv[:, None]).astype(dtype)
+        d_nm = dy @ wn.T
+        scatter = np.zeros((n, 5))
+        np.add.at(scatter, src, d_nm[dst] * inv[dst][:, None])
+        expected = (
+            dy @ ws.T + scatter.astype(dtype), x.T @ dy, nm.T @ dy, dy.sum(axis=0)
+        )
+        assert y.data.dtype == dtype
+        assert np.array_equal(y.data, x @ ws + nm @ wn + b)
+        for got, want in zip(grads, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_row_count_validated(self):
         rng = seeded_rng(9, "conv")
         g = build_graph(3, [], np.zeros((3, 2)))
@@ -345,6 +387,24 @@ class TestGlobalMeanPool:
         y = global_mean_pool(x, np.asarray([0, 0, 1]), 2)
         backward(y, np.asarray([[6.0], [5.0]]))
         assert np.allclose(x.grad, [[3.0], [3.0], [5.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_scatter_reference_unsorted_ids(self, sizes, seed):
+        # Pooled batches list clusters before unmatched nodes, so graph ids
+        # come out of order.
+        rng = seeded_rng(seed, "readout-scatter")
+        graph_id = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        x = spread_values(rng, (len(graph_id), 3), np.float64)
+        y = global_mean_pool(Var(x), graph_id, len(sizes))
+
+        acc = np.zeros((len(sizes), 3))
+        np.add.at(acc, graph_id, x)
+        counts = np.bincount(graph_id).astype(np.float64)
+        assert np.array_equal(y.data, acc / counts[:, None])
 
     def test_empty_graph_rejected(self):
         x = Var(np.ones((2, 1)))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgepool import (
     PoolInfo,
     PoolParams,
     UnpoolPlan,
+    build_graph,
     edgepool_forward,
     unpool_backward,
     unpool_chain,
@@ -15,6 +17,8 @@ from edgepool import (
 from edgepool.data import make_connected_erdos_renyi, make_path
 from edgepool.rng import seeded_rng
 
+from strategies import simple_digraphs
+
 
 def pooled_instance(rng, n=10, f=3):
     g = make_connected_erdos_renyi(n, 0.4, rng, feature_width=f)
@@ -22,6 +26,17 @@ def pooled_instance(rng, n=10, f=3):
     params = PoolParams(weight=rng.normal(size=2 * f), bias=float(rng.normal()))
     pooled, info, scores = edgepool_forward(g, params)
     return g, pooled, info
+
+
+def zero_score_info():
+    """A hand-built level whose merged pair has gate score 0."""
+    return PoolInfo(
+        matching=np.asarray([[0, 1]]),
+        cluster_of=np.asarray([0, 0, 1]),
+        node_score=np.asarray([0.0, 0.0, 1.0]),
+        pooled_num_nodes=2,
+        matched_edge_index=np.asarray([0]),
+    )
 
 
 class TestUnpoolOnce:
@@ -55,15 +70,12 @@ class TestUnpoolOnce:
             unpool_once(np.zeros(pooled.num_nodes), info)
 
     def test_zero_gate_score_rejected(self):
-        info = PoolInfo(
-            matching=np.asarray([[0, 1]]),
-            cluster_of=np.asarray([0, 0, 1]),
-            node_score=np.asarray([0.0, 0.0, 1.0]),
-            pooled_num_nodes=2,
-            matched_edge_index=np.asarray([0]),
-        )
         with pytest.raises(ValueError, match="gate scores must be positive"):
-            unpool_once(np.ones((2, 3)), info)
+            unpool_once(np.ones((2, 3)), zero_score_info())
+
+    def test_zero_gate_score_rejected_by_backward(self):
+        with pytest.raises(ValueError, match="gate scores must be positive"):
+            unpool_backward(np.ones((3, 3)), zero_score_info())
 
     def test_feature_width_free(self):
         # The expansion is per-row: any column count works.
@@ -115,6 +127,21 @@ class TestAdjoint:
             lhs = float((unpool_once(x, info) * y).sum())
             rhs = float((x * unpool_backward(y, info)).sum())
             assert abs(lhs - rhs) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=simple_digraphs(), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_scatter_reference(self, case, seed):
+        n, pairs = case
+        rng = seeded_rng(seed, "adjoint-scatter")
+        g = build_graph(n, pairs, rng.normal(size=(n, 3)))
+        params = PoolParams(weight=rng.normal(size=6), bias=float(rng.normal()))
+        _, info, _ = edgepool_forward(g, params)
+        # Spread over 16 decades, so that summation order shows.
+        upstream = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 4))
+
+        expected = np.zeros((info.pooled_num_nodes, 4))
+        np.add.at(expected, info.cluster_of, upstream / info.node_score[:, None])
+        assert np.array_equal(unpool_backward(upstream, info), expected)
 
     def test_gradient_rows_validated(self):
         rng = seeded_rng(8, "adjdim")
