@@ -236,10 +236,12 @@ def _pair_features(
     combine: WeightedCombine | None,
 ) -> np.ndarray:
     """Pre-gating merged features per matched edge, float64, (k, f)."""
-    x = graph.node_features.astype(np.float64, copy=False)
+    # Gather the matched rows before widening them: no (v, f) float64 copy.
+    x_src = graph.node_features[matching[:, 0]].astype(np.float64)
+    x_dst = graph.node_features[matching[:, 1]].astype(np.float64)
     if combine is None:
-        return x[matching[:, 0]] + x[matching[:, 1]]
-    merged = combine.w_src * x[matching[:, 0]] + combine.w_dst * x[matching[:, 1]]
+        return x_src + x_dst
+    merged = combine.w_src * x_src + combine.w_dst * x_dst
     if combine.uses_edge_features:
         if graph.edge_feature_width != graph.feature_width:
             raise ValueError(
@@ -372,38 +374,36 @@ def edgepool_backward(
     """
     v, f = graph.num_nodes, graph.feature_width
     k = info.num_matched
-    upstream = np.asarray(upstream_grad, dtype=np.float64)
+    upstream = np.asarray(upstream_grad)
     if upstream.shape != (info.pooled_num_nodes, f):
         raise ValueError(
             f"upstream gradient must have shape ({info.pooled_num_nodes}, {f})"
         )
-    grad_x = np.zeros((v, f), dtype=np.float64)
     grad_w = np.zeros(np.asarray(params.weight).shape, dtype=np.float64)
     grad_b = 0.0
-
-    # Unmatched nodes: plain copy, gradient passes through unchanged.
     unmatched = np.flatnonzero(info.cluster_of >= k)
-    grad_x[unmatched] = upstream[info.cluster_of[unmatched]]
-
-    if k:
+    if not k:
+        # Nothing matched: every node copies its own upstream row.
+        grad_x = np.zeros((v, f), dtype=np.float64)
+        grad_x[unmatched] = upstream[info.cluster_of[unmatched]]
+    else:
         mi, mj = info.matching[:, 0], info.matching[:, 1]
         e_idx = info.matched_edge_index
         s = scores.normalized[e_idx]
-        g_out = upstream[:k]
-
+        g_out = upstream[:k].astype(np.float64)
+        g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching, e_idx, combine))
+        # The score term holds no -0.0, so adding the other terms to it in
+        # place rounds exactly as adding it to them, without a second (v, f).
+        grad_x, sw, sb = score_path_backward(graph, params, info, scores, g_s)
+        grad_w += sw
+        grad_b += sb
+        # Unmatched nodes: gradient passes through unchanged.
+        grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
         w_src = combine.w_src if combine is not None else 1.0
         w_dst = combine.w_dst if combine is not None else 1.0
         # A matching's endpoints are distinct, so plain indexing accumulates.
         grad_x[mi] += (w_src * s)[:, None] * g_out
         grad_x[mj] += (w_dst * s)[:, None] * g_out
-
-        pair = _pair_features(graph, info.matching, e_idx, combine)
-        g_s = np.einsum("kf,kf->k", g_out, pair)
-
-        sx, sw, sb = score_path_backward(graph, params, info, scores, g_s)
-        grad_x += sx
-        grad_w += sw
-        grad_b += sb
 
     dtype = graph.node_features.dtype
     return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
@@ -426,7 +426,6 @@ def score_path_backward(
     """
     v, f = graph.num_nodes, graph.feature_width
     w = np.asarray(params.weight, dtype=np.float64)
-    x = graph.node_features.astype(np.float64, copy=False)
     grad_x = np.zeros((v, f), dtype=np.float64)
     grad_w = np.zeros_like(w)
     grad_b = 0.0
@@ -454,12 +453,16 @@ def score_path_backward(
         gr = grad_r[live]
         g_src = np.bincount(graph.edges[live, 0], gr, minlength=v)
         g_dst = np.bincount(graph.edges[live, 1], gr, minlength=v)
+        # Added one term at a time into the zeros: one (v, f) temporary, and
+        # the sum holds no -0.0, which edgepool_backward relies on.
+        grad_x += g_src[:, None] * w[:f]
+        grad_x += g_dst[:, None] * w[f : 2 * f]
+        x = graph.node_features.astype(np.float64, copy=False)
         grad_w[:f] = g_src @ x
         grad_w[f : 2 * f] = g_dst @ x
         if graph.edge_feature_width:
             grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
         grad_b = float(gr.sum())
-        grad_x += g_src[:, None] * w[:f] + g_dst[:, None] * w[f : 2 * f]
     return grad_x, grad_w, grad_b
 
 

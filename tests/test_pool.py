@@ -1,5 +1,7 @@
 """Scoring, normalization, selection, contraction, and the exact backward."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,6 +584,43 @@ class TestBackward:
                 continue
             checked += 1
         assert checked == 20, f"only {checked} stable instances in {attempt} attempts"
+
+    def test_zero_gradient_rows_are_positive_zero(self):
+        # The score term is summed into zeros, so a node that gets nothing
+        # (here an isolated one whose upstream row is -0.0) reads +0.0 even
+        # when both of its score products are -0.0 (negative weights). The
+        # triangle gives every destination two incoming edges, so the score
+        # path carries gradient.
+        g = symmetrize(build_graph(4, [(0, 1), (1, 2), (0, 2)],
+                                   np.asarray([[1.0, 2.0], [0.5, -1.0], [2.0, 0.25], [3.0, 1.0]])))
+        params = PoolParams(weight=np.asarray([-0.3, -0.2, -0.5, -0.1]), bias=0.0)
+        pooled, info, scores = edgepool_forward(g, params)
+        assert info.num_matched == 1 and info.cluster_of[3] >= info.num_matched
+        upstream = np.ones((pooled.num_nodes, 2))
+        upstream[info.cluster_of[3]] = -0.0
+        gx, _, _ = edgepool_backward(g, params, info, scores, upstream)
+        assert gx[:3].any()
+        assert gx[3].tobytes() == np.zeros(2).tobytes()
+
+    def test_peak_memory_is_a_few_gradient_sized_arrays(self):
+        # A backward pass holds its (v, f) float64 gradient and one temporary
+        # of that size at a time (about 2.7 v*f*8 bytes with the rest); a
+        # float64 copy of the whole feature matrix would pass the bound.
+        rng = seeded_rng(24, "peak")
+        v, f = 2000, 64
+        pairs = rng.integers(0, v, size=(3000, 2))
+        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        g = symmetrize(build_graph(v, pairs, rng.normal(size=(v, f)).astype(np.float32)))
+        params = PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
+        pooled, info, scores = edgepool_forward(g, params)
+        upstream = rng.normal(size=(pooled.num_nodes, f)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            edgepool_backward(g, params, info, scores, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * v * f * 8
 
     def test_upstream_shape_validated(self):
         rng = seeded_rng(22, "shape")
