@@ -112,7 +112,10 @@ def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> Pool
             raise InputError(
                 f"params weight has shape {weight.shape}, graph needs ({expected},)"
             )
-        return PoolParams(weight=weight, bias=float(obj["bias"]))
+        bias = float(obj["bias"])
+        if not (np.isfinite(weight).all() and np.isfinite(bias)):
+            raise InputError("params weight and bias must be finite")
+        return PoolParams(weight=weight, bias=bias)
     return random_pool_params(feature_width, edge_feature_width, seed=args.random_seed)
 
 

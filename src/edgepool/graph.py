@@ -136,7 +136,8 @@ def build_graph(
     strictly is canonical and duplicate-free, so it is not sorted again.
 
     Raises ValueError on out-of-range indices, duplicate directed edges,
-    self-loops, dimension mismatches, or a node count too large for the key.
+    self-loops, dimension mismatches, non-numeric or non-finite features,
+    or a node count too large for the key.
     """
     num_nodes = int(num_nodes)
     if num_nodes < 0:
@@ -157,6 +158,8 @@ def build_graph(
         raise ValueError(
             f"node feature rows ({features.shape[0]}) != num_nodes ({num_nodes})"
         )
+    if not np.isfinite(features).all():
+        raise ValueError("node features must be finite")
 
     edges = np.asarray(edge_list, dtype=np.int64)
     if edges.size == 0:
@@ -167,6 +170,8 @@ def build_graph(
     ef = None
     if edge_features is not None:
         ef = np.asarray(edge_features)
+        if ef.dtype.kind not in "fiu":
+            raise ValueError("edge features must be numeric")
         if ef.dtype.kind in "iu":
             ef = ef.astype(np.float64)
         if ef.ndim != 2:
@@ -175,6 +180,8 @@ def build_graph(
             raise ValueError(
                 f"edge feature rows ({ef.shape[0]}) != num_edges ({edges.shape[0]})"
             )
+        if not np.isfinite(ef).all():
+            raise ValueError("edge features must be finite")
 
     if edges.shape[0]:
         if edges.min() < 0 or edges.max() >= num_nodes:

@@ -18,7 +18,6 @@ from .pool import (
     EdgeScores,
     PoolInfo,
     PoolParams,
-    WeightedCombine,
     edgepool_backward,
     edgepool_forward,
     score_path_backward,
@@ -220,24 +219,24 @@ def edge_pool(
     training: bool = False,
     dropout_p: float = 0.0,
     seed: int | None = None,
-    combine: WeightedCombine | None = None,
 ) -> tuple[Var, Var, Graph, PoolInfo, EdgeScores]:
     """Tape op for one pooling level over the current activations.
 
-    Returns (pooled activations, per-node gating scores, pooled graph,
-    level info, edge scores). The gating-score Var lets later consumers
-    (unpooling divides by it) propagate gradient back into the scorer;
-    the matching itself is a constant of the backward pass.
+    A thin wrapper: the pooling math is :func:`edgepool_forward`,
+    :func:`edgepool_backward` and :func:`score_path_backward`. Returns
+    (pooled activations, per-node gating scores, pooled graph, level info,
+    edge scores). The gating-score Var lets later consumers (unpooling
+    divides by it) propagate gradient back into the scorer; the matching
+    itself is a constant of the backward pass.
     """
     scored_graph = graph.with_node_features(x.data)
     params = PoolParams(weight=weight.data, bias=float(bias.data))
     pooled, info, scores = edgepool_forward(
-        scored_graph, params, training=training, dropout_p=dropout_p, seed=seed,
-        combine=combine,
+        scored_graph, params, training=training, dropout_p=dropout_p, seed=seed
     )
 
     def vjp(dy):
-        gx, gw, gb = edgepool_backward(scored_graph, params, info, scores, dy, combine)
+        gx, gw, gb = edgepool_backward(scored_graph, params, info, scores, dy)
         return gx, gw, np.asarray(gb)
 
     out = Var(pooled.node_features, (x, weight, bias), vjp)

@@ -82,9 +82,10 @@ def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
 class GraphClassifier:
     """Whole-graph classifier with readouts ahead of each pooling step.
 
-    Each block runs aggregation, batch norm, activation, then a dropout
-    stage; the block stage defaults to probability 0 (the configured
-    ``dropout_p`` applies to the fully-connected head only).
+    Each block runs aggregation, batch norm and activation, then pools when
+    ``pooling`` is set. The configured ``dropout_p`` applies to the
+    fully-connected head only; ``edge_score_dropout_p`` drops edges from
+    each pooling step in training.
     """
 
     feature_width: int
@@ -92,7 +93,6 @@ class GraphClassifier:
     num_classes: int
     pooling: bool
     params: ParamStore
-    block_dropout_p: float = 0.0
 
     @classmethod
     def create(
@@ -102,7 +102,6 @@ class GraphClassifier:
         channels: int = 64,
         pooling: bool = True,
         seed: int = 0,
-        block_dropout_p: float = 0.0,
     ) -> "GraphClassifier":
         rng = seeded_rng(seed, "graph-model-init")
         store = ParamStore()
@@ -117,7 +116,7 @@ class GraphClassifier:
         store.add("head.fc1.bias", np.zeros(channels, dtype=np.float32))
         store.add("head.fc2.weight", glorot_uniform((channels, num_classes), rng))
         store.add("head.fc2.bias", np.zeros(num_classes, dtype=np.float32))
-        return cls(feature_width, channels, num_classes, pooling, store, block_dropout_p)
+        return cls(feature_width, channels, num_classes, pooling, store)
 
     def forward(
         self,
@@ -143,7 +142,6 @@ class GraphClassifier:
             x = _conv(leaves, f"{name}.conv", graph, x, "mean")
             x = batch_norm(x, leaves[f"{name}.bn.gamma"], leaves[f"{name}.bn.beta"])
             x = relu(x)
-            x = feature_dropout(x, self.block_dropout_p, rng, training)
             if self.pooling:
                 x, _, graph, info, _ = edge_pool(
                     x,
@@ -151,7 +149,7 @@ class GraphClassifier:
                     leaves[f"{name}.pool.bias"],
                     graph,
                     training=training,
-                    dropout_p=config.edge_score_dropout_p if training else 0.0,
+                    dropout_p=config.edge_score_dropout_p,
                     seed=draw_seed(rng),
                 )
                 graph_id = _pooled_graph_id(graph_id, info)
@@ -215,7 +213,6 @@ class NodeClassifier:
         """Per-node logits, shape (num_nodes, classes)."""
         rng = seeded_rng(seed, "node-forward")
         kind = self.conv_kind
-        dropout_p = config.edge_score_dropout_p if training else 0.0
 
         x = Var(graph.node_features.astype(np.float32))
         x = relu(_conv(leaves, "conv1", graph, x, kind))
@@ -225,7 +222,8 @@ class NodeClassifier:
         if self.pooling:
             x, score1, g1, info1, _ = edge_pool(
                 x, leaves["pool1.weight"], leaves["pool1.bias"], graph,
-                training=training, dropout_p=dropout_p, seed=draw_seed(rng),
+                training=training, dropout_p=config.edge_score_dropout_p,
+                seed=draw_seed(rng),
             )
             if trace is not None:
                 trace.append(info1)
@@ -236,7 +234,8 @@ class NodeClassifier:
         if self.pooling:
             x, score2, g2, info2, _ = edge_pool(
                 x, leaves["pool2.weight"], leaves["pool2.bias"], g1,
-                training=training, dropout_p=dropout_p, seed=draw_seed(rng),
+                training=training, dropout_p=config.edge_score_dropout_p,
+                seed=draw_seed(rng),
             )
             if trace is not None:
                 trace.append(info2)

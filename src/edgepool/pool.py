@@ -31,7 +31,6 @@ __all__ = [
     "PoolParams",
     "EdgeScores",
     "PoolInfo",
-    "WeightedCombine",
     "raw_scores",
     "normalize_scores",
     "apply_score_dropout",
@@ -88,26 +87,6 @@ class PoolInfo:
     @property
     def num_matched(self) -> int:
         return int(self.matching.shape[0])
-
-
-@dataclass(frozen=True)
-class WeightedCombine:
-    """Optional merge rule: weighted linear combination instead of plain sum.
-
-    The merged feature becomes
-    ``s * (w_src*n_i + w_dst*n_j + w_edge*f_ij + w_reverse_edge*f_ji)``.
-    Edge weights require edge features with the node feature width; a
-    missing reverse edge contributes zeros.
-    """
-
-    w_src: float = 1.0
-    w_dst: float = 1.0
-    w_edge: float = 0.0
-    w_reverse_edge: float = 0.0
-
-    @property
-    def uses_edge_features(self) -> bool:
-        return self.w_edge != 0.0 or self.w_reverse_edge != 0.0
 
 
 def _check_widths(graph: Graph, params: PoolParams) -> int:
@@ -169,22 +148,16 @@ def normalize_scores(
     return out
 
 
-def apply_score_dropout(
-    scores: np.ndarray, p: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independently drop each edge with probability ``p`` (training only).
+def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
+    """Boolean mask dropping each of ``num_edges`` edges with probability ``p``.
 
-    Returns (scores with dropped entries zeroed, boolean dropped mask).
-    Deterministic given the seed.
+    Training only; deterministic given the seed. Dropped edges take part in
+    neither normalization nor selection.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    scores = np.asarray(scores, dtype=np.float64)
     rng = seeded_rng(seed, "edge-score-dropout")
-    dropped = rng.random(scores.shape[0]) < p
-    masked = scores.copy()
-    masked[dropped] = 0.0
-    return masked, dropped
+    return rng.random(num_edges) < p
 
 
 def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
@@ -229,45 +202,18 @@ def _edge_lookup(graph: Graph, pairs: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _pair_features(
-    graph: Graph,
-    matching: np.ndarray,
-    edge_idx: np.ndarray,
-    combine: WeightedCombine | None,
-) -> np.ndarray:
+def _pair_features(graph: Graph, matching: np.ndarray) -> np.ndarray:
     """Pre-gating merged features per matched edge, float64, (k, f)."""
     # Gather the matched rows before widening them: no (v, f) float64 copy.
     x_src = graph.node_features[matching[:, 0]].astype(np.float64)
     x_dst = graph.node_features[matching[:, 1]].astype(np.float64)
-    if combine is None:
-        return x_src + x_dst
-    merged = combine.w_src * x_src + combine.w_dst * x_dst
-    if combine.uses_edge_features:
-        if graph.edge_feature_width != graph.feature_width:
-            raise ValueError(
-                "weighted combine with edge terms requires edge features "
-                "with the node feature width"
-            )
-        ef = graph.edge_features.astype(np.float64, copy=False)
-        merged = merged + combine.w_edge * ef[edge_idx]
-        if combine.w_reverse_edge != 0.0:
-            n = np.int64(graph.num_nodes)
-            keys = graph.edges[:, 0] * n + graph.edges[:, 1]
-            want = matching[:, 1] * n + matching[:, 0]
-            idx = np.searchsorted(keys, want)
-            ok = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == want)
-            rev = np.zeros_like(merged[:, : graph.feature_width])
-            if ok.any():
-                rev[ok] = ef[idx[ok]]
-            merged = merged + combine.w_reverse_edge * rev
-    return merged
+    return x_src + x_dst
 
 
 def contract(
     graph: Graph,
     matching: np.ndarray | Sequence,
     scores: EdgeScores,
-    combine: WeightedCombine | None = None,
 ) -> tuple[Graph, PoolInfo]:
     """Collapse each matched edge into one node; rebuild the edge set.
 
@@ -303,7 +249,7 @@ def contract(
 
     pooled_n = v - k
     feats = np.empty((pooled_n, graph.feature_width), dtype=np.float64)
-    feats[:k] = s[:, None] * _pair_features(graph, matching, edge_idx, combine)
+    feats[:k] = s[:, None] * _pair_features(graph, matching)
     feats[k:] = graph.node_features[unmatched]
 
     mapped = cluster_of[graph.edges]
@@ -334,7 +280,6 @@ def edgepool_forward(
     training: bool = False,
     dropout_p: float = 0.0,
     seed: int | None = None,
-    combine: WeightedCombine | None = None,
 ) -> tuple[Graph, PoolInfo, EdgeScores]:
     """One full pooling level: score, (dropout), normalize, select, contract.
 
@@ -346,13 +291,13 @@ def edgepool_forward(
     if training and dropout_p > 0.0:
         if seed is None:
             raise ValueError("edge-score dropout requires a seed")
-        _, dropped = apply_score_dropout(raw, dropout_p, seed)
+        dropped = apply_score_dropout(graph.num_edges, dropout_p, seed)
     else:
         dropped = np.zeros(graph.num_edges, dtype=bool)
     normalized = normalize_scores(graph, raw, dropped)
     scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
     matching = select_contractions(graph, scores)
-    pooled, info = contract(graph, matching, scores, combine)
+    pooled, info = contract(graph, matching, scores)
     return pooled, info, scores
 
 
@@ -362,7 +307,6 @@ def edgepool_backward(
     info: PoolInfo,
     scores: EdgeScores,
     upstream_grad: np.ndarray,
-    combine: WeightedCombine | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact reverse-mode derivatives of one pooling level.
 
@@ -391,7 +335,7 @@ def edgepool_backward(
         e_idx = info.matched_edge_index
         s = scores.normalized[e_idx]
         g_out = upstream[:k].astype(np.float64)
-        g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching, e_idx, combine))
+        g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
         # The score term holds no -0.0, so adding the other terms to it in
         # place rounds exactly as adding it to them, without a second (v, f).
         grad_x, sw, sb = score_path_backward(graph, params, info, scores, g_s)
@@ -399,11 +343,9 @@ def edgepool_backward(
         grad_b += sb
         # Unmatched nodes: gradient passes through unchanged.
         grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
-        w_src = combine.w_src if combine is not None else 1.0
-        w_dst = combine.w_dst if combine is not None else 1.0
         # A matching's endpoints are distinct, so plain indexing accumulates.
-        grad_x[mi] += (w_src * s)[:, None] * g_out
-        grad_x[mj] += (w_dst * s)[:, None] * g_out
+        grad_x[mi] += s[:, None] * g_out
+        grad_x[mj] += s[:, None] * g_out
 
     dtype = graph.node_features.dtype
     return grad_x.astype(dtype), grad_w.astype(dtype), grad_b

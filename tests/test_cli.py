@@ -120,6 +120,31 @@ class TestPoolCommand:
                      str(params_path), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_nan_feature_rejected(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(
+            {"num_nodes": 3, "edges": [[0, 1], [1, 2]],
+             "node_features": [[float("nan")], [1.0], [2.0]]}
+        ))
+        out = tmp_path / "out"
+        code = main(["pool", "--input", str(graph_path), "--out", str(out)])
+        assert code == 2
+        assert "node features must be finite" in capsys.readouterr().err
+        assert not (out / "hierarchy.json").exists()
+
+    def test_nan_params_rejected(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"weight": [float("nan")] + [1.0] * 5,
+                                           "bias": 0.0}))
+        out = tmp_path / "out"
+        code = main(["pool", "--input", str(graph_path), "--params",
+                     str(params_path), "--out", str(out)])
+        assert code == 2
+        assert "params weight and bias must be finite" in capsys.readouterr().err
+        assert not (out / "hierarchy.json").exists()
+
     def test_missing_file(self, tmp_path):
         code = main(["pool", "--input", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])

@@ -56,6 +56,21 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(2, [(0, 1)], features(2), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="node features must be finite"):
+            build_graph(3, [(0, 1)], [[bad], [1.0], [2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edge_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="edge features must be finite"):
+            build_graph(3, [(0, 1), (1, 2)], features(3), [[1.0], [bad]])
+
+    @pytest.mark.parametrize("bad", [[["a"]], [[None]], [[True]]])
+    def test_non_numeric_edge_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="edge features must be numeric"):
+            build_graph(2, [(0, 1)], features(2), bad)
+
     def test_canonical_edge_order(self):
         g = build_graph(3, [(2, 1), (0, 1), (1, 0), (0, 2)], features(3))
         assert g.edges.tolist() == [[0, 1], [0, 2], [1, 0], [2, 1]]

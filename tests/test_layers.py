@@ -475,37 +475,58 @@ class TestCrossEntropy:
 
 
 class TestEdgePoolLayer:
-    def instance(self, seed=0):
+    """One pooling implementation: the tape op reproduces the functional
+    operator bit for bit, in both dtypes, with and without score dropout."""
+
+    CASES = [
+        (dtype, mode)
+        for dtype in (np.float32, np.float64)
+        for mode in ({}, {"training": True, "dropout_p": 0.3, "seed": 5})
+    ]
+
+    def instance(self, seed, dtype):
         rng = seeded_rng(seed, "pool-layer")
         g = make_connected_erdos_renyi(8, 0.4, rng, feature_width=3)
-        x = Var(rng.normal(size=(8, 3)))
+        x = Var(rng.normal(size=(8, 3)).astype(dtype))
         w = Var(rng.normal(size=6))
         b = Var(np.asarray(0.1))
         return rng, g, x, w, b
 
     def test_forward_matches_functional(self):
-        rng, g, x, w, b = self.instance()
-        out, score_var, pooled, info, scores = edge_pool(x, w, b, g)
-        ref, ref_info, ref_scores = edgepool_forward(
-            g.with_node_features(x.data), PoolParams(weight=w.data, bias=float(b.data))
-        )
-        assert np.allclose(out.data, ref.node_features)
-        assert np.array_equal(info.matching, ref_info.matching)
-        assert np.array_equal(score_var.data, ref_info.node_score)
+        for dtype, mode in self.CASES:
+            case = f"{dtype.__name__} {mode}"
+            rng, g, x, w, b = self.instance(0, dtype)
+            out, score_var, pooled, info, scores = edge_pool(x, w, b, g, **mode)
+            ref, ref_info, ref_scores = edgepool_forward(
+                g.with_node_features(x.data),
+                PoolParams(weight=w.data, bias=float(b.data)), **mode,
+            )
+            assert ref_scores.dropped.any() == bool(mode), case
+            assert out.data.dtype == ref.node_features.dtype == dtype, case
+            assert np.array_equal(out.data, ref.node_features), case
+            assert np.array_equal(pooled.edges, ref.edges), case
+            assert np.array_equal(info.matching, ref_info.matching), case
+            assert np.array_equal(score_var.data, ref_info.node_score), case
+            assert np.array_equal(scores.normalized, ref_scores.normalized), case
+            assert np.array_equal(scores.dropped, ref_scores.dropped), case
 
     def test_backward_matches_functional(self):
-        rng, g, x, w, b = self.instance(1)
-        out, _, pooled, info, scores = edge_pool(x, w, b, g)
-        upstream = rng.normal(size=out.data.shape)
-        backward(out, upstream)
-        gx, gw, gb = edgepool_backward(
-            g.with_node_features(x.data),
-            PoolParams(weight=w.data, bias=float(b.data)),
-            info, scores, upstream,
-        )
-        assert np.allclose(x.grad, gx)
-        assert np.allclose(w.grad, gw)
-        assert float(b.grad) == pytest.approx(gb, rel=1e-12, abs=1e-12)
+        for dtype, mode in self.CASES:
+            case = f"{dtype.__name__} {mode}"
+            rng, g, x, w, b = self.instance(1, dtype)
+            out, _, pooled, info, scores = edge_pool(x, w, b, g, **mode)
+            assert scores.dropped.any() == bool(mode), case
+            upstream = rng.normal(size=out.data.shape).astype(dtype)
+            backward(out, upstream)
+            gx, gw, gb = edgepool_backward(
+                g.with_node_features(x.data),
+                PoolParams(weight=w.data, bias=float(b.data)),
+                info, scores, upstream,
+            )
+            assert x.grad.dtype == gx.dtype == dtype, case
+            assert np.array_equal(x.grad, gx), case
+            assert np.array_equal(w.grad, gw), case
+            assert float(b.grad) == gb, case
 
 
 class TestUnpoolLayer:

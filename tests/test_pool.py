@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from edgepool import (
     EdgeScores,
     PoolParams,
-    WeightedCombine,
     apply_score_dropout,
     build_graph,
     contract,
@@ -127,35 +126,26 @@ class TestNormalizeScores:
 
 class TestScoreDropout:
     def test_p_zero_drops_nothing(self):
-        raw = np.arange(5, dtype=np.float64)
-        zeroed, mask = apply_score_dropout(raw, 0.0, seed=1)
+        mask = apply_score_dropout(5, 0.0, seed=1)
+        assert mask.dtype == bool and mask.shape == (5,)
         assert not mask.any()
-        assert np.array_equal(zeroed, raw)
 
     def test_binomial_concentration(self):
-        raw = np.zeros(10_000)
-        _, mask = apply_score_dropout(raw, 0.2, seed=3)
+        mask = apply_score_dropout(10_000, 0.2, seed=3)
         assert 0.18 <= mask.mean() <= 0.22
 
     def test_deterministic_given_seed(self):
-        raw = np.zeros(1000)
-        _, a = apply_score_dropout(raw, 0.3, seed=9)
-        _, b = apply_score_dropout(raw, 0.3, seed=9)
+        a = apply_score_dropout(1000, 0.3, seed=9)
+        b = apply_score_dropout(1000, 0.3, seed=9)
         assert np.array_equal(a, b)
-        _, c = apply_score_dropout(raw, 0.3, seed=10)
+        c = apply_score_dropout(1000, 0.3, seed=10)
         assert not np.array_equal(a, c)
-
-    def test_dropped_scores_zeroed(self):
-        raw = np.full(1000, 7.0)
-        zeroed, mask = apply_score_dropout(raw, 0.5, seed=0)
-        assert np.all(zeroed[mask] == 0.0)
-        assert np.all(zeroed[~mask] == 7.0)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_score_dropout(np.zeros(3), 1.0, seed=0)
+            apply_score_dropout(3, 1.0, seed=0)
         with pytest.raises(ValueError):
-            apply_score_dropout(np.zeros(3), -0.1, seed=0)
+            apply_score_dropout(3, -0.1, seed=0)
 
 
 def hand_scores(graph, by_pair):
@@ -368,14 +358,6 @@ class TestContract:
                             dropped=np.asarray([True, False]))
         with pytest.raises(ValueError):
             contract(g, np.asarray([[0, 1]]), scores)
-
-    def test_weighted_combine_merge(self):
-        g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
-        scores = EdgeScores(raw=np.zeros(1), normalized=np.asarray([1.5]),
-                            dropped=np.zeros(1, dtype=bool))
-        combine = WeightedCombine(w_src=2.0, w_dst=0.5)
-        pooled, _ = contract(g, np.asarray([[0, 1]]), scores, combine)
-        assert np.allclose(pooled.node_features, [[1.5 * (2.0 * 1.0 + 0.5 * 2.0)]])
 
 
 class TestForward:
