@@ -100,19 +100,30 @@ def _load_pool_input(args):
     raise InputError("one of --input or --tu is required")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> PoolParams:
     if args.params is not None:
         with open(args.params, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if "weight" not in obj or "bias" not in obj:
-            raise InputError("params file needs 'weight' and 'bias' keys")
-        weight = np.asarray(obj["weight"], dtype=np.float64)
+        if not isinstance(obj, dict) or "weight" not in obj or "bias" not in obj:
+            raise InputError("params file needs an object with 'weight' and 'bias' keys")
+        if not isinstance(obj["weight"], list) or not all(map(_is_number, obj["weight"])):
+            raise InputError("params weight must be a list of numbers")
+        if not _is_number(obj["bias"]):
+            raise InputError("params bias must be a number")
         expected = 2 * feature_width + edge_feature_width
-        if weight.shape != (expected,):
+        if len(obj["weight"]) != expected:
             raise InputError(
-                f"params weight has shape {weight.shape}, graph needs ({expected},)"
+                f"params weight has length {len(obj['weight'])}, graph needs {expected}"
             )
-        bias = float(obj["bias"])
+        try:
+            weight = np.asarray(obj["weight"], dtype=np.float64)
+            bias = float(obj["bias"])
+        except OverflowError:  # an integer beyond the float64 range
+            raise InputError("params weight and bias must be finite") from None
         if not (np.isfinite(weight).all() and np.isfinite(bias)):
             raise InputError("params weight and bias must be finite")
         return PoolParams(weight=weight, bias=bias)

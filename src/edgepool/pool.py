@@ -7,7 +7,11 @@ One pooling level works in four stages:
 2. raw scores are normalized per destination node with a softmax shifted
    so the score range is centred at 1;
 3. edges are contracted greedily in score order, skipping any edge with an
-   already-merged endpoint, which yields a maximal matching;
+   already-merged endpoint, which yields a maximal matching. The order is
+   strict (score descending, canonical edge index ascending), so the greedy
+   matching is found without sorting every edge: in vectorized rounds, each
+   taking the edges that rank first among the alive edges at both of their
+   endpoints, with a sequential sweep once rounds stop paying off;
 4. each matched pair collapses to one node whose feature vector is the sum
    of the pair's features gated (multiplied) by the edge score, so that
    gradients reach the scoring parameters despite the discrete selection.
@@ -125,7 +129,9 @@ def normalize_scores(
     non-dropped edges into j) of the raw score, computed with
     max-subtraction in double precision. Dropped edges get exactly 0.0.
     Kept values lie in (0.5, 1.5) and, per destination, sum to
-    (#incoming kept) * 0.5 + 1.
+    (#incoming kept) * 0.5 + 1. Raises ``ValueError`` when a kept raw
+    score is NaN or infinite (an overflowing scorer, say), since selection
+    compares scores for equality.
     """
     m = graph.num_edges
     raw = np.asarray(raw, dtype=np.float64)
@@ -139,6 +145,8 @@ def normalize_scores(
         return out
     dst = graph.edge_dst[keep]
     r = raw[keep]
+    if not np.isfinite(r).all():
+        raise ValueError("edge scores must be finite: a kept raw score is NaN or infinite")
     mx = np.full(graph.num_nodes, -np.inf)
     np.maximum.at(mx, dst, r)
     ex = np.exp(r - mx[dst])
@@ -160,31 +168,81 @@ def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
     return rng.random(num_edges) < p
 
 
+# A round that removes less than this share of the alive edges hands them to
+# the sequential sweep; rounds on the bulk of a random graph remove about 2/3.
+_SWEEP_SHARE = 0.25
+
+
 def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     """Greedy maximal matching over non-dropped edges.
 
-    Edges are visited by normalized score descending, canonical edge index
-    ascending on ties; an edge is taken iff neither endpoint is matched
-    yet. One global sort plus a linear sweep gives the same result as
-    repeatedly rescanning for the best remaining edge. Returns the matched
-    directed edges, in selection order, as an (k, 2) array.
+    The greedy visits edges by normalized score descending, canonical edge
+    index ascending on ties, and takes an edge iff neither endpoint is
+    matched yet. Under that strict order, an edge that ranks first among
+    the alive edges at both of its endpoints (locally dominant) is taken:
+    no edge ranked above it touches those endpoints. Every other edge at
+    them ranks below it and is skipped. So the greedy matching is the
+    locally dominant edges plus the greedy matching of the edges left
+    after removing their endpoints, and it is built in rounds over the
+    alive kept edges without a global sort. Each round finds every node's
+    first incident edge (``np.maximum.at`` on the score, then
+    ``np.minimum.at`` on the edge index over the incidences at that best
+    score), takes every edge that is first at both endpoints, and drops
+    every edge that touches a newly matched node. A chain of monotone
+    scores matches one edge per round, so once a round removes less than
+    ``_SWEEP_SHARE`` of the alive edges, :func:`_greedy_sweep` finishes
+    the remaining edges in order, which is exact for the same reason.
+    Returns the matched directed edges in selection order (the greedy's
+    visiting order) as a (k, 2) int64 array.
     """
-    keep = np.flatnonzero(~scores.dropped)
-    if keep.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    order = keep[np.argsort(-scores.normalized[keep], kind="stable")]
-    src = graph.edges[order, 0].tolist()
-    dst = graph.edges[order, 1].tolist()
-    matched = bytearray(graph.num_nodes)
-    pairs = []
-    for i, j in zip(src, dst):
+    v = graph.num_nodes
+    e = np.flatnonzero(~scores.dropped)
+    src, dst, s = graph.edge_src[e], graph.edge_dst[e], scores.normalized[e]
+    taken = [np.zeros(0, dtype=np.int64)]
+    while e.size:
+        best = np.full(v, -np.inf)
+        np.maximum.at(best, src, s)
+        np.maximum.at(best, dst, s)
+        first = np.full(v, graph.num_edges, dtype=np.int64)
+        at = s == best[src]
+        np.minimum.at(first, src[at], e[at])
+        at = s == best[dst]
+        np.minimum.at(first, dst[at], e[at])
+        win = (first[src] == e) & (first[dst] == e)
+        taken.append(e[win])
+        matched = np.zeros(v, dtype=bool)
+        matched[src[win]] = True
+        matched[dst[win]] = True
+        alive = ~(matched[src] | matched[dst])
+        before = e.size
+        e, src, dst, s = e[alive], src[alive], dst[alive], s[alive]
+        if before - e.size < _SWEEP_SHARE * before:
+            taken.append(_greedy_sweep(e, src, dst, s, v))
+            break
+    # Selection order: only the k taken edges are sorted.
+    t = np.sort(np.concatenate(taken))
+    t = t[np.argsort(-scores.normalized[t], kind="stable")]
+    return graph.edges[t]
+
+
+def _greedy_sweep(
+    e: np.ndarray, src: np.ndarray, dst: np.ndarray, s: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Sequential greedy over edges ``e`` (ascending) with endpoints and scores.
+
+    Visits by score descending, index ascending on ties; returns the taken
+    edge indices in visiting order. The edges must touch no node matched
+    earlier, so every node starts unmatched.
+    """
+    order = np.argsort(-s, kind="stable")
+    matched = bytearray(num_nodes)
+    out = []
+    for k, i, j in zip(e[order].tolist(), src[order].tolist(), dst[order].tolist()):
         if not matched[i] and not matched[j]:
             matched[i] = 1
             matched[j] = 1
-            pairs.append((i, j))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+            out.append(k)
+    return np.asarray(out, dtype=np.int64)
 
 
 def _edge_lookup(graph: Graph, pairs: np.ndarray) -> np.ndarray:

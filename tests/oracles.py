@@ -1,7 +1,8 @@
 """Independent reference implementations used to validate the library.
 
 Everything here is written the slow, obvious way (python loops, repeated
-scans) so that agreement with the optimized code is meaningful.
+scans, at most one sort) so that agreement with the optimized code is
+meaningful.
 """
 
 from __future__ import annotations
@@ -46,6 +47,33 @@ def naive_matching(edges: np.ndarray, normalized: np.ndarray, dropped: np.ndarra
         src, dst = int(edges[best][0]), int(edges[best][1])
         matching.append((src, dst))
         matched_nodes.update((src, dst))
+
+
+def sequential_greedy(edges: np.ndarray, normalized: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """One stable sort of the kept edges, then a linear sweep, O(E log E).
+
+    Visits edges by normalized score descending, canonical edge index
+    ascending on ties, and takes an edge iff neither endpoint is matched
+    yet. Returns the matched edges in selection order as a (k, 2) int64
+    array; fast enough to check the library on a million edges.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keep = np.flatnonzero(~np.asarray(dropped, dtype=bool))
+    if keep.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    order = keep[np.argsort(-normalized[keep], kind="stable")]
+    src = edges[order, 0].tolist()
+    dst = edges[order, 1].tolist()
+    matched = bytearray(int(edges.max()) + 1)
+    pairs = []
+    for i, j in zip(src, dst):
+        if not matched[i] and not matched[j]:
+            matched[i] = 1
+            matched[j] = 1
+            pairs.append((i, j))
+    if not pairs:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.asarray(pairs, dtype=np.int64)
 
 
 def naive_contract_features(

@@ -145,6 +145,59 @@ class TestPoolCommand:
         assert "params weight and bias must be finite" in capsys.readouterr().err
         assert not (out / "hierarchy.json").exists()
 
+    @pytest.mark.parametrize("params, message", [
+        ({"weight": [0.1] * 6, "bias": None}, "bias must be a number"),
+        ({"weight": [0.1] * 6, "bias": [0.0]}, "bias must be a number"),
+        ({"weight": [0.1] * 5 + [{}], "bias": 0.0}, "weight must be a list of numbers"),
+        ({"weight": [0.1] * 5 + ["0.1"], "bias": 0.0}, "weight must be a list of numbers"),
+        ({"weight": 0.1, "bias": 0.0}, "weight must be a list of numbers"),
+        ({"weight": [0.1] * 5 + [10**400], "bias": 0.0}, "must be finite"),
+        (["weight", "bias"], "needs an object"),
+        (3, "needs an object"),
+    ], ids=["bias-null", "bias-list", "weight-object-entry", "weight-string-entry",
+            "weight-scalar", "weight-beyond-float64", "params-list", "params-number"])
+    def test_malformed_params_rejected(self, tmp_path, capsys, params, message):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        code = main(["pool", "--input", str(graph_path), "--params",
+                     str(params_path), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "hierarchy.json").exists()
+
+    def test_overflowing_scores_rejected(self, tmp_path, capsys):
+        # Finite params whose raw scores overflow to inf on this graph.
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(
+            {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
+             "node_features": [[1.0]] * 4}
+        ))
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"weight": [1e308, 1e308], "bias": 0.0}))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["pool", "--input", str(graph_path), "--params",
+                         str(params_path), "--out", str(out)])
+        assert code == 2
+        assert "edge scores must be finite" in capsys.readouterr().err
+        assert not (out / "hierarchy.json").exists()
+
+    def test_same_input_and_seed_give_identical_hierarchy(self, tmp_path):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path, n=40)
+        written = []
+        for run in range(2):
+            out = tmp_path / f"out{run}"
+            code = main(["pool", "--input", str(graph_path), "--levels", "2",
+                         "--random-seed", "7", "--out", str(out)])
+            assert code == 0
+            written.append((out / "hierarchy.json").read_bytes())
+        assert len(json.loads(written[0])) == 2
+        assert written[0] == written[1]
+
     def test_missing_file(self, tmp_path):
         code = main(["pool", "--input", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])

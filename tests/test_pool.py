@@ -1,5 +1,6 @@
 """Scoring, normalization, selection, contraction, and the exact backward."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,12 @@ from edgepool import (
 from edgepool.data import make_connected_erdos_renyi, make_cycle, make_star
 from edgepool.rng import seeded_rng
 
-from oracles import naive_contract_features, naive_matching, naive_normalize
+from oracles import (
+    naive_contract_features,
+    naive_matching,
+    naive_normalize,
+    sequential_greedy,
+)
 from strategies import simple_digraphs
 
 
@@ -109,6 +115,22 @@ class TestNormalizeScores:
             mine = normalize_scores(g, raw, dropped)
             ref = naive_normalize(g.edges, raw, dropped)
             assert np.allclose(mine, ref, atol=1e-12), f"trial {trial}"
+
+    def test_non_finite_kept_raw_score_rejected(self):
+        # 1e308 + 1e308 overflows the raw score to inf, which would make the
+        # softmax NaN; the error names the scores, not a later stage.
+        g = path_graph(4, np.ones((4, 1)))
+        params = PoolParams(weight=np.asarray([1e308, 1e308]), bias=0.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="edge scores must be finite"):
+                edgepool_forward(g, params)
+        raw = np.zeros(g.num_edges)
+        raw[0] = np.nan
+        with pytest.raises(ValueError, match="edge scores must be finite"):
+            normalize_scores(g, raw, no_dropout(g))
+        dropped = no_dropout(g)
+        dropped[0] = True
+        assert np.isfinite(normalize_scores(g, raw, dropped)).all()
 
     def test_per_node_sum_invariant(self):
         rng = seeded_rng(6, "norm-sum")
@@ -220,6 +242,100 @@ class TestSelectContractions:
             matched = set(flat)
             for i, j in g.edges.tolist():
                 assert i in matched or j in matched, "maximality violated"
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraph=simple_digraphs(), data=st.data())
+    def test_equals_sequential_greedy_with_tied_scores(self, digraph, data):
+        g, scores = tied_scores(digraph, data)
+        mine = select_contractions(g, scores)
+        assert mine.dtype == np.int64 and mine.ndim == 2 and mine.shape[1] == 2
+        assert np.array_equal(mine, sequential_greedy(g.edges, scores.normalized, scores.dropped))
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraph=simple_digraphs(), data=st.data())
+    def test_valid_maximal_and_in_selection_order(self, digraph, data):
+        g, scores = tied_scores(digraph, data)
+        matching = select_contractions(g, scores)
+        flat = matching.ravel().tolist()
+        assert len(flat) == len(set(flat)), "node matched twice"
+        index = {pair: e for e, pair in enumerate(map(tuple, g.edges.tolist()))}
+        picked = [index[(i, j)] for i, j in matching.tolist()]
+        assert not scores.dropped[picked].any(), "dropped edge selected"
+        matched = set(flat)
+        for e, (i, j) in enumerate(g.edges.tolist()):
+            if not scores.dropped[e]:
+                assert i in matched or j in matched, "maximality violated"
+        ranks = [(-scores.normalized[e], e) for e in picked]
+        assert ranks == sorted(ranks), "not in selection order"
+
+    @settings(max_examples=50, deadline=None)
+    @given(digraph=simple_digraphs())
+    def test_all_edges_dropped_gives_empty_int64(self, digraph):
+        n, pairs = digraph
+        g = build_graph(n, pairs, np.zeros((n, 1)))
+        m = g.num_edges
+        scores = EdgeScores(raw=np.zeros(m), normalized=np.zeros(m),
+                            dropped=np.ones(m, dtype=bool))
+        matching = select_contractions(g, scores)
+        assert matching.dtype == np.int64 and matching.shape == (0, 2)
+
+    def test_edgeless_graph_gives_empty_int64(self):
+        g = build_graph(5, [], np.zeros((5, 1)))
+        scores = EdgeScores(raw=np.zeros(0), normalized=np.zeros(0),
+                            dropped=np.zeros(0, dtype=bool))
+        matching = select_contractions(g, scores)
+        assert matching.dtype == np.int64 and matching.shape == (0, 2)
+
+
+def tied_scores(digraph, data):
+    """Graph and scores drawn from a 3-4 value set, some edges dropped."""
+    n, pairs = digraph
+    g = build_graph(n, pairs, np.zeros((n, 1)))
+    m = g.num_edges
+    values = data.draw(st.lists(st.floats(0.5, 1.5, exclude_min=True),
+                                min_size=3, max_size=4, unique=True))
+    drawn = data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
+    dropped = np.asarray(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+                         dtype=bool)
+    normalized = np.where(dropped, 0.0, np.asarray(drawn, dtype=np.float64))
+    return g, EdgeScores(raw=normalized - 0.5, normalized=normalized, dropped=dropped)
+
+
+class TestSelectionAtScale:
+    def test_monotone_path_is_fast_and_exact(self):
+        # Scores rise along the path, so each vectorized round could take
+        # only its top edge; the sequential sweep has to finish the job.
+        n = 100_000
+        g = path_graph(n)
+        normalized = 0.6 + 0.8 * g.edges.min(axis=1) / n  # both directions tie
+        scores = EdgeScores(raw=normalized - 0.5, normalized=normalized,
+                            dropped=no_dropout(g))
+        t0 = time.perf_counter()
+        mine = select_contractions(g, scores)
+        elapsed = time.perf_counter() - t0
+        assert np.array_equal(mine, sequential_greedy(g.edges, normalized, scores.dropped))
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("case", ["plain", "dropout", "ties"])
+    def test_random_graph_equals_sequential_greedy(self, case):
+        rng = seeded_rng(21, "select-scale")
+        n, undirected = 33_000, 100_000
+        u, v = rng.integers(0, n, size=(2, int(undirected * 1.1)))
+        keep = u != v
+        key = np.unique(np.minimum(u, v)[keep] * np.int64(n) + np.maximum(u, v)[keep])
+        key = key[:undirected]
+        g = symmetrize(build_graph(n, np.stack([key // n, key % n], axis=1),
+                                   np.zeros((n, 1))))
+        assert g.num_edges == 2 * undirected
+        raw = rng.normal(size=g.num_edges)
+        dropped = (apply_score_dropout(g.num_edges, 0.3, seed=8) if case == "dropout"
+                   else no_dropout(g))
+        normalized = normalize_scores(g, raw, dropped)
+        if case == "ties":
+            normalized = np.round(normalized, 1)
+        scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
+        mine = select_contractions(g, scores)
+        assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
 
 
 class TestContract:
