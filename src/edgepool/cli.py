@@ -131,6 +131,8 @@ def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> Pool
 
 
 def cmd_pool(args) -> int:
+    if args.levels < 0:
+        raise InputError(f"--levels must be non-negative, got {args.levels}")
     graph, identity = _load_pool_input(args)
     manifest = _manifest_for(args, "pool", identity)
     os.makedirs(args.out, exist_ok=True)
@@ -220,6 +222,19 @@ def _print_row(prefix: str):
     return emit
 
 
+def _node_mask(obj: dict, key: str, num_nodes: int) -> np.ndarray:
+    """Boolean mask of the node indices listed under ``key``; raises if invalid."""
+    nodes = obj[key]
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError(f"{key} must be a non-empty list of node indices")
+    for i in nodes:
+        if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < num_nodes):
+            raise ValueError(f"{key} entry {i!r} is not a node index in [0, {num_nodes})")
+    mask = np.zeros(num_nodes, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
 def _load_task(args):
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -228,13 +243,13 @@ def _load_task(args):
             raise InputError("task JSON requires node_labels")
         graph = graph_from_json(obj)
         labels = np.asarray(obj["node_labels"], dtype=np.int64)
+        if labels.shape != (graph.num_nodes,):
+            raise ValueError(f"node_labels must hold one label per node ({graph.num_nodes})")
         identity = os.path.basename(args.input)
         if "train_nodes" in obj and "test_nodes" in obj:
             classes = np.unique(labels)
-            train_mask = np.zeros(graph.num_nodes, dtype=bool)
-            test_mask = np.zeros(graph.num_nodes, dtype=bool)
-            train_mask[np.asarray(obj["train_nodes"], dtype=np.int64)] = True
-            test_mask[np.asarray(obj["test_nodes"], dtype=np.int64)] = True
+            train_mask = _node_mask(obj, "train_nodes", graph.num_nodes)
+            test_mask = _node_mask(obj, "test_nodes", graph.num_nodes)
             task = NodeTask(
                 graph=graph,
                 node_labels=np.searchsorted(classes, labels).astype(np.int64),
@@ -335,7 +350,16 @@ def _bench_graph(num_directed_edges: int, seed: int):
     return symmetrize(build_graph(n, pairs, features))
 
 
+def _edge_count(text: str, flag: str) -> int:
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):  # not a number, NaN, or infinite
+        raise InputError(f"{flag} must be a finite number, got {text!r}") from None
+
+
 def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
+    if min_edges < 1:
+        raise InputError("--min-edges must be at least 1")
     if min_edges > max_edges:
         raise InputError("--min-edges must not exceed --max-edges")
     sizes = []
@@ -348,7 +372,8 @@ def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    sizes = _bench_sizes(int(float(args.min_edges)), int(float(args.max_edges)))
+    sizes = _bench_sizes(_edge_count(args.min_edges, "--min-edges"),
+                         _edge_count(args.max_edges, "--max-edges"))
     os.makedirs(args.out, exist_ok=True)
     manifest = _manifest_for(args, "bench", "synthetic")
     rows = []

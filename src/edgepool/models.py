@@ -2,10 +2,10 @@
 
 Two architectures:
 
-* ``GraphClassifier``: three mean-aggregation blocks with per-block mean
-  readouts taken before pooling, optional edge contraction between
-  blocks, and a two-layer classification head on the concatenated
-  readouts.
+* ``GraphClassifier``: three mean-aggregation blocks, each optionally
+  ending in edge contraction, with a per-block mean readout of the
+  block's final (pooled) node set and a two-layer classification head on
+  the concatenated readouts.
 * ``NodeClassifier``: a seven-layer encoder/decoder for per-node labels,
   pooling after layers 2 and 4 and unpooling in reverse order with
   shortcut concatenation, in the style of a graph U-net.
@@ -80,12 +80,13 @@ def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
 
 @dataclass
 class GraphClassifier:
-    """Whole-graph classifier with readouts ahead of each pooling step.
+    """Whole-graph classifier with a readout after each block's pooling step.
 
     Each block runs aggregation, batch norm and activation, then pools when
-    ``pooling`` is set. The configured ``dropout_p`` applies to the
-    fully-connected head only; ``edge_score_dropout_p`` drops edges from
-    each pooling step in training.
+    ``pooling`` is set; its mean readout reads the pooled node set. The
+    configured ``dropout_p`` applies to the fully-connected head only;
+    ``edge_score_dropout_p`` drops edges from each pooling step in
+    training.
     """
 
     feature_width: int

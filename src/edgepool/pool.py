@@ -22,13 +22,12 @@ selection of stage 3 as a constant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _segment_sum, build_graph
+from .graph import Graph, _segment_sum, build_graph, graph_to_json
 from .rng import seeded_rng
 
 __all__ = [
@@ -141,8 +140,6 @@ def normalize_scores(
         dropped = np.zeros(m, dtype=bool)
     out = np.zeros(m, dtype=np.float64)
     keep = ~np.asarray(dropped, dtype=bool)
-    if not keep.any():
-        return out
     dst = graph.edge_dst[keep]
     r = raw[keep]
     if not np.isfinite(r).all():
@@ -245,27 +242,29 @@ def _greedy_sweep(
     return np.asarray(out, dtype=np.int64)
 
 
-def _edge_lookup(graph: Graph, pairs: np.ndarray) -> np.ndarray:
-    """Canonical edge indices of (src, dst) pairs; raises if absent."""
-    if pairs.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = np.int64(graph.num_nodes)
-    keys = graph.edges[:, 0] * n + graph.edges[:, 1]
-    want = pairs[:, 0] * n + pairs[:, 1]
-    idx = np.searchsorted(keys, want)
-    ok = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == want)
-    if not ok.all():
-        bad = pairs[np.flatnonzero(~ok)[0]]
-        raise ValueError(f"({bad[0]}, {bad[1]}) is not an edge of the graph")
-    return idx
-
-
 def _pair_features(graph: Graph, matching: np.ndarray) -> np.ndarray:
     """Pre-gating merged features per matched edge, float64, (k, f)."""
     # Gather the matched rows before widening them: no (v, f) float64 copy.
     x_src = graph.node_features[matching[:, 0]].astype(np.float64)
     x_dst = graph.node_features[matching[:, 1]].astype(np.float64)
     return x_src + x_dst
+
+
+def _matched_edge_index(
+    graph: Graph, matching: np.ndarray, src_c: np.ndarray, dst_c: np.ndarray
+) -> np.ndarray:
+    """Canonical edge index per matched pair, from each edge's endpoint clusters.
+
+    Raises ``ValueError`` naming the first pair that is not an edge.
+    """
+    inner = np.flatnonzero(src_c == dst_c)
+    hit = inner[graph.edge_src[inner] == matching[src_c[inner], 0]]
+    edge_idx = np.full(matching.shape[0], -1, dtype=np.int64)
+    edge_idx[src_c[hit]] = hit
+    if np.any(edge_idx < 0):
+        bad = matching[np.argmax(edge_idx < 0)]
+        raise ValueError(f"({bad[0]}, {bad[1]}) is not an edge of the graph")
+    return edge_idx
 
 
 def contract(
@@ -279,6 +278,9 @@ def contract(
     nodes in original order. Pooled edges are the image of the original
     edges under the cluster map, with self-loops removed and parallel
     edges deduplicated (edge features of collapsing edges are summed).
+    The matched edges are read off the cluster map: the only edges it
+    sends into one cluster run between the two members of a pair, and a
+    pair's matched edge is the one that starts at its first member.
     Deduplication runs on the int64 key ``src * pooled_n + dst`` (the
     bound of :func:`build_graph`), whose sorted unique values decode to
     canonical edges, so the pooled graph is built without another sort.
@@ -287,19 +289,23 @@ def contract(
     v = graph.num_nodes
     k = matching.shape[0]
 
-    if k and np.bincount(matching.ravel(), minlength=v).max() > 1:
+    if np.any((matching < 0) | (matching >= v)):
+        raise ValueError(f"invalid matching: a node index is outside [0, {v})")
+    if np.any(np.bincount(matching.ravel(), minlength=v) > 1):
         raise ValueError("invalid matching: a node appears in two matched edges")
-
-    edge_idx = _edge_lookup(graph, matching)
-    s = scores.normalized[edge_idx] if k else np.zeros(0)
-    if k and np.any(s <= 0.0):
-        raise ValueError("cannot contract a dropped (zero-score) edge")
 
     cluster_of = np.full(v, -1, dtype=np.int64)
     cluster_of[matching[:, 0]] = np.arange(k)
     cluster_of[matching[:, 1]] = np.arange(k)
     unmatched = np.flatnonzero(cluster_of < 0)
     cluster_of[unmatched] = k + np.arange(len(unmatched))
+
+    src_c = cluster_of[graph.edge_src]
+    dst_c = cluster_of[graph.edge_dst]
+    edge_idx = _matched_edge_index(graph, matching, src_c, dst_c)
+    s = scores.normalized[edge_idx]
+    if np.any(s <= 0.0):
+        raise ValueError("cannot contract a dropped (zero-score) edge")
 
     node_score = np.ones(v, dtype=np.float64)
     node_score[matching[:, 0]] = s
@@ -310,10 +316,9 @@ def contract(
     feats[:k] = s[:, None] * _pair_features(graph, matching)
     feats[k:] = graph.node_features[unmatched]
 
-    mapped = cluster_of[graph.edges]
-    keep = mapped[:, 0] != mapped[:, 1]
+    keep = src_c != dst_c
     n = np.int64(pooled_n)
-    key = mapped[keep, 0] * n + mapped[keep, 1]
+    key = src_c[keep] * n + dst_c[keep]
     uniq_key, inverse = np.unique(key, return_inverse=True)
     uniq = np.stack([uniq_key // n, uniq_key % n], axis=1)
     ef = None
@@ -374,36 +379,26 @@ def edgepool_backward(
     the gradient flows through the gating score, whose softmax couples all
     non-dropped edges sharing a destination with a matched edge.
     """
-    v, f = graph.num_nodes, graph.feature_width
+    f = graph.feature_width
     k = info.num_matched
     upstream = np.asarray(upstream_grad)
     if upstream.shape != (info.pooled_num_nodes, f):
         raise ValueError(
             f"upstream gradient must have shape ({info.pooled_num_nodes}, {f})"
         )
-    grad_w = np.zeros(np.asarray(params.weight).shape, dtype=np.float64)
-    grad_b = 0.0
+    mi, mj = info.matching[:, 0], info.matching[:, 1]
+    s = scores.normalized[info.matched_edge_index]
+    g_out = upstream[:k].astype(np.float64)
+    g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
+    # The score term holds no -0.0, so adding the other terms to it in
+    # place rounds exactly as adding it to them, without a second (v, f).
+    grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
+    # Unmatched nodes: gradient passes through unchanged.
     unmatched = np.flatnonzero(info.cluster_of >= k)
-    if not k:
-        # Nothing matched: every node copies its own upstream row.
-        grad_x = np.zeros((v, f), dtype=np.float64)
-        grad_x[unmatched] = upstream[info.cluster_of[unmatched]]
-    else:
-        mi, mj = info.matching[:, 0], info.matching[:, 1]
-        e_idx = info.matched_edge_index
-        s = scores.normalized[e_idx]
-        g_out = upstream[:k].astype(np.float64)
-        g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
-        # The score term holds no -0.0, so adding the other terms to it in
-        # place rounds exactly as adding it to them, without a second (v, f).
-        grad_x, sw, sb = score_path_backward(graph, params, info, scores, g_s)
-        grad_w += sw
-        grad_b += sb
-        # Unmatched nodes: gradient passes through unchanged.
-        grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
-        # A matching's endpoints are distinct, so plain indexing accumulates.
-        grad_x[mi] += s[:, None] * g_out
-        grad_x[mj] += s[:, None] * g_out
+    grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
+    # A matching's endpoints are distinct, so plain indexing accumulates.
+    grad_x[mi] += s[:, None] * g_out
+    grad_x[mj] += s[:, None] * g_out
 
     dtype = graph.node_features.dtype
     return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
@@ -428,13 +423,10 @@ def score_path_backward(
     w = np.asarray(params.weight, dtype=np.float64)
     grad_x = np.zeros((v, f), dtype=np.float64)
     grad_w = np.zeros_like(w)
-    grad_b = 0.0
     e_idx = info.matched_edge_index
     g_s = np.asarray(g_s, dtype=np.float64)
     if g_s.shape != (info.num_matched,):
         raise ValueError(f"g_s must have shape ({info.num_matched},)")
-    if info.num_matched == 0:
-        return grad_x, grad_w, grad_b
 
     # Softmax coupling: within the destination group of matched edge e,
     # d s_e / d r_k = p_e (delta_ek - p_k) with p = normalized - 0.5.
@@ -449,33 +441,30 @@ def score_path_backward(
     # Linear scorer backward, restricted to edges with nonzero grad_r and
     # summed per endpoint node before touching the (v, f) features.
     live = np.flatnonzero(grad_r != 0.0)
-    if live.size:
-        gr = grad_r[live]
-        g_src = np.bincount(graph.edges[live, 0], gr, minlength=v)
-        g_dst = np.bincount(graph.edges[live, 1], gr, minlength=v)
-        # Added one term at a time into the zeros: one (v, f) temporary, and
-        # the sum holds no -0.0, which edgepool_backward relies on.
-        grad_x += g_src[:, None] * w[:f]
-        grad_x += g_dst[:, None] * w[f : 2 * f]
-        x = graph.node_features.astype(np.float64, copy=False)
-        grad_w[:f] = g_src @ x
-        grad_w[f : 2 * f] = g_dst @ x
-        if graph.edge_feature_width:
-            grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
-        grad_b = float(gr.sum())
-    return grad_x, grad_w, grad_b
+    gr = grad_r[live]
+    g_src = np.bincount(graph.edges[live, 0], gr, minlength=v)
+    g_dst = np.bincount(graph.edges[live, 1], gr, minlength=v)
+    # Added one term at a time into the zeros: one (v, f) temporary, and
+    # the sum holds no -0.0, which edgepool_backward relies on.
+    grad_x += g_src[:, None] * w[:f]
+    grad_x += g_dst[:, None] * w[f : 2 * f]
+    x = graph.node_features.astype(np.float64, copy=False)
+    grad_w[:f] = g_src @ x
+    grad_w[f : 2 * f] = g_dst @ x
+    if graph.edge_feature_width:
+        grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
+    return grad_x, grad_w, float(gr.sum())
 
 
 def random_pool_params(
     feature_width: int,
     edge_feature_width: int = 0,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> PoolParams:
     """Gaussian scorer parameters, for visualization and property checks."""
     rng = seeded_rng(seed, "pool-params")
     n = 2 * feature_width + edge_feature_width
-    return PoolParams(weight=rng.normal(0.0, scale, size=n), bias=0.0)
+    return PoolParams(weight=rng.normal(size=n), bias=0.0)
 
 
 def pool_hierarchy(
@@ -499,8 +488,6 @@ def hierarchy_to_json(levels: list[tuple[Graph, PoolInfo, EdgeScores]]) -> list[
     Each level carries the cluster map, the matching, the per-node gating
     scores, and the pooled graph in the interchange format.
     """
-    from .graph import graph_to_json
-
     out = []
     for pooled, info, _ in levels:
         out.append(

@@ -89,6 +89,16 @@ class TestPoolCommand:
         assert "fillcolor" in colored
         assert "fillcolor" not in final
 
+    def test_negative_levels_rejected(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path)
+        out = tmp_path / "out"
+        code = main(["pool", "--input", str(graph_path), "--levels", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tu_input_with_index(self, tmp_path):
         write_dataset(tmp_path / "data")
         out = tmp_path / "out"
@@ -257,6 +267,26 @@ class TestTrainNodeCommand:
     def test_requires_input_or_synthetic(self, tmp_path):
         assert main(["train-node", "--quiet", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_nodes", [0, 999], "not a node index"),
+        ("train_nodes", [-1, 0], "not a node index"),
+        ("train_nodes", [0.5, 1], "not a node index"),
+        ("node_labels", [0] * 10, "one label per node"),
+        ("test_nodes", [], "non-empty"),
+        ("train_nodes", [], "non-empty"),
+    ], ids=["index-past-end", "index-negative", "index-fractional", "labels-short",
+            "test-empty", "train-empty"])
+    def test_invalid_explicit_split_rejected(self, tmp_path, capsys, field, value, message):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
+        obj[field] = value
+        task_path.write_text(json.dumps(obj))
+        code = main(["train-node", "--input", str(task_path), "--epochs", "1",
+                     "--channels", "4", "--quiet", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_task_without_labels_rejected(self, tmp_path):
         graph_path = tmp_path / "g.json"
         write_graph(graph_path)
@@ -322,6 +352,22 @@ class TestBenchCommand:
         code = main(["bench", "--min-edges", "1e4", "--max-edges", "1e3",
                      "--out", str(tmp_path / "bench")])
         assert code == 2
+
+
+    @pytest.mark.parametrize("min_edges, max_edges, message", [
+        ("0", "10", "at least 1"),
+        ("-5", "10", "at least 1"),
+        ("inf", "10", "finite number"),
+        ("10", "1e400", "finite number"),
+        ("nan", "10", "finite number"),
+    ], ids=["min-zero", "min-negative", "min-inf", "max-overflow", "min-nan"])
+    def test_bad_edge_counts_rejected(self, tmp_path, capsys, min_edges, max_edges, message):
+        out = tmp_path / "bench"
+        code = main(["bench", "--min-edges", min_edges, "--max-edges", max_edges,
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestArgumentErrors:

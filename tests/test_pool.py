@@ -462,11 +462,26 @@ class TestContract:
         with pytest.raises(ValueError):
             contract(g, np.asarray([[0, 1], [1, 2]]), scores)
 
+    @pytest.mark.parametrize("pair", [[3, 4], [-1, 0]], ids=["past-end", "negative"])
+    def test_invalid_matching_node_out_of_range(self, pair):
+        g = path_graph(4)
+        scores = hand_scores(g, {tuple(e): 1.0 for e in g.edges.tolist()})
+        with pytest.raises(ValueError, match="outside"):
+            contract(g, np.asarray([pair]), scores)
+
     def test_matching_edge_must_exist(self):
         g = path_graph(4)
         scores = hand_scores(g, {tuple(e): 1.0 for e in g.edges.tolist()})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(0, 3\) is not an edge"):
             contract(g, np.asarray([[0, 3]]), scores)
+
+    def test_matching_edge_direction_must_exist(self):
+        # Only (0, 1) is an edge: the reversed pair shares its cluster but
+        # does not start at the pair's first member.
+        g = build_graph(2, [(0, 1)], np.zeros((2, 1)))
+        scores = hand_scores(g, {(0, 1): 1.5})
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not an edge"):
+            contract(g, np.asarray([[1, 0]]), scores)
 
     def test_dropped_edge_cannot_be_contracted(self):
         g = symmetrize(build_graph(2, [(0, 1)], np.zeros((2, 1))))
@@ -474,6 +489,40 @@ class TestContract:
                             dropped=np.asarray([True, False]))
         with pytest.raises(ValueError):
             contract(g, np.asarray([[0, 1]]), scores)
+
+
+@pytest.mark.parametrize("n, edges, drop_all, pooled_n", [
+    (0, [], False, 0),
+    (1, [], False, 1),
+    (5, [], False, 5),
+    (2, [(0, 1), (1, 0)], False, 1),
+    (4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)], True, 4),
+], ids=["no-nodes", "one-node", "edgeless", "symmetric-pair", "all-edges-dropped"])
+def test_degenerate_graphs_forward_and_backward(n, edges, drop_all, pooled_n):
+    rng = seeded_rng(n, "degenerate")
+    g = build_graph(n, edges, rng.normal(size=(n, 2)))
+    params = PoolParams(weight=rng.normal(size=4), bias=0.3)
+    dropped = np.full(g.num_edges, drop_all)
+    raw = raw_scores(g, params)
+    scores = EdgeScores(raw=raw, normalized=normalize_scores(g, raw, dropped), dropped=dropped)
+    pooled, info = contract(g, select_contractions(g, scores), scores)
+    assert pooled.num_nodes == info.pooled_num_nodes == pooled_n
+    assert info.num_matched == n - pooled_n
+
+    upstream = rng.normal(size=(pooled_n, 2))
+    upstream[:1, :1] = -0.0
+    gx, gw, gb = edgepool_backward(g, params, info, scores, upstream)
+    assert np.array_equal(gw, np.zeros(4)) and gb == 0.0
+    if info.num_matched:
+        # Each endpoint has one incoming edge, so its softmax group is a
+        # singleton and the gate is exactly 1.5 at both parents.
+        assert np.array_equal(gx, np.repeat(1.5 * upstream, 2, axis=0))
+    else:
+        assert np.array_equal(pooled.edges, g.edges)
+        assert np.array_equal(pooled.node_features, g.node_features)
+        assert np.all(scores.normalized == (0.0 if drop_all else 1.5))
+        # Upstream passes through, with -0.0 summed into +0.0.
+        assert gx.tobytes() == (upstream + 0.0).tobytes()
 
 
 class TestForward:
