@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import NodeTask, gen_synthetic, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_NAMES, run_gradcheck
-from .graph import graph_from_json, load_graph_file, to_dot
+from .graph import _sorted_unique, graph_from_json, load_graph_file, to_dot
 from .models import train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
 from .pool import PoolParams, edgepool_forward, hierarchy_to_json, pool_hierarchy, random_pool_params
@@ -235,6 +235,15 @@ def _node_mask(obj: dict, key: str, num_nodes: int) -> np.ndarray:
     return mask
 
 
+def _is_label(x) -> bool:
+    """An integral JSON number within int64 (``1`` and ``1.0`` both are)."""
+    if isinstance(x, float):
+        if not x.is_integer():  # also NaN and infinities
+            return False
+        x = int(x)
+    return isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
+
+
 def _load_task(args):
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -242,11 +251,21 @@ def _load_task(args):
         if "node_labels" not in obj:
             raise InputError("task JSON requires node_labels")
         graph = graph_from_json(obj)
-        labels = np.asarray(obj["node_labels"], dtype=np.int64)
+        raw_labels = obj["node_labels"]
+        if not isinstance(raw_labels, list):
+            raise InputError("node_labels must be a list of integer class labels")
+        for x in raw_labels:
+            if not _is_label(x):
+                raise InputError(f"node_labels entry {x!r} is not an integer class label")
+        labels = np.asarray(raw_labels, dtype=np.int64)
         if labels.shape != (graph.num_nodes,):
             raise ValueError(f"node_labels must hold one label per node ({graph.num_nodes})")
         identity = os.path.basename(args.input)
-        if "train_nodes" in obj and "test_nodes" in obj:
+        given = [key for key in ("train_nodes", "test_nodes") if key in obj]
+        if len(given) == 1:
+            missing = "test_nodes" if given == ["train_nodes"] else "train_nodes"
+            raise InputError(f"task JSON has {given[0]} but no {missing}: give both or neither")
+        if given:
             classes = np.unique(labels)
             train_mask = _node_mask(obj, "train_nodes", graph.num_nodes)
             test_mask = _node_mask(obj, "test_nodes", graph.num_nodes)
@@ -306,8 +325,8 @@ CASE_GROUPS = {
     "all": list(CASE_NAMES),
     "edgepool": ["edge_pool", "edge_pool_score_dropout"],
     "unpool": ["unpool", "unpool_adjoint"],
-    "layers": ["dense", "mean_conv", "batch_norm", "relu", "global_mean_pool",
-               "cross_entropy"],
+    "layers": ["dense", "mean_conv", "batch_norm", "batch_norm_one_row", "relu",
+               "global_mean_pool", "cross_entropy"],
 }
 
 
@@ -341,8 +360,8 @@ def _bench_graph(num_directed_edges: int, seed: int):
     u = rng.integers(0, n, size=int(target_undirected * 1.15))
     v = rng.integers(0, n, size=int(target_undirected * 1.15))
     keep = u != v
-    key = np.unique(np.minimum(u[keep], v[keep]) * np.int64(n) + np.maximum(u[keep], v[keep]))
-    key = key[:target_undirected]
+    lo, hi = np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])
+    key = _sorted_unique(lo * np.int64(n) + hi)[:target_undirected]
     pairs = np.stack([key // n, key % n], axis=1)
     from .graph import build_graph, symmetrize
 

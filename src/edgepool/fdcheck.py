@@ -167,13 +167,16 @@ def _build_mean_conv(rng):
     )
 
 
-def _build_batch_norm(rng):
-    inputs = {
-        "x": rng.normal(size=(6, 3)),
-        "gamma": rng.uniform(0.5, 1.5, size=3),
-        "beta": rng.normal(size=3),
-    }
-    return inputs, lambda v: (batch_norm(v["x"], v["gamma"], v["beta"]), None)
+def _batch_norm_case(rows: int):
+    def build(rng):
+        inputs = {
+            "x": rng.normal(size=(rows, 3)),
+            "gamma": rng.uniform(0.5, 1.5, size=3),
+            "beta": rng.normal(size=3),
+        }
+        return inputs, lambda v: (batch_norm(v["x"], v["gamma"], v["beta"]), None)
+
+    return build
 
 
 def _build_relu(rng):
@@ -296,7 +299,8 @@ def _check_unpool_adjoint(seed, corrupt) -> GradCheckResult:
 _TAPE_CASES = {
     "dense": (_build_dense, DEFAULT_RTOL),
     "mean_conv": (_build_mean_conv, DEFAULT_RTOL),
-    "batch_norm": (_build_batch_norm, DEFAULT_RTOL),
+    "batch_norm": (_batch_norm_case(6), DEFAULT_RTOL),
+    "batch_norm_one_row": (_batch_norm_case(1), DEFAULT_RTOL),
     "relu": (_build_relu, DEFAULT_RTOL),
     "global_mean_pool": (_build_global_mean_pool, DEFAULT_RTOL),
     "cross_entropy": (_build_cross_entropy, DEFAULT_RTOL),

@@ -97,10 +97,14 @@ def batch_norm(x: Var, gamma: Var, beta: Var, epsilon: float = 1e-5) -> Var:
     """Standardize per feature with current-batch statistics, then affine.
 
     Batch statistics are used in both training and evaluation; there are no
-    running averages.
+    running averages. A single row is its own mean with variance 0, so it
+    standardizes to exactly 0: the output is ``beta``, and the gradients
+    with respect to ``x`` and ``gamma`` are exactly 0. A batch of one graph
+    that pooling has reduced to one node gives such a batch. Zero rows
+    raise ``ValueError``.
     """
-    if x.data.shape[0] < 2:
-        raise ValueError("batch norm needs at least 2 rows")
+    if x.data.shape[0] < 1:
+        raise ValueError("batch norm needs at least 1 row")
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + epsilon)

@@ -18,6 +18,13 @@ One pooling level works in four stages:
 
 The backward pass differentiates stages 1, 2, and 4 exactly, treating the
 selection of stage 3 as a constant.
+
+The forward compacts arrays by index, not by boolean mask: one
+``np.flatnonzero`` per mask, then integer takes. On numpy 2.4 a 1e6-entry
+random mask costs 6-8 ms per array it selects from, against about 1 ms
+for ``np.flatnonzero`` and about 1 ms per take after it, and selection
+compacts four arrays per round. The one mask left is deduplication's
+step mask, which is nearly all true and costs about 1.4 ms.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _segment_sum, build_graph, graph_to_json
+from .graph import Graph, _segment_sum, _sorted_unique, build_graph, graph_to_json
 from .rng import seeded_rng
 
 __all__ = [
@@ -139,7 +146,7 @@ def normalize_scores(
     if dropped is None:
         dropped = np.zeros(m, dtype=bool)
     out = np.zeros(m, dtype=np.float64)
-    keep = ~np.asarray(dropped, dtype=bool)
+    keep = np.flatnonzero(~np.asarray(dropped, dtype=bool))
     dst = graph.edge_dst[keep]
     r = raw[keep]
     if not np.isfinite(r).all():
@@ -147,8 +154,8 @@ def normalize_scores(
     mx = np.full(graph.num_nodes, -np.inf)
     np.maximum.at(mx, dst, r)
     ex = np.exp(r - mx[dst])
-    denom = np.zeros(graph.num_nodes, dtype=np.float64)
-    np.add.at(denom, dst, ex)
+    # bincount adds the weights in input order, as an in-order scatter-add.
+    denom = np.bincount(dst, ex, minlength=graph.num_nodes)
     out[keep] = 0.5 + ex / denom[dst]
     return out
 
@@ -201,16 +208,16 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         np.maximum.at(best, src, s)
         np.maximum.at(best, dst, s)
         first = np.full(v, graph.num_edges, dtype=np.int64)
-        at = s == best[src]
+        at = np.flatnonzero(s == best[src])
         np.minimum.at(first, src[at], e[at])
-        at = s == best[dst]
+        at = np.flatnonzero(s == best[dst])
         np.minimum.at(first, dst[at], e[at])
-        win = (first[src] == e) & (first[dst] == e)
+        win = np.flatnonzero((first[src] == e) & (first[dst] == e))
         taken.append(e[win])
         matched = np.zeros(v, dtype=bool)
         matched[src[win]] = True
         matched[dst[win]] = True
-        alive = ~(matched[src] | matched[dst])
+        alive = np.flatnonzero(~(matched[src] | matched[dst]))
         before = e.size
         e, src, dst, s = e[alive], src[alive], dst[alive], s[alive]
         if before - e.size < _SWEEP_SHARE * before:
@@ -281,9 +288,12 @@ def contract(
     The matched edges are read off the cluster map: the only edges it
     sends into one cluster run between the two members of a pair, and a
     pair's matched edge is the one that starts at its first member.
-    Deduplication runs on the int64 key ``src * pooled_n + dst`` (the
-    bound of :func:`build_graph`), whose sorted unique values decode to
-    canonical edges, so the pooled graph is built without another sort.
+    Deduplication sorts the int64 key ``src * pooled_n + dst`` (the bound
+    of :func:`build_graph`) and keeps each value that differs from its
+    predecessor; the sorted unique keys decode to canonical edges, so the
+    pooled graph is built without another sort. Only with edge features is
+    each edge's pooled index looked up (``np.searchsorted``), to sum the
+    features of edges that collapse into one.
     """
     matching = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
     v = graph.num_nodes
@@ -316,13 +326,14 @@ def contract(
     feats[:k] = s[:, None] * _pair_features(graph, matching)
     feats[k:] = graph.node_features[unmatched]
 
-    keep = src_c != dst_c
+    keep = np.flatnonzero(src_c != dst_c)
     n = np.int64(pooled_n)
     key = src_c[keep] * n + dst_c[keep]
-    uniq_key, inverse = np.unique(key, return_inverse=True)
+    uniq_key = _sorted_unique(key)
     uniq = np.stack([uniq_key // n, uniq_key % n], axis=1)
     ef = None
     if graph.edge_features is not None:
+        inverse = np.searchsorted(uniq_key, key)
         ef = _segment_sum(inverse, graph.edge_features[keep].astype(np.float64), len(uniq_key))
         ef = ef.astype(graph.edge_features.dtype)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from edgepool import gen_synthetic, load_checkpoint, save_graph_file, save_tu
-from edgepool.cli import main
+from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
-from edgepool.graph import graph_to_json
+from edgepool.graph import build_graph, graph_to_json, symmetrize
 from edgepool.rng import seeded_rng
 
 
@@ -287,6 +287,45 @@ class TestTrainNodeCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [0.5, float("nan"), float("inf"), "1", True],
+                             ids=["fractional", "nan", "inf", "string", "bool"])
+    def test_non_integral_labels_rejected(self, tmp_path, capsys, label):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
+        obj["node_labels"][3] = label
+        task_path.write_text(json.dumps(obj))
+        code = main(["train-node", "--input", str(task_path), "--epochs", "1",
+                     "--channels", "4", "--quiet", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not an integer class label" in capsys.readouterr().err
+
+    def test_integral_float_labels_accepted(self, tmp_path):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
+        obj["node_labels"] = [float(x) for x in obj["node_labels"]]
+        task_path.write_text(json.dumps(obj))
+        code = main(["train-node", "--input", str(task_path), "--conv", "mlp",
+                     "--pooling", "none", "--epochs", "1", "--channels", "4",
+                     "--quiet", "--out", str(tmp_path / "out")])
+        assert code == 0
+
+    @pytest.mark.parametrize("present, missing", [("train_nodes", "test_nodes"),
+                                                  ("test_nodes", "train_nodes")],
+                             ids=["train-only", "test-only"])
+    def test_one_sided_split_rejected(self, tmp_path, capsys, present, missing):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
+        del obj[missing]
+        task_path.write_text(json.dumps(obj))
+        code = main(["train-node", "--input", str(task_path), "--epochs", "1",
+                     "--channels", "4", "--quiet", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"has {present} but no {missing}" in err
+
     def test_task_without_labels_rejected(self, tmp_path):
         graph_path = tmp_path / "g.json"
         write_graph(graph_path)
@@ -352,6 +391,24 @@ class TestBenchCommand:
         code = main(["bench", "--min-edges", "1e4", "--max-edges", "1e3",
                      "--out", str(tmp_path / "bench")])
         assert code == 2
+
+    @pytest.mark.parametrize("edges", [1000, 200_000])
+    def test_graph_equals_unique_reference(self, edges):
+        # The generator as first written, with np.unique on the pair keys.
+        rng = seeded_rng(0, "bench", edges)
+        undirected = max(2, edges // 2)
+        n = max(4, undirected // 3)
+        u = rng.integers(0, n, size=int(undirected * 1.15))
+        v = rng.integers(0, n, size=int(undirected * 1.15))
+        keep = u != v
+        key = np.unique(np.minimum(u[keep], v[keep]) * np.int64(n)
+                        + np.maximum(u[keep], v[keep]))[:undirected]
+        features = rng.normal(0.0, 1.0, size=(n, 8)).astype(np.float32)
+        ref = symmetrize(build_graph(n, np.stack([key // n, key % n], axis=1), features))
+        g = _bench_graph(edges, 0)
+        assert g.num_nodes == ref.num_nodes
+        assert np.array_equal(g.edges, ref.edges)
+        assert np.array_equal(g.node_features, ref.node_features)
 
 
     @pytest.mark.parametrize("min_edges, max_edges, message", [

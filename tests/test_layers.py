@@ -232,9 +232,19 @@ class TestBatchNorm:
         y = batch_norm(x, *self.unit_affine(1))
         assert np.allclose(y.data.ravel(), [-1.0, 1.0], atol=1e-4)
 
-    def test_needs_two_rows(self):
-        with pytest.raises(ValueError):
-            batch_norm(Var(np.ones((1, 2))), *self.unit_affine(2))
+    def test_needs_one_row(self):
+        with pytest.raises(ValueError, match="at least 1 row"):
+            batch_norm(Var(np.ones((0, 2))), *self.unit_affine(2))
+
+    def test_one_row_gives_beta_and_zero_gradients(self):
+        x = Var(np.asarray([[3.0, -7.5]]))
+        gamma, beta = Var(np.asarray([2.0, 0.5])), Var(np.asarray([0.25, -1.0]))
+        y = batch_norm(x, gamma, beta)
+        assert y.data.tolist() == [[0.25, -1.0]]
+        backward(y, np.asarray([[4.0, -3.0]]))
+        assert x.grad.tolist() == [[0.0, 0.0]]
+        assert gamma.grad.tolist() == [0.0, 0.0]
+        assert beta.grad.tolist() == [4.0, -3.0]
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(6, "bn-fd")

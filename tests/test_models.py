@@ -5,6 +5,7 @@ import pytest
 
 from edgepool import (
     GraphClassifier,
+    GraphDataset,
     build_graph,
     NodeClassifier,
     TrainConfig,
@@ -12,6 +13,7 @@ from edgepool import (
     evaluate_graph_model,
     evaluate_node_model,
     gen_synthetic,
+    symmetrize,
     train_graph_model,
     train_node_model,
 )
@@ -123,6 +125,19 @@ class TestGraphTraining:
         _, h1 = train_graph_model(ds, idx[:8], idx[8:], cfg)
         _, h2 = train_graph_model(ds, idx[:8], idx[8:], cfg)
         assert h1 == h2
+
+    def test_one_graph_batch_trains_and_evaluates(self):
+        # Two pooling levels take each 4-node path to one node, and the
+        # trailing eval batch holds one graph: batch norm sees one row.
+        paths = [symmetrize(build_graph(4, [(0, 1), (1, 2), (2, 3)], np.full((4, 2), float(k))))
+                 for k in range(6)]
+        ds = GraphDataset(paths, np.asarray([0, 1, 0, 1, 0, 1]), 2, "paths")
+        idx = np.arange(6)
+        cfg = tiny_config(batch_size=5)
+        model, history = train_graph_model(ds, idx[:5], idx, cfg)
+        assert len(history) == 2
+        assert all(np.isfinite(row["train_loss"]) for row in history)
+        assert evaluate_graph_model(model, ds, idx, cfg) == history[-1]["eval_acc"]
 
     def test_pooling_flag_changes_model(self):
         ds = graph_fixture(num_graphs=8)

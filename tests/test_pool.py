@@ -49,6 +49,17 @@ def no_dropout(graph):
     return np.zeros(graph.num_edges, dtype=bool)
 
 
+def random_simple_graph(rng, n, undirected):
+    """Uniform random simple graph with ``2 * undirected`` directed edges."""
+    u, v = rng.integers(0, n, size=(2, int(undirected * 1.1)))
+    keep = u != v
+    key = np.unique(np.minimum(u, v)[keep] * np.int64(n) + np.maximum(u, v)[keep])
+    key = key[:undirected]
+    g = symmetrize(build_graph(n, np.stack([key // n, key % n], axis=1), np.zeros((n, 1))))
+    assert g.num_edges == 2 * undirected
+    return g
+
+
 class TestRawScores:
     def test_hand_dot_product(self):
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
@@ -131,6 +142,31 @@ class TestNormalizeScores:
         dropped = no_dropout(g)
         dropped[0] = True
         assert np.isfinite(normalize_scores(g, raw, dropped)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=simple_digraphs(max_nodes=6, max_edges=30), seed=st.integers(0, 2**32 - 1),
+           drop=st.sampled_from([0.0, 0.3]))
+    def test_bitwise_equal_to_scatter_add_reference(self, case, seed, drop):
+        # Few nodes, so destinations have several incoming edges whose sum
+        # order shows in the last bits.
+        n, pairs = case
+        g = build_graph(n, pairs, np.zeros((n, 1)))
+        m = g.num_edges
+        rng = seeded_rng(seed, "normalize-bitwise")
+        raw = rng.normal(0.0, 2.0, size=m)
+        dropped = rng.random(m) < drop
+
+        # Reference: masks and in-order scatters (np.add.at) into zeros.
+        keep = ~dropped
+        dst, r = g.edge_dst[keep], raw[keep]
+        mx = np.full(n, -np.inf)
+        np.maximum.at(mx, dst, r)
+        ex = np.exp(r - mx[dst])
+        denom = np.zeros(n)
+        np.add.at(denom, dst, ex)
+        ref = np.zeros(m)
+        ref[keep] = 0.5 + ex / denom[dst]
+        assert normalize_scores(g, raw, dropped).tobytes() == ref.tobytes()
 
     def test_per_node_sum_invariant(self):
         rng = seeded_rng(6, "norm-sum")
@@ -319,14 +355,7 @@ class TestSelectionAtScale:
     @pytest.mark.parametrize("case", ["plain", "dropout", "ties"])
     def test_random_graph_equals_sequential_greedy(self, case):
         rng = seeded_rng(21, "select-scale")
-        n, undirected = 33_000, 100_000
-        u, v = rng.integers(0, n, size=(2, int(undirected * 1.1)))
-        keep = u != v
-        key = np.unique(np.minimum(u, v)[keep] * np.int64(n) + np.maximum(u, v)[keep])
-        key = key[:undirected]
-        g = symmetrize(build_graph(n, np.stack([key // n, key % n], axis=1),
-                                   np.zeros((n, 1))))
-        assert g.num_edges == 2 * undirected
+        g = random_simple_graph(rng, 33_000, 100_000)
         raw = rng.normal(size=g.num_edges)
         dropped = (apply_score_dropout(g.num_edges, 0.3, seed=8) if case == "dropout"
                    else no_dropout(g))
@@ -455,6 +484,33 @@ class TestContract:
             np.add.at(ref_ef, inverse.reshape(-1), g.edge_features[keep])
         assert np.array_equal(pooled.edges, ref_edges)
         assert np.array_equal(pooled.edge_features, ref_ef)
+
+    def test_pooled_edges_match_row_unique_reference_at_scale(self):
+        # 2e5 edges and no edge features: the sort-only deduplication path.
+        rng = seeded_rng(22, "contract-scale")
+        g = random_simple_graph(rng, 33_000, 100_000)
+        raw = rng.normal(size=g.num_edges)
+        normalized = normalize_scores(g, raw, no_dropout(g))
+        scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+        pooled, info = contract(g, select_contractions(g, scores), scores)
+        mapped = info.cluster_of[g.edges]
+        ref_edges = np.unique(mapped[mapped[:, 0] != mapped[:, 1]], axis=0)
+        assert pooled.edge_features is None
+        assert pooled.num_nodes == info.pooled_num_nodes
+        assert np.array_equal(pooled.edges, ref_edges)
+
+    @pytest.mark.parametrize("edge_features", [None, [[1.0], [2.0]]],
+                             ids=["no-edge-features", "edge-features"])
+    def test_single_symmetric_pair_leaves_no_edges(self, edge_features):
+        g = build_graph(2, [(0, 1), (1, 0)], np.ones((2, 1)), edge_features)
+        scores = EdgeScores(raw=np.zeros(2), normalized=np.asarray([1.5, 1.5]),
+                            dropped=no_dropout(g))
+        pooled, info = contract(g, np.asarray([[0, 1]]), scores)
+        assert pooled.num_nodes == 1
+        assert pooled.edges.shape == (0, 2) and pooled.edges.dtype == np.int64
+        if edge_features is not None:
+            assert pooled.edge_features.shape == (0, 1)
+        assert info.matched_edge_index.tolist() == [0]
 
     def test_invalid_matching_shared_endpoint(self):
         g = path_graph(4)
