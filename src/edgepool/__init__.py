@@ -4,6 +4,10 @@ The package provides the pooling operator (scoring, normalization,
 greedy contraction, exact backward), its inverse unpooling, a small
 tape-based autodiff stack with the layers needed for the reference
 models, dataset utilities, and a CLI for experiments and validation.
+
+The top level exports exactly README's Library surface; everything else
+is reached through its submodule (``edgepool.pool.contract``,
+``edgepool.graph.Graph``, ...).
 """
 
 from .autodiff import Var, backward
@@ -16,137 +20,58 @@ from .data import (
     node_split,
     save_tu,
 )
-from .fdcheck import GradCheckResult, run_gradcheck
-from .layers import (
-    batch_norm,
-    concat_cols,
-    cross_entropy,
-    dense,
-    edge_pool,
-    feature_dropout,
-    gather_rows,
-    global_mean_pool,
-    mean_conv,
-    relu,
-    softmax_cross_entropy,
-    unpool,
-)
-from .graph import (
-    BatchedGraph,
-    Graph,
-    batch,
-    build_graph,
-    graph_from_json,
-    graph_to_json,
-    load_graph_file,
-    save_graph_file,
-    symmetrize,
-    to_dot,
-)
-from .models import (
-    GraphClassifier,
-    NodeClassifier,
-    evaluate_graph_model,
-    evaluate_node_model,
-    train_graph_model,
-    train_node_model,
-)
-from .params import (
-    ParamStore,
-    TrainConfig,
-    adam_step,
-    glorot_uniform,
-    load_checkpoint,
-    lr_at_epoch,
-    save_checkpoint,
-)
+from .fdcheck import run_gradcheck
+from .graph import batch, build_graph, symmetrize
+from .layers import batch_norm, cross_entropy, dense, edge_pool, mean_conv, relu, unpool
+from .models import GraphClassifier, NodeClassifier, train_graph_model, train_node_model
+from .params import TrainConfig
 from .pool import (
     EdgeScores,
-    PoolInfo,
     PoolParams,
-    apply_score_dropout,
-    contract,
     edgepool_backward,
     edgepool_forward,
-    hierarchy_to_json,
-    normalize_scores,
-    pool_hierarchy,
     random_pool_params,
-    raw_scores,
-    score_path_backward,
     select_contractions,
 )
-from .rng import draw_seed, seeded_rng
 from .unpool import UnpoolPlan, unpool_backward, unpool_chain, unpool_once
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "build_graph",
+    "symmetrize",
+    "batch",
+    "PoolParams",
+    "edgepool_forward",
+    "edgepool_backward",
+    "unpool_once",
+    "unpool_chain",
+    "unpool_backward",
     "Var",
     "backward",
-    "GraphDataset",
-    "NodeTask",
-    "gen_synthetic",
-    "kfold_splits",
-    "load_tu",
-    "node_split",
-    "save_tu",
-    "GradCheckResult",
-    "run_gradcheck",
-    "batch_norm",
-    "concat_cols",
-    "cross_entropy",
     "dense",
-    "edge_pool",
-    "feature_dropout",
-    "gather_rows",
-    "global_mean_pool",
     "mean_conv",
+    "batch_norm",
     "relu",
-    "softmax_cross_entropy",
+    "edge_pool",
     "unpool",
-    "BatchedGraph",
-    "Graph",
-    "batch",
-    "build_graph",
-    "graph_from_json",
-    "graph_to_json",
-    "load_graph_file",
-    "save_graph_file",
-    "symmetrize",
-    "to_dot",
+    "cross_entropy",
     "GraphClassifier",
     "NodeClassifier",
-    "evaluate_graph_model",
-    "evaluate_node_model",
     "train_graph_model",
     "train_node_model",
-    "ParamStore",
-    "TrainConfig",
-    "adam_step",
-    "glorot_uniform",
-    "load_checkpoint",
-    "lr_at_epoch",
-    "save_checkpoint",
+    "load_tu",
+    "save_tu",
+    "kfold_splits",
+    "node_split",
+    "gen_synthetic",
+    "run_gradcheck",
     "EdgeScores",
-    "PoolInfo",
-    "PoolParams",
-    "apply_score_dropout",
-    "contract",
-    "edgepool_backward",
-    "edgepool_forward",
-    "hierarchy_to_json",
-    "normalize_scores",
-    "pool_hierarchy",
-    "random_pool_params",
-    "raw_scores",
-    "score_path_backward",
     "select_contractions",
-    "seeded_rng",
-    "draw_seed",
+    "random_pool_params",
+    "TrainConfig",
+    "GraphDataset",
+    "NodeTask",
     "UnpoolPlan",
-    "unpool_backward",
-    "unpool_chain",
-    "unpool_once",
     "__version__",
 ]

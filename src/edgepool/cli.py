@@ -23,7 +23,14 @@ import numpy as np
 
 from .data import NodeTask, gen_synthetic, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_NAMES, run_gradcheck
-from .graph import _sorted_unique, graph_from_json, load_graph_file, to_dot
+from .graph import (
+    _sorted_unique,
+    build_graph,
+    graph_from_json,
+    load_graph_file,
+    symmetrize,
+    to_dot,
+)
 from .models import train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
 from .pool import PoolParams, edgepool_forward, hierarchy_to_json, pool_hierarchy, random_pool_params
@@ -127,7 +134,7 @@ def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> Pool
         if not (np.isfinite(weight).all() and np.isfinite(bias)):
             raise InputError("params weight and bias must be finite")
         return PoolParams(weight=weight, bias=bias)
-    return random_pool_params(feature_width, edge_feature_width, seed=args.random_seed)
+    return random_pool_params(feature_width, edge_feature_width, seed=args.seed)
 
 
 def cmd_pool(args) -> int:
@@ -162,13 +169,9 @@ def cmd_pool(args) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args) -> TrainConfig:
+def _config_from_args(args, **extra) -> TrainConfig:
     return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        channels=args.channels,
-        seed=args.seed,
+        epochs=args.epochs, learning_rate=args.lr, channels=args.channels, seed=args.seed, **extra
     )
 
 
@@ -177,9 +180,9 @@ def cmd_train_graph(args) -> int:
     dataset = load_tu(directory, name)
     manifest = _manifest_for(args, "train-graph", name)
     os.makedirs(args.out, exist_ok=True)
-    config = _config_from_args(args)
+    config = _config_from_args(args, batch_size=args.batch_size)
     pooling = args.pooling == "edgepool"
-    folds = kfold_splits(dataset, k=args.folds, seed=args.seed)
+    folds = kfold_splits(len(dataset), k=args.folds, seed=args.seed)
     accuracies = []
     fold_entries = []
     for k, (train_idx, test_idx) in enumerate(folds):
@@ -269,6 +272,10 @@ def _load_task(args):
             classes = np.unique(labels)
             train_mask = _node_mask(obj, "train_nodes", graph.num_nodes)
             test_mask = _node_mask(obj, "test_nodes", graph.num_nodes)
+            shared = np.flatnonzero(train_mask & test_mask)
+            if shared.size:
+                raise InputError(f"train_nodes and test_nodes share node {shared[0]}: "
+                                 "the splits must be disjoint")
             task = NodeTask(
                 graph=graph,
                 node_labels=np.searchsorted(classes, labels).astype(np.int64),
@@ -363,8 +370,6 @@ def _bench_graph(num_directed_edges: int, seed: int):
     lo, hi = np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])
     key = _sorted_unique(lo * np.int64(n) + hi)[:target_undirected]
     pairs = np.stack([key // n, key % n], axis=1)
-    from .graph import build_graph, symmetrize
-
     features = rng.normal(0.0, 1.0, size=(n, 8)).astype(np.float32)
     return symmetrize(build_graph(n, pairs, features))
 
@@ -439,9 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0, help="graph index within --tu")
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--params", help="scorer params JSON file {weight, bias}")
-    p.add_argument("--random-seed", type=int, default=0, dest="random_seed",
+    p.add_argument("--seed", type=int, default=0,
                    help="seed for random scorer params when --params is absent")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pool)
 
@@ -466,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True)

@@ -57,7 +57,11 @@ class NodeTask:
     name: str = "node-task"
 
 
-def _read_numeric_lines(path, what: str) -> list[list[float]]:
+def _read_lines(path, what: str, parse_row) -> list[list]:
+    """Parse every non-blank line of ``path``, split at commas, with ``parse_row``.
+
+    Raises ``ValueError`` naming ``path:line`` for a line ``parse_row`` rejects.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -65,10 +69,36 @@ def _read_numeric_lines(path, what: str) -> list[list[float]]:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric {what} line: {line!r}")
+                rows.append(parse_row(line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
     return rows
+
+
+def _int64(tok: str) -> int:
+    """An integer token within int64; ``2.5``, ``nan`` and ``inf`` are refused."""
+    try:
+        value = int(tok)
+    except ValueError:
+        raise ValueError(f"{tok.strip()!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
+def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
+    """The first ``columns`` entries of each line of an integer file, (rows, columns) int64.
+
+    Every entry of every line must be an integer.
+    """
+
+    def parse_row(tokens):
+        row = [_int64(tok) for tok in tokens]
+        if len(row) < columns:
+            raise ValueError(f"needs {columns} entries")
+        return row[:columns]
+
+    return np.asarray(_read_lines(path, what, parse_row), dtype=np.int64).reshape(-1, columns)
 
 
 def _tu_path(directory, name: str, suffix: str) -> str:
@@ -92,15 +122,9 @@ def load_tu(directory, name: str) -> GraphDataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory {what} file: {path}")
 
-    indicator = np.asarray(
-        [int(r[0]) for r in _read_numeric_lines(ind_path, "graph indicator")],
-        dtype=np.int64,
-    )
-    raw_labels = np.asarray(
-        [int(r[0]) for r in _read_numeric_lines(lab_path, "graph label")], dtype=np.int64
-    )
-    edge_rows = _read_numeric_lines(a_path, "edge")
-    edges_global = np.asarray([[int(r[0]), int(r[1])] for r in edge_rows], dtype=np.int64)
+    indicator = _read_ints(ind_path, "graph indicator")[:, 0]
+    raw_labels = _read_ints(lab_path, "graph label")[:, 0]
+    edges_global = _read_ints(a_path, "edge", columns=2)
 
     total_nodes = len(indicator)
     num_graphs = len(raw_labels)
@@ -110,19 +134,15 @@ def load_tu(directory, name: str) -> GraphDataset:
     node_labels = None
     nl_path = _tu_path(directory, name, "node_labels")
     if os.path.exists(nl_path):
-        node_labels = np.asarray(
-            [int(r[0]) for r in _read_numeric_lines(nl_path, "node label")],
-            dtype=np.int64,
-        )
+        node_labels = _read_ints(nl_path, "node label")[:, 0]
         if len(node_labels) != total_nodes:
             raise ValueError("node label count != node count")
 
     attributes = None
     attr_path = _tu_path(directory, name, "node_attributes")
     if os.path.exists(attr_path):
-        attributes = np.asarray(
-            _read_numeric_lines(attr_path, "node attribute"), dtype=np.float32
-        )
+        rows = _read_lines(attr_path, "node attribute", lambda tokens: [float(t) for t in tokens])
+        attributes = np.asarray(rows, dtype=np.float32)
         if attributes.shape[0] != total_nodes:
             raise ValueError("node attribute count != node count")
 
@@ -198,11 +218,8 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def kfold_splits(
-    dataset: GraphDataset | int, k: int = 10, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random k-fold partition; fold sizes differ by at most one."""
-    n = dataset if isinstance(dataset, int) else len(dataset)
+def kfold_splits(n: int, k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Random k-fold partition of ``range(n)``; fold sizes differ by at most one."""
     if k > n:
         raise ValueError(f"cannot make {k} folds from {n} items")
     perm = seeded_rng(seed, "kfold").permutation(n)
@@ -302,15 +319,18 @@ def _is_connected(graph: Graph) -> bool:
     return bool(seen.all())
 
 
+_CONNECTED_TRIES = 200
+
+
 def make_connected_erdos_renyi(
-    n: int, p: float, rng: np.random.Generator, feature_width: int = 1, max_tries: int = 200
+    n: int, p: float, rng: np.random.Generator, feature_width: int = 1
 ) -> Graph:
-    """Resample G(n, p) until connected."""
-    for _ in range(max_tries):
+    """Resample G(n, p) until connected, at most ``_CONNECTED_TRIES`` times."""
+    for _ in range(_CONNECTED_TRIES):
         g = make_erdos_renyi(n, p, rng, feature_width)
         if _is_connected(g):
             return g
-    raise ValueError(f"no connected sample in {max_tries} tries (n={n}, p={p})")
+    raise ValueError(f"no connected sample in {_CONNECTED_TRIES} tries (n={n}, p={p})")
 
 
 def make_sbm(
@@ -386,27 +406,20 @@ def _make_proteinlike(
 def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | NodeTask:
     """Deterministic synthetic data keyed by kind.
 
-    Kinds: ``erdos_renyi``, ``cycle``, ``star``, ``path_proteinlike``
-    (graph datasets) and ``sbm_node_task`` (a node task with the blocks as
-    labels and the standard per-class train/test split).
+    Kinds:
+
+    * ``cycle``: one ``n``-node cycle (default 100) with constant features,
+      a one-graph dataset;
+    * ``path_proteinlike``: ``num_graphs`` paths of ``min_nodes`` to
+      ``max_nodes`` nodes, class 1 with extra chords (a graph dataset);
+    * ``sbm_node_task``: a stochastic block model node task with the blocks
+      as labels and the standard per-class train/test split.
     """
     rng = seeded_rng(seed, "synthetic", kind)
     params = dict(params)
     if kind == "cycle":
         g = make_cycle(int(params.get("n", 100)))
         return GraphDataset([g], np.zeros(1, dtype=np.int64), 1, "cycle")
-    if kind == "star":
-        g = make_star(int(params.get("n", 5)))
-        return GraphDataset([g], np.zeros(1, dtype=np.int64), 1, "star")
-    if kind == "erdos_renyi":
-        num = int(params.get("num_graphs", 1))
-        n = int(params.get("n", 100))
-        p = float(params.get("p", 0.05))
-        connected = bool(params.get("connected", False))
-        width = int(params.get("feature_width", 1))
-        maker = make_connected_erdos_renyi if connected else make_erdos_renyi
-        graphs = [maker(n, p, rng, width) for _ in range(num)]
-        return GraphDataset(graphs, np.zeros(num, dtype=np.int64), 1, "erdos-renyi")
     if kind == "path_proteinlike":
         return _make_proteinlike(
             int(params.get("num_graphs", 100)),

@@ -38,7 +38,7 @@ from .unpool import unpool_backward, unpool_once
 
 __all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES"]
 
-DEFAULT_H = 1e-6
+FD_STEP = 1e-6  # central-difference step
 DEFAULT_RTOL = 1e-4
 DEFAULT_ATOL = 1e-7
 MODEL_RTOL = 1e-3
@@ -66,7 +66,7 @@ def _scalar(projection: np.ndarray, out: np.ndarray) -> float:
     return float((projection * out).sum())
 
 
-def _numeric_grads(inputs, run, projection, h, base_fp):
+def _numeric_grads(inputs, run, projection, base_fp):
     grads = {}
     for name, value in inputs.items():
         g = np.zeros_like(value, dtype=np.float64)
@@ -75,13 +75,13 @@ def _numeric_grads(inputs, run, projection, h, base_fp):
             for sign in (1.0, -1.0):
                 shifted = dict(inputs)
                 bumped = value.astype(np.float64).copy()
-                bumped.flat[i] += sign * h
+                bumped.flat[i] += sign * FD_STEP
                 shifted[name] = bumped
                 out, fp = run(_as_vars(shifted))
                 if fp != base_fp:
                     raise _MatchingFlip(name)
                 samples.append(_scalar(projection, out.data))
-            g.flat[i] = (samples[0] - samples[1]) / (2.0 * h)
+            g.flat[i] = (samples[0] - samples[1]) / (2.0 * FD_STEP)
         grads[name] = g
     return grads
 
@@ -107,7 +107,7 @@ def _compare(name, analytic, numeric, rtol, atol):
     return GradCheckResult(name, ok, max_abs, max_rel, entries)
 
 
-def _check_case(name, build, seed, rtol, atol, h, corrupt, attempts=6):
+def _check_case(name, build, seed, rtol, atol, corrupt, attempts=6):
     """Run one FD comparison, rebuilding on matching flips."""
     last_flip = None
     for attempt in range(attempts):
@@ -125,7 +125,7 @@ def _check_case(name, build, seed, rtol, atol, h, corrupt, attempts=6):
             first = sorted(analytic)[0]
             analytic[first] = analytic[first] * 1.05 + 10.0 * atol
         try:
-            numeric = _numeric_grads(inputs, run, projection, h, base_fp)
+            numeric = _numeric_grads(inputs, run, projection, base_fp)
         except _MatchingFlip as flip:
             last_flip = flip
             continue
@@ -318,7 +318,6 @@ def run_gradcheck(
     seed: int = 0,
     cases: list[str] | None = None,
     corrupt: bool = False,
-    h: float = DEFAULT_H,
 ) -> list[GradCheckResult]:
     """Run the requested cases (default: all) and return their results."""
     names = list(cases) if cases else list(CASE_NAMES)
@@ -332,5 +331,5 @@ def run_gradcheck(
             continue
         build, rtol = _TAPE_CASES[name]
         atol = DEFAULT_ATOL if rtol == DEFAULT_RTOL else 1e-6
-        results.append(_check_case(name, build, seed, rtol, atol, h, corrupt))
+        results.append(_check_case(name, build, seed, rtol, atol, corrupt))
     return results

@@ -93,7 +93,10 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
     return Var(y, (x, w_self, w_neigh, bias), vjp)
 
 
-def batch_norm(x: Var, gamma: Var, beta: Var, epsilon: float = 1e-5) -> Var:
+BATCH_NORM_EPS = 1e-5
+
+
+def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     """Standardize per feature with current-batch statistics, then affine.
 
     Batch statistics are used in both training and evaluation; there are no
@@ -107,7 +110,7 @@ def batch_norm(x: Var, gamma: Var, beta: Var, epsilon: float = 1e-5) -> Var:
         raise ValueError("batch norm needs at least 1 row")
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     xhat = (x.data - mu) * inv_std
     y = gamma.data * xhat + beta.data
     n = x.data.shape[0]

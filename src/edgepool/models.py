@@ -306,7 +306,6 @@ def train_graph_model(
         total_loss, total_examples = 0.0, 0
         for chunk in _batches(perm, config.batch_size):
             batched = batch([dataset.graphs[i] for i in chunk])
-            model.params.zero_grads()
             leaves = model.params.as_vars()
             logits = model.forward(
                 leaves,
@@ -319,9 +318,8 @@ def train_graph_model(
             )
             loss = cross_entropy(logits, dataset.labels[chunk])
             backward(loss)
-            model.params.collect_grads(leaves)
             step += 1
-            adam_step(model.params, lr, step)
+            adam_step(model.params, leaves, lr, step)
             total_loss += float(loss.data) * len(chunk)
             total_examples += len(chunk)
         row = {
@@ -366,15 +364,13 @@ def train_node_model(
     for epoch in range(config.epochs):
         lr = lr_at_epoch(config, epoch)
         epoch_rng = seeded_rng(config.seed, "node-epoch", epoch)
-        model.params.zero_grads()
         leaves = model.params.as_vars()
         logits = model.forward(
             leaves, task.graph, config, training=True, seed=draw_seed(epoch_rng)
         )
         loss = cross_entropy(gather_rows(logits, train_nodes), task.node_labels[train_nodes])
         backward(loss)
-        model.params.collect_grads(leaves)
-        adam_step(model.params, lr, epoch + 1)
+        adam_step(model.params, leaves, lr, epoch + 1)
         row = {
             "epoch": epoch,
             "lr": lr,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "lr_at_epoch",
     "glorot_uniform",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -26,14 +25,19 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 @dataclass
 class Param:
+    """A parameter array and its Adam moments."""
+
     data: np.ndarray
-    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
 
 
 class ParamStore:
-    """Registry of uniquely named parameters with matching accumulators."""
+    """Registry of uniquely named parameters with their optimizer state.
+
+    Gradients are not stored here: each step reads them off the tape leaves
+    that :meth:`as_vars` handed out.
+    """
 
     def __init__(self):
         self._params: dict[str, Param] = {}
@@ -42,12 +46,7 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         data = np.asarray(data)
-        p = Param(
-            data=data,
-            grad=np.zeros_like(data),
-            m=np.zeros_like(data),
-            v=np.zeros_like(data),
-        )
+        p = Param(data=data, m=np.zeros_like(data), v=np.zeros_like(data))
         self._params[name] = p
         return p
 
@@ -63,19 +62,9 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0
-
     def as_vars(self) -> dict[str, Var]:
         """Fresh leaf Vars over the live parameter arrays, one per name."""
         return {name: Var(p.data) for name, p in self._params.items()}
-
-    def collect_grads(self, leaves: dict[str, Var]) -> None:
-        """Accumulate tape gradients from ``as_vars`` leaves into the store."""
-        for name, var in leaves.items():
-            if var.grad is not None:
-                self._params[name].grad += var.grad.astype(self._params[name].grad.dtype)
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self._params.values())
@@ -118,43 +107,52 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * 0.5 ** (epoch // config.lr_halving_period)
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    t: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Standard bias-corrected Adam update over every parameter; t >= 1."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, leaves: dict[str, Var], lr: float, t: int) -> None:
+    """Standard bias-corrected Adam update over every parameter; t >= 1.
+
+    Each parameter's gradient is the tape gradient of its leaf in
+    ``leaves`` (from :meth:`ParamStore.as_vars`), already cast to the
+    parameter's dtype by :func:`~edgepool.autodiff.backward`; a leaf the
+    loss does not reach (gradient ``None``) counts as a zero gradient.
+    """
     if t < 1:
         raise ValueError("Adam step count starts at 1")
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for p in store._params.values():
-        p.m[...] = beta1 * p.m + (1.0 - beta1) * p.grad
-        p.v[...] = beta2 * p.v + (1.0 - beta2) * p.grad**2
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, p in store.items():
+        grad = leaves[name].grad
+        if grad is None:
+            grad = np.zeros_like(p.data)
+        p.m[...] = ADAM_BETA1 * p.m + (1.0 - ADAM_BETA1) * grad
+        p.v[...] = ADAM_BETA2 * p.v + (1.0 - ADAM_BETA2) * grad**2
         m_hat = p.m / bc1
         v_hat = p.v / bc2
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def glorot_uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype=np.float32,
-) -> np.ndarray:
-    """Uniform init scaled by fan-in plus fan-out."""
+def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Uniform float32 init scaled by fan-in plus fan-out."""
     if len(shape) == 1:
         fan_in, fan_out = shape[0], 1
     else:
         fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def save_checkpoint(path, config: dict, store: ParamStore) -> None:
-    """Write parameters as JSON: name -> {shape, data row-major}."""
+    """Write parameters as JSON: name -> {shape, data row-major}.
+
+    The file holds ``format_version``, the run's ``config`` and ``params``;
+    read it with :mod:`json`. Each value is a float64 rendering of the
+    parameter entry, so a float32 parameter reads back exactly after a cast
+    to float32.
+    """
     obj = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config,
@@ -166,15 +164,3 @@ def save_checkpoint(path, config: dict, store: ParamStore) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
 
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (config dict, name -> array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {obj.get('format_version')}")
-    params = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in obj["params"].items()
-    }
-    return obj["config"], params

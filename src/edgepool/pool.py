@@ -126,15 +126,14 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     return r + float(params.bias)
 
 
-def normalize_scores(
-    graph: Graph, raw: np.ndarray, dropped: np.ndarray | None = None
-) -> np.ndarray:
+def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.ndarray:
     """Shifted softmax over the incoming edges of each destination node.
 
     For every non-dropped edge (i, j): 0.5 plus the softmax (over all
     non-dropped edges into j) of the raw score, computed with
-    max-subtraction in double precision. Dropped edges get exactly 0.0.
-    Kept values lie in (0.5, 1.5) and, per destination, sum to
+    max-subtraction in double precision. Edges marked in the boolean mask
+    ``dropped`` (all false without score dropout) get exactly 0.0. Kept
+    values lie in (0.5, 1.5) and, per destination, sum to
     (#incoming kept) * 0.5 + 1. Raises ``ValueError`` when a kept raw
     score is NaN or infinite (an overflowing scorer, say), since selection
     compares scores for equality.
@@ -143,8 +142,6 @@ def normalize_scores(
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (m,):
         raise ValueError(f"raw scores must have shape ({m},)")
-    if dropped is None:
-        dropped = np.zeros(m, dtype=bool)
     out = np.zeros(m, dtype=np.float64)
     keep = np.flatnonzero(~np.asarray(dropped, dtype=bool))
     dst = graph.edge_dst[keep]
@@ -445,7 +442,7 @@ def score_path_backward(
     keep = ~scores.dropped
     p = np.where(keep, scores.normalized - 0.5, 0.0)
     group_coeff = np.zeros(v, dtype=np.float64)  # g_s * p_e per destination
-    group_coeff[graph.edges[e_idx, 1]] = g_s * p[e_idx]
+    group_coeff[graph.edge_dst[e_idx]] = g_s * p[e_idx]
     grad_r = -group_coeff[graph.edge_dst] * p
     grad_r[e_idx] += g_s * p[e_idx]
 
@@ -453,8 +450,8 @@ def score_path_backward(
     # summed per endpoint node before touching the (v, f) features.
     live = np.flatnonzero(grad_r != 0.0)
     gr = grad_r[live]
-    g_src = np.bincount(graph.edges[live, 0], gr, minlength=v)
-    g_dst = np.bincount(graph.edges[live, 1], gr, minlength=v)
+    g_src = np.bincount(graph.edge_src[live], gr, minlength=v)
+    g_dst = np.bincount(graph.edge_dst[live], gr, minlength=v)
     # Added one term at a time into the zeros: one (v, f) temporary, and
     # the sum holds no -0.0, which edgepool_backward relies on.
     grad_x += g_src[:, None] * w[:f]

@@ -23,9 +23,7 @@ from edgepool import (
     gen_synthetic,
     kfold_splits,
     load_tu,
-    normalize_scores,
     random_pool_params,
-    raw_scores,
     run_gradcheck,
     select_contractions,
     train_graph_model,
@@ -40,6 +38,7 @@ from edgepool.data import (
     make_star,
 )
 from edgepool.cli import main as cli_main
+from edgepool.pool import normalize_scores, raw_scores
 from edgepool.rng import seeded_rng
 
 from oracles import naive_matching
@@ -301,7 +300,7 @@ class TestCriterion7Proteins:
                 "fetch them, see the ledger"
             )
         config = TrainConfig(seed=0)
-        folds = kfold_splits(dataset, k=10, seed=0)
+        folds = kfold_splits(len(dataset), k=10, seed=0)
         means = {}
         for pooling in (True, False):
             accs = []

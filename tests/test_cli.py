@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from edgepool import gen_synthetic, load_checkpoint, save_graph_file, save_tu
+from edgepool import gen_synthetic, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
-from edgepool.graph import build_graph, graph_to_json, symmetrize
+from edgepool.graph import build_graph, graph_to_json, save_graph_file, symmetrize
 from edgepool.rng import seeded_rng
 
 
@@ -37,6 +37,17 @@ def write_dataset(directory, num_graphs=10, seed=0):
     )
     save_tu(ds, directory, "TINY")
     return ds
+
+
+def read_checkpoint(path):
+    """The checkpoint's config and its name -> {shape, data} parameter entries."""
+    obj = json.loads(path.read_text())
+    return obj["config"], obj["params"]
+
+
+def artifacts(out):
+    """Every file a run wrote except the manifest (which holds timestamps), as bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
 class TestPoolCommand:
@@ -202,11 +213,24 @@ class TestPoolCommand:
         for run in range(2):
             out = tmp_path / f"out{run}"
             code = main(["pool", "--input", str(graph_path), "--levels", "2",
-                         "--random-seed", "7", "--out", str(out)])
+                         "--seed", "7", "--out", str(out)])
             assert code == 0
             written.append((out / "hierarchy.json").read_bytes())
         assert len(json.loads(written[0])) == 2
         assert written[0] == written[1]
+
+    def test_seed_draws_the_random_scorer(self, tmp_path):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path, n=40)
+        written = {}
+        for seed in ("7", "8"):
+            out = tmp_path / f"out{seed}"
+            assert main(["pool", "--input", str(graph_path), "--levels", "2",
+                         "--seed", seed, "--out", str(out)]) == 0
+            written[seed] = (out / "hierarchy.json").read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == int(seed)
+        assert written["7"] != written["8"]
 
     def test_missing_file(self, tmp_path):
         code = main(["pool", "--input", str(tmp_path / "absent.json"),
@@ -216,6 +240,22 @@ class TestPoolCommand:
     def test_requires_some_input(self, tmp_path):
         code = main(["pool", "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestTuInput:
+    @pytest.mark.parametrize("command", [["pool"], ["train-graph", "--quiet"]],
+                             ids=["pool", "train-graph"])
+    @pytest.mark.parametrize("label", ["inf", "2.5"], ids=["inf", "fractional"])
+    def test_non_integer_graph_label_rejected(self, tmp_path, capsys, command, label):
+        write_dataset(tmp_path / "data", num_graphs=4)
+        labels = tmp_path / "data" / "TINY_graph_labels.txt"
+        labels.write_text(f"0\n1\n{label}\n0\n")
+        out = tmp_path / "out"
+        code = main([*command, "--tu", str(tmp_path / "data"), "TINY", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "TINY_graph_labels.txt:3:" in err and "not an integer" in err
+        assert not out.exists()
 
 
 class TestTrainNodeCommand:
@@ -234,7 +274,7 @@ class TestTrainNodeCommand:
         assert summary["pooling"] == "edgepool"
         assert summary["conv"] == "mean"
         assert 0.0 <= summary["accuracy"] <= 1.0
-        config, params = load_checkpoint(out / "checkpoint.json")
+        config, params = read_checkpoint(out / "checkpoint.json")
         assert config["channels"] == 8
         assert any(name.startswith("pool1") for name in params)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -260,7 +300,7 @@ class TestTrainNodeCommand:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["conv"] == "mlp" and summary["pooling"] == "none"
-        _, params = load_checkpoint(out / "checkpoint.json")
+        _, params = read_checkpoint(out / "checkpoint.json")
         assert not any("pool" in name for name in params)
         assert not any("w_neigh" in name for name in params)
 
@@ -326,6 +366,28 @@ class TestTrainNodeCommand:
         err = capsys.readouterr().err
         assert f"has {present} but no {missing}" in err
 
+    def test_overlapping_split_rejected(self, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
+        obj["train_nodes"] = [0, 2]
+        obj["test_nodes"] = [2, 0]
+        task_path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        code = main(["train-node", "--input", str(task_path), "--epochs", "1",
+                     "--channels", "4", "--quiet", "--out", str(out)])
+        assert code == 2
+        assert "share node 0" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_same_seed_gives_identical_artifacts(self, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            assert self.run_synthetic(tmp_path / name, ["--seed", "3"]) == 0
+            runs.append(artifacts(tmp_path / name))
+        assert set(runs[0]) == {"checkpoint.json", "history.csv", "summary.json"}
+        assert runs[0] == runs[1]
+
     def test_task_without_labels_rejected(self, tmp_path):
         graph_path = tmp_path / "g.json"
         write_graph(graph_path)
@@ -352,6 +414,21 @@ class TestTrainGraphCommand:
             assert (out / f"fold{k}_checkpoint.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 5  # 2 histories, 2 checkpoints, summary
+
+    def test_same_seed_gives_identical_artifacts(self, tmp_path):
+        write_dataset(tmp_path / "data", num_graphs=10)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["train-graph", "--tu", str(tmp_path / "data"), "TINY",
+                         "--folds", "2", "--epochs", "2", "--channels", "8",
+                         "--batch-size", "4", "--seed", "5", "--quiet",
+                         "--out", str(out)]) == 0
+            runs.append(artifacts(out))
+        assert set(runs[0]) == {"fold0_checkpoint.json", "fold0_history.csv",
+                                "fold1_checkpoint.json", "fold1_history.csv",
+                                "summary.json"}
+        assert runs[0] == runs[1]
 
     def test_missing_dataset(self, tmp_path):
         code = main(["train-graph", "--tu", str(tmp_path / "nope"), "GONE",
@@ -437,4 +514,13 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train-node", "--synthetic", "sbm", "--conv", "attention",
                   "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["pool", "--input", "g.json", "--random-seed", "7"],
+        ["train-node", "--synthetic", "sbm", "--batch-size", "4"],
+    ], ids=["pool-random-seed", "train-node-batch-size"])
+    def test_removed_flags_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2

@@ -100,6 +100,29 @@ class TestLoadTu:
         with pytest.raises(ValueError):
             load_tu(d, "TOY")
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "2.5"], ids=["inf", "nan", "fractional"])
+    @pytest.mark.parametrize("suffix, line, text", [
+        ("A", 3, "2, {}"),
+        ("graph_indicator", 2, "{}"),
+        ("graph_labels", 2, "{}"),
+        ("node_labels", 4, "{}"),
+    ], ids=["A", "graph_indicator", "graph_labels", "node_labels"])
+    def test_integer_files_hold_integers(self, tmp_path, suffix, line, text, bad):
+        d = write_tu_fixture(tmp_path / "toy")
+        path = d / f"TOY_{suffix}.txt"
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text.format(bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"TOY_{suffix}\.txt:{line}: .*not an integer"):
+            load_tu(d, "TOY")
+
+    def test_edge_line_needs_two_entries(self, tmp_path):
+        d = write_tu_fixture(tmp_path / "toy")
+        path = d / "TOY_A.txt"
+        path.write_text(path.read_text() + "3\n")
+        with pytest.raises(ValueError, match=r"TOY_A\.txt:9: .*needs 2 entries"):
+            load_tu(d, "TOY")
+
     def test_duplicate_edges_collapse(self, tmp_path):
         d = write_tu_fixture(tmp_path / "toy")
         path = d / "TOY_A.txt"
@@ -154,9 +177,9 @@ class TestKfold:
         assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
         assert any(not np.array_equal(x[1], y[1]) for x, y in zip(a, c))
 
-    def test_accepts_dataset(self):
+    def test_splits_dataset_by_length(self):
         ds = gen_synthetic("path_proteinlike", {"num_graphs": 12}, seed=0)
-        splits = kfold_splits(ds, k=3)
+        splits = kfold_splits(len(ds), k=3)
         assert sum(len(test) for _, test in splits) == 12
 
     def test_too_many_folds(self):
@@ -226,6 +249,11 @@ class TestSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_synthetic("hypercube", {})
+
+    @pytest.mark.parametrize("kind", ["star", "erdos_renyi"])
+    def test_unrequested_kinds_are_gone(self, kind):
+        with pytest.raises(ValueError, match="unknown synthetic kind"):
+            gen_synthetic(kind, {})
 
     def test_erdos_renyi_density(self):
         rng = seeded_rng(1, "er")

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import (
-    batch,
-    build_graph,
+from edgepool import batch, build_graph, symmetrize
+from edgepool.graph import (
+    _segment_sum,
     graph_from_json,
     graph_to_json,
     load_graph_file,
     save_graph_file,
-    symmetrize,
     to_dot,
 )
-from edgepool.graph import _segment_sum
 from edgepool.rng import seeded_rng
 
 from strategies import simple_digraphs

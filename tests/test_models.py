@@ -10,13 +10,12 @@ from edgepool import (
     NodeClassifier,
     TrainConfig,
     batch,
-    evaluate_graph_model,
-    evaluate_node_model,
     gen_synthetic,
     symmetrize,
     train_graph_model,
     train_node_model,
 )
+from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.rng import seeded_rng
 
 

@@ -10,19 +10,21 @@ from hypothesis import given, settings, strategies as st
 from edgepool import (
     EdgeScores,
     PoolParams,
-    apply_score_dropout,
     build_graph,
-    contract,
     edgepool_backward,
     edgepool_forward,
-    normalize_scores,
-    pool_hierarchy,
-    hierarchy_to_json,
-    raw_scores,
     select_contractions,
     symmetrize,
 )
 from edgepool.data import make_connected_erdos_renyi, make_cycle, make_star
+from edgepool.pool import (
+    apply_score_dropout,
+    contract,
+    hierarchy_to_json,
+    normalize_scores,
+    pool_hierarchy,
+    raw_scores,
+)
 from edgepool.rng import seeded_rng
 
 from oracles import (

@@ -1,6 +1,7 @@
 """The public surface: what ``edgepool`` exports and what README documents."""
 
 import re
+import sys
 from pathlib import Path
 
 import edgepool
@@ -28,6 +29,19 @@ def test_readme_surface_is_exported():
     names = readme_surface_names()
     assert "edgepool_forward" in names and "edge_pool" in names
     assert [n for n in names if n not in edgepool.__all__] == []
+
+
+def test_exports_are_the_readme_surface():
+    names = readme_surface_names()
+    assert len(names) == len(set(names)) == 35
+    assert set(edgepool.__all__) - {"__version__"} == set(names)
+
+
+def test_every_submodule_is_imported():
+    # The benchmark looks the modules up in sys.modules after ``import edgepool``.
+    for short in ("autodiff", "data", "fdcheck", "graph", "layers", "models",
+                  "params", "pool", "rng", "unpool"):
+        assert f"edgepool.{short}" in sys.modules
 
 
 def test_one_merge_rule():

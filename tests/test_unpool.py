@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgepool import (
-    PoolInfo,
     PoolParams,
     UnpoolPlan,
     build_graph,
@@ -15,6 +14,7 @@ from edgepool import (
     unpool_once,
 )
 from edgepool.data import make_connected_erdos_renyi, make_path
+from edgepool.pool import PoolInfo
 from edgepool.rng import seeded_rng
 
 from strategies import simple_digraphs
