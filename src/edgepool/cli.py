@@ -176,6 +176,8 @@ def _config_from_args(args, **extra) -> TrainConfig:
 
 
 def cmd_train_graph(args) -> int:
+    if args.folds < 2:
+        raise InputError(f"--folds must be at least 2, got {args.folds}")
     directory, name = args.tu
     dataset = load_tu(directory, name)
     manifest = _manifest_for(args, "train-graph", name)

@@ -220,8 +220,8 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
 
 def kfold_splits(n: int, k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Random k-fold partition of ``range(n)``; fold sizes differ by at most one."""
-    if k > n:
-        raise ValueError(f"cannot make {k} folds from {n} items")
+    if not 2 <= k <= n:
+        raise ValueError(f"cannot make {k} folds from {n} items: need 2 <= folds <= {n}")
     perm = seeded_rng(seed, "kfold").permutation(n)
     folds = np.array_split(perm, k)
     out = []

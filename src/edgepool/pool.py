@@ -24,7 +24,9 @@ The forward compacts arrays by index, not by boolean mask: one
 random mask costs 6-8 ms per array it selects from, against about 1 ms
 for ``np.flatnonzero`` and about 1 ms per take after it, and selection
 compacts four arrays per round. The one mask left is deduplication's
-step mask, which is nearly all true and costs about 1.4 ms.
+step mask, which is nearly all true and costs about 1.4 ms. Rows of 2-D
+arrays are gathered with ``np.take(a, idx, axis=0)``: on numpy 2.4.6 the
+fancy row index ``a[idx]`` gives the same rows 5-6x slower.
 """
 
 from __future__ import annotations
@@ -140,10 +142,12 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
     """
     m = graph.num_edges
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (m,):
-        raise ValueError(f"raw scores must have shape ({m},)")
+    dropped = np.asarray(dropped, dtype=bool)
+    if raw.shape != (m,) or dropped.shape != (m,):
+        raise ValueError(f"raw scores and the dropped mask must have shape ({m},)")
     out = np.zeros(m, dtype=np.float64)
-    keep = np.flatnonzero(~np.asarray(dropped, dtype=bool))
+    # With nothing dropped, a full slice skips the compaction (1-3 ms at 1e6 edges).
+    keep = np.flatnonzero(~dropped) if dropped.any() else slice(None)
     dst = graph.edge_dst[keep]
     r = raw[keep]
     if not np.isfinite(r).all():
@@ -223,7 +227,7 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
     t = t[np.argsort(-scores.normalized[t], kind="stable")]
-    return graph.edges[t]
+    return np.take(graph.edges, t, axis=0)
 
 
 def _greedy_sweep(
@@ -249,9 +253,9 @@ def _greedy_sweep(
 def _pair_features(graph: Graph, matching: np.ndarray) -> np.ndarray:
     """Pre-gating merged features per matched edge, float64, (k, f)."""
     # Gather the matched rows before widening them: no (v, f) float64 copy.
-    x_src = graph.node_features[matching[:, 0]].astype(np.float64)
-    x_dst = graph.node_features[matching[:, 1]].astype(np.float64)
-    return x_src + x_dst
+    # The add widens the second gather on the fly (numpy reuses the first's buffer).
+    x_src = np.take(graph.node_features, matching[:, 0], axis=0).astype(np.float64)
+    return x_src + np.take(graph.node_features, matching[:, 1], axis=0)
 
 
 def _matched_edge_index(
@@ -302,8 +306,7 @@ def contract(
         raise ValueError("invalid matching: a node appears in two matched edges")
 
     cluster_of = np.full(v, -1, dtype=np.int64)
-    cluster_of[matching[:, 0]] = np.arange(k)
-    cluster_of[matching[:, 1]] = np.arange(k)
+    cluster_of[matching] = np.arange(k)[:, None]
     unmatched = np.flatnonzero(cluster_of < 0)
     cluster_of[unmatched] = k + np.arange(len(unmatched))
 
@@ -314,14 +317,12 @@ def contract(
     if np.any(s <= 0.0):
         raise ValueError("cannot contract a dropped (zero-score) edge")
 
-    node_score = np.ones(v, dtype=np.float64)
-    node_score[matching[:, 0]] = s
-    node_score[matching[:, 1]] = s
+    node_score = np.concatenate([s, np.ones(len(unmatched))])[cluster_of]
 
     pooled_n = v - k
     feats = np.empty((pooled_n, graph.feature_width), dtype=np.float64)
     feats[:k] = s[:, None] * _pair_features(graph, matching)
-    feats[k:] = graph.node_features[unmatched]
+    feats[k:] = np.take(graph.node_features, unmatched, axis=0)
 
     keep = np.flatnonzero(src_c != dst_c)
     n = np.int64(pooled_n)
@@ -331,8 +332,8 @@ def contract(
     ef = None
     if graph.edge_features is not None:
         inverse = np.searchsorted(uniq_key, key)
-        ef = _segment_sum(inverse, graph.edge_features[keep].astype(np.float64), len(uniq_key))
-        ef = ef.astype(graph.edge_features.dtype)
+        ef = np.take(graph.edge_features, keep, axis=0).astype(np.float64)
+        ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
 
     pooled = build_graph(pooled_n, uniq, feats.astype(graph.node_features.dtype), ef)
     info = PoolInfo(
@@ -387,26 +388,20 @@ def edgepool_backward(
     the gradient flows through the gating score, whose softmax couples all
     non-dropped edges sharing a destination with a matched edge.
     """
-    f = graph.feature_width
-    k = info.num_matched
     upstream = np.asarray(upstream_grad)
-    if upstream.shape != (info.pooled_num_nodes, f):
-        raise ValueError(
-            f"upstream gradient must have shape ({info.pooled_num_nodes}, {f})"
-        )
-    mi, mj = info.matching[:, 0], info.matching[:, 1]
-    s = scores.normalized[info.matched_edge_index]
-    g_out = upstream[:k].astype(np.float64)
-    g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
-    # The score term holds no -0.0, so adding the other terms to it in
-    # place rounds exactly as adding it to them, without a second (v, f).
+    if upstream.shape != (info.pooled_num_nodes, graph.feature_width):
+        raise ValueError(f"upstream gradient must have shape "
+                         f"({info.pooled_num_nodes}, {graph.feature_width})")
+    g_s = np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
+                    _pair_features(graph, info.matching))
+    # The score term holds no -0.0, so adding the row terms to it in place
+    # rounds exactly as adding it to them.
     grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
-    # Unmatched nodes: gradient passes through unchanged.
-    unmatched = np.flatnonzero(info.cluster_of >= k)
-    grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
-    # A matching's endpoints are distinct, so plain indexing accumulates.
-    grad_x[mi] += s[:, None] * g_out
-    grad_x[mj] += s[:, None] * g_out
+    # Every node's cluster row times its gate, which is exactly 1.0 for an
+    # unmatched node (a pass-through) and the pair's score for both members.
+    rows = np.take(upstream, info.cluster_of, axis=0).astype(np.float64, copy=False)
+    rows *= info.node_score[:, None]
+    grad_x += rows
 
     dtype = graph.node_features.dtype
     return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
@@ -460,7 +455,7 @@ def score_path_backward(
     grad_w[:f] = g_src @ x
     grad_w[f : 2 * f] = g_dst @ x
     if graph.edge_feature_width:
-        grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
+        grad_w[2 * f :] = gr @ np.take(graph.edge_features, live, axis=0).astype(np.float64)
     return grad_x, grad_w, float(gr.sum())
 
 

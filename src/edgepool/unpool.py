@@ -4,17 +4,16 @@ Each original node receives its pooled representative's feature vector
 divided by the gating score stored at pooling time; unmatched nodes
 (score 1.0) are plain copies. The map is linear in the features, so the
 backward pass is its exact adjoint, and levels chain by composing cluster
-maps.
+maps. A pooled row has at most two parents, so both directions are row
+gathers (``np.take``), two at most per pooled row, with no sparse operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .graph import _segment_sum
 from .pool import PoolInfo
 
 __all__ = ["UnpoolPlan", "unpool_once", "unpool_chain", "unpool_backward"]
@@ -40,17 +39,9 @@ def unpool_once(pooled_features: np.ndarray, info: PoolInfo) -> np.ndarray:
 
     Both members of a merged pair receive the same vector.
     """
-    pooled_features = np.asarray(pooled_features)
-    if pooled_features.ndim != 2 or pooled_features.shape[0] != info.pooled_num_nodes:
-        raise ValueError(
-            f"expected {info.pooled_num_nodes} pooled feature rows, "
-            f"got shape {pooled_features.shape}"
-        )
-    if not np.all(info.node_score > 0.0):
-        raise ValueError("gate scores must be positive")
-    out = pooled_features[info.cluster_of].astype(np.float64)
-    out /= info.node_score[:, None]
-    return out.astype(pooled_features.dtype)
+    pooled_features = _checked(pooled_features, info.pooled_num_nodes, "pooled feature", info)
+    out = _divided_rows(pooled_features, info.cluster_of, info.node_score)
+    return out.astype(pooled_features.dtype, copy=False)
 
 
 def unpool_chain(features: np.ndarray, plan: UnpoolPlan) -> np.ndarray:
@@ -62,20 +53,32 @@ def unpool_chain(features: np.ndarray, plan: UnpoolPlan) -> np.ndarray:
 
 
 def unpool_backward(upstream_grad: np.ndarray, info: PoolInfo) -> np.ndarray:
-    """Adjoint of :func:`unpool_once`.
+    """Adjoint of :func:`unpool_once`: row c is its cluster's first member's
+    upstream row over its gate score, plus 0.0 (so -0.0 reads +0.0, as in a
+    sum into zeros), plus the second member's for a pair, in either order."""
+    upstream = _checked(upstream_grad, len(info.cluster_of), "gradient", info)
+    k = info.num_matched
+    first = np.concatenate([info.matching[:, 0], np.flatnonzero(info.cluster_of >= k)])
+    out = _divided_rows(upstream, first, info.node_score[first])
+    out += 0.0
+    second = info.matching[:, 1]
+    out[:k] += _divided_rows(upstream, second, info.node_score[second])
+    return out.astype(upstream.dtype, copy=False)
 
-    Sums, over the originals of each cluster, the upstream gradient divided
-    by the gate score.
-    """
-    upstream = np.asarray(upstream_grad)
-    if upstream.ndim != 2 or upstream.shape[0] != len(info.cluster_of):
-        raise ValueError(
-            f"expected {len(info.cluster_of)} gradient rows, got shape {upstream.shape}"
-        )
+
+def _checked(x: np.ndarray, rows: int, what: str, info: PoolInfo) -> np.ndarray:
+    """``x`` as a 2-D array; ``ValueError`` unless it has ``rows`` rows and gates are > 0."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != rows:
+        raise ValueError(f"expected {rows} {what} rows, got shape {x.shape}")
     if not np.all(info.node_score > 0.0):
         raise ValueError("gate scores must be positive")
-    # Divide before summing; folding 1/score into the operator's weights
-    # rounds differently.
-    scaled = upstream.astype(np.float64) / info.node_score[:, None]
-    out = _segment_sum(info.cluster_of, scaled, info.pooled_num_nodes)
-    return out.astype(upstream.dtype)
+    return x
+
+
+def _divided_rows(x: np.ndarray, rows: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Float64 rows ``x[rows]``, each divided by its ``score`` (before any sum:
+    folding 1/score into a sum's weights rounds differently)."""
+    out = np.take(x, rows, axis=0).astype(np.float64, copy=False)
+    out /= score[:, None]
+    return out

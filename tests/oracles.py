@@ -110,3 +110,50 @@ def brute_force_max_matching_size(num_nodes: int, undirected_pairs: set) -> int:
         return best
 
     return rec(frozenset(range(num_nodes)), 0)
+
+
+def scatter_edgepool_backward(graph, params, info, scores, upstream):
+    """``edgepool_backward`` with its row terms as fancy-index scatters.
+
+    The unmatched nodes' pass-through and each pair's gated gradient are
+    added into the score path's (v, f) float64 term row set by row set,
+    as the library did before it gathered every node's cluster row.
+    """
+    from edgepool.pool import _pair_features, score_path_backward
+
+    k = info.num_matched
+    upstream = np.asarray(upstream)
+    mi, mj = info.matching[:, 0], info.matching[:, 1]
+    s = scores.normalized[info.matched_edge_index]
+    g_out = upstream[:k].astype(np.float64)
+    g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
+    grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
+    unmatched = np.flatnonzero(info.cluster_of >= k)
+    grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
+    grad_x[mi] += s[:, None] * g_out
+    grad_x[mj] += s[:, None] * g_out
+    dtype = graph.node_features.dtype
+    return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
+
+
+def fancy_unpool_once(pooled_features, info):
+    """``unpool_once`` by fancy row indexing: each node's cluster row over its score."""
+    pooled_features = np.asarray(pooled_features)
+    out = pooled_features[info.cluster_of].astype(np.float64)
+    out /= info.node_score[:, None]
+    return out.astype(pooled_features.dtype)
+
+
+def segment_sum_unpool_backward(upstream, info):
+    """``unpool_backward`` as one sparse cluster-by-node product.
+
+    Scales each row by its gate score, then sums it into its cluster through
+    a unit-weight CSR operator, which adds a row's terms into zeros in
+    ascending node order.
+    """
+    from edgepool.graph import _segment_sum
+
+    upstream = np.asarray(upstream)
+    scaled = upstream.astype(np.float64) / info.node_score[:, None]
+    out = _segment_sum(info.cluster_of, scaled, info.pooled_num_nodes)
+    return out.astype(upstream.dtype)

@@ -430,6 +430,16 @@ class TestTrainGraphCommand:
                                 "summary.json"}
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_too_few_folds_rejected(self, tmp_path, capsys, folds):
+        write_dataset(tmp_path / "data", num_graphs=10)
+        out = tmp_path / "run"
+        code = main(["train-graph", "--tu", str(tmp_path / "data"), "TINY",
+                     "--folds", folds, "--quiet", "--out", str(out)])
+        assert code == 2
+        assert f"--folds must be at least 2, got {folds}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset(self, tmp_path):
         code = main(["train-graph", "--tu", str(tmp_path / "nope"), "GONE",
                      "--quiet", "--out", str(tmp_path / "out")])

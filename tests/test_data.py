@@ -186,6 +186,11 @@ class TestKfold:
         with pytest.raises(ValueError):
             kfold_splits(3, k=5)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_too_few_folds(self, k):
+        with pytest.raises(ValueError, match="need 2 <= folds"):
+            kfold_splits(10, k=k)
+
 
 class TestNodeSplit:
     def task_graph(self, per_class=60, classes=3, seed=0):

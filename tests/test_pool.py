@@ -15,6 +15,7 @@ from edgepool import (
     edgepool_forward,
     select_contractions,
     symmetrize,
+    unpool_backward,
 )
 from edgepool.data import make_connected_erdos_renyi, make_cycle, make_star
 from edgepool.pool import (
@@ -31,9 +32,10 @@ from oracles import (
     naive_contract_features,
     naive_matching,
     naive_normalize,
+    scatter_edgepool_backward,
     sequential_greedy,
 )
-from strategies import simple_digraphs
+from strategies import pool_levels, signed_rows, simple_digraphs
 
 
 def path_graph(n, feats=None):
@@ -169,6 +171,14 @@ class TestNormalizeScores:
         ref = np.zeros(m)
         ref[keep] = 0.5 + ex / denom[dst]
         assert normalize_scores(g, raw, dropped).tobytes() == ref.tobytes()
+
+    def test_score_and_mask_shapes_validated(self):
+        g = path_graph(4)
+        m = g.num_edges
+        for raw, dropped in ((np.zeros(m + 1), np.zeros(m, dtype=bool)),
+                             (np.zeros(m), np.zeros(m - 1, dtype=bool))):
+            with pytest.raises(ValueError, match=f"must have shape \\({m},\\)"):
+                normalize_scores(g, raw, dropped)
 
     def test_per_node_sum_invariant(self):
         rng = seeded_rng(6, "norm-sum")
@@ -722,6 +732,28 @@ def scalar_loss_grads(graph, params, projection):
     return edgepool_backward(graph, params, info, scores, projection), info
 
 
+def peak_instance():
+    """A pooled 2000-node float32 graph with 64 channels, for peak-memory checks."""
+    rng = seeded_rng(24, "peak")
+    v, f = 2000, 64
+    pairs = rng.integers(0, v, size=(3000, 2))
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    g = symmetrize(build_graph(v, pairs, rng.normal(size=(v, f)).astype(np.float32)))
+    params = PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
+    pooled, info, scores = edgepool_forward(g, params)
+    return g, params, pooled, info, scores, rng
+
+
+def traced_peak(fn, *args):
+    """Peak bytes ``tracemalloc`` sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBackward:
     def test_zero_upstream(self):
         rng = seeded_rng(20, "zero")
@@ -807,25 +839,36 @@ class TestBackward:
         assert gx[:3].any()
         assert gx[3].tobytes() == np.zeros(2).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(level=pool_levels())
+    def test_bitwise_equal_to_scatter_reference(self, level):
+        graph, params, pooled, info, scores, rng = level
+        upstream = signed_rows(rng, pooled.node_features.shape, graph.node_features.dtype)
+        got = edgepool_backward(graph, params, info, scores, upstream)
+        ref = scatter_edgepool_backward(graph, params, info, scores, upstream)
+        for a, b in zip(got, ref):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_peak_memory_is_a_few_gradient_sized_arrays(self):
         # A backward pass holds its (v, f) float64 gradient and one temporary
-        # of that size at a time (about 2.7 v*f*8 bytes with the rest); a
+        # of that size at a time (about 2.5 v*f*8 bytes with the rest); a
         # float64 copy of the whole feature matrix would pass the bound.
-        rng = seeded_rng(24, "peak")
-        v, f = 2000, 64
-        pairs = rng.integers(0, v, size=(3000, 2))
-        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
-        g = symmetrize(build_graph(v, pairs, rng.normal(size=(v, f)).astype(np.float32)))
-        params = PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
-        pooled, info, scores = edgepool_forward(g, params)
+        g, params, pooled, info, scores, rng = peak_instance()
+        v, f = g.node_features.shape
         upstream = rng.normal(size=(pooled.num_nodes, f)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            edgepool_backward(g, params, info, scores, upstream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * v * f * 8
+        assert traced_peak(edgepool_backward, g, params, info, scores, upstream) < 3.5 * v * f * 8
+
+    def test_unpool_adjoint_peak_memory_is_about_its_output(self):
+        # The adjoint holds its float64 (pooled, f) output, about 0.6 v*f*8
+        # bytes here, plus the pairs' second rows (0.4 of v), float32 and
+        # float64: about 1.2 v*f*8 bytes. A float64 copy of the whole
+        # (v, f) gradient adds v*f*8 and fails the bound.
+        g, _, pooled, info, _, rng = peak_instance()
+        v, f = g.node_features.shape
+        assert 0.55 < pooled.num_nodes / v < 0.65
+        upstream = rng.normal(size=(v, f)).astype(np.float32)
+        assert traced_peak(unpool_backward, upstream, info) < 1.4 * v * f * 8
 
     def test_upstream_shape_validated(self):
         rng = seeded_rng(22, "shape")

@@ -17,7 +17,8 @@ from edgepool.data import make_connected_erdos_renyi, make_path
 from edgepool.pool import PoolInfo
 from edgepool.rng import seeded_rng
 
-from strategies import simple_digraphs
+from oracles import fancy_unpool_once, segment_sum_unpool_backward
+from strategies import pool_levels, signed_rows, simple_digraphs
 
 
 def pooled_instance(rng, n=10, f=3):
@@ -76,6 +77,14 @@ class TestUnpoolOnce:
     def test_zero_gate_score_rejected_by_backward(self):
         with pytest.raises(ValueError, match="gate scores must be positive"):
             unpool_backward(np.ones((3, 3)), zero_score_info())
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=pool_levels())
+    def test_bitwise_equal_to_fancy_index_reference(self, level):
+        _, _, pooled, info, _, rng = level
+        x = signed_rows(rng, pooled.node_features.shape, pooled.node_features.dtype)
+        got, ref = unpool_once(x, info), fancy_unpool_once(x, info)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_feature_width_free(self):
         # The expansion is per-row: any column count works.
@@ -142,6 +151,14 @@ class TestAdjoint:
         expected = np.zeros((info.pooled_num_nodes, 4))
         np.add.at(expected, info.cluster_of, upstream / info.node_score[:, None])
         assert np.array_equal(unpool_backward(upstream, info), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(level=pool_levels())
+    def test_bitwise_equal_to_segment_sum_reference(self, level):
+        graph, _, _, info, _, rng = level
+        upstream = signed_rows(rng, graph.node_features.shape, graph.node_features.dtype)
+        got, ref = unpool_backward(upstream, info), segment_sum_unpool_backward(upstream, info)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_gradient_rows_validated(self):
         rng = seeded_rng(8, "adjdim")
