@@ -3,9 +3,13 @@
 Graphs store edges as explicit directed (src, dst) pairs in a canonical
 order (sorted by src, then dst). The canonical order is what makes every
 downstream tie-break deterministic, so it is established at construction
-and never changes. Node features are dense row-major matrices; structure
-is sparse, and row reductions over it are products with unit-weight CSR
-operators whose rows keep their entries in canonical order.
+and never changes. Input from outside the library is validated and
+canonicalized once, by :func:`build_graph`; graphs derived from canonical
+ones (:func:`symmetrize`, :func:`batch`, pooling) are assembled directly
+from parts that are canonical by construction. Node features are dense
+row-major matrices; structure is sparse, and row reductions over it are
+products with unit-weight CSR operators whose rows keep their entries in
+canonical order.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ def _segment_sum(index: np.ndarray, values: np.ndarray, num_segments: int) -> np
     return _unit_csr(index, np.arange(m), (num_segments, m)) @ values
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
     """``np.unique(key)`` of a 1-D array, by a sort and a step mask.
 
@@ -75,6 +84,16 @@ class Graph:
     ``edges`` is an ``(num_edges, 2)`` int64 array in canonical order. Use
     :func:`build_graph` instead of constructing directly; it validates and
     canonicalizes.
+
+    Four internal paths construct a ``Graph`` directly, because their parts
+    are canonical and valid by construction and a second validation would
+    only repeat work: :meth:`with_node_features` (same structure),
+    :func:`symmetrize` (sorted unique keys of a canonical graph's edges and
+    their reversals), :func:`batch` (canonical graphs offset by the
+    preceding node totals) and :func:`~edgepool.pool.contract` (sorted
+    unique keys of the pooled edges; it checks the features it computes
+    for overflow). Each leaves every array read-only, as ``build_graph``
+    does.
     """
 
     num_nodes: int
@@ -171,8 +190,7 @@ def build_graph(
         raise ValueError(
             f"node feature rows ({features.shape[0]}) != num_nodes ({num_nodes})"
         )
-    if not np.isfinite(features).all():
-        raise ValueError("node features must be finite")
+    _require_finite(features, "node features")
 
     edges = np.asarray(edge_list, dtype=np.int64)
     if edges.size == 0:
@@ -193,8 +211,7 @@ def build_graph(
             raise ValueError(
                 f"edge feature rows ({ef.shape[0]}) != num_edges ({edges.shape[0]})"
             )
-        if not np.isfinite(ef).all():
-            raise ValueError("edge features must be finite")
+        _require_finite(ef, "edge features")
 
     if edges.shape[0]:
         if edges.min() < 0 or edges.max() >= num_nodes:
@@ -223,24 +240,28 @@ def build_graph(
 def symmetrize(graph: Graph) -> Graph:
     """Ensure every edge has its reverse.
 
-    Added reverse edges copy the forward edge's features. Existing edges
-    (and their features) are kept untouched; the operation is idempotent.
+    Returns ``graph`` itself when every edge already has its reverse.
+    Otherwise every edge keeps its features, and each added reversal
+    copies the features of the edge it reverses; the operation is
+    idempotent.
     """
-    if graph.num_edges == 0:
+    n = np.int64(graph.num_nodes)
+    fkey = graph.edge_src * n + graph.edge_dst  # ascending: canonical order
+    rkey = graph.edge_dst * n + graph.edge_src
+    key = _sorted_unique(np.concatenate([fkey, rkey]))
+    if key.size == graph.num_edges:
         return graph
-    fwd = graph.edges
-    rev = fwd[:, ::-1]
-    both = np.concatenate([fwd, rev], axis=0)
-    key = both[:, 0] * np.int64(graph.num_nodes) + both[:, 1]
-    # np.unique returns the first occurrence: forward edges win over added
-    # reversals, preserving their features.
-    _, first = np.unique(key, return_index=True)
-    edges = both[first]
-    ef = None
-    if graph.edge_features is not None:
-        ef_both = np.concatenate([graph.edge_features, graph.edge_features], axis=0)
-        ef = ef_both[first]
-    return build_graph(graph.num_nodes, edges, graph.node_features, ef)
+    edges = np.stack([key // n, key % n], axis=1)
+    ef = graph.edge_features
+    if ef is not None:
+        # Both searches take ascending needles, so each starts where the last
+        # one ended: at 1e6 edges, 5e5 unsorted needles took 7-8x as long.
+        row = np.searchsorted(fkey, key)
+        added = np.flatnonzero(np.take(fkey, row, mode="clip") != key)
+        order = np.argsort(rkey)  # the reverse keys are distinct
+        row[added] = order[np.searchsorted(np.take(rkey, order), key[added])]
+        ef = _freeze(np.take(ef, row, axis=0))
+    return Graph(graph.num_nodes, graph.node_features, _freeze(edges), ef)
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:
@@ -270,7 +291,11 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
         np.concatenate([g.edge_features for g in graphs], axis=0) if has_ef else None
     )
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    merged = build_graph(int(sizes.sum()), edges, features, ef)
+    # Offsetting canonical graphs by the preceding node totals keeps their
+    # concatenation canonical, and every part was validated when it was built.
+    merged = Graph(
+        int(sizes.sum()), _freeze(features), _freeze(edges), None if ef is None else _freeze(ef)
+    )
     return BatchedGraph(merged, _freeze(graph_id), len(graphs))
 
 

@@ -11,7 +11,9 @@ Two architectures:
   shortcut concatenation, in the style of a graph U-net.
 
 Both training loops run Adam with a stepped learning-rate schedule and
-record one history row per epoch.
+record one history row per epoch. Before each Adam step they check that
+the loss and every gradient are finite, and raise ``ValueError`` naming
+the epoch and batch otherwise, so a diverged run stops where it diverged.
 """
 
 from __future__ import annotations
@@ -254,6 +256,16 @@ class NodeClassifier:
         return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
 
 
+def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int) -> None:
+    """Raise ValueError unless the loss and every parameter gradient are finite."""
+    where = f"at epoch {epoch}, batch {batch_index}"
+    if not np.isfinite(loss.data).all():
+        raise ValueError(f"non-finite loss {where}")
+    for name, leaf in leaves.items():
+        if leaf.grad is not None and not np.isfinite(leaf.grad).all():
+            raise ValueError(f"non-finite gradient of {name} {where}")
+
+
 def _batches(indices: np.ndarray, batch_size: int):
     for start in range(0, len(indices), batch_size):
         yield indices[start : start + batch_size]
@@ -286,7 +298,8 @@ def train_graph_model(
     """Adam training of the graph classifier; returns (model, history).
 
     One history row per epoch: epoch, lr, mean train loss, eval accuracy.
-    ``progress`` receives each row as it is produced.
+    ``progress`` receives each row as it is produced. Raises ValueError
+    naming the epoch and batch when the loss or a gradient is non-finite.
     """
     model = GraphClassifier.create(
         dataset.graphs[0].feature_width,
@@ -304,7 +317,7 @@ def train_graph_model(
         epoch_rng = seeded_rng(config.seed, "graph-epoch", epoch)
         perm = train_idx[epoch_rng.permutation(len(train_idx))]
         total_loss, total_examples = 0.0, 0
-        for chunk in _batches(perm, config.batch_size):
+        for batch_index, chunk in enumerate(_batches(perm, config.batch_size)):
             batched = batch([dataset.graphs[i] for i in chunk])
             leaves = model.params.as_vars()
             logits = model.forward(
@@ -318,6 +331,7 @@ def train_graph_model(
             )
             loss = cross_entropy(logits, dataset.labels[chunk])
             backward(loss)
+            _check_step(loss, leaves, epoch, batch_index)
             step += 1
             adam_step(model.params, leaves, lr, step)
             total_loss += float(loss.data) * len(chunk)
@@ -350,7 +364,11 @@ def train_node_model(
     pooling: bool = True,
     progress=None,
 ) -> tuple[NodeClassifier, list[dict]]:
-    """Full-batch Adam training on the labeled train nodes of one graph."""
+    """Full-batch Adam training on the labeled train nodes of one graph.
+
+    Raises ValueError naming the epoch (batch 0) when the loss or a
+    gradient is non-finite.
+    """
     model = NodeClassifier.create(
         task.graph.feature_width,
         task.num_classes,
@@ -370,6 +388,7 @@ def train_node_model(
         )
         loss = cross_entropy(gather_rows(logits, train_nodes), task.node_labels[train_nodes])
         backward(loss)
+        _check_step(loss, leaves, epoch, 0)
         adam_step(model.params, leaves, lr, epoch + 1)
         row = {
             "epoch": epoch,

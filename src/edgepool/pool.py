@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _segment_sum, _sorted_unique, build_graph, graph_to_json
+from .graph import Graph, _freeze, _require_finite, _segment_sum, _sorted_unique, graph_to_json
 from .rng import seeded_rng
 
 __all__ = [
@@ -292,7 +292,9 @@ def contract(
     Deduplication sorts the int64 key ``src * pooled_n + dst`` (the bound
     of :func:`build_graph`) and keeps each value that differs from its
     predecessor; the sorted unique keys decode to canonical edges, so the
-    pooled graph is built without another sort. Only with edge features is
+    pooled graph is built directly, without :func:`build_graph`'s sort and
+    checks. The features computed here are checked to be finite, since a
+    gated float32 sum can overflow. Only with edge features is
     each edge's pooled index looked up (``np.searchsorted``), to sum the
     features of edges that collapse into one.
     """
@@ -323,6 +325,8 @@ def contract(
     feats = np.empty((pooled_n, graph.feature_width), dtype=np.float64)
     feats[:k] = s[:, None] * _pair_features(graph, matching)
     feats[k:] = np.take(graph.node_features, unmatched, axis=0)
+    feats = feats.astype(graph.node_features.dtype, copy=False)
+    _require_finite(feats, "node features")
 
     keep = np.flatnonzero(src_c != dst_c)
     n = np.int64(pooled_n)
@@ -334,8 +338,10 @@ def contract(
         inverse = np.searchsorted(uniq_key, key)
         ef = np.take(graph.edge_features, keep, axis=0).astype(np.float64)
         ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
+        _require_finite(ef, "edge features")
+        ef = _freeze(ef)
 
-    pooled = build_graph(pooled_n, uniq, feats.astype(graph.node_features.dtype), ef)
+    pooled = Graph(pooled_n, _freeze(feats), _freeze(uniq), ef)
     info = PoolInfo(
         matching=matching,
         cluster_of=cluster_of,

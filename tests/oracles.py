@@ -112,6 +112,27 @@ def brute_force_max_matching_size(num_nodes: int, undirected_pairs: set) -> int:
     return rec(frozenset(range(num_nodes)), 0)
 
 
+def unique_symmetrize(graph):
+    """``symmetrize`` by ``np.unique(return_index=True)`` over the forward
+    edges followed by their reversals.
+
+    ``np.unique`` keeps each key's first occurrence, so an existing edge
+    wins over an added reversal and keeps its features; the result goes
+    through ``build_graph`` again.
+    """
+    from edgepool import build_graph
+
+    if graph.num_edges == 0:
+        return graph
+    both = np.concatenate([graph.edges, graph.edges[:, ::-1]], axis=0)
+    key = both[:, 0] * np.int64(graph.num_nodes) + both[:, 1]
+    _, first = np.unique(key, return_index=True)
+    ef = None
+    if graph.edge_features is not None:
+        ef = np.concatenate([graph.edge_features, graph.edge_features], axis=0)[first]
+    return build_graph(graph.num_nodes, both[first], graph.node_features, ef)
+
+
 def scatter_edgepool_backward(graph, params, info, scores, upstream):
     """``edgepool_backward`` with its row terms as fancy-index scatters.
 

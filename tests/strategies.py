@@ -23,6 +23,29 @@ def simple_digraphs(draw, max_nodes: int = 12, min_edges: int = 0, max_edges: in
     return n, pairs
 
 
+@st.composite
+def featured_digraphs(draw, edge_width=None, dtype=None):
+    """A built graph whose edges are drawn mixed, in one direction per
+    node pair, or symmetric, with ``signed_rows`` features.
+
+    Node and edge features are float32 or float64 (``dtype`` fixes both),
+    with 0-2 edge-feature columns unless ``edge_width`` fixes the count.
+    The edge set may be empty and nodes may be isolated.
+    """
+    n, pairs = draw(simple_digraphs())
+    kind = draw(st.sampled_from(["mixed", "one-direction", "symmetric"]))
+    if kind == "one-direction":
+        pairs = [(i, j) for i, j in pairs if i < j or (j, i) not in pairs]
+    elif kind == "symmetric":
+        pairs = sorted(set(pairs) | {(j, i) for i, j in pairs})
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "featured-digraph")
+    pick = st.sampled_from([np.float32, np.float64])
+    x = signed_rows(rng, (n, 2), dtype or draw(pick))
+    g = draw(st.integers(0, 2)) if edge_width is None else edge_width
+    ef = signed_rows(rng, (len(pairs), g), dtype or draw(pick)) if g else None
+    return build_graph(n, pairs, x, ef)
+
+
 def signed_rows(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
     """Values over 16 decades, so that summation order shows, with -0.0
     in whole rows and in single entries, so that signed zeros show."""

@@ -17,7 +17,8 @@ from edgepool.graph import (
 )
 from edgepool.rng import seeded_rng
 
-from strategies import simple_digraphs
+from oracles import unique_symmetrize
+from strategies import featured_digraphs, pool_levels, simple_digraphs
 
 
 def features(n, f=1):
@@ -142,8 +143,7 @@ class TestSymmetrize:
 
     def test_identity_on_symmetric(self):
         g = symmetrize(build_graph(2, [(0, 1), (1, 0)], features(2)))
-        h = symmetrize(g)
-        assert h.edges.tolist() == g.edges.tolist()
+        assert symmetrize(g) is g
 
     def test_empty_edges_unchanged(self):
         g = symmetrize(build_graph(3, [], features(3)))
@@ -171,6 +171,55 @@ class TestSymmetrize:
         g = build_graph(2, [(0, 1), (1, 0)], features(2), np.asarray([[1.0], [2.0]]))
         s = symmetrize(g)
         assert s.edge_features.tolist() == [[1.0], [2.0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=featured_digraphs())
+    def test_bitwise_equal_to_unique_reference(self, g):
+        got, want = symmetrize(g), unique_symmetrize(g)
+        assert_same_graph(got, want)
+        assert symmetrize(got) is got
+
+
+def graph_arrays(g):
+    return [g.node_features, g.edges] + ([] if g.edge_features is None else [g.edge_features])
+
+
+def assert_same_graph(got, want):
+    assert got.num_nodes == want.num_nodes
+    assert (got.edge_features is None) == (want.edge_features is None)
+    for a, b in zip(graph_arrays(got), graph_arrays(want)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_canonical(g):
+    """Equal to ``build_graph`` of its own parts, with read-only arrays."""
+    assert_same_graph(g, build_graph(g.num_nodes, g.edges, g.node_features, g.edge_features))
+    assert not any(a.flags.writeable for a in graph_arrays(g))
+
+
+class TestGraphsBuiltFromCanonicalParts:
+    """symmetrize, batch and contract build a Graph without build_graph."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=featured_digraphs())
+    def test_symmetrize(self, g):
+        assert_canonical(symmetrize(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch(self, data):
+        width = data.draw(st.integers(0, 2))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        parts = data.draw(st.lists(featured_digraphs(width, dtype), min_size=1, max_size=4))
+        merged = batch(parts)
+        assert_canonical(merged.graph)
+        assert not merged.graph_id.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=pool_levels())
+    def test_contract(self, level):
+        assert_canonical(level[2])
 
 
 def in_neighbors(g, j):

@@ -15,7 +15,9 @@ from edgepool import (
     train_graph_model,
     train_node_model,
 )
+from edgepool import models
 from edgepool.models import evaluate_graph_model, evaluate_node_model
+from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
 
 
@@ -237,3 +239,50 @@ class TestNodeTraining:
         rows = []
         train_node_model(task, tiny_config(epochs=2), progress=rows.append)
         assert [r["epoch"] for r in rows] == [0, 1]
+
+
+def run_model(kind, pooling=False, **overrides):
+    cfg = tiny_config(epochs=3, **overrides)
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=16)
+        idx = np.arange(len(ds))
+        return train_graph_model(ds, idx[:12], idx[12:], cfg, pooling=pooling)
+    return train_node_model(node_fixture(), cfg, pooling=pooling)
+
+
+# The graph model's second step is epoch 0, batch 1 (12 graphs, batch size
+# 8); the node model takes one full batch per epoch.
+SECOND_STEP = {"graph": "epoch 0, batch 1", "node": "epoch 1, batch 0"}
+
+
+class TestNonFiniteStep:
+    @pytest.mark.parametrize("kind", ["graph", "node"])
+    def test_non_finite_loss_names_epoch_and_batch(self, kind):
+        # Without pooling, whose score check would fire first, a huge first
+        # Adam step makes the next forward overflow into a non-finite loss.
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+            run_model(kind, learning_rate=1e30)
+        assert str(err.value) == f"non-finite loss at {SECOND_STEP[kind]}"
+
+    @pytest.mark.parametrize("kind", ["graph", "node"])
+    def test_non_finite_gradient_names_epoch_batch_and_parameter(self, kind, monkeypatch):
+        # Poison one parameter gradient of the second step after a finite loss.
+        leaves, losses = [], []
+        as_vars, backward = ParamStore.as_vars, models.backward
+
+        def recording_as_vars(store):
+            leaves.append(as_vars(store))
+            return leaves[-1]
+
+        def poisoned_backward(loss):
+            backward(loss)
+            losses.append(loss)
+            if len(losses) == 2:
+                bias = leaves[-1]["head.fc2.bias"]
+                bias.grad = np.full_like(bias.grad, np.nan)
+
+        monkeypatch.setattr(ParamStore, "as_vars", recording_as_vars)
+        monkeypatch.setattr(models, "backward", poisoned_backward)
+        with pytest.raises(ValueError) as err:
+            run_model(kind, pooling=True)
+        assert str(err.value) == f"non-finite gradient of head.fc2.bias at {SECOND_STEP[kind]}"

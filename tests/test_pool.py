@@ -558,6 +558,23 @@ class TestContract:
         with pytest.raises(ValueError):
             contract(g, np.asarray([[0, 1]]), scores)
 
+    # A zero scorer ties every score, so the first canonical edge (0, 1) is
+    # matched. Its gated float32 sum overflows although every input is
+    # finite; the cast's overflow warning is silenced to reach the check.
+    def test_overflowing_gated_node_features_rejected(self):
+        g = symmetrize(build_graph(2, [(0, 1)], np.full((2, 1), 3e38, dtype=np.float32)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0))
+        assert str(err.value) == "node features must be finite"
+
+    def test_overflowing_edge_feature_sum_rejected(self):
+        # Matching (0, 1) collapses (0, 2) and (1, 2) into one pooled edge.
+        g = symmetrize(build_graph(3, [(0, 1), (0, 2), (1, 2)], np.ones((3, 1), dtype=np.float32),
+                                   np.full((3, 1), 3e38, dtype=np.float32)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            edgepool_forward(g, PoolParams(weight=np.zeros(3), bias=0.0))
+        assert str(err.value) == "edge features must be finite"
+
 
 @pytest.mark.parametrize("n, edges, drop_all, pooled_n", [
     (0, [], False, 0),
