@@ -24,9 +24,10 @@ import numpy as np
 from .data import NodeTask, gen_synthetic, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_NAMES, run_gradcheck
 from .graph import (
+    _graph_and_labels,
+    _json_array,
     _sorted_unique,
     build_graph,
-    graph_from_json,
     load_graph_file,
     symmetrize,
     to_dot,
@@ -88,10 +89,6 @@ def _manifest_for(args: argparse.Namespace, command: str, dataset: str) -> RunMa
     )
 
 
-class InputError(Exception):
-    """Problem with user-supplied files or arguments."""
-
-
 def _load_pool_input(args):
     if args.input is not None:
         graph, _, _ = load_graph_file(args.input)
@@ -100,15 +97,9 @@ def _load_pool_input(args):
         directory, name = args.tu
         dataset = load_tu(directory, name)
         if not 0 <= args.index < len(dataset):
-            raise InputError(
-                f"--index {args.index} out of range for {name} ({len(dataset)} graphs)"
-            )
+            raise ValueError(f"--index {args.index} out of range for {name} ({len(dataset)} graphs)")
         return dataset.graphs[args.index], f"{name}[{args.index}]"
-    raise InputError("one of --input or --tu is required")
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    raise ValueError("one of --input or --tu is required")
 
 
 def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> PoolParams:
@@ -116,30 +107,21 @@ def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> Pool
         with open(args.params, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict) or "weight" not in obj or "bias" not in obj:
-            raise InputError("params file needs an object with 'weight' and 'bias' keys")
-        if not isinstance(obj["weight"], list) or not all(map(_is_number, obj["weight"])):
-            raise InputError("params weight must be a list of numbers")
-        if not _is_number(obj["bias"]):
-            raise InputError("params bias must be a number")
+            raise ValueError("params file needs an object with 'weight' and 'bias' keys")
+        weight = _json_array(obj["weight"], "params weight", 1)
+        bias = float(_json_array(obj["bias"], "params bias", 0))
         expected = 2 * feature_width + edge_feature_width
-        if len(obj["weight"]) != expected:
-            raise InputError(
-                f"params weight has length {len(obj['weight'])}, graph needs {expected}"
-            )
-        try:
-            weight = np.asarray(obj["weight"], dtype=np.float64)
-            bias = float(obj["bias"])
-        except OverflowError:  # an integer beyond the float64 range
-            raise InputError("params weight and bias must be finite") from None
+        if len(weight) != expected:
+            raise ValueError(f"params weight has length {len(weight)}, graph needs {expected}")
         if not (np.isfinite(weight).all() and np.isfinite(bias)):
-            raise InputError("params weight and bias must be finite")
+            raise ValueError("params weight and bias must be finite")
         return PoolParams(weight=weight, bias=bias)
     return random_pool_params(feature_width, edge_feature_width, seed=args.seed)
 
 
 def cmd_pool(args) -> int:
     if args.levels < 0:
-        raise InputError(f"--levels must be non-negative, got {args.levels}")
+        raise ValueError(f"--levels must be non-negative, got {args.levels}")
     graph, identity = _load_pool_input(args)
     manifest = _manifest_for(args, "pool", identity)
     os.makedirs(args.out, exist_ok=True)
@@ -177,7 +159,7 @@ def _config_from_args(args, **extra) -> TrainConfig:
 
 def cmd_train_graph(args) -> int:
     if args.folds < 2:
-        raise InputError(f"--folds must be at least 2, got {args.folds}")
+        raise ValueError(f"--folds must be at least 2, got {args.folds}")
     directory, name = args.tu
     dataset = load_tu(directory, name)
     manifest = _manifest_for(args, "train-graph", name)
@@ -229,54 +211,36 @@ def _print_row(prefix: str):
 
 def _node_mask(obj: dict, key: str, num_nodes: int) -> np.ndarray:
     """Boolean mask of the node indices listed under ``key``; raises if invalid."""
-    nodes = obj[key]
-    if not isinstance(nodes, list) or not nodes:
+    nodes = _json_array(obj[key], key, 1, integer=True, noun="a node index")
+    if not nodes.size:
         raise ValueError(f"{key} must be a non-empty list of node indices")
-    for i in nodes:
-        if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < num_nodes):
-            raise ValueError(f"{key} entry {i!r} is not a node index in [0, {num_nodes})")
+    outside = nodes[(nodes < 0) | (nodes >= num_nodes)]
+    if outside.size:
+        raise ValueError(f"{key} entry {outside[0]} is not a node index in [0, {num_nodes})")
     mask = np.zeros(num_nodes, dtype=bool)
     mask[nodes] = True
     return mask
-
-
-def _is_label(x) -> bool:
-    """An integral JSON number within int64 (``1`` and ``1.0`` both are)."""
-    if isinstance(x, float):
-        if not x.is_integer():  # also NaN and infinities
-            return False
-        x = int(x)
-    return isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
 
 
 def _load_task(args):
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if "node_labels" not in obj:
-            raise InputError("task JSON requires node_labels")
-        graph = graph_from_json(obj)
-        raw_labels = obj["node_labels"]
-        if not isinstance(raw_labels, list):
-            raise InputError("node_labels must be a list of integer class labels")
-        for x in raw_labels:
-            if not _is_label(x):
-                raise InputError(f"node_labels entry {x!r} is not an integer class label")
-        labels = np.asarray(raw_labels, dtype=np.int64)
-        if labels.shape != (graph.num_nodes,):
-            raise ValueError(f"node_labels must hold one label per node ({graph.num_nodes})")
+        graph, _, labels = _graph_and_labels(obj)
+        if labels is None:
+            raise ValueError("task JSON requires node_labels")
         identity = os.path.basename(args.input)
         given = [key for key in ("train_nodes", "test_nodes") if key in obj]
         if len(given) == 1:
             missing = "test_nodes" if given == ["train_nodes"] else "train_nodes"
-            raise InputError(f"task JSON has {given[0]} but no {missing}: give both or neither")
+            raise ValueError(f"task JSON has {given[0]} but no {missing}: give both or neither")
         if given:
             classes = np.unique(labels)
             train_mask = _node_mask(obj, "train_nodes", graph.num_nodes)
             test_mask = _node_mask(obj, "test_nodes", graph.num_nodes)
             shared = np.flatnonzero(train_mask & test_mask)
             if shared.size:
-                raise InputError(f"train_nodes and test_nodes share node {shared[0]}: "
+                raise ValueError(f"train_nodes and test_nodes share node {shared[0]}: "
                                  "the splits must be disjoint")
             task = NodeTask(
                 graph=graph,
@@ -290,10 +254,10 @@ def _load_task(args):
         return node_split(graph, labels, seed=args.seed, name=identity), identity
     if args.synthetic is not None:
         if args.synthetic != "sbm":
-            raise InputError(f"unknown synthetic task {args.synthetic!r}")
+            raise ValueError(f"unknown synthetic task {args.synthetic!r}")
         task = gen_synthetic("sbm_node_task", {}, seed=args.seed)
         return task, "sbm"
-    raise InputError("one of --input or --synthetic is required")
+    raise ValueError("one of --input or --synthetic is required")
 
 
 def cmd_train_node(args) -> int:
@@ -378,16 +342,16 @@ def _bench_graph(num_directed_edges: int, seed: int):
 
 def _edge_count(text: str, flag: str) -> int:
     try:
-        return int(float(text))
-    except (ValueError, OverflowError):  # not a number, NaN, or infinite
-        raise InputError(f"{flag} must be a finite number, got {text!r}") from None
+        return int(_json_array(float(text), flag, 0, integer=True))
+    except ValueError:  # not a number, or not a whole one
+        raise ValueError(f"{flag} must be a whole finite number, got {text!r}") from None
 
 
 def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
     if min_edges < 1:
-        raise InputError("--min-edges must be at least 1")
+        raise ValueError("--min-edges must be at least 1")
     if min_edges > max_edges:
-        raise InputError("--min-edges must not exceed --max-edges")
+        raise ValueError("--min-edges must not exceed --max-edges")
     sizes = []
     current = float(min_edges)
     while current < max_edges * 0.999:
@@ -500,10 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

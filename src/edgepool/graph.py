@@ -14,7 +14,9 @@ canonical order.
 
 from __future__ import annotations
 
+import itertools
 import json
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -348,32 +350,66 @@ def graph_to_json(
     return obj
 
 
+def _json_array(
+    value, key: str, ndim: int, integer: bool = False, noun: str | None = None
+) -> np.ndarray:
+    """A JSON number (``ndim`` 0) or ``ndim``-level nested list of numbers as a
+    float64 array, int64 if ``integer``, by the one rule for numbers read from JSON:
+    no booleans, strings, nulls, objects or ragged rows; integer fields take integers
+    or integral floats within int64, read exactly; NaN and infinities are left to the
+    consumer. ``[]`` is empty at any ``ndim`` >= 1. Errors name ``key`` and ``noun``."""
+    noun = noun or ("an integer" if integer else "a number")
+    what = noun if ndim == 0 else (
+        "a list of " + "lists of " * (ndim - 1) + ("integers" if integer else "numbers"))
+    shape, leaves = [], [value]
+    while len(shape) < ndim and leaves:  # level by level, lists of one length; [] ends it
+        if not {*map(type, leaves)} <= {list} or len({*map(len, leaves)}) > 1:
+            raise ValueError(f"{key} must be {what}")
+        shape.append(len(leaves[0]))
+        leaves = list(itertools.chain.from_iterable(leaves))
+    kinds = set(map(type, leaves))  # numpy alone reads [0, true] as int64
+    if not kinds <= {int, float} or (integer and float in kinds):
+        for x in leaves:
+            if type(x) is not int and (type(x) is not float or (integer and not x.is_integer())):
+                raise ValueError(f"{key} must be {what}: {reprlib.repr(x)} is not {noun}")
+        leaves = [int(x) for x in leaves]  # exact past 2**53, unlike float64
+    try:
+        return np.asarray(leaves, dtype=np.int64 if integer else np.float64).reshape(shape)
+    except OverflowError:  # an integer beyond int64, or beyond float64
+        raise ValueError(f"{key} must be {what} within int64" if integer
+                         else f"{key} must be finite") from None
+
+
 def graph_from_json(obj: dict) -> Graph:
-    """Build a validated Graph from an interchange-format dict."""
-    if "num_nodes" not in obj or "edges" not in obj or "node_features" not in obj:
-        raise ValueError("graph JSON requires num_nodes, edges, node_features")
+    """Build a validated Graph from an interchange-format dict (see README "Graph JSON")."""
+    if not isinstance(obj, dict) or not {"num_nodes", "edges", "node_features"} <= obj.keys():
+        raise ValueError("graph JSON needs an object with num_nodes, edges and node_features")
+    ef = obj.get("edge_features")
     return build_graph(
-        obj["num_nodes"],
-        obj["edges"],
-        np.asarray(obj["node_features"], dtype=np.float64),
-        None
-        if obj.get("edge_features") is None
-        else np.asarray(obj["edge_features"], dtype=np.float64),
+        int(_json_array(obj["num_nodes"], "num_nodes", 0, integer=True)),
+        _json_array(obj["edges"], "edges", 2, integer=True),
+        _json_array(obj["node_features"], "node_features", 2),
+        None if ef is None else _json_array(ef, "edge_features", 2),
     )
+
+
+def _graph_and_labels(obj: dict) -> tuple[Graph, int | None, np.ndarray | None]:
+    """(graph, label, node_labels) of an interchange-format dict; null labels mean none."""
+    graph = graph_from_json(obj)
+    label, labels = obj.get("label"), obj.get("node_labels")
+    if label is not None:
+        label = int(_json_array(label, "label", 0, integer=True, noun="an integer class label"))
+    if labels is not None:
+        labels = _json_array(labels, "node_labels", 1, integer=True, noun="an integer class label")
+        if labels.shape != (graph.num_nodes,):
+            raise ValueError(f"node_labels must hold one label per node ({graph.num_nodes})")
+    return graph, label, labels
 
 
 def load_graph_file(path) -> tuple[Graph, int | None, np.ndarray | None]:
     """Load a single-graph JSON file; returns (graph, label, node_labels)."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    graph = graph_from_json(obj)
-    label = obj.get("label")
-    node_labels = obj.get("node_labels")
-    if node_labels is not None:
-        node_labels = np.asarray(node_labels, dtype=np.int64)
-        if node_labels.shape != (graph.num_nodes,):
-            raise ValueError("node_labels length must equal num_nodes")
-    return graph, (None if label is None else int(label)), node_labels
+        return _graph_and_labels(json.load(fh))
 
 
 def save_graph_file(path, graph: Graph, label=None, node_labels=None) -> None:

@@ -257,12 +257,12 @@ class NodeClassifier:
 
 
 def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int) -> None:
-    """Raise ValueError unless the loss and every parameter gradient are finite."""
+    """Raise ValueError unless the loss, each gradient and its square (Adam's) are finite."""
     where = f"at epoch {epoch}, batch {batch_index}"
     if not np.isfinite(loss.data).all():
         raise ValueError(f"non-finite loss {where}")
     for name, leaf in leaves.items():
-        if leaf.grad is not None and not np.isfinite(leaf.grad).all():
+        if leaf.grad is not None and not np.isfinite(np.square(leaf.grad)).all():
             raise ValueError(f"non-finite gradient of {name} {where}")
 
 
@@ -287,6 +287,7 @@ def evaluate_graph_model(
     return correct / len(indices)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
 def train_graph_model(
     dataset: GraphDataset,
     train_idx: np.ndarray,
@@ -357,6 +358,7 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
     return float((pred[mask] == task.node_labels[mask]).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
 def train_node_model(
     task: NodeTask,
     config: TrainConfig,

@@ -53,9 +53,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 

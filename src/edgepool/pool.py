@@ -113,6 +113,7 @@ def _check_widths(graph: Graph, params: PoolParams) -> int:
     return f
 
 
+@np.errstate(over="ignore")  # an overflow to inf is normalize_scores' to reject
 def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     """Linear raw score per directed edge, in float64.
 
@@ -275,6 +276,7 @@ def _matched_edge_index(
     return edge_idx
 
 
+@np.errstate(over="ignore")
 def contract(
     graph: Graph,
     matching: np.ndarray | Sequence,
@@ -294,7 +296,7 @@ def contract(
     predecessor; the sorted unique keys decode to canonical edges, so the
     pooled graph is built directly, without :func:`build_graph`'s sort and
     checks. The features computed here are checked to be finite, since a
-    gated float32 sum can overflow. Only with edge features is
+    gated float32 sum can overflow (with no warning). Only with edge features is
     each edge's pooled index looked up (``np.searchsorted``), to sum the
     features of edges that collapse into one.
     """

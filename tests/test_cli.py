@@ -1,11 +1,13 @@
 """Command-line interface: artifacts, exit codes, and determinism."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgepool import gen_synthetic, save_tu
+from edgepool import cli, gen_synthetic, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.graph import build_graph, graph_to_json, save_graph_file, symmetrize
@@ -199,9 +201,8 @@ class TestPoolCommand:
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps({"weight": [1e308, 1e308], "bias": 0.0}))
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            code = main(["pool", "--input", str(graph_path), "--params",
-                         str(params_path), "--out", str(out)])
+        code = main(["pool", "--input", str(graph_path), "--params",
+                     str(params_path), "--out", str(out)])
         assert code == 2
         assert "edge scores must be finite" in capsys.readouterr().err
         assert not (out / "hierarchy.json").exists()
@@ -504,7 +505,10 @@ class TestBenchCommand:
         ("inf", "10", "finite number"),
         ("10", "1e400", "finite number"),
         ("nan", "10", "finite number"),
-    ], ids=["min-zero", "min-negative", "min-inf", "max-overflow", "min-nan"])
+        ("2.5", "10", "--min-edges must be a whole finite number"),
+        ("10", "30.9", "--max-edges must be a whole finite number"),
+    ], ids=["min-zero", "min-negative", "min-inf", "max-overflow", "min-nan", "min-fractional",
+            "max-fractional"])
     def test_bad_edge_counts_rejected(self, tmp_path, capsys, min_edges, max_edges, message):
         out = tmp_path / "bench"
         code = main(["bench", "--min-edges", min_edges, "--max-edges", max_edges,
@@ -512,6 +516,119 @@ class TestBenchCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+# Valid files for the JSON fuzz test: a graph with edge features and both
+# label keys for `pool`, a task for `train-node` (without edge features,
+# which its pooling scorers do not take), and scorer params for the graph.
+FUZZ_BASES = {
+    "graph": {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
+              "node_features": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]],
+              "edge_features": [[1.0], [1.0], [2.0], [2.0], [3.0], [3.0]],
+              "label": 1, "node_labels": [0, 0, 1, 1]},
+    "task": {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
+             "node_features": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]],
+             "node_labels": [0, 0, 1, 1], "train_nodes": [0, 2], "test_nodes": [1, 3]},
+    "params": {"weight": [0.5, -0.5, 0.25, -0.25, 1.0], "bias": 0.0},
+}
+LITERAL_1E400 = "<1e400>"  # written as the bare JSON number 1e400, which reads as inf
+FUZZ_VALUES = [None, True, False, "1", {}, {"a": 1}, [], [1], 2**70, LITERAL_1E400, 0.5, -2.5]
+
+
+@st.composite
+def odd_json_files(draw):
+    """(file kind, JSON text): one key of a valid file, or its top level, set to
+    an odd value, put in one entry of a list, or made into a ragged row."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    obj = copy.deepcopy(FUZZ_BASES[kind])
+    key = draw(st.sampled_from([None, *obj]))
+    odd = draw(st.sampled_from(FUZZ_VALUES))
+    how = draw(st.sampled_from(["whole", "entry", "ragged"]))
+    if key is None:
+        obj = odd
+    elif how == "whole" or not isinstance(obj[key], list) or not obj[key]:
+        obj[key] = odd
+    else:
+        rows = obj[key]
+        i = draw(st.integers(0, len(rows) - 1))
+        if how == "ragged":
+            rows[i] = rows[i] + [0] if isinstance(rows[i], list) else [rows[i]]
+        elif isinstance(rows[i], list):
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = odd
+        else:
+            rows[i] = odd
+    return kind, json.dumps(obj).replace(json.dumps(LITERAL_1E400), "1e400")
+
+
+def same_numbers(parsed, value) -> bool:
+    """Whether a JSON value holds only numbers (no booleans) equal to ``parsed``'s."""
+    if isinstance(value, list):
+        return (isinstance(parsed, list) and len(parsed) == len(value)
+                and all(map(same_numbers, parsed, value)))
+    return type(value) in (int, float) and parsed == value
+
+
+def assert_read_exactly(got, obj, key):
+    """``got`` is None where ``obj[key]`` is null or absent, else holds exactly its numbers."""
+    if obj.get(key) is None:
+        assert got is None
+    else:
+        value = sorted(obj[key]) if key == "edges" else obj[key]  # edges come back canonical
+        assert same_numbers(np.asarray(got).tolist(), value)
+
+
+def recording(calls, name, fn):
+    """``fn``, recording its last call's arguments and result under ``name``."""
+    def record(*args, **kwargs):
+        calls[name] = args, fn(*args, **kwargs)
+        return calls[name][1]
+    return record
+
+
+class TestJsonFuzz:
+    # Every number the CLI reads from a graph, task or params file passes
+    # one rule: a run exits 0 having read exactly the file's values, or 2
+    # with a message, and never raises.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=odd_json_files())
+    def test_odd_values_exit_0_with_exact_values_or_2(self, tmp_path_factory, case):
+        kind, text = case
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / f"{kind}.json"
+        path.write_text(text)
+        graph_path = tmp / "base_graph.json"
+        graph_path.write_text(json.dumps(FUZZ_BASES["graph"]))
+        runs = {
+            "graph": [["pool", "--input", str(path)]],
+            "task": [["pool", "--input", str(path)],
+                     ["train-node", "--input", str(path), "--epochs", "1", "--channels", "2",
+                      "--quiet"]],
+            "params": [["pool", "--input", str(graph_path), "--params", str(path)]],
+        }[kind]
+        for argv in runs:
+            calls = {}
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("load_graph_file", "pool_hierarchy", "train_node_model"):
+                    mp.setattr(cli, name, recording(calls, name, getattr(cli, name)))
+                code = main([*argv, "--out", str(tmp / "out")])
+            assert code in (0, 2)
+            if code != 0:
+                continue
+            obj = json.loads(text)
+            if kind == "params":
+                (_, params, _), _ = calls["pool_hierarchy"]
+                assert_read_exactly(params.weight, obj, "weight")
+                assert_read_exactly(params.bias, obj, "bias")
+                continue
+            if argv[0] == "pool":
+                _, (graph, label, node_labels) = calls["load_graph_file"]
+                assert_read_exactly(label, obj, "label")
+                assert_read_exactly(node_labels, obj, "node_labels")
+            else:
+                (task, _), _ = calls["train_node_model"]
+                graph = task.graph
+            for key in ("num_nodes", "edges", "node_features", "edge_features"):
+                assert_read_exactly(getattr(graph, key), obj, key)
 
 
 class TestArgumentErrors:

@@ -1,5 +1,7 @@
 """Reference architectures and their training loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,24 @@ class TestNonFiniteStep:
         with pytest.raises(ValueError) as err:
             run_model(kind, pooling=True)
         assert str(err.value) == f"non-finite gradient of head.fc2.bias at {SECOND_STEP[kind]}"
+
+    @pytest.mark.parametrize("kind, scale", [("node", 1e21), ("node", 1e300), ("graph", 1e300)],
+                             ids=["node-square-overflows", "node-beyond-float32",
+                                  "graph-beyond-float32"])
+    def test_huge_features_stop_training_with_value_error(self, kind, scale):
+        # Float64 features of 1e21 fit the models' float32, but on the node
+        # model a gradient's float32 square in Adam does not; 1e300 overflows
+        # the float32 input. The step check raises, with no overflow warning.
+        def scaled(g):
+            return g.with_node_features(g.node_features.astype(np.float64) * scale)
+
+        cfg = tiny_config(epochs=3)
+        with pytest.raises(ValueError, match="^non-finite (loss|gradient)"):
+            if kind == "graph":
+                ds = graph_fixture(num_graphs=16)
+                ds = dataclasses.replace(ds, graphs=[scaled(g) for g in ds.graphs])
+                train_graph_model(ds, np.arange(12), np.arange(12, 16), cfg, pooling=False)
+            else:
+                task = node_fixture()
+                train_node_model(dataclasses.replace(task, graph=scaled(task.graph)), cfg,
+                                 pooling=False)

@@ -136,9 +136,8 @@ class TestNormalizeScores:
         # softmax NaN; the error names the scores, not a later stage.
         g = path_graph(4, np.ones((4, 1)))
         params = PoolParams(weight=np.asarray([1e308, 1e308]), bias=0.0)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="edge scores must be finite"):
-                edgepool_forward(g, params)
+        with pytest.raises(ValueError, match="edge scores must be finite"):
+            edgepool_forward(g, params)
         raw = np.zeros(g.num_edges)
         raw[0] = np.nan
         with pytest.raises(ValueError, match="edge scores must be finite"):
@@ -560,10 +559,10 @@ class TestContract:
 
     # A zero scorer ties every score, so the first canonical edge (0, 1) is
     # matched. Its gated float32 sum overflows although every input is
-    # finite; the cast's overflow warning is silenced to reach the check.
+    # finite; the check raises with no overflow warning first.
     def test_overflowing_gated_node_features_rejected(self):
         g = symmetrize(build_graph(2, [(0, 1)], np.full((2, 1), 3e38, dtype=np.float32)))
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError) as err:
             edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0))
         assert str(err.value) == "node features must be finite"
 
@@ -571,7 +570,7 @@ class TestContract:
         # Matching (0, 1) collapses (0, 2) and (1, 2) into one pooled edge.
         g = symmetrize(build_graph(3, [(0, 1), (0, 2), (1, 2)], np.ones((3, 1), dtype=np.float32),
                                    np.full((3, 1), 3e38, dtype=np.float32)))
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError) as err:
             edgepool_forward(g, PoolParams(weight=np.zeros(3), bias=0.0))
         assert str(err.value) == "edge features must be finite"
 
