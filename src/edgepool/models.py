@@ -18,7 +18,7 @@ the epoch and batch otherwise, so a diverged run stops where it diverged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,6 +138,7 @@ class GraphClassifier:
         it, exposing the contraction structure to callers.
         """
         rng = seeded_rng(seed, "graph-forward")
+        graph = _without_edge_features(graph)
         x = Var(graph.node_features.astype(np.float32))
         readouts = []
         for i in range(3):
@@ -216,6 +217,7 @@ class NodeClassifier:
         """Per-node logits, shape (num_nodes, classes)."""
         rng = seeded_rng(seed, "node-forward")
         kind = self.conv_kind
+        graph = _without_edge_features(graph)
 
         x = Var(graph.node_features.astype(np.float32))
         x = relu(_conv(leaves, "conv1", graph, x, kind))
@@ -254,6 +256,12 @@ class NodeClassifier:
         h = relu(dense(x, leaves["head.fc1.weight"], leaves["head.fc1.bias"]))
         h = feature_dropout(h, config.dropout_p, rng, training)
         return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
+
+
+def _without_edge_features(graph: Graph) -> Graph:
+    """The graph the models convolve and pool: neither reads edge features,
+    so the scorers are 2c wide and score by node features alone."""
+    return graph if graph.edge_features is None else replace(graph, edge_features=None)
 
 
 def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int) -> None:

@@ -27,11 +27,35 @@ compacts four arrays per round. The one mask left is deduplication's
 step mask, which is nearly all true and costs about 1.4 ms. Rows of 2-D
 arrays are gathered with ``np.take(a, idx, axis=0)``: on numpy 2.4.6 the
 fancy row index ``a[idx]`` gives the same rows 5-6x slower.
+
+At scale a level's memory is its arrays with one entry per directed edge
+(m of them, 8 bytes each). Between stages the forward holds only the
+normalized scores and the dropped mask; it frees the raw scores once they
+are normalized. Within a stage, temporaries are built in place (``out=``,
+``&=``, ``*=``) and deleted before the next one is made, so ``contract``,
+the forward's peak, holds about five m-length arrays and the score-path
+backward about two. The backward's (v, f) float64 updates run over row
+blocks of ``_ROW_BLOCK_BYTES`` (2 MB, one block at training sizes);
+elementwise operations round the same in any blocking, so the blocks
+change no bit. Measured on numpy 2.4.6 at 1e6 edges:
+
+- when a level starts on a trimmed heap (as in perfbench's ``pool_1e6``
+  loop), the forward grows it again, and the backward runs free of page
+  faults only if its peak fits under the forward's. With whole-array
+  (v, f) updates it did not: a median of 346 minor faults per backward
+  call there, against 0 with row blocks;
+- ``np.flatnonzero`` of a float array with 33k nonzeros took 5.7 ms, of
+  ``a != 0.0`` 1.9 ms;
+- a float32 by float64 row scaling took 5.4 ms, a float64 copy scaled in
+  place 3.9 ms;
+- a column of the (m, 2) edge array is a strided view, which gathers,
+  comparisons and ``ufunc.at`` read 1.3-2x slower than a contiguous copy,
+  so selection copies the two columns once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +92,20 @@ class PoolParams:
 class EdgeScores:
     """Per-directed-edge scores for one pooling level.
 
-    ``raw`` holds the scorer output before any dropout. ``normalized`` is
-    the shifted softmax value in (0.5, 1.5) for kept edges and exactly 0.0
-    for dropped ones. ``dropped`` marks edges removed by score dropout;
-    they take part in neither normalization nor selection.
+    ``normalized`` is the shifted softmax value in (0.5, 1.5) for kept
+    edges and exactly 0.0 for dropped ones. ``dropped`` marks edges removed
+    by score dropout; they take part in neither normalization nor
+    selection. The scorer output itself is not kept, since neither
+    selection nor the backward reads it; :func:`raw_scores` recomputes it.
+    A ``raw=`` keyword is accepted and discarded, so that constructions
+    written when it was the first field still run; keyword-only, so that a
+    positional call in the old order fails instead of shifting the fields.
     """
 
-    raw: np.ndarray
     normalized: np.ndarray
     dropped: np.ndarray
+    _: KW_ONLY
+    raw: InitVar[np.ndarray | None] = None
 
 
 @dataclass(frozen=True)
@@ -123,10 +152,12 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     f = _check_widths(graph, params)
     w = np.asarray(params.weight, dtype=np.float64)
     x = graph.node_features.astype(np.float64, copy=False)
-    r = (x @ w[:f])[graph.edge_src] + (x @ w[f : 2 * f])[graph.edge_dst]
+    r = (x @ w[:f])[graph.edge_src]
+    r += (x @ w[f : 2 * f])[graph.edge_dst]
     if graph.edge_feature_width:
         r += graph.edge_features.astype(np.float64, copy=False) @ w[2 * f :]
-    return r + float(params.bias)
+    r += float(params.bias)
+    return r
 
 
 def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -146,8 +177,8 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
     dropped = np.asarray(dropped, dtype=bool)
     if raw.shape != (m,) or dropped.shape != (m,):
         raise ValueError(f"raw scores and the dropped mask must have shape ({m},)")
-    out = np.zeros(m, dtype=np.float64)
-    # With nothing dropped, a full slice skips the compaction (1-3 ms at 1e6 edges).
+    # With nothing dropped, a full slice skips the compaction (1-3 ms at 1e6
+    # edges), and the softmax buffer is the result.
     keep = np.flatnonzero(~dropped) if dropped.any() else slice(None)
     dst = graph.edge_dst[keep]
     r = raw[keep]
@@ -155,10 +186,17 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
         raise ValueError("edge scores must be finite: a kept raw score is NaN or infinite")
     mx = np.full(graph.num_nodes, -np.inf)
     np.maximum.at(mx, dst, r)
-    ex = np.exp(r - mx[dst])
+    ex = mx[dst]
+    np.subtract(r, ex, out=ex)
+    np.exp(ex, out=ex)
     # bincount adds the weights in input order, as an in-order scatter-add.
     denom = np.bincount(dst, ex, minlength=graph.num_nodes)
-    out[keep] = 0.5 + ex / denom[dst]
+    ex /= denom[dst]
+    ex += 0.5
+    if isinstance(keep, slice):
+        return ex
+    out = np.zeros(m, dtype=np.float64)
+    out[keep] = ex
     return out
 
 
@@ -202,8 +240,13 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     visiting order) as a (k, 2) int64 array.
     """
     v = graph.num_nodes
-    e = np.flatnonzero(~scores.dropped)
-    src, dst, s = graph.edge_src[e], graph.edge_dst[e], scores.normalized[e]
+    if scores.dropped.any():
+        e = np.flatnonzero(~scores.dropped)
+        src, dst, s = graph.edge_src[e], graph.edge_dst[e], scores.normalized[e]
+    else:  # round 1 reads the scores themselves, and contiguous endpoint columns
+        e = np.arange(graph.num_edges)
+        src, dst = np.ascontiguousarray(graph.edge_src), np.ascontiguousarray(graph.edge_dst)
+        s = scores.normalized
     taken = [np.zeros(0, dtype=np.int64)]
     while e.size:
         best = np.full(v, -np.inf)
@@ -214,14 +257,25 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         np.minimum.at(first, src[at], e[at])
         at = np.flatnonzero(s == best[dst])
         np.minimum.at(first, dst[at], e[at])
-        win = np.flatnonzero((first[src] == e) & (first[dst] == e))
+        del at
+        hit = first[src] == e
+        hit &= first[dst] == e
+        win = np.flatnonzero(hit)
         taken.append(e[win])
         matched = np.zeros(v, dtype=bool)
         matched[src[win]] = True
         matched[dst[win]] = True
-        alive = np.flatnonzero(~(matched[src] | matched[dst]))
+        gone = matched[src]
+        gone |= matched[dst]
+        alive = np.flatnonzero(np.logical_not(gone, out=gone))
+        del hit, gone
         before = e.size
-        e, src, dst, s = e[alive], src[alive], dst[alive], s[alive]
+        # One array at a time, so each old one is freed before the next copy.
+        e = e[alive]
+        src = src[alive]
+        dst = dst[alive]
+        s = s[alive]
+        del alive
         if before - e.size < _SWEEP_SHARE * before:
             taken.append(_greedy_sweep(e, src, dst, s, v))
             break
@@ -332,13 +386,20 @@ def contract(
 
     keep = np.flatnonzero(src_c != dst_c)
     n = np.int64(pooled_n)
-    key = src_c[keep] * n + dst_c[keep]
-    uniq_key = _sorted_unique(key)
-    uniq = np.stack([uniq_key // n, uniq_key % n], axis=1)
+    key = src_c[keep]
+    key *= n
+    key += dst_c[keep]
+    del src_c, dst_c
     ef = None
     if graph.edge_features is not None:
-        inverse = np.searchsorted(uniq_key, key)
         ef = np.take(graph.edge_features, keep, axis=0).astype(np.float64)
+    del keep
+    uniq_key = _sorted_unique(key if ef is None else key.copy())
+    uniq = np.empty((uniq_key.size, 2), dtype=np.int64)
+    np.floor_divide(uniq_key, n, out=uniq[:, 0])
+    np.remainder(uniq_key, n, out=uniq[:, 1])
+    if ef is not None:
+        inverse = np.searchsorted(uniq_key, key)
         ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
         _require_finite(ef, "edge features")
         ef = _freeze(ef)
@@ -374,11 +435,22 @@ def edgepool_forward(
         dropped = apply_score_dropout(graph.num_edges, dropout_p, seed)
     else:
         dropped = np.zeros(graph.num_edges, dtype=bool)
-    normalized = normalize_scores(graph, raw, dropped)
-    scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
+    scores = EdgeScores(normalize_scores(graph, raw, dropped), dropped)
+    del raw
     matching = select_contractions(graph, scores)
     pooled, info = contract(graph, matching, scores)
     return pooled, info, scores
+
+
+# The (v, f) float64 updates of the backward run over row blocks of this
+# many bytes, so no temporary of a whole gradient's size is made.
+_ROW_BLOCK_BYTES = 2 << 20
+
+
+def _row_blocks(num_rows: int, width: int):
+    """Slices covering ``range(num_rows)``, each of about ``_ROW_BLOCK_BYTES`` of float64 rows."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(width, 1)))
+    return (slice(a, a + step) for a in range(0, num_rows, step))
 
 
 def edgepool_backward(
@@ -407,9 +479,10 @@ def edgepool_backward(
     grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
     # Every node's cluster row times its gate, which is exactly 1.0 for an
     # unmatched node (a pass-through) and the pair's score for both members.
-    rows = np.take(upstream, info.cluster_of, axis=0).astype(np.float64, copy=False)
-    rows *= info.node_score[:, None]
-    grad_x += rows
+    for rows in _row_blocks(graph.num_nodes, graph.feature_width):
+        term = np.take(upstream, info.cluster_of[rows], axis=0).astype(np.float64, copy=False)
+        term *= info.node_score[rows, None]
+        grad_x[rows] += term
 
     dtype = graph.node_features.dtype
     return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
@@ -432,8 +505,6 @@ def score_path_backward(
     """
     v, f = graph.num_nodes, graph.feature_width
     w = np.asarray(params.weight, dtype=np.float64)
-    grad_x = np.zeros((v, f), dtype=np.float64)
-    grad_w = np.zeros_like(w)
     e_idx = info.matched_edge_index
     g_s = np.asarray(g_s, dtype=np.float64)
     if g_s.shape != (info.num_matched,):
@@ -442,29 +513,39 @@ def score_path_backward(
     # Softmax coupling: within the destination group of matched edge e,
     # d s_e / d r_k = p_e (delta_ek - p_k) with p = normalized - 0.5.
     # Matched destinations are distinct, so one coefficient per group.
-    keep = ~scores.dropped
-    p = np.where(keep, scores.normalized - 0.5, 0.0)
+    p = scores.normalized - 0.5
+    p[scores.dropped] = 0.0
     group_coeff = np.zeros(v, dtype=np.float64)  # g_s * p_e per destination
     group_coeff[graph.edge_dst[e_idx]] = g_s * p[e_idx]
-    grad_r = -group_coeff[graph.edge_dst] * p
+    grad_r = group_coeff[graph.edge_dst]
+    np.negative(grad_r, out=grad_r)
+    grad_r *= p
     grad_r[e_idx] += g_s * p[e_idx]
+    del p
 
     # Linear scorer backward, restricted to edges with nonzero grad_r and
     # summed per endpoint node before touching the (v, f) features.
     live = np.flatnonzero(grad_r != 0.0)
     gr = grad_r[live]
+    del grad_r
     g_src = np.bincount(graph.edge_src[live], gr, minlength=v)
     g_dst = np.bincount(graph.edge_dst[live], gr, minlength=v)
-    # Added one term at a time into the zeros: one (v, f) temporary, and
-    # the sum holds no -0.0, which edgepool_backward relies on.
-    grad_x += g_src[:, None] * w[:f]
-    grad_x += g_dst[:, None] * w[f : 2 * f]
+    grad_w = np.zeros_like(w)
+    if graph.edge_feature_width:
+        grad_w[2 * f :] = gr @ np.take(graph.edge_features, live, axis=0).astype(np.float64)
+    grad_b = float(gr.sum())
+    del live, gr
     x = graph.node_features.astype(np.float64, copy=False)
     grad_w[:f] = g_src @ x
     grad_w[f : 2 * f] = g_dst @ x
-    if graph.edge_feature_width:
-        grad_w[2 * f :] = gr @ np.take(graph.edge_features, live, axis=0).astype(np.float64)
-    return grad_x, grad_w, float(gr.sum())
+    del x
+    # Added one term at a time into the zeros, so the sum holds no -0.0,
+    # which edgepool_backward relies on.
+    grad_x = np.zeros((v, f), dtype=np.float64)
+    for rows in _row_blocks(v, f):
+        grad_x[rows] += g_src[rows, None] * w[:f]
+        grad_x[rows] += g_dst[rows, None] * w[f : 2 * f]
+    return grad_x, grad_w, grad_b
 
 
 def random_pool_params(

@@ -133,14 +133,46 @@ def unique_symmetrize(graph):
     return build_graph(graph.num_nodes, both[first], graph.node_features, ef)
 
 
+def whole_array_score_path_backward(graph, params, info, scores, g_s):
+    """``score_path_backward`` over whole arrays, as the library first wrote it.
+
+    One expression per step, every temporary kept until the end, and the
+    (v, f) gradient summed over all rows at once: the dropped edges' p is
+    an ``np.where``, and both endpoint terms are added into zeros.
+    """
+    v, f = graph.num_nodes, graph.feature_width
+    w = np.asarray(params.weight, dtype=np.float64)
+    e_idx = info.matched_edge_index
+    g_s = np.asarray(g_s, dtype=np.float64)
+    p = np.where(~scores.dropped, scores.normalized - 0.5, 0.0)
+    group_coeff = np.zeros(v, dtype=np.float64)
+    group_coeff[graph.edge_dst[e_idx]] = g_s * p[e_idx]
+    grad_r = -group_coeff[graph.edge_dst] * p
+    grad_r[e_idx] += g_s * p[e_idx]
+    live = np.flatnonzero(grad_r != 0.0)
+    gr = grad_r[live]
+    g_src = np.bincount(graph.edge_src[live], gr, minlength=v)
+    g_dst = np.bincount(graph.edge_dst[live], gr, minlength=v)
+    grad_x = np.zeros((v, f), dtype=np.float64)
+    grad_x += g_src[:, None] * w[:f]
+    grad_x += g_dst[:, None] * w[f : 2 * f]
+    x = graph.node_features.astype(np.float64)
+    grad_w = np.zeros_like(w)
+    grad_w[:f] = g_src @ x
+    grad_w[f : 2 * f] = g_dst @ x
+    if graph.edge_feature_width:
+        grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
+    return grad_x, grad_w, float(gr.sum())
+
+
 def scatter_edgepool_backward(graph, params, info, scores, upstream):
     """``edgepool_backward`` with its row terms as fancy-index scatters.
 
     The unmatched nodes' pass-through and each pair's gated gradient are
-    added into the score path's (v, f) float64 term row set by row set,
-    as the library did before it gathered every node's cluster row.
+    added into the whole-array score path's (v, f) float64 term row set by
+    row set, as the library did before it gathered every node's cluster row.
     """
-    from edgepool.pool import _pair_features, score_path_backward
+    from edgepool.pool import _pair_features
 
     k = info.num_matched
     upstream = np.asarray(upstream)
@@ -148,7 +180,7 @@ def scatter_edgepool_backward(graph, params, info, scores, upstream):
     s = scores.normalized[info.matched_edge_index]
     g_out = upstream[:k].astype(np.float64)
     g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
-    grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
+    grad_x, grad_w, grad_b = whole_array_score_path_backward(graph, params, info, scores, g_s)
     unmatched = np.flatnonzero(info.cluster_of >= k)
     grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
     grad_x[mi] += s[:, None] * g_out

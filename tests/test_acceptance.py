@@ -173,7 +173,7 @@ class TestCriterion2Oracle:
             raw = rng.normal(0.0, 2.0, size=g.num_edges)
             dropped = rng.random(g.num_edges) < 0.15
             normalized = normalize_scores(g, raw, dropped)
-            scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
+            scores = EdgeScores(normalized=normalized, dropped=dropped)
             mine = [tuple(e) for e in select_contractions(g, scores).tolist()]
             ref = naive_matching(g.edges, normalized, dropped)
             assert mine == ref, f"trial {trial}: {mine} != {ref}"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from edgepool import cli, gen_synthetic, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
-from edgepool.graph import build_graph, graph_to_json, save_graph_file, symmetrize
+from edgepool.graph import build_graph, graph_from_json, graph_to_json, save_graph_file, symmetrize
 from edgepool.rng import seeded_rng
 
 
@@ -80,6 +80,24 @@ class TestPoolCommand:
         assert (out / "level0.dot").exists()
         assert not (out / "level1.dot").exists()
         assert json.loads((out / "hierarchy.json").read_text()) == []
+
+    @pytest.mark.parametrize("graph", [
+        {"num_nodes": 2, "edges": [[0, 1], [1, 0]], "node_features": [[1.0], [2.0]],
+         "edge_features": [[0.5, 1.0], [0.5, 1.0]]},
+        {"num_nodes": 0, "edges": [], "node_features": []},
+    ], ids=["level-loses-every-edge", "no-nodes"])
+    def test_every_written_level_reads_back(self, tmp_path, graph):
+        # The first graph pools to one node with no edges, whose empty edge
+        # feature matrix is written as []; the second has no nodes at all.
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(graph))
+        out = tmp_path / "out"
+        assert main(["pool", "--input", str(graph_path), "--levels", "2",
+                     "--out", str(out)]) == 0
+        for level in json.loads((out / "hierarchy.json").read_text()):
+            pooled = graph_from_json(level["graph"])
+            assert pooled.num_edges == 0
+            assert pooled.edge_feature_width == 0
 
     def test_three_levels_make_four_drawings(self, tmp_path):
         graph_path = tmp_path / "g.json"
@@ -308,6 +326,21 @@ class TestTrainNodeCommand:
     def test_requires_input_or_synthetic(self, tmp_path):
         assert main(["train-node", "--quiet", "--out", str(tmp_path)]) == 2
 
+    def test_task_with_edge_features_trains_as_without(self, tmp_path):
+        # Neither model reads edge features, so they change no history byte.
+        plain_path, ef_path = tmp_path / "plain.json", tmp_path / "ef.json"
+        write_task(plain_path)
+        obj = json.loads(plain_path.read_text())
+        obj["edge_features"] = [[float(k % 3), 1.0] for k in range(len(obj["edges"]))]
+        ef_path.write_text(json.dumps(obj))
+        histories = []
+        for name, path in (("plain", plain_path), ("ef", ef_path)):
+            out = tmp_path / name
+            assert main(["train-node", "--input", str(path), "--epochs", "2",
+                         "--channels", "4", "--quiet", "--out", str(out)]) == 0
+            histories.append((out / "history.csv").read_bytes())
+        assert histories[0] == histories[1]
+
     @pytest.mark.parametrize("field, value, message", [
         ("train_nodes", [0, 999], "not a node index"),
         ("train_nodes", [-1, 0], "not a node index"),
@@ -520,7 +553,7 @@ class TestBenchCommand:
 
 # Valid files for the JSON fuzz test: a graph with edge features and both
 # label keys for `pool`, a task for `train-node` (without edge features,
-# which its pooling scorers do not take), and scorer params for the graph.
+# which its models do not read), and scorer params for the graph.
 FUZZ_BASES = {
     "graph": {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
               "node_features": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]],

@@ -370,6 +370,18 @@ class TestJson:
         assert np.allclose(h.node_features, g.node_features)
         assert np.allclose(h.edge_features, g.edge_features)
 
+    @pytest.mark.parametrize("graph, widths", [
+        (build_graph(2, [], features(2), np.zeros((0, 3))), (1, 0)),
+        (build_graph(0, [], np.zeros((0, 2))), (0, 0)),
+    ], ids=["edgeless-with-edge-features", "no-nodes"])
+    def test_empty_feature_matrix_reads_back_zero_wide(self, graph, widths):
+        # JSON [] keeps no width, so an empty matrix reads back with none.
+        h = graph_from_json(json.loads(json.dumps(graph_to_json(graph))))
+        assert h.num_nodes == graph.num_nodes and h.edges.shape == (0, 2)
+        assert h.node_features.tolist() == graph.node_features.tolist()
+        assert (h.edge_features is None) == (graph.edge_features is None)
+        assert (h.feature_width, h.edge_feature_width) == widths
+
     def test_required_keys(self):
         with pytest.raises(ValueError):
             graph_from_json({"num_nodes": 2, "edges": []})

@@ -107,6 +107,22 @@ class TestGraphClassifier:
         assert len(trace[1].cluster_of) == trace[0].pooled_num_nodes
         assert len(trace[2].cluster_of) == trace[1].pooled_num_nodes
 
+    def test_edge_features_are_not_read(self):
+        # Neither model reads edge features: the scorers are 2c wide and
+        # pool the batch as if it had none.
+        ds = graph_fixture(num_graphs=4)
+        rng = seeded_rng(4, "edge-features")
+        with_ef = [build_graph(g.num_nodes, g.edges, g.node_features,
+                               rng.normal(size=(g.num_edges, 2))) for g in ds.graphs]
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        leaves = m.params.as_vars()
+        logits = []
+        for graphs in (ds.graphs, with_ef):
+            batched = batch(graphs)
+            logits.append(m.forward(leaves, batched.graph, batched.graph_id,
+                                    batched.num_graphs, tiny_config(), training=True).data)
+        assert logits[0].tobytes() == logits[1].tobytes()
+
 
 class TestGraphTraining:
     def test_history_shape_and_loss_drop(self):
@@ -151,7 +167,6 @@ class TestGraphTraining:
         assert any("pool" in n for n in m_pool.params.names())
         assert not any("pool" in n for n in m_flat.params.names())
 
-
 class TestNodeClassifier:
     def test_conv_kind_validated(self):
         with pytest.raises(ValueError):
@@ -189,6 +204,17 @@ class TestNodeClassifier:
         a = m.forward(leaves, task.graph, cfg, training=True, seed=1)
         b = m.forward(leaves, task.graph, cfg, training=False, seed=2)
         assert np.array_equal(a.data, b.data)
+
+    def test_edge_features_are_not_read(self):
+        task = node_fixture()
+        g = task.graph
+        ef = seeded_rng(5, "edge-features").normal(size=(g.num_edges, 3))
+        with_ef = build_graph(g.num_nodes, g.edges, g.node_features, ef)
+        m = NodeClassifier.create(g.feature_width, task.num_classes, channels=8)
+        leaves = m.params.as_vars()
+        a = m.forward(leaves, g, tiny_config(), training=True, seed=1)
+        b = m.forward(leaves, with_ef, tiny_config(), training=True, seed=1)
+        assert a.data.tobytes() == b.data.tobytes()
 
     def test_mlp_without_pooling_ignores_structure(self):
         # Structure only enters through aggregation or contraction; with

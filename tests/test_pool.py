@@ -1,5 +1,6 @@
 """Scoring, normalization, selection, contraction, and the exact backward."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -25,6 +26,7 @@ from edgepool.pool import (
     normalize_scores,
     pool_hierarchy,
     raw_scores,
+    score_path_backward,
 )
 from edgepool.rng import seeded_rng
 
@@ -34,6 +36,7 @@ from oracles import (
     naive_normalize,
     scatter_edgepool_backward,
     sequential_greedy,
+    whole_array_score_path_backward,
 )
 from strategies import pool_levels, signed_rows, simple_digraphs
 
@@ -222,7 +225,7 @@ def hand_scores(graph, by_pair):
     normalized = np.zeros(graph.num_edges)
     for e, (i, j) in enumerate(graph.edges.tolist()):
         normalized[e] = by_pair[(i, j)]
-    return EdgeScores(raw=normalized - 0.5, normalized=normalized,
+    return EdgeScores(normalized=normalized,
                       dropped=np.zeros(graph.num_edges, dtype=bool))
 
 
@@ -257,7 +260,7 @@ class TestSelectContractions:
 
     def test_dropped_edges_ineligible(self):
         g = symmetrize(build_graph(2, [(0, 1)], np.zeros((2, 1))))
-        scores = EdgeScores(raw=np.zeros(2), normalized=np.asarray([0.0, 1.5]),
+        scores = EdgeScores(normalized=np.asarray([0.0, 1.5]),
                             dropped=np.asarray([True, False]))
         matching = select_contractions(g, scores)
         assert matching.tolist() == [[1, 0]]
@@ -271,7 +274,7 @@ class TestSelectContractions:
             raw = rng.normal(0.0, 2.0, size=g.num_edges)
             dropped = rng.random(g.num_edges) < 0.2
             normalized = normalize_scores(g, raw, dropped)
-            scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
+            scores = EdgeScores(normalized=normalized, dropped=dropped)
             mine = select_contractions(g, scores)
             ref = naive_matching(g.edges, normalized, dropped)
             assert [tuple(e) for e in mine.tolist()] == ref, f"trial {trial}"
@@ -282,7 +285,7 @@ class TestSelectContractions:
             g = random_graph(rng, n=int(rng.integers(2, 20)), f=2, p=0.3)
             raw = rng.normal(size=g.num_edges)
             normalized = normalize_scores(g, raw, no_dropout(g))
-            scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+            scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
             matching = select_contractions(g, scores)
             flat = matching.ravel().tolist()
             assert len(flat) == len(set(flat)), "node matched twice"
@@ -321,14 +324,14 @@ class TestSelectContractions:
         n, pairs = digraph
         g = build_graph(n, pairs, np.zeros((n, 1)))
         m = g.num_edges
-        scores = EdgeScores(raw=np.zeros(m), normalized=np.zeros(m),
+        scores = EdgeScores(normalized=np.zeros(m),
                             dropped=np.ones(m, dtype=bool))
         matching = select_contractions(g, scores)
         assert matching.dtype == np.int64 and matching.shape == (0, 2)
 
     def test_edgeless_graph_gives_empty_int64(self):
         g = build_graph(5, [], np.zeros((5, 1)))
-        scores = EdgeScores(raw=np.zeros(0), normalized=np.zeros(0),
+        scores = EdgeScores(normalized=np.zeros(0),
                             dropped=np.zeros(0, dtype=bool))
         matching = select_contractions(g, scores)
         assert matching.dtype == np.int64 and matching.shape == (0, 2)
@@ -345,7 +348,7 @@ def tied_scores(digraph, data):
     dropped = np.asarray(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)),
                          dtype=bool)
     normalized = np.where(dropped, 0.0, np.asarray(drawn, dtype=np.float64))
-    return g, EdgeScores(raw=normalized - 0.5, normalized=normalized, dropped=dropped)
+    return g, EdgeScores(normalized=normalized, dropped=dropped)
 
 
 class TestSelectionAtScale:
@@ -355,7 +358,7 @@ class TestSelectionAtScale:
         n = 100_000
         g = path_graph(n)
         normalized = 0.6 + 0.8 * g.edges.min(axis=1) / n  # both directions tie
-        scores = EdgeScores(raw=normalized - 0.5, normalized=normalized,
+        scores = EdgeScores(normalized=normalized,
                             dropped=no_dropout(g))
         t0 = time.perf_counter()
         mine = select_contractions(g, scores)
@@ -373,7 +376,7 @@ class TestSelectionAtScale:
         normalized = normalize_scores(g, raw, dropped)
         if case == "ties":
             normalized = np.round(normalized, 1)
-        scores = EdgeScores(raw=raw, normalized=normalized, dropped=dropped)
+        scores = EdgeScores(normalized=normalized, dropped=dropped)
         mine = select_contractions(g, scores)
         assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
 
@@ -395,7 +398,7 @@ class TestContract:
 
     def test_single_pair_merge_value(self):
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
-        scores = EdgeScores(raw=np.zeros(1), normalized=np.asarray([1.5]),
+        scores = EdgeScores(normalized=np.asarray([1.5]),
                             dropped=np.zeros(1, dtype=bool))
         pooled, info = contract(g, np.asarray([[0, 1]]), scores)
         assert pooled.num_nodes == 1
@@ -428,7 +431,7 @@ class TestContract:
             g = random_graph(rng, n=int(rng.integers(2, 12)), f=3)
             raw = rng.normal(size=g.num_edges)
             normalized = normalize_scores(g, raw, no_dropout(g))
-            scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+            scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
             matching = select_contractions(g, scores)
             pooled, info = contract(g, matching, scores)
             edge_lookup = {tuple(e): k for k, e in enumerate(g.edges.tolist())}
@@ -442,7 +445,7 @@ class TestContract:
             g = random_graph(rng, n=10, f=2)
             raw = rng.normal(size=g.num_edges)
             normalized = normalize_scores(g, raw, no_dropout(g))
-            scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+            scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
             matching = select_contractions(g, scores)
             pooled, info = contract(g, matching, scores)
             expected = {
@@ -481,7 +484,7 @@ class TestContract:
         g = build_graph(n, pairs, rng.normal(size=(n, 1)), ef)
         raw = rng.normal(size=g.num_edges)
         normalized = normalize_scores(g, raw, no_dropout(g))
-        scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+        scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
         pooled, info = contract(g, select_contractions(g, scores), scores)
 
         # Reference: deduplicate the mapped (src, dst) rows themselves.
@@ -502,7 +505,7 @@ class TestContract:
         g = random_simple_graph(rng, 33_000, 100_000)
         raw = rng.normal(size=g.num_edges)
         normalized = normalize_scores(g, raw, no_dropout(g))
-        scores = EdgeScores(raw=raw, normalized=normalized, dropped=no_dropout(g))
+        scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
         pooled, info = contract(g, select_contractions(g, scores), scores)
         mapped = info.cluster_of[g.edges]
         ref_edges = np.unique(mapped[mapped[:, 0] != mapped[:, 1]], axis=0)
@@ -514,7 +517,7 @@ class TestContract:
                              ids=["no-edge-features", "edge-features"])
     def test_single_symmetric_pair_leaves_no_edges(self, edge_features):
         g = build_graph(2, [(0, 1), (1, 0)], np.ones((2, 1)), edge_features)
-        scores = EdgeScores(raw=np.zeros(2), normalized=np.asarray([1.5, 1.5]),
+        scores = EdgeScores(normalized=np.asarray([1.5, 1.5]),
                             dropped=no_dropout(g))
         pooled, info = contract(g, np.asarray([[0, 1]]), scores)
         assert pooled.num_nodes == 1
@@ -552,7 +555,7 @@ class TestContract:
 
     def test_dropped_edge_cannot_be_contracted(self):
         g = symmetrize(build_graph(2, [(0, 1)], np.zeros((2, 1))))
-        scores = EdgeScores(raw=np.zeros(2), normalized=np.asarray([0.0, 1.5]),
+        scores = EdgeScores(normalized=np.asarray([0.0, 1.5]),
                             dropped=np.asarray([True, False]))
         with pytest.raises(ValueError):
             contract(g, np.asarray([[0, 1]]), scores)
@@ -588,7 +591,7 @@ def test_degenerate_graphs_forward_and_backward(n, edges, drop_all, pooled_n):
     params = PoolParams(weight=rng.normal(size=4), bias=0.3)
     dropped = np.full(g.num_edges, drop_all)
     raw = raw_scores(g, params)
-    scores = EdgeScores(raw=raw, normalized=normalize_scores(g, raw, dropped), dropped=dropped)
+    scores = EdgeScores(normalized=normalize_scores(g, raw, dropped), dropped=dropped)
     pooled, info = contract(g, select_contractions(g, scores), scores)
     assert pooled.num_nodes == info.pooled_num_nodes == pooled_n
     assert info.num_matched == n - pooled_n
@@ -629,6 +632,18 @@ class TestForward:
         assert info.num_matched == 0
         assert pooled.num_nodes == 5
         assert np.allclose(pooled.node_features, g.node_features)
+
+    def test_scores_keep_no_raw_array(self):
+        # The raw scores are freed once normalized; raw= is a discarded
+        # keyword, so a call in the old positional order fails.
+        g = make_cycle(6)
+        _, _, scores = edgepool_forward(g, PoolParams(weight=np.ones(2), bias=0.0))
+        assert [f.name for f in dataclasses.fields(scores)] == ["normalized", "dropped"]
+        kept = EdgeScores(raw=np.zeros(g.num_edges), normalized=scores.normalized,
+                          dropped=scores.dropped)
+        assert [f.name for f in dataclasses.fields(kept)] == ["normalized", "dropped"]
+        with pytest.raises(TypeError):
+            EdgeScores(np.zeros(g.num_edges), scores.normalized, scores.dropped)
 
     def test_cycle_uniform_params_halves(self):
         g = make_cycle(100)
@@ -760,11 +775,26 @@ def peak_instance():
     return g, params, pooled, info, scores, rng
 
 
-def traced_peak(fn, *args):
-    """Peak bytes ``tracemalloc`` sees allocated during ``fn(*args)``."""
+def edge_heavy_instance(dropout):
+    """A 10000-node graph with about 66000 directed edges and 2 float32
+    channels, so arrays of one entry per edge dominate a level's memory:
+    the (v, f) float64 arrays are 0.3 m*8 bytes. Returns (graph, params,
+    forward keywords)."""
+    rng = seeded_rng(25, "edge-heavy")
+    v, f = 10_000, 2
+    pairs = rng.integers(0, v, size=(33_000, 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    g = symmetrize(build_graph(v, pairs, rng.normal(size=(v, f)).astype(np.float32)))
+    params = PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
+    kw = dict(training=True, dropout_p=0.2, seed=3) if dropout else {}
+    return g, params, kw
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``tracemalloc`` sees allocated during ``fn(*args, **kwargs)``."""
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -894,3 +924,68 @@ class TestBackward:
         with pytest.raises(ValueError):
             edgepool_backward(g, params, info, scores,
                               np.zeros((pooled.num_nodes + 1, 2)))
+
+
+class TestLevelPeakMemory:
+    """Peaks of one level in units of m*8 bytes, on a graph where edge arrays dominate."""
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_forward_peak_memory_in_edge_arrays(self, dropout):
+        # The forward peaks in contract, holding the normalized scores and
+        # dropped mask (1.1 m*8 bytes) besides the two endpoint cluster
+        # columns, the kept-edge index, the key and one gather: 6.4 m*8
+        # bytes measured. Holding the raw scores through the level as well
+        # passes the bound.
+        g, params, kw = edge_heavy_instance(dropout)
+        assert traced_peak(edgepool_forward, g, params, **kw) < 7.2 * g.num_edges * 8
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_backward_peak_memory_in_edge_arrays(self, dropout):
+        # The score path frees p before it compacts grad_r, and the (v, f)
+        # updates run in row blocks: 2.4 m*8 bytes measured. One more
+        # whole-edge temporary held across the score path passes the bound.
+        g, params, kw = edge_heavy_instance(dropout)
+        pooled, info, scores = edgepool_forward(g, params, **kw)
+        upstream = seeded_rng(26, "edge-heavy").normal(size=pooled.node_features.shape)
+        upstream = upstream.astype(np.float32)
+        peak = traced_peak(edgepool_backward, g, params, info, scores, upstream)
+        assert peak < 3.0 * g.num_edges * 8
+
+
+class TestScorePathBackward:
+    @settings(max_examples=150, deadline=None)
+    @given(level=pool_levels())
+    def test_bitwise_equal_to_whole_array_reference(self, level):
+        graph, params, pooled, info, scores, rng = level
+        g_s = signed_rows(rng, (info.num_matched,), np.float64)
+        got = score_path_backward(graph, params, info, scores, g_s)
+        ref = whole_array_score_path_backward(graph, params, info, scores, g_s)
+        for a, b in zip(got, ref):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_row_blocks_bitwise_equal_to_whole_arrays(self, dropout):
+        # 1500 float64 columns make row blocks of 174 rows, so the 600
+        # nodes take four blocks, the last one partial.
+        rng = seeded_rng(27, "row-blocks")
+        v, f = 600, 1500
+        pairs = rng.integers(0, v, size=(1500, 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        g = symmetrize(build_graph(v, pairs, rng.normal(size=(v, f)).astype(np.float32)))
+        params = PoolParams(weight=rng.normal(size=2 * f) / f, bias=0.3)
+        kw = dict(training=True, dropout_p=0.2, seed=4) if dropout else {}
+        pooled, info, scores = edgepool_forward(g, params, **kw)
+        assert scores.dropped.any() == dropout
+        g_s = signed_rows(rng, (info.num_matched,), np.float64)
+        upstream = signed_rows(rng, pooled.node_features.shape, np.float32)
+        checks = [
+            (score_path_backward(g, params, info, scores, g_s),
+             whole_array_score_path_backward(g, params, info, scores, g_s)),
+            (edgepool_backward(g, params, info, scores, upstream),
+             scatter_edgepool_backward(g, params, info, scores, upstream)),
+        ]
+        for got, ref in checks:
+            for a, b in zip(got, ref):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
