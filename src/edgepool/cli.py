@@ -69,13 +69,30 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_history(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _save_run(out_dir, prefix: str, history: list[dict], config: dict, model,
+              manifest: RunManifest) -> dict:
+    """Write ``{prefix}history.csv`` and ``{prefix}checkpoint.json``; returns their names."""
+    history_path = os.path.join(out_dir, f"{prefix}history.csv")
+    with open(history_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
-        for row in rows:
+        for row in history:
             writer.writerow([row["epoch"], repr(row["lr"]),
                              repr(row["train_loss"]), repr(row["eval_acc"])])
+    ckpt_path = os.path.join(out_dir, f"{prefix}checkpoint.json")
+    save_checkpoint(ckpt_path, config, model.params)
+    manifest.outputs.extend([history_path, ckpt_path])
+    return {"history": os.path.basename(history_path), "checkpoint": os.path.basename(ckpt_path)}
+
+
+def _save_summary(out_dir, summary: dict, manifest: RunManifest) -> None:
+    """Write a training run's ``summary.json``, then its manifest."""
+    summary_path = os.path.join(out_dir, "summary.json")
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+    manifest.outputs.append(summary_path)
+    manifest.ended = _now()
+    manifest.write(out_dir)
 
 
 def _manifest_for(args: argparse.Namespace, command: str, dataset: str) -> RunManifest:
@@ -174,17 +191,11 @@ def cmd_train_graph(args) -> int:
             dataset, train_idx, test_idx, config, pooling=pooling,
             progress=None if args.quiet else _print_row(f"fold {k}"),
         )
-        history_path = os.path.join(args.out, f"fold{k}_history.csv")
-        _write_history(history_path, history)
-        ckpt_path = os.path.join(args.out, f"fold{k}_checkpoint.json")
-        save_checkpoint(ckpt_path, config.to_dict() | {"pooling": args.pooling},
-                        model.params)
+        files = _save_run(args.out, f"fold{k}_", history,
+                          config.to_dict() | {"pooling": args.pooling}, model, manifest)
         acc = history[-1]["eval_acc"]
         accuracies.append(acc)
-        fold_entries.append({"fold": k, "accuracy": acc,
-                             "history": os.path.basename(history_path),
-                             "checkpoint": os.path.basename(ckpt_path)})
-        manifest.outputs.extend([history_path, ckpt_path])
+        fold_entries.append({"fold": k, "accuracy": acc} | files)
     summary = {
         "dataset": name,
         "pooling": args.pooling,
@@ -192,12 +203,7 @@ def cmd_train_graph(args) -> int:
         "mean_acc": float(np.mean(accuracies)),
         "std_acc": float(np.std(accuracies)),
     }
-    summary_path = os.path.join(args.out, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-    manifest.outputs.append(summary_path)
-    manifest.ended = _now()
-    manifest.write(args.out)
+    _save_summary(args.out, summary, manifest)
     print(f"mean_acc={summary['mean_acc']:.4f} std_acc={summary['std_acc']:.4f}")
     return EXIT_OK
 
@@ -269,14 +275,8 @@ def cmd_train_node(args) -> int:
         task, config, conv_kind=args.conv, pooling=args.pooling == "edgepool",
         progress=None if args.quiet else _print_row(identity),
     )
-    history_path = os.path.join(args.out, "history.csv")
-    _write_history(history_path, history)
-    ckpt_path = os.path.join(args.out, "checkpoint.json")
-    save_checkpoint(
-        ckpt_path,
-        config.to_dict() | {"pooling": args.pooling, "conv": args.conv},
-        model.params,
-    )
+    _save_run(args.out, "", history,
+              config.to_dict() | {"pooling": args.pooling, "conv": args.conv}, model, manifest)
     summary = {
         "dataset": identity,
         "pooling": args.pooling,
@@ -284,12 +284,7 @@ def cmd_train_node(args) -> int:
         "accuracy": history[-1]["eval_acc"],
         "final_train_loss": history[-1]["train_loss"],
     }
-    summary_path = os.path.join(args.out, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-    manifest.outputs.extend([history_path, ckpt_path, summary_path])
-    manifest.ended = _now()
-    manifest.write(args.out)
+    _save_summary(args.out, summary, manifest)
     print(f"accuracy={summary['accuracy']:.4f}")
     return EXIT_OK
 

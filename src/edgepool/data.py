@@ -3,6 +3,9 @@
 The multi-file plain-text benchmark format is parsed into validated
 graphs: comma-separated 1-indexed edge lines, a graph indicator per node
 line, one label per graph line, and optional node labels / attributes.
+Numbers are ASCII: an integer file entry is ``[+-]?[0-9]+`` and an
+attribute a decimal number within float32 range, each after stripping
+whitespace; anything else raises ``ValueError`` naming ``path:line``.
 Synthetic generators provide deterministic desk-scale graphs for property
 tests and node-classification experiments.
 """
@@ -10,9 +13,11 @@ tests and node-classification experiments.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .graph import Graph, build_graph, symmetrize
 from .rng import seeded_rng
@@ -75,14 +80,31 @@ def _read_lines(path, what: str, parse_row) -> list[list]:
     return rows
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _ascii(tok: str, pattern: re.Pattern, noun: str) -> str:
+    tok = tok.strip()
+    if not pattern.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not {noun}")
+    return tok
+
+
 def _int64(tok: str) -> int:
-    """An integer token within int64; ``2.5``, ``nan`` and ``inf`` are refused."""
-    try:
-        value = int(tok)
-    except ValueError:
-        raise ValueError(f"{tok.strip()!r} is not an integer") from None
+    """An ASCII integer token within int64; ``2.5``, ``1_0`` and ``١`` are refused."""
+    value = int(_ascii(tok, _INTEGER, "an integer"))
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
+def _float32(tok: str) -> float:
+    """An ASCII decimal token within float32 range; ``nan``, ``inf``, ``1_0`` are refused."""
+    value = float(_ascii(tok, _DECIMAL, "a decimal number"))
+    if not abs(value) <= _FLOAT32_MAX:
+        raise ValueError(f"{tok.strip()} is outside the float32 range")
     return value
 
 
@@ -141,7 +163,7 @@ def load_tu(directory, name: str) -> GraphDataset:
     attributes = None
     attr_path = _tu_path(directory, name, "node_attributes")
     if os.path.exists(attr_path):
-        rows = _read_lines(attr_path, "node attribute", lambda tokens: [float(t) for t in tokens])
+        rows = _read_lines(attr_path, "node attribute", lambda tokens: list(map(_float32, tokens)))
         attributes = np.asarray(rows, dtype=np.float32)
         if attributes.shape[0] != total_nodes:
             raise ValueError("node attribute count != node count")
@@ -304,19 +326,8 @@ def make_erdos_renyi(n: int, p: float, rng: np.random.Generator, feature_width: 
 
 
 def _is_connected(graph: Graph) -> bool:
-    if graph.num_nodes <= 1:
-        return True
-    seen = np.zeros(graph.num_nodes, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    dst, src = graph.edge_dst, graph.edge_src
-    while stack:
-        u = stack.pop()
-        for w in dst[src == u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    """Whether a symmetric graph is connected."""
+    return connected_components(graph.in_adjacency, directed=False)[0] <= 1
 
 
 _CONNECTED_TRIES = 200

@@ -1,4 +1,4 @@
-"""Reference models and training loops built on the tape ops.
+"""Reference models and the one training loop they share, built on the tape ops.
 
 Two architectures:
 
@@ -10,10 +10,12 @@ Two architectures:
   pooling after layers 2 and 4 and unpooling in reverse order with
   shortcut concatenation, in the style of a graph U-net.
 
-Both training loops run Adam with a stepped learning-rate schedule and
-record one history row per epoch. Before each Adam step they check that
-the loss and every gradient are finite, and raise ``ValueError`` naming
-the epoch and batch otherwise, so a diverged run stops where it diverged.
+Both share one pooling step and one head. One Adam loop trains both, with
+a stepped learning-rate schedule and one history row per epoch. Before
+each Adam step it checks that the loss and every gradient are finite, and
+raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
+run stops where it diverged. An empty train or evaluation set raises
+``ValueError`` before training starts.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 CONV_KINDS = ("mean", "mlp")
+HEAD_DROPOUT_P = 0.5
+EDGE_SCORE_DROPOUT_P = 0.2
 
 
 def _pooled_graph_id(graph_id: np.ndarray, info: PoolInfo) -> np.ndarray:
@@ -73,6 +77,13 @@ def _add_pool(store: ParamStore, name: str, width: int, rng):
     store.add(f"{name}.bias", np.zeros((), dtype=np.float64))
 
 
+def _add_head(store: ParamStore, fan_in: int, width: int, num_classes: int, rng):
+    store.add("head.fc1.weight", glorot_uniform((fan_in, width), rng))
+    store.add("head.fc1.bias", np.zeros(width, dtype=np.float32))
+    store.add("head.fc2.weight", glorot_uniform((width, num_classes), rng))
+    store.add("head.fc2.bias", np.zeros(num_classes, dtype=np.float32))
+
+
 def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
     if kind == "mean":
         return mean_conv(graph, x, leaves[f"{name}.w_self"], leaves[f"{name}.w_neigh"],
@@ -80,15 +91,35 @@ def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
     return dense(x, leaves[f"{name}.w_self"], leaves[f"{name}.bias"])
 
 
+def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
+    """One edge-contraction level scored by ``name``; appends its info to ``trace``.
+
+    Returns (pooled activations, gating-score Var, pooled graph, info).
+    """
+    x, score, graph, info, _ = edge_pool(
+        x, leaves[f"{name}.weight"], leaves[f"{name}.bias"], graph,
+        training=training, dropout_p=EDGE_SCORE_DROPOUT_P, seed=draw_seed(rng),
+    )
+    if trace is not None:
+        trace.append(info)
+    return x, score, graph, info
+
+
+def _head(leaves, h: Var, rng, training: bool) -> Var:
+    h = relu(dense(h, leaves["head.fc1.weight"], leaves["head.fc1.bias"]))
+    h = feature_dropout(h, HEAD_DROPOUT_P, rng, training)
+    return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
+
+
 @dataclass
 class GraphClassifier:
     """Whole-graph classifier with a readout after each block's pooling step.
 
     Each block runs aggregation, batch norm and activation, then pools when
-    ``pooling`` is set; its mean readout reads the pooled node set. The
-    configured ``dropout_p`` applies to the fully-connected head only;
-    ``edge_score_dropout_p`` drops edges from each pooling step in
-    training.
+    ``pooling`` is set; its mean readout reads the pooled node set. In
+    training, feature dropout ``HEAD_DROPOUT_P`` applies to the
+    fully-connected head only, and each pooling step drops edges with
+    probability ``EDGE_SCORE_DROPOUT_P``.
     """
 
     feature_width: int
@@ -115,10 +146,7 @@ class GraphClassifier:
             store.add(f"block{i + 1}.bn.beta", np.zeros(channels, dtype=np.float32))
             if pooling:
                 _add_pool(store, f"block{i + 1}.pool", channels, rng)
-        store.add("head.fc1.weight", glorot_uniform((3 * channels, channels), rng))
-        store.add("head.fc1.bias", np.zeros(channels, dtype=np.float32))
-        store.add("head.fc2.weight", glorot_uniform((channels, num_classes), rng))
-        store.add("head.fc2.bias", np.zeros(num_classes, dtype=np.float32))
+        _add_head(store, 3 * channels, channels, num_classes, rng)
         return cls(feature_width, channels, num_classes, pooling, store)
 
     def forward(
@@ -127,7 +155,6 @@ class GraphClassifier:
         graph: Graph,
         graph_id: np.ndarray,
         num_graphs: int,
-        config: TrainConfig,
         training: bool = False,
         seed: int = 0,
         trace: list | None = None,
@@ -147,24 +174,12 @@ class GraphClassifier:
             x = batch_norm(x, leaves[f"{name}.bn.gamma"], leaves[f"{name}.bn.beta"])
             x = relu(x)
             if self.pooling:
-                x, _, graph, info, _ = edge_pool(
-                    x,
-                    leaves[f"{name}.pool.weight"],
-                    leaves[f"{name}.pool.bias"],
-                    graph,
-                    training=training,
-                    dropout_p=config.edge_score_dropout_p,
-                    seed=draw_seed(rng),
-                )
+                x, _, graph, info = _pool(leaves, f"{name}.pool", x, graph, rng, training, trace)
                 graph_id = _pooled_graph_id(graph_id, info)
-                if trace is not None:
-                    trace.append(info)
             # Readout reads the block's final (pooled) node set.
             readouts.append(global_mean_pool(x, graph_id, num_graphs))
         h = concat_cols(concat_cols(readouts[0], readouts[1]), readouts[2])
-        h = relu(dense(h, leaves["head.fc1.weight"], leaves["head.fc1.bias"]))
-        h = feature_dropout(h, config.dropout_p, rng, training)
-        return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
+        return _head(leaves, h, rng, training)
 
 
 @dataclass
@@ -199,17 +214,13 @@ class NodeClassifier:
         if pooling:
             _add_pool(store, "pool1", c, rng)
             _add_pool(store, "pool2", c, rng)
-        store.add("head.fc1.weight", glorot_uniform((2 * c, c), rng))
-        store.add("head.fc1.bias", np.zeros(c, dtype=np.float32))
-        store.add("head.fc2.weight", glorot_uniform((c, num_classes), rng))
-        store.add("head.fc2.bias", np.zeros(num_classes, dtype=np.float32))
+        _add_head(store, 2 * c, c, num_classes, rng)
         return cls(feature_width, channels, num_classes, conv_kind, pooling, store)
 
     def forward(
         self,
         leaves: dict[str, Var],
         graph: Graph,
-        config: TrainConfig,
         training: bool = False,
         seed: int = 0,
         trace: list | None = None,
@@ -225,25 +236,13 @@ class NodeClassifier:
         shortcut1 = x
         g1, info1, score1 = graph, None, None
         if self.pooling:
-            x, score1, g1, info1, _ = edge_pool(
-                x, leaves["pool1.weight"], leaves["pool1.bias"], graph,
-                training=training, dropout_p=config.edge_score_dropout_p,
-                seed=draw_seed(rng),
-            )
-            if trace is not None:
-                trace.append(info1)
+            x, score1, g1, info1 = _pool(leaves, "pool1", x, graph, rng, training, trace)
         x = relu(_conv(leaves, "conv3", g1, x, kind))
         x = relu(_conv(leaves, "conv4", g1, x, kind))
         shortcut2 = x
         g2, info2, score2 = g1, None, None
         if self.pooling:
-            x, score2, g2, info2, _ = edge_pool(
-                x, leaves["pool2.weight"], leaves["pool2.bias"], g1,
-                training=training, dropout_p=config.edge_score_dropout_p,
-                seed=draw_seed(rng),
-            )
-            if trace is not None:
-                trace.append(info2)
+            x, score2, g2, info2 = _pool(leaves, "pool2", x, g1, rng, training, trace)
         x = relu(_conv(leaves, "conv5", g2, x, kind))
         if self.pooling:
             x = unpool(x, score2, info2)
@@ -253,9 +252,7 @@ class NodeClassifier:
         if self.pooling:
             x = unpool(x, score1, info1)
         x = concat_cols(x, shortcut1)
-        h = relu(dense(x, leaves["head.fc1.weight"], leaves["head.fc1.bias"]))
-        h = feature_dropout(h, config.dropout_p, rng, training)
-        return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
+        return _head(leaves, x, rng, training)
 
 
 def _without_edge_features(graph: Graph) -> Graph:
@@ -274,6 +271,47 @@ def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int)
             raise ValueError(f"non-finite gradient of {name} {where}")
 
 
+def _require_nonempty(count: int, what: str) -> None:
+    if count == 0:
+        raise ValueError(f"{what} is empty")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
+def _fit(model, config: TrainConfig, stream: str, batches, batch_loss, evaluate, progress):
+    """Adam training of ``model``; returns (model, history).
+
+    Epoch ``e`` draws from ``seeded_rng(config.seed, stream, e)``: first
+    what ``batches(epoch_rng)`` draws, then one forward seed per batch.
+    ``batches`` yields (batch, weight) pairs; a history row holds the
+    weighted mean of ``batch_loss(leaves, batch, seed)`` and ``evaluate(model)``.
+    """
+    history = []
+    step = 0
+    for epoch in range(config.epochs):
+        lr = lr_at_epoch(config, epoch)
+        epoch_rng = seeded_rng(config.seed, stream, epoch)
+        total_loss, total_weight = 0.0, 0
+        for batch_index, (item, weight) in enumerate(batches(epoch_rng)):
+            leaves = model.params.as_vars()
+            loss = batch_loss(leaves, item, draw_seed(epoch_rng))
+            backward(loss)
+            _check_step(loss, leaves, epoch, batch_index)
+            step += 1
+            adam_step(model.params, leaves, lr, step)
+            total_loss += float(loss.data) * weight
+            total_weight += weight
+        row = {
+            "epoch": epoch,
+            "lr": lr,
+            "train_loss": total_loss / total_weight,
+            "eval_acc": evaluate(model),
+        }
+        history.append(row)
+        if progress is not None:
+            progress(row)
+    return model, history
+
+
 def _batches(indices: np.ndarray, batch_size: int):
     for start in range(0, len(indices), batch_size):
         yield indices[start : start + batch_size]
@@ -282,20 +320,19 @@ def _batches(indices: np.ndarray, batch_size: int):
 def evaluate_graph_model(
     model: GraphClassifier, dataset: GraphDataset, indices: np.ndarray, config: TrainConfig
 ) -> float:
-    """Accuracy over the indexed graphs with training behaviors off."""
+    """Accuracy over the indexed graphs (at least one) with training behaviors off."""
+    indices = np.asarray(indices, dtype=np.int64)
+    _require_nonempty(len(indices), "indices")
     leaves = model.params.as_vars()
     correct = 0
-    for chunk in _batches(np.asarray(indices, dtype=np.int64), config.batch_size):
+    for chunk in _batches(indices, config.batch_size):
         batched = batch([dataset.graphs[i] for i in chunk])
-        logits = model.forward(
-            leaves, batched.graph, batched.graph_id, batched.num_graphs, config
-        )
+        logits = model.forward(leaves, batched.graph, batched.graph_id, batched.num_graphs)
         pred = logits.data.argmax(axis=1)
         correct += int((pred == dataset.labels[chunk]).sum())
     return correct / len(indices)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
 def train_graph_model(
     dataset: GraphDataset,
     train_idx: np.ndarray,
@@ -306,67 +343,45 @@ def train_graph_model(
 ) -> tuple[GraphClassifier, list[dict]]:
     """Adam training of the graph classifier; returns (model, history).
 
-    One history row per epoch: epoch, lr, mean train loss, eval accuracy.
-    ``progress`` receives each row as it is produced. Raises ValueError
-    naming the epoch and batch when the loss or a gradient is non-finite.
+    One history row per epoch: epoch, lr, mean train loss per graph, eval
+    accuracy. ``progress`` receives each row as it is produced. Raises
+    ValueError when ``train_idx`` or ``eval_idx`` is empty, and naming the
+    epoch and batch when the loss or a gradient is non-finite.
     """
-    model = GraphClassifier.create(
-        dataset.graphs[0].feature_width,
-        dataset.num_classes,
-        channels=config.channels,
-        pooling=pooling,
-        seed=config.seed,
-    )
     train_idx = np.asarray(train_idx, dtype=np.int64)
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    history = []
-    step = 0
-    for epoch in range(config.epochs):
-        lr = lr_at_epoch(config, epoch)
-        epoch_rng = seeded_rng(config.seed, "graph-epoch", epoch)
+    _require_nonempty(len(train_idx), "train_idx")
+    _require_nonempty(len(eval_idx), "eval_idx")
+    model = GraphClassifier.create(dataset.graphs[0].feature_width, dataset.num_classes,
+                                   channels=config.channels, pooling=pooling, seed=config.seed)
+
+    def batches(epoch_rng):
         perm = train_idx[epoch_rng.permutation(len(train_idx))]
-        total_loss, total_examples = 0.0, 0
-        for batch_index, chunk in enumerate(_batches(perm, config.batch_size)):
-            batched = batch([dataset.graphs[i] for i in chunk])
-            leaves = model.params.as_vars()
-            logits = model.forward(
-                leaves,
-                batched.graph,
-                batched.graph_id,
-                batched.num_graphs,
-                config,
-                training=True,
-                seed=draw_seed(epoch_rng),
-            )
-            loss = cross_entropy(logits, dataset.labels[chunk])
-            backward(loss)
-            _check_step(loss, leaves, epoch, batch_index)
-            step += 1
-            adam_step(model.params, leaves, lr, step)
-            total_loss += float(loss.data) * len(chunk)
-            total_examples += len(chunk)
-        row = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": total_loss / max(total_examples, 1),
-            "eval_acc": evaluate_graph_model(model, dataset, eval_idx, config),
-        }
-        history.append(row)
-        if progress is not None:
-            progress(row)
-    return model, history
+        for chunk in _batches(perm, config.batch_size):
+            yield (batch([dataset.graphs[i] for i in chunk]), chunk), len(chunk)
+
+    def batch_loss(leaves, item, seed):
+        batched, chunk = item
+        logits = model.forward(leaves, batched.graph, batched.graph_id, batched.num_graphs,
+                               training=True, seed=seed)
+        return cross_entropy(logits, dataset.labels[chunk])
+
+    return _fit(model, config, "graph-epoch", batches, batch_loss,
+                lambda m: evaluate_graph_model(m, dataset, eval_idx, config), progress)
 
 
 def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConfig) -> float:
-    """Accuracy over the task's test nodes with training behaviors off."""
-    leaves = model.params.as_vars()
-    logits = model.forward(leaves, task.graph, config)
-    pred = logits.data.argmax(axis=1)
+    """Accuracy over the task's test nodes (at least one) with training behaviors off.
+
+    ``config`` is unused: full-batch evaluation has no batch size.
+    """
     mask = task.test_mask
+    _require_nonempty(np.count_nonzero(mask), "test_mask")
+    logits = model.forward(model.params.as_vars(), task.graph)
+    pred = logits.data.argmax(axis=1)
     return float((pred[mask] == task.node_labels[mask]).mean())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
 def train_node_model(
     task: NodeTask,
     config: TrainConfig,
@@ -376,37 +391,20 @@ def train_node_model(
 ) -> tuple[NodeClassifier, list[dict]]:
     """Full-batch Adam training on the labeled train nodes of one graph.
 
-    Raises ValueError naming the epoch (batch 0) when the loss or a
-    gradient is non-finite.
+    Each epoch is one batch (0) of weight 1, so ``train_loss`` is that
+    step's loss. Raises ValueError when the task has no train or no test
+    nodes, and naming the epoch when the loss or a gradient is non-finite.
     """
-    model = NodeClassifier.create(
-        task.graph.feature_width,
-        task.num_classes,
-        channels=config.channels,
-        conv_kind=conv_kind,
-        pooling=pooling,
-        seed=config.seed,
-    )
     train_nodes = np.flatnonzero(task.train_mask)
-    history = []
-    for epoch in range(config.epochs):
-        lr = lr_at_epoch(config, epoch)
-        epoch_rng = seeded_rng(config.seed, "node-epoch", epoch)
-        leaves = model.params.as_vars()
-        logits = model.forward(
-            leaves, task.graph, config, training=True, seed=draw_seed(epoch_rng)
-        )
-        loss = cross_entropy(gather_rows(logits, train_nodes), task.node_labels[train_nodes])
-        backward(loss)
-        _check_step(loss, leaves, epoch, 0)
-        adam_step(model.params, leaves, lr, epoch + 1)
-        row = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": float(loss.data),
-            "eval_acc": evaluate_node_model(model, task, config),
-        }
-        history.append(row)
-        if progress is not None:
-            progress(row)
-    return model, history
+    _require_nonempty(len(train_nodes), "train_mask")
+    _require_nonempty(np.count_nonzero(task.test_mask), "test_mask")
+    model = NodeClassifier.create(task.graph.feature_width, task.num_classes,
+                                  channels=config.channels, conv_kind=conv_kind,
+                                  pooling=pooling, seed=config.seed)
+
+    def batch_loss(leaves, nodes, seed):
+        logits = model.forward(leaves, task.graph, training=True, seed=seed)
+        return cross_entropy(gather_rows(logits, nodes), task.node_labels[nodes])
+
+    return _fit(model, config, "node-epoch", lambda epoch_rng: [(train_nodes, 1)], batch_loss,
+                lambda m: evaluate_node_model(m, task, config), progress)

@@ -1,4 +1,4 @@
-"""Named parameter arrays, their optimizer state, and checkpoints."""
+"""Named parameter arrays, their optimizer state, the training recipe, and checkpoints."""
 
 from __future__ import annotations
 
@@ -50,12 +50,6 @@ class ParamStore:
         self._params[name] = p
         return p
 
-    def __getitem__(self, name: str) -> Param:
-        return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -63,45 +57,39 @@ class ParamStore:
         """Fresh leaf Vars over the live parameter arrays, one per name."""
         return {name: Var(p.data) for name, p in self._params.items()}
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Shared training recipe.
+    """Shared training recipe: what the training commands set.
 
     The learning rate starts at ``learning_rate`` and is halved every
-    ``lr_halving_period`` epochs. Edge-score dropout applies inside pooling
-    layers during training only; ``dropout_p`` is the feature dropout used
-    on the fully-connected head.
+    ``LR_HALVING_PERIOD`` epochs. The dropout rates are the constants
+    ``HEAD_DROPOUT_P`` and ``EDGE_SCORE_DROPOUT_P`` of
+    :mod:`edgepool.models`.
     """
 
     epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
-    lr_halving_period: int = 50
     channels: int = 64
-    dropout_p: float = 0.5
-    edge_score_dropout_p: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.channels <= 0:
             raise ValueError("epochs, batch_size, and channels must be positive")
-        if self.learning_rate <= 0 or self.lr_halving_period <= 0:
-            raise ValueError("learning_rate and lr_halving_period must be positive")
-        for p in (self.dropout_p, self.edge_score_dropout_p):
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"probability {p} must be in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate {self.learning_rate} must be positive and finite")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
+LR_HALVING_PERIOD = 50
+
+
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
-    """Stepped schedule: base rate halved every ``lr_halving_period`` epochs."""
-    return config.learning_rate * 0.5 ** (epoch // config.lr_halving_period)
+    """Stepped schedule: base rate halved every ``LR_HALVING_PERIOD`` epochs."""
+    return config.learning_rate * 0.5 ** (epoch // LR_HALVING_PERIOD)
 
 
 ADAM_BETA1 = 0.9

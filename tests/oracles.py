@@ -210,3 +210,101 @@ def segment_sum_unpool_backward(upstream, info):
     scaled = upstream.astype(np.float64) / info.node_score[:, None]
     out = _segment_sum(info.cluster_of, scaled, info.pooled_num_nodes)
     return out.astype(upstream.dtype)
+
+
+def two_loop_train_graph_model(dataset, train_idx, eval_idx, config, pooling=True):
+    """``train_graph_model`` as its own Adam loop, as the library first wrote it.
+
+    Verbatim but for the forward call, which no longer takes the config.
+    """
+    from edgepool.autodiff import backward
+    from edgepool.graph import batch
+    from edgepool.layers import cross_entropy
+    from edgepool.models import (
+        GraphClassifier, _batches, _check_step, evaluate_graph_model,
+    )
+    from edgepool.params import adam_step, lr_at_epoch
+    from edgepool.rng import draw_seed, seeded_rng
+
+    model = GraphClassifier.create(
+        dataset.graphs[0].feature_width,
+        dataset.num_classes,
+        channels=config.channels,
+        pooling=pooling,
+        seed=config.seed,
+    )
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    eval_idx = np.asarray(eval_idx, dtype=np.int64)
+    history = []
+    step = 0
+    for epoch in range(config.epochs):
+        lr = lr_at_epoch(config, epoch)
+        epoch_rng = seeded_rng(config.seed, "graph-epoch", epoch)
+        perm = train_idx[epoch_rng.permutation(len(train_idx))]
+        total_loss, total_examples = 0.0, 0
+        for batch_index, chunk in enumerate(_batches(perm, config.batch_size)):
+            batched = batch([dataset.graphs[i] for i in chunk])
+            leaves = model.params.as_vars()
+            logits = model.forward(
+                leaves,
+                batched.graph,
+                batched.graph_id,
+                batched.num_graphs,
+                training=True,
+                seed=draw_seed(epoch_rng),
+            )
+            loss = cross_entropy(logits, dataset.labels[chunk])
+            backward(loss)
+            _check_step(loss, leaves, epoch, batch_index)
+            step += 1
+            adam_step(model.params, leaves, lr, step)
+            total_loss += float(loss.data) * len(chunk)
+            total_examples += len(chunk)
+        row = {
+            "epoch": epoch,
+            "lr": lr,
+            "train_loss": total_loss / max(total_examples, 1),
+            "eval_acc": evaluate_graph_model(model, dataset, eval_idx, config),
+        }
+        history.append(row)
+    return model, history
+
+
+def two_loop_train_node_model(task, config, conv_kind="mean", pooling=True):
+    """``train_node_model`` as its own full-batch Adam loop, as the library
+    first wrote it. Verbatim but for the forward call, which no longer takes
+    the config.
+    """
+    from edgepool.autodiff import backward
+    from edgepool.layers import cross_entropy, gather_rows
+    from edgepool.models import NodeClassifier, _check_step, evaluate_node_model
+    from edgepool.params import adam_step, lr_at_epoch
+    from edgepool.rng import draw_seed, seeded_rng
+
+    model = NodeClassifier.create(
+        task.graph.feature_width,
+        task.num_classes,
+        channels=config.channels,
+        conv_kind=conv_kind,
+        pooling=pooling,
+        seed=config.seed,
+    )
+    train_nodes = np.flatnonzero(task.train_mask)
+    history = []
+    for epoch in range(config.epochs):
+        lr = lr_at_epoch(config, epoch)
+        epoch_rng = seeded_rng(config.seed, "node-epoch", epoch)
+        leaves = model.params.as_vars()
+        logits = model.forward(leaves, task.graph, training=True, seed=draw_seed(epoch_rng))
+        loss = cross_entropy(gather_rows(logits, train_nodes), task.node_labels[train_nodes])
+        backward(loss)
+        _check_step(loss, leaves, epoch, 0)
+        adam_step(model.params, leaves, lr, epoch + 1)
+        row = {
+            "epoch": epoch,
+            "lr": lr,
+            "train_loss": float(loss.data),
+            "eval_acc": evaluate_node_model(model, task, config),
+        }
+        history.append(row)
+    return model, history

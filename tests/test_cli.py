@@ -2,12 +2,13 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import cli, gen_synthetic, save_tu
+from edgepool import cli, gen_synthetic, load_tu, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.graph import build_graph, graph_from_json, graph_to_json, save_graph_file, symmetrize
@@ -664,6 +665,88 @@ class TestJsonFuzz:
                 assert_read_exactly(getattr(graph, key), obj, key)
 
 
+TU_FUZZ_BASE = {
+    "A": ["1, 2", "2, 1", "2, 3", "3, 2", "4, 5", "5, 4"],
+    "graph_indicator": ["1", "1", "1", "2", "2"],
+    "graph_labels": ["6", "3"],
+    "node_labels": ["0", "1", "1", "0", "2"],
+    "node_attributes": ["0.5, 1.0", "0.25, 2.0", "0.125, 3.0", "2.5, 4.0", "1.5, 5.0"],
+}
+TU_FUZZ_TOKENS = ["\u0661", "\uff11\uff12", "\u0663.\u0665", "1_0", "0x1", "\u00b2", "1 2", "",
+                  "nan", "inf", "-inf", "1e400", "1e39", "2**3", "e5", ".", "2.5", "1.", ".5",
+                  "1e-50", "5E-1", "+1", "-0", " 3 ", "007", "-1", "0", "2", "4",
+                  "9223372036854775808"]
+TU_INTEGER = re.compile(r"[+-]?[0-9]+")
+TU_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+@st.composite
+def odd_tu_files(draw):
+    """The lines of each TU file, with one entry of one line set to an odd token."""
+    files = copy.deepcopy(TU_FUZZ_BASE)
+    suffix = draw(st.sampled_from(sorted(files)))
+    lines = files[suffix]
+    i = draw(st.integers(0, len(lines) - 1))
+    entries = lines[i].split(",")
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(TU_FUZZ_TOKENS))
+    lines[i] = ",".join(entries)
+    return files
+
+
+def canonical_tu(files):
+    """Each entry rewritten as the number it spells under the ASCII rule, or None
+    when some entry breaks the rule."""
+    out = {}
+    for suffix, lines in files.items():
+        pattern, spell = ((TU_DECIMAL, lambda t: repr(float(t))) if suffix == "node_attributes"
+                          else (TU_INTEGER, lambda t: str(int(t))))
+        out[suffix] = []
+        for line in lines:
+            entries = [t.strip() for t in line.split(",")]
+            if not all(pattern.fullmatch(t) for t in entries):
+                return None
+            out[suffix].append(", ".join(map(spell, entries)))
+    return out
+
+
+def write_tu(directory, files):
+    directory.mkdir()
+    for suffix, lines in files.items():
+        (directory / f"F_{suffix}.txt").write_text("\n".join(lines) + "\n")
+
+
+def same_dataset(a, b) -> bool:
+    return (a.labels.tolist() == b.labels.tolist() and len(a.graphs) == len(b.graphs)
+            and all(g.edges.tobytes() == h.edges.tobytes()
+                    and g.node_features.dtype == h.node_features.dtype
+                    and g.node_features.tobytes() == h.node_features.tobytes()
+                    for g, h in zip(a.graphs, b.graphs)))
+
+
+class TestTuFuzz:
+    # Every number in a TU text file passes one ASCII rule: a run exits 0
+    # having read exactly the numbers the entries spell, or 2 with a message,
+    # and never raises.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(files=odd_tu_files())
+    def test_odd_entries_exit_0_with_exact_values_or_2(self, tmp_path_factory, files):
+        tmp = tmp_path_factory.mktemp("tufuzz")
+        write_tu(tmp / "odd", files)
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "load_tu", recording(calls, "load_tu", load_tu))
+            code = main(["pool", "--tu", str(tmp / "odd"), "F", "--out", str(tmp / "out")])
+        assert code in (0, 2)
+        canonical = canonical_tu(files)
+        if canonical is None:
+            assert code == 2
+        if code != 0:
+            return
+        write_tu(tmp / "canonical", canonical)
+        _, dataset = calls["load_tu"]
+        assert same_dataset(dataset, load_tu(tmp / "canonical", "F"))
+
+
 class TestArgumentErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -675,6 +758,16 @@ class TestArgumentErrors:
             main(["train-node", "--synthetic", "sbm", "--conv", "attention",
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_learning_rate_must_be_positive_and_finite(self, tmp_path, lr, capsys):
+        # Without pooling no score check stops a NaN rate: only the config
+        # keeps training from finishing with a checkpoint of NaNs.
+        code = main(["train-node", "--synthetic", "sbm", "--pooling", "none", "--epochs", "1",
+                     "--lr", lr, "--quiet", "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["pool", "--input", "g.json", "--random-seed", "7"],

@@ -100,7 +100,9 @@ class TestLoadTu:
         with pytest.raises(ValueError):
             load_tu(d, "TOY")
 
-    @pytest.mark.parametrize("bad", ["inf", "nan", "2.5"], ids=["inf", "nan", "fractional"])
+    @pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "1_0", "\u0661", "\uff11\uff12"],
+                             ids=["inf", "nan", "fractional", "underscore", "arabic-indic",
+                                  "fullwidth"])
     @pytest.mark.parametrize("suffix, line, text", [
         ("A", 3, "2, {}"),
         ("graph_indicator", 2, "{}"),
@@ -115,6 +117,27 @@ class TestLoadTu:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"TOY_{suffix}\.txt:{line}: .*not an integer"):
             load_tu(d, "TOY")
+
+    @pytest.mark.parametrize("bad, why", [
+        ("nan", "not a decimal"), ("inf", "not a decimal"), ("1_0.5", "not a decimal"),
+        ("\u0663.5", "not a decimal"), ("0x1p3", "not a decimal"), ("1e39", "float32 range"),
+    ], ids=["nan", "inf", "underscore", "arabic-indic", "hex", "beyond-float32"])
+    def test_attributes_are_ascii_decimals(self, tmp_path, bad, why):
+        d = write_tu_fixture(tmp_path / "toy")
+        (d / "TOY_node_attributes.txt").write_text(
+            f"0.5, 1.0\n0.25, {bad}\n0.125, 3.0\n2.5, 4.0\n1.5, 5.0\n")
+        with pytest.raises(ValueError, match=rf"TOY_node_attributes\.txt:2: .*{why}"):
+            load_tu(d, "TOY")
+
+    def test_ascii_number_forms_read_as_spelled(self, tmp_path):
+        d = write_tu_fixture(tmp_path / "toy")
+        (d / "TOY_graph_labels.txt").write_text(" +06 \n-0003\n")
+        (d / "TOY_node_attributes.txt").write_text(
+            "5e-1, 1.\n.25, 2E0\n0.125, +3.0\n2.5, 4.0\n1.5, 5.0\n")
+        ds = load_tu(d, "TOY")
+        assert ds.labels.tolist() == [1, 0]  # 6 and -3 remap to sorted order
+        assert ds.graphs[0].node_features[:, :2].tolist() == [[0.5, 1.0], [0.25, 2.0],
+                                                             [0.125, 3.0]]
 
     def test_edge_line_needs_two_entries(self, tmp_path):
         d = write_tu_fixture(tmp_path / "toy")

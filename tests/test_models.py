@@ -22,12 +22,24 @@ from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
 
+from oracles import two_loop_train_graph_model, two_loop_train_node_model
+
 
 def tiny_config(**overrides):
-    base = dict(epochs=2, batch_size=8, channels=8, dropout_p=0.0,
-                edge_score_dropout_p=0.0, seed=0)
+    base = dict(epochs=2, batch_size=8, channels=8, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+@pytest.fixture
+def no_dropout(monkeypatch):
+    """Both dropout stages off, so training-mode forwards are deterministic."""
+    monkeypatch.setattr(models, "HEAD_DROPOUT_P", 0.0)
+    monkeypatch.setattr(models, "EDGE_SCORE_DROPOUT_P", 0.0)
+
+
+def param_names(model):
+    return [name for name, _ in model.params.items()]
 
 
 def graph_fixture(num_graphs=12, seed=0):
@@ -46,10 +58,11 @@ def node_fixture(seed=0):
     )
 
 
+@pytest.mark.usefixtures("no_dropout")
 class TestGraphClassifier:
     def test_parameter_names(self):
         m = GraphClassifier.create(5, 2, channels=8, pooling=True)
-        names = set(m.params.names())
+        names = set(param_names(m))
         assert "block1.conv.w_self" in names
         assert "block3.bn.gamma" in names
         assert "block1.pool.weight" in names
@@ -59,7 +72,7 @@ class TestGraphClassifier:
 
     def test_no_pooling_drops_pool_params(self):
         m = GraphClassifier.create(5, 2, channels=8, pooling=False)
-        assert not any("pool" in n for n in m.params.names())
+        assert not any("pool" in n for n in param_names(m))
 
     def test_logit_shape(self):
         ds = graph_fixture(num_graphs=5)
@@ -67,7 +80,7 @@ class TestGraphClassifier:
                                    channels=8)
         batched = batch(ds.graphs)
         logits = m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                           batched.num_graphs, tiny_config())
+                           batched.num_graphs)
         assert logits.data.shape == (5, ds.num_classes)
 
     def test_train_eval_identity_without_stochastic_stages(self):
@@ -77,9 +90,8 @@ class TestGraphClassifier:
         m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes,
                                    channels=8)
         batched = batch(ds.graphs)
-        cfg = tiny_config()
         leaves = m.params.as_vars()
-        args = (batched.graph, batched.graph_id, batched.num_graphs, cfg)
+        args = (batched.graph, batched.graph_id, batched.num_graphs)
         train_logits = m.forward(leaves, *args, training=True, seed=3)
         eval_logits = m.forward(leaves, *args, training=False, seed=99)
         assert np.array_equal(train_logits.data, eval_logits.data)
@@ -92,7 +104,7 @@ class TestGraphClassifier:
                                        channels=8, pooling=pooling)
             trace = []
             m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                      batched.num_graphs, tiny_config(), trace=trace)
+                      batched.num_graphs, trace=trace)
             assert len(trace) == expect
 
     def test_pooling_contracts_between_blocks(self):
@@ -102,7 +114,7 @@ class TestGraphClassifier:
                                    channels=8, pooling=True)
         trace = []
         m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                  batched.num_graphs, tiny_config(), trace=trace)
+                  batched.num_graphs, trace=trace)
         assert trace[0].pooled_num_nodes < batched.graph.num_nodes
         assert len(trace[1].cluster_of) == trace[0].pooled_num_nodes
         assert len(trace[2].cluster_of) == trace[1].pooled_num_nodes
@@ -120,11 +132,12 @@ class TestGraphClassifier:
         for graphs in (ds.graphs, with_ef):
             batched = batch(graphs)
             logits.append(m.forward(leaves, batched.graph, batched.graph_id,
-                                    batched.num_graphs, tiny_config(), training=True).data)
+                                    batched.num_graphs, training=True).data)
         assert logits[0].tobytes() == logits[1].tobytes()
 
 
 class TestGraphTraining:
+    @pytest.mark.usefixtures("no_dropout")
     def test_history_shape_and_loss_drop(self):
         ds = graph_fixture(num_graphs=16)
         idx = np.arange(len(ds))
@@ -145,6 +158,7 @@ class TestGraphTraining:
         _, h2 = train_graph_model(ds, idx[:8], idx[8:], cfg)
         assert h1 == h2
 
+    @pytest.mark.usefixtures("no_dropout")
     def test_one_graph_batch_trains_and_evaluates(self):
         # Two pooling levels take each 4-node path to one node, and the
         # trailing eval batch holds one graph: batch norm sees one row.
@@ -158,15 +172,18 @@ class TestGraphTraining:
         assert all(np.isfinite(row["train_loss"]) for row in history)
         assert evaluate_graph_model(model, ds, idx, cfg) == history[-1]["eval_acc"]
 
+    @pytest.mark.usefixtures("no_dropout")
     def test_pooling_flag_changes_model(self):
         ds = graph_fixture(num_graphs=8)
         idx = np.arange(len(ds))
         cfg = tiny_config(epochs=1)
         m_pool, _ = train_graph_model(ds, idx[:6], idx[6:], cfg, pooling=True)
         m_flat, _ = train_graph_model(ds, idx[:6], idx[6:], cfg, pooling=False)
-        assert any("pool" in n for n in m_pool.params.names())
-        assert not any("pool" in n for n in m_flat.params.names())
+        assert any("pool" in n for n in param_names(m_pool))
+        assert not any("pool" in n for n in param_names(m_flat))
 
+
+@pytest.mark.usefixtures("no_dropout")
 class TestNodeClassifier:
     def test_conv_kind_validated(self):
         with pytest.raises(ValueError):
@@ -175,15 +192,15 @@ class TestNodeClassifier:
     def test_mlp_variant_has_no_neighbor_weights(self):
         mlp = NodeClassifier.create(4, 2, channels=8, conv_kind="mlp")
         mean = NodeClassifier.create(4, 2, channels=8, conv_kind="mean")
-        assert not any("w_neigh" in n for n in mlp.params.names())
-        assert any("w_neigh" in n for n in mean.params.names())
+        assert not any("w_neigh" in n for n in param_names(mlp))
+        assert any("w_neigh" in n for n in param_names(mean))
 
     def test_logit_rows_match_input_nodes(self):
         task = node_fixture()
         for pooling in (True, False):
             m = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                       channels=8, pooling=pooling)
-            logits = m.forward(m.params.as_vars(), task.graph, tiny_config())
+            logits = m.forward(m.params.as_vars(), task.graph)
             assert logits.data.shape == (task.graph.num_nodes, task.num_classes)
 
     def test_trace_has_two_levels(self):
@@ -191,7 +208,7 @@ class TestNodeClassifier:
         m = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=8, pooling=True)
         trace = []
-        m.forward(m.params.as_vars(), task.graph, tiny_config(), trace=trace)
+        m.forward(m.params.as_vars(), task.graph, trace=trace)
         assert len(trace) == 2
         assert len(trace[1].cluster_of) == trace[0].pooled_num_nodes
 
@@ -199,10 +216,9 @@ class TestNodeClassifier:
         task = node_fixture()
         m = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=8)
-        cfg = tiny_config()
         leaves = m.params.as_vars()
-        a = m.forward(leaves, task.graph, cfg, training=True, seed=1)
-        b = m.forward(leaves, task.graph, cfg, training=False, seed=2)
+        a = m.forward(leaves, task.graph, training=True, seed=1)
+        b = m.forward(leaves, task.graph, training=False, seed=2)
         assert np.array_equal(a.data, b.data)
 
     def test_edge_features_are_not_read(self):
@@ -212,8 +228,8 @@ class TestNodeClassifier:
         with_ef = build_graph(g.num_nodes, g.edges, g.node_features, ef)
         m = NodeClassifier.create(g.feature_width, task.num_classes, channels=8)
         leaves = m.params.as_vars()
-        a = m.forward(leaves, g, tiny_config(), training=True, seed=1)
-        b = m.forward(leaves, with_ef, tiny_config(), training=True, seed=1)
+        a = m.forward(leaves, g, training=True, seed=1)
+        b = m.forward(leaves, with_ef, training=True, seed=1)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_mlp_without_pooling_ignores_structure(self):
@@ -223,12 +239,12 @@ class TestNodeClassifier:
         m = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=8, conv_kind="mlp", pooling=False)
         leaves = m.params.as_vars()
-        base = m.forward(leaves, task.graph, tiny_config())
+        base = m.forward(leaves, task.graph)
         rng = seeded_rng(0, "rewire")
         n = task.graph.num_nodes
         pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(60, 2)) if a != b}
         rewired = build_graph(n, sorted(pairs), task.graph.node_features)
-        other = m.forward(leaves, rewired, tiny_config())
+        other = m.forward(leaves, rewired)
         assert np.array_equal(base.data, other.data)
 
     def test_mlp_with_pooling_uses_structure(self):
@@ -236,16 +252,17 @@ class TestNodeClassifier:
         m = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=8, conv_kind="mlp", pooling=True)
         leaves = m.params.as_vars()
-        base = m.forward(leaves, task.graph, tiny_config())
+        base = m.forward(leaves, task.graph)
         rng = seeded_rng(1, "rewire")
         n = task.graph.num_nodes
         pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(3 * n, 2)) if a != b}
         rewired = build_graph(n, sorted(pairs), task.graph.node_features)
-        other = m.forward(leaves, rewired, tiny_config())
+        other = m.forward(leaves, rewired)
         assert not np.array_equal(base.data, other.data)
 
 
 class TestNodeTraining:
+    @pytest.mark.usefixtures("no_dropout")
     def test_history_and_loss_drop(self):
         task = node_fixture()
         cfg = tiny_config(epochs=8, learning_rate=5e-3)
@@ -262,11 +279,70 @@ class TestNodeTraining:
         _, h2 = train_node_model(task, cfg, conv_kind="mlp")
         assert h1 == h2
 
+    @pytest.mark.usefixtures("no_dropout")
     def test_progress_callback(self):
         task = node_fixture()
         rows = []
         train_node_model(task, tiny_config(epochs=2), progress=rows.append)
         assert [r["epoch"] for r in rows] == [0, 1]
+
+
+def param_bytes(model):
+    return [(name, p.data.dtype.str, p.data.tobytes()) for name, p in model.params.items()]
+
+
+class TestOneLoop:
+    # One Adam loop trains both models exactly as their two former loops did,
+    # with both dropout stages on.
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("pooling", [True, False])
+    def test_graph_loop_matches_two_loop_oracle(self, seed, pooling):
+        ds = graph_fixture(num_graphs=14, seed=seed)
+        idx = np.arange(len(ds))
+        cfg = TrainConfig(epochs=3, batch_size=5, channels=8, seed=seed)
+        model, history = train_graph_model(ds, idx[:11], idx[11:], cfg, pooling=pooling)
+        ref_model, ref_history = two_loop_train_graph_model(ds, idx[:11], idx[11:], cfg,
+                                                            pooling=pooling)
+        assert repr(history) == repr(ref_history)
+        assert param_bytes(model) == param_bytes(ref_model)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("pooling", [True, False])
+    @pytest.mark.parametrize("conv_kind", ["mean", "mlp"])
+    def test_node_loop_matches_two_loop_oracle(self, seed, pooling, conv_kind):
+        task = node_fixture(seed=seed)
+        cfg = TrainConfig(epochs=3, channels=8, seed=seed)
+        model, history = train_node_model(task, cfg, conv_kind=conv_kind, pooling=pooling)
+        ref_model, ref_history = two_loop_train_node_model(task, cfg, conv_kind=conv_kind,
+                                                           pooling=pooling)
+        assert repr(history) == repr(ref_history)
+        assert param_bytes(model) == param_bytes(ref_model)
+
+
+class TestEmptySplits:
+    @pytest.mark.parametrize("empty", ["train_idx", "eval_idx"])
+    def test_graph_training_names_the_empty_set(self, empty):
+        ds = graph_fixture(num_graphs=4)
+        idx = {"train_idx": np.arange(4), "eval_idx": np.arange(4), empty: []}
+        with pytest.raises(ValueError, match=f"^{empty} is empty$"):
+            train_graph_model(ds, idx["train_idx"], idx["eval_idx"], tiny_config())
+
+    def test_graph_evaluation_names_the_empty_set(self):
+        ds = graph_fixture(num_graphs=4)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        with pytest.raises(ValueError, match="^indices is empty$"):
+            evaluate_graph_model(m, ds, np.arange(0), tiny_config())
+
+    @pytest.mark.parametrize("empty", ["train_mask", "test_mask"])
+    def test_node_training_names_the_empty_set(self, empty):
+        task = node_fixture()
+        task = dataclasses.replace(task, **{empty: np.zeros_like(task.train_mask)})
+        with pytest.raises(ValueError, match=f"^{empty} is empty$"):
+            train_node_model(task, tiny_config())
+        if empty == "test_mask":
+            m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+            with pytest.raises(ValueError, match="^test_mask is empty$"):
+                evaluate_node_model(m, task, tiny_config())
 
 
 def run_model(kind, pooling=False, **overrides):
@@ -283,6 +359,7 @@ def run_model(kind, pooling=False, **overrides):
 SECOND_STEP = {"graph": "epoch 0, batch 1", "node": "epoch 1, batch 0"}
 
 
+@pytest.mark.usefixtures("no_dropout")
 class TestNonFiniteStep:
     @pytest.mark.parametrize("kind", ["graph", "node"])
     def test_non_finite_loss_names_epoch_and_batch(self, kind):

@@ -1,10 +1,12 @@
 """The public surface: what ``edgepool`` exports and what README documents."""
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 import edgepool
+from edgepool.params import ParamStore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +50,16 @@ def test_one_merge_rule():
     assert "WeightedCombine" not in edgepool.__all__
     assert not hasattr(edgepool, "WeightedCombine")
     assert not hasattr(edgepool.pool, "WeightedCombine")
+
+
+def test_train_config_holds_only_what_commands_set():
+    # Each field is set by a training command's flag; the rest of the recipe
+    # (halving period, dropout rates) is fixed, so no test-only knob returns.
+    fields = [f.name for f in dataclasses.fields(edgepool.TrainConfig)]
+    assert fields == ["epochs", "batch_size", "learning_rate", "channels", "seed"]
+
+
+def test_param_store_methods():
+    # The library reads a store through these alone.
+    methods = sorted(n for n, v in vars(ParamStore).items() if callable(v))
+    assert methods == ["__init__", "add", "as_vars", "items"]
