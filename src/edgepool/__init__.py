@@ -33,7 +33,7 @@ from .pool import (
     random_pool_params,
     select_contractions,
 )
-from .unpool import UnpoolPlan, unpool_backward, unpool_chain, unpool_once
+from .unpool import unpool_backward, unpool_once
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "edgepool_forward",
     "edgepool_backward",
     "unpool_once",
-    "unpool_chain",
     "unpool_backward",
     "Var",
     "backward",
@@ -72,6 +71,5 @@ __all__ = [
     "TrainConfig",
     "GraphDataset",
     "NodeTask",
-    "UnpoolPlan",
     "__version__",
 ]

@@ -2,7 +2,8 @@
 
 Every command honors ``--seed``, funnels randomness through labeled
 generators, and writes a run manifest next to its artifacts so a run can
-be reproduced from the recorded configuration alone.
+be reproduced from the recorded configuration alone. The two training
+commands declare their shared flags once, with ``TrainConfig``'s defaults.
 
 Exit codes: 0 success, 1 validation failure, 2 input error.
 """
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .data import NodeTask, gen_synthetic, kfold_splits, load_tu, node_split
+from .data import _node_task, gen_synthetic, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_NAMES, run_gradcheck
 from .graph import (
     _graph_and_labels,
@@ -32,7 +33,7 @@ from .graph import (
     symmetrize,
     to_dot,
 )
-from .models import train_graph_model, train_node_model
+from .models import CONV_KINDS, train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
 from .pool import PoolParams, edgepool_forward, hierarchy_to_json, pool_hierarchy, random_pool_params
 from .rng import seeded_rng
@@ -58,11 +59,17 @@ class RunManifest:
     ended: str = ""
     outputs: list[str] = field(default_factory=list)
 
-    def write(self, out_dir) -> str:
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
+    @classmethod
+    def start(cls, args: argparse.Namespace, dataset: str) -> "RunManifest":
+        """A manifest for the parsed command ``args``, started now."""
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        return cls(args.command, config, args.seed, dataset, started=_now())
+
+    def finish(self, out_dir) -> None:
+        """Stamp the end time and write ``manifest.json`` into ``out_dir``."""
+        self.ended = _now()
+        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
-        return path
 
 
 def _now() -> str:
@@ -91,19 +98,7 @@ def _save_summary(out_dir, summary: dict, manifest: RunManifest) -> None:
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     manifest.outputs.append(summary_path)
-    manifest.ended = _now()
-    manifest.write(out_dir)
-
-
-def _manifest_for(args: argparse.Namespace, command: str, dataset: str) -> RunManifest:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    return RunManifest(
-        command=command,
-        config=config,
-        seed=getattr(args, "seed", 0),
-        dataset=dataset,
-        started=_now(),
-    )
+    manifest.finish(out_dir)
 
 
 def _load_pool_input(args):
@@ -140,7 +135,7 @@ def cmd_pool(args) -> int:
     if args.levels < 0:
         raise ValueError(f"--levels must be non-negative, got {args.levels}")
     graph, identity = _load_pool_input(args)
-    manifest = _manifest_for(args, "pool", identity)
+    manifest = RunManifest.start(args, identity)
     os.makedirs(args.out, exist_ok=True)
     params = _load_pool_params(args, graph.feature_width, graph.edge_feature_width)
     levels = pool_hierarchy(graph, params, args.levels)
@@ -161,8 +156,7 @@ def cmd_pool(args) -> int:
             fh.write(to_dot(g, colors, name=f"level{depth}"))
         manifest.outputs.append(dot_path)
 
-    manifest.ended = _now()
-    manifest.write(args.out)
+    manifest.finish(args.out)
     for depth, g in enumerate(graphs):
         print(f"level {depth}: {g.num_nodes} nodes, {g.num_edges} directed edges")
     return EXIT_OK
@@ -179,7 +173,7 @@ def cmd_train_graph(args) -> int:
         raise ValueError(f"--folds must be at least 2, got {args.folds}")
     directory, name = args.tu
     dataset = load_tu(directory, name)
-    manifest = _manifest_for(args, "train-graph", name)
+    manifest = RunManifest.start(args, name)
     os.makedirs(args.out, exist_ok=True)
     config = _config_from_args(args, batch_size=args.batch_size)
     pooling = args.pooling == "edgepool"
@@ -241,22 +235,13 @@ def _load_task(args):
             missing = "test_nodes" if given == ["train_nodes"] else "train_nodes"
             raise ValueError(f"task JSON has {given[0]} but no {missing}: give both or neither")
         if given:
-            classes = np.unique(labels)
             train_mask = _node_mask(obj, "train_nodes", graph.num_nodes)
             test_mask = _node_mask(obj, "test_nodes", graph.num_nodes)
             shared = np.flatnonzero(train_mask & test_mask)
             if shared.size:
                 raise ValueError(f"train_nodes and test_nodes share node {shared[0]}: "
                                  "the splits must be disjoint")
-            task = NodeTask(
-                graph=graph,
-                node_labels=np.searchsorted(classes, labels).astype(np.int64),
-                train_mask=train_mask,
-                test_mask=test_mask,
-                num_classes=len(classes),
-                name=identity,
-            )
-            return task, identity
+            return _node_task(graph, labels, train_mask, test_mask, identity), identity
         return node_split(graph, labels, seed=args.seed, name=identity), identity
     if args.synthetic is not None:
         if args.synthetic != "sbm":
@@ -268,7 +253,7 @@ def _load_task(args):
 
 def cmd_train_node(args) -> int:
     task, identity = _load_task(args)
-    manifest = _manifest_for(args, "train-node", identity)
+    manifest = RunManifest.start(args, identity)
     os.makedirs(args.out, exist_ok=True)
     config = _config_from_args(args)
     model, history = train_node_model(
@@ -310,13 +295,12 @@ def cmd_gradcheck(args) -> int:
         all_ok = all_ok and r.passed
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        manifest = _manifest_for(args, "gradcheck", "synthetic")
+        manifest = RunManifest.start(args, "synthetic")
         report_path = os.path.join(args.out, "gradcheck.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump([asdict(r) for r in results], fh, indent=2)
         manifest.outputs.append(report_path)
-        manifest.ended = _now()
-        manifest.write(args.out)
+        manifest.finish(args.out)
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
@@ -360,7 +344,7 @@ def cmd_bench(args) -> int:
     sizes = _bench_sizes(_edge_count(args.min_edges, "--min-edges"),
                          _edge_count(args.max_edges, "--max-edges"))
     os.makedirs(args.out, exist_ok=True)
-    manifest = _manifest_for(args, "bench", "synthetic")
+    manifest = RunManifest.start(args, "synthetic")
     rows = []
     for size in sizes:
         graph = _bench_graph(size, args.seed)
@@ -387,8 +371,7 @@ def cmd_bench(args) -> int:
         mem_slope = float(np.polyfit(log_e, np.log([r[2] for r in rows]), 1)[0])
         print(f"runtime log-log slope: {time_slope:.3f}")
         print(f"memory log-log slope: {mem_slope:.3f}")
-    manifest.ended = _now()
-    manifest.write(args.out)
+    manifest.finish(args.out)
     return EXIT_OK
 
 
@@ -410,30 +393,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("train-graph", help="k-fold graph classification")
+    # The flags both training commands share, with TrainConfig's defaults.
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--pooling", choices=["none", "edgepool"], default="edgepool")
+    train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    train.add_argument("--channels", type=int, default=TrainConfig.channels)
+    train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    train.add_argument("--quiet", action="store_true")
+    train.add_argument("--out", required=True)
+
+    p = sub.add_parser("train-graph", parents=[train], help="k-fold graph classification")
     p.add_argument("--tu", nargs=2, metavar=("DIR", "NAME"), required=True)
-    p.add_argument("--pooling", choices=["none", "edgepool"], default="edgepool")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, dest="batch_size")
     p.set_defaults(func=cmd_train_graph)
 
-    p = sub.add_parser("train-node", help="semi-supervised node classification")
+    p = sub.add_parser("train-node", parents=[train],
+                       help="semi-supervised node classification")
     p.add_argument("--input", help="task JSON file (graph plus node_labels)")
     p.add_argument("--synthetic", choices=["sbm"], help="generate the task instead")
-    p.add_argument("--pooling", choices=["none", "edgepool"], default="edgepool")
-    p.add_argument("--conv", choices=["mean", "mlp"], default="mean")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--conv", choices=CONV_KINDS, default=CONV_KINDS[0])
     p.set_defaults(func=cmd_train_node)
 
     p = sub.add_parser("gradcheck", help="finite-difference backward validation")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph, build_graph, symmetrize
+from .graph import Graph, _sorted_unique, build_graph, symmetrize
 from .rng import seeded_rng
 
 __all__ = [
@@ -188,15 +188,21 @@ def load_tu(directory, name: str) -> GraphDataset:
         raise ValueError("graph indicator must be non-decreasing")
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
-    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    for u, v in edges_global:
-        if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
+    u, v = edges_global[:, 0], edges_global[:, 1]
+    in_range = (u >= 1) & (u <= total_nodes) & (v >= 1) & (v <= total_nodes)
+    bad = ~in_range
+    bad[in_range] = node_graph[u[in_range] - 1] != node_graph[v[in_range] - 1]
+    if bad.any():  # report the first bad line in file order
+        e = int(np.argmax(bad))
+        u, v = int(u[e]), int(v[e])
+        if not in_range[e]:
             raise ValueError(f"edge endpoint {u if u < 1 or u > total_nodes else v} out of range")
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise ValueError(f"edge ({u}, {v}) references a node outside its graph")
-        off = offsets[gu]
-        per_graph_edges[gu].append((u - 1 - off, v - 1 - off))
+        raise ValueError(f"edge ({u}, {v}) references a node outside its graph")
+    # Nodes are numbered in graph order, so sorted keys come out grouped
+    # per graph, and each group in canonical (src, dst) order.
+    key = _sorted_unique((u - 1) * np.int64(total_nodes) + (v - 1))
+    src, dst = key // total_nodes, key % total_nodes
+    bounds = np.searchsorted(src, np.append(offsets, total_nodes))
 
     label_values = np.unique(raw_labels)
     labels = np.searchsorted(label_values, raw_labels).astype(np.int64)
@@ -205,9 +211,9 @@ def load_tu(directory, name: str) -> GraphDataset:
     for g in range(num_graphs):
         n = int(counts[g])
         off = int(offsets[g])
-        raw = np.asarray(per_graph_edges[g], dtype=np.int64).reshape(-1, 2)
-        uniq = np.unique(raw, axis=0) if raw.size else raw
-        graph = build_graph(n, uniq, features[off : off + n])
+        lo, hi = bounds[g], bounds[g + 1]
+        local = np.stack([src[lo:hi] - off, dst[lo:hi] - off], axis=1)
+        graph = build_graph(n, local, features[off : off + n])
         graphs.append(symmetrize(graph))
 
     return GraphDataset(graphs=graphs, labels=labels, num_classes=len(label_values), name=name)
@@ -217,8 +223,12 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
     """Write a dataset back out in the plain-text benchmark format.
 
     Features go to the attributes file, so a reload reproduces the dataset
-    exactly (modulo the label remap, which is idempotent).
+    exactly (modulo the label remap, which is idempotent). The format has no
+    edge attributes, so a graph with edge features raises ``ValueError``.
     """
+    for k, g in enumerate(dataset.graphs):
+        if g.edge_features is not None:
+            raise ValueError(f"graph {k} has edge features, which the text format cannot hold")
     name = name or dataset.name
     os.makedirs(directory, exist_ok=True)
     a_lines, ind_lines, attr_lines = [], [], []
@@ -283,10 +293,16 @@ def node_split(
         picked = rng.permutation(members)
         train_mask[picked[:per_class_train]] = True
         test_mask[picked[per_class_train:need]] = True
-    remapped = np.searchsorted(classes, node_labels)
+    return _node_task(graph, node_labels, train_mask, test_mask, name)
+
+
+def _node_task(graph: Graph, node_labels: np.ndarray, train_mask: np.ndarray,
+               test_mask: np.ndarray, name: str) -> NodeTask:
+    """The task with its labels remapped to 0..C-1 in sorted order."""
+    classes = np.unique(node_labels)
     return NodeTask(
         graph=graph,
-        node_labels=remapped.astype(np.int64),
+        node_labels=np.searchsorted(classes, node_labels).astype(np.int64),
         train_mask=train_mask,
         test_mask=test_mask,
         num_classes=len(classes),
@@ -419,18 +435,12 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
 
     Kinds:
 
-    * ``cycle``: one ``n``-node cycle (default 100) with constant features,
-      a one-graph dataset;
     * ``path_proteinlike``: ``num_graphs`` paths of ``min_nodes`` to
       ``max_nodes`` nodes, class 1 with extra chords (a graph dataset);
     * ``sbm_node_task``: a stochastic block model node task with the blocks
       as labels and the standard per-class train/test split.
     """
     rng = seeded_rng(seed, "synthetic", kind)
-    params = dict(params)
-    if kind == "cycle":
-        g = make_cycle(int(params.get("n", 100)))
-        return GraphDataset([g], np.zeros(1, dtype=np.int64), 1, "cycle")
     if kind == "path_proteinlike":
         return _make_proteinlike(
             int(params.get("num_graphs", 100)),

@@ -53,7 +53,7 @@ __all__ = [
     "evaluate_node_model",
 ]
 
-CONV_KINDS = ("mean", "mlp")
+CONV_KINDS = ("mean", "mlp")  # the first is the default
 HEAD_DROPOUT_P = 0.5
 EDGE_SCORE_DROPOUT_P = 0.2
 
@@ -122,9 +122,6 @@ class GraphClassifier:
     probability ``EDGE_SCORE_DROPOUT_P``.
     """
 
-    feature_width: int
-    channels: int
-    num_classes: int
     pooling: bool
     params: ParamStore
 
@@ -133,7 +130,7 @@ class GraphClassifier:
         cls,
         feature_width: int,
         num_classes: int,
-        channels: int = 64,
+        channels: int = TrainConfig.channels,
         pooling: bool = True,
         seed: int = 0,
     ) -> "GraphClassifier":
@@ -147,7 +144,7 @@ class GraphClassifier:
             if pooling:
                 _add_pool(store, f"block{i + 1}.pool", channels, rng)
         _add_head(store, 3 * channels, channels, num_classes, rng)
-        return cls(feature_width, channels, num_classes, pooling, store)
+        return cls(pooling, store)
 
     def forward(
         self,
@@ -186,9 +183,6 @@ class GraphClassifier:
 class NodeClassifier:
     """Per-node classifier: encoder, two pooling levels, mirrored unpooling."""
 
-    feature_width: int
-    channels: int
-    num_classes: int
     conv_kind: str
     pooling: bool
     params: ParamStore
@@ -198,8 +192,8 @@ class NodeClassifier:
         cls,
         feature_width: int,
         num_classes: int,
-        channels: int = 64,
-        conv_kind: str = "mean",
+        channels: int = TrainConfig.channels,
+        conv_kind: str = CONV_KINDS[0],
         pooling: bool = True,
         seed: int = 0,
     ) -> "NodeClassifier":
@@ -215,7 +209,7 @@ class NodeClassifier:
             _add_pool(store, "pool1", c, rng)
             _add_pool(store, "pool2", c, rng)
         _add_head(store, 2 * c, c, num_classes, rng)
-        return cls(feature_width, channels, num_classes, conv_kind, pooling, store)
+        return cls(conv_kind, pooling, store)
 
     def forward(
         self,
@@ -385,7 +379,7 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
 def train_node_model(
     task: NodeTask,
     config: TrainConfig,
-    conv_kind: str = "mean",
+    conv_kind: str = CONV_KINDS[0],
     pooling: bool = True,
     progress=None,
 ) -> tuple[NodeClassifier, list[dict]]:

@@ -3,35 +3,20 @@
 Each original node receives its pooled representative's feature vector
 divided by the gating score stored at pooling time; unmatched nodes
 (score 1.0) are plain copies. The map is linear in the features, so the
-backward pass is its exact adjoint, and levels chain by composing cluster
-maps. A pooled row has at most two parents, so both directions are row
-gathers (``np.take``), two at most per pooled row, with no sparse operator.
+backward pass is its exact adjoint. Several levels unpool by applying
+:func:`unpool_once` per level, innermost first; its row check rejects a
+level that does not fit the one before. A pooled row has at most two
+parents, so both directions are row gathers (``np.take``), two at most
+per pooled row, with no sparse operator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .pool import PoolInfo
 
-__all__ = ["UnpoolPlan", "unpool_once", "unpool_chain", "unpool_backward"]
-
-
-@dataclass(frozen=True)
-class UnpoolPlan:
-    """Ordered pooling levels, outermost (first-applied) first."""
-
-    levels: tuple[PoolInfo, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.levels, self.levels[1:]):
-            if a.pooled_num_nodes != len(b.cluster_of):
-                raise ValueError(
-                    f"level chain broken: {a.pooled_num_nodes} pooled nodes "
-                    f"feed a level expecting {len(b.cluster_of)}"
-                )
+__all__ = ["unpool_once", "unpool_backward"]
 
 
 def unpool_once(pooled_features: np.ndarray, info: PoolInfo) -> np.ndarray:
@@ -42,14 +27,6 @@ def unpool_once(pooled_features: np.ndarray, info: PoolInfo) -> np.ndarray:
     pooled_features = _checked(pooled_features, info.pooled_num_nodes, "pooled feature", info)
     out = _divided_rows(pooled_features, info.cluster_of, info.node_score)
     return out.astype(pooled_features.dtype, copy=False)
-
-
-def unpool_chain(features: np.ndarray, plan: UnpoolPlan) -> np.ndarray:
-    """Apply :func:`unpool_once` for every level, innermost first."""
-    out = np.asarray(features)
-    for info in reversed(plan.levels):
-        out = unpool_once(out, info)
-    return out
 
 
 def unpool_backward(upstream_grad: np.ndarray, info: PoolInfo) -> np.ndarray:

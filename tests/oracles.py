@@ -8,8 +8,12 @@ meaningful.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+
+from edgepool.data import GraphDataset, _float32, _read_ints, _read_lines, _tu_path
+from edgepool.graph import build_graph, symmetrize
 
 
 def naive_normalize(edges: np.ndarray, raw: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -308,3 +312,90 @@ def two_loop_train_node_model(task, config, conv_kind="mean", pooling=True):
         }
         history.append(row)
     return model, history
+
+
+def loop_load_tu(directory, name: str) -> GraphDataset:
+    """``edgepool.data.load_tu`` as it was before edges were grouped by one
+    sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph.
+
+    Load one benchmark dataset from its plain-text files.
+
+    Node features are the attributes concatenated with a one-hot encoding
+    of the node labels; datasets with neither get a constant 1.0 feature.
+    Graph labels are remapped to 0..C-1 preserving sorted original order.
+    Edges are symmetrized and deduplicated.
+    """
+    a_path = _tu_path(directory, name, "A")
+    ind_path = _tu_path(directory, name, "graph_indicator")
+    lab_path = _tu_path(directory, name, "graph_labels")
+    for path, what in ((a_path, "adjacency"), (ind_path, "graph indicator"), (lab_path, "graph labels")):
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing mandatory {what} file: {path}")
+
+    indicator = _read_ints(ind_path, "graph indicator")[:, 0]
+    raw_labels = _read_ints(lab_path, "graph label")[:, 0]
+    edges_global = _read_ints(a_path, "edge", columns=2)
+
+    total_nodes = len(indicator)
+    num_graphs = len(raw_labels)
+    if indicator.min(initial=1) < 1 or indicator.max(initial=1) > num_graphs:
+        raise ValueError("graph indicator value out of range")
+
+    node_labels = None
+    nl_path = _tu_path(directory, name, "node_labels")
+    if os.path.exists(nl_path):
+        node_labels = _read_ints(nl_path, "node label")[:, 0]
+        if len(node_labels) != total_nodes:
+            raise ValueError("node label count != node count")
+
+    attributes = None
+    attr_path = _tu_path(directory, name, "node_attributes")
+    if os.path.exists(attr_path):
+        rows = _read_lines(attr_path, "node attribute", lambda tokens: list(map(_float32, tokens)))
+        attributes = np.asarray(rows, dtype=np.float32)
+        if attributes.shape[0] != total_nodes:
+            raise ValueError("node attribute count != node count")
+
+    feature_parts = []
+    if attributes is not None:
+        feature_parts.append(attributes)
+    if node_labels is not None:
+        values = np.unique(node_labels)
+        onehot = np.zeros((total_nodes, len(values)), dtype=np.float32)
+        onehot[np.arange(total_nodes), np.searchsorted(values, node_labels)] = 1.0
+        feature_parts.append(onehot)
+    if feature_parts:
+        features = np.concatenate(feature_parts, axis=1)
+    else:
+        features = np.ones((total_nodes, 1), dtype=np.float32)
+
+    # Group nodes per graph; the format lists nodes in graph order.
+    node_graph = indicator - 1
+    counts = np.bincount(node_graph, minlength=num_graphs)
+    if np.any(np.diff(node_graph) < 0):
+        raise ValueError("graph indicator must be non-decreasing")
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
+    for u, v in edges_global:
+        if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
+            raise ValueError(f"edge endpoint {u if u < 1 or u > total_nodes else v} out of range")
+        gu, gv = node_graph[u - 1], node_graph[v - 1]
+        if gu != gv:
+            raise ValueError(f"edge ({u}, {v}) references a node outside its graph")
+        off = offsets[gu]
+        per_graph_edges[gu].append((u - 1 - off, v - 1 - off))
+
+    label_values = np.unique(raw_labels)
+    labels = np.searchsorted(label_values, raw_labels).astype(np.int64)
+
+    graphs = []
+    for g in range(num_graphs):
+        n = int(counts[g])
+        off = int(offsets[g])
+        raw = np.asarray(per_graph_edges[g], dtype=np.int64).reshape(-1, 2)
+        uniq = np.unique(raw, axis=0) if raw.size else raw
+        graph = build_graph(n, uniq, features[off : off + n])
+        graphs.append(symmetrize(graph))
+
+    return GraphDataset(graphs=graphs, labels=labels, num_classes=len(label_values), name=name)

@@ -17,7 +17,6 @@ from edgepool import (
     EdgeScores,
     PoolParams,
     TrainConfig,
-    UnpoolPlan,
     build_graph,
     edgepool_forward,
     gen_synthetic,
@@ -226,9 +225,11 @@ class TestCriterion4Roundtrip:
                 for i, j in info2.matching.tolist():
                     target = pooled.node_features[i] + pooled.node_features[j]
                     assert np.allclose(back2[i], target, atol=1e-6)
-                chain = UnpoolPlan(levels=(info, info2))
-                from edgepool import unpool_chain
-                chained = unpool_chain(pooled2.node_features, chain)
+                # A chain is unpool_once per level, innermost first.
+                chained = pooled2.node_features
+                for level in (info2, info):
+                    chained = unpool_once(chained, level)
+                assert chained.shape == g.node_features.shape
                 assert np.allclose(chained, unpool_once(back2, info), atol=1e-6)
                 chains += 1
         assert chains >= 20

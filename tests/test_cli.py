@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, and determinism."""
 
+import argparse
 import copy
 import json
 import re
@@ -12,6 +13,8 @@ from edgepool import cli, gen_synthetic, load_tu, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.graph import build_graph, graph_from_json, graph_to_json, save_graph_file, symmetrize
+from edgepool.models import CONV_KINDS
+from edgepool.params import TrainConfig
 from edgepool.rng import seeded_rng
 
 
@@ -777,3 +780,87 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+# Each subcommand's flags as (option strings, default, choices, required,
+# type, nargs), keyed by dest. Declaring the training flags once must change
+# none of them.
+PARSER_FLAGS = {
+    "pool": {
+        "input": (["--input"], None, None, False, None, None),
+        "tu": (["--tu"], None, None, False, None, 2),
+        "index": (["--index"], 0, None, False, "int", None),
+        "levels": (["--levels"], 1, None, False, "int", None),
+        "params": (["--params"], None, None, False, None, None),
+        "seed": (["--seed"], 0, None, False, "int", None),
+        "out": (["--out"], None, None, True, None, None),
+    },
+    "train-graph": {
+        "tu": (["--tu"], None, None, True, None, 2),
+        "pooling": (["--pooling"], "edgepool", ["none", "edgepool"], False, None, None),
+        "folds": (["--folds"], 10, None, False, "int", None),
+        "seed": (["--seed"], 0, None, False, "int", None),
+        "epochs": (["--epochs"], 200, None, False, "int", None),
+        "channels": (["--channels"], 64, None, False, "int", None),
+        "batch_size": (["--batch-size"], 128, None, False, "int", None),
+        "lr": (["--lr"], 0.001, None, False, "float", None),
+        "quiet": (["--quiet"], False, None, False, None, 0),
+        "out": (["--out"], None, None, True, None, None),
+    },
+    "train-node": {
+        "input": (["--input"], None, None, False, None, None),
+        "synthetic": (["--synthetic"], None, ["sbm"], False, None, None),
+        "pooling": (["--pooling"], "edgepool", ["none", "edgepool"], False, None, None),
+        "conv": (["--conv"], "mean", ["mean", "mlp"], False, None, None),
+        "seed": (["--seed"], 0, None, False, "int", None),
+        "epochs": (["--epochs"], 200, None, False, "int", None),
+        "channels": (["--channels"], 64, None, False, "int", None),
+        "lr": (["--lr"], 0.001, None, False, "float", None),
+        "quiet": (["--quiet"], False, None, False, None, 0),
+        "out": (["--out"], None, None, True, None, None),
+    },
+    "gradcheck": {
+        "seed": (["--seed"], 0, None, False, "int", None),
+        "cases": (["--cases"], "all", ["all", "edgepool", "layers", "unpool"], False, None, None),
+        "corrupt": (["--corrupt"], False, None, False, None, 0),
+        "out": (["--out"], None, None, False, None, None),
+    },
+    "bench": {
+        "min_edges": (["--min-edges"], "1e3", None, False, None, None),
+        "max_edges": (["--max-edges"], "1e6", None, False, None, None),
+        "seed": (["--seed"], 0, None, False, "int", None),
+        "out": (["--out"], "bench_out", None, False, None, None),
+    },
+}
+
+
+def parser_flags():
+    """``PARSER_FLAGS`` as the parser builds it."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            a.dest: (list(a.option_strings), a.default,
+                     None if a.choices is None else list(a.choices), a.required,
+                     None if a.type is None else a.type.__name__, a.nargs)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for command, p in sub.choices.items()
+    }
+
+
+class TestParser:
+    def test_every_flag_is_pinned(self):
+        got = parser_flags()
+        assert list(got) == list(PARSER_FLAGS)
+        for command, flags in PARSER_FLAGS.items():
+            assert got[command] == flags, command
+
+    def test_training_defaults_come_from_the_library(self):
+        flags = parser_flags()
+        for command in ("train-graph", "train-node"):
+            for dest, field in (("seed", "seed"), ("epochs", "epochs"),
+                                ("channels", "channels"), ("lr", "learning_rate")):
+                assert flags[command][dest][1] == getattr(TrainConfig(), field)
+        assert flags["train-graph"]["batch_size"][1] == TrainConfig().batch_size
+        assert flags["train-node"]["conv"][2] == list(CONV_KINDS)

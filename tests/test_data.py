@@ -9,10 +9,14 @@ from edgepool.data import (
     make_connected_erdos_renyi,
     make_cycle,
     make_erdos_renyi,
+    make_path,
     make_sbm,
     make_star,
 )
+from edgepool.graph import build_graph
 from edgepool.rng import seeded_rng
+
+from oracles import loop_load_tu
 
 
 def write_tu_fixture(directory, name="TOY"):
@@ -154,6 +158,48 @@ class TestLoadTu:
         assert ds.graphs[0].num_edges == 6
 
 
+def same_dataset(a, b) -> bool:
+    return (a.labels.tolist() == b.labels.tolist() and a.num_classes == b.num_classes
+            and len(a.graphs) == len(b.graphs)
+            and all(g.num_nodes == h.num_nodes and g.edges.tobytes() == h.edges.tobytes()
+                    and g.node_features.tobytes() == h.node_features.tobytes()
+                    and g.edge_features is None and h.edge_features is None
+                    for g, h in zip(a.graphs, b.graphs)))
+
+
+class TestLoadTuGrouping:
+    # load_tu groups edges by one sort of their keys; the per-edge loop it
+    # replaced is the oracle, on files in any line order.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_duplicated_lines_match_loop_loader(self, tmp_path, seed):
+        rng = seeded_rng(seed, "tu-grouping")
+        ds = gen_synthetic("path_proteinlike", {"num_graphs": 12}, seed=seed)
+        save_tu(ds, tmp_path, "SH")
+        path = tmp_path / "SH_A.txt"
+        lines = path.read_text().splitlines()
+        # Drop some directions, duplicate some lines, then shuffle them all.
+        kept = [line for line in lines if rng.random() < 0.8]
+        kept += [kept[i] for i in rng.integers(0, len(kept), size=len(kept) // 3)]
+        path.write_text("\n".join(kept[i] for i in rng.permutation(len(kept))) + "\n")
+        got = load_tu(tmp_path, "SH")
+        assert same_dataset(got, loop_load_tu(tmp_path, "SH"))
+        assert sum(g.num_edges for g in got.graphs) <= len(lines)
+
+    @pytest.mark.parametrize("bad", [
+        ["3, 4", "0, 2"], ["2, 9", "3, 4"], ["6, 1"], ["1, -2"], ["5, 3"],
+    ], ids=["cross-then-range", "range-then-cross", "src-range", "dst-range", "cross"])
+    def test_first_bad_line_in_file_order(self, tmp_path, bad):
+        d = write_tu_fixture(tmp_path / "toy")
+        path = d / "TOY_A.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + bad + lines[3:]) + "\n")
+        with pytest.raises(ValueError) as got:
+            load_tu(d, "TOY")
+        with pytest.raises(ValueError) as want:
+            loop_load_tu(d, "TOY")
+        assert str(got.value) == str(want.value)
+
+
 class TestSaveTu:
     def test_roundtrip_exact(self, tmp_path):
         original = load_tu(write_tu_fixture(tmp_path / "toy"), "TOY")
@@ -175,6 +221,15 @@ class TestSaveTu:
         for a, b in zip(ds.graphs, again.graphs):
             assert a.edges.tolist() == b.edges.tolist()
             assert np.allclose(a.node_features, b.node_features, atol=1e-7)
+
+    def test_edge_features_refused(self, tmp_path):
+        # The text format has no edge attributes: writing would drop them.
+        g = build_graph(3, [[0, 1], [1, 0], [1, 2], [2, 1]], np.ones((3, 1)),
+                        edge_features=[[1.0], [1.0], [2.0], [2.0]])
+        ds = GraphDataset([make_path(3), g], np.zeros(2, dtype=np.int64), 1, "EF")
+        with pytest.raises(ValueError, match="graph 1 has edge features"):
+            save_tu(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestKfold:
@@ -255,9 +310,9 @@ class TestNodeSplit:
 
 class TestSynthetic:
     def test_cycle_edge_count(self):
-        ds = gen_synthetic("cycle", {"n": 100})
-        assert ds.graphs[0].num_nodes == 100
-        assert ds.graphs[0].num_edges == 200
+        g = make_cycle(100)
+        assert g.num_nodes == 100
+        assert g.num_edges == 200
 
     def test_star_degrees(self):
         rng = seeded_rng(0, "star")
@@ -278,7 +333,7 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic("hypercube", {})
 
-    @pytest.mark.parametrize("kind", ["star", "erdos_renyi"])
+    @pytest.mark.parametrize("kind", ["star", "erdos_renyi", "cycle"])
     def test_unrequested_kinds_are_gone(self, kind):
         with pytest.raises(ValueError, match="unknown synthetic kind"):
             gen_synthetic(kind, {})

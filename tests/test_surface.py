@@ -35,7 +35,7 @@ def test_readme_surface_is_exported():
 
 def test_exports_are_the_readme_surface():
     names = readme_surface_names()
-    assert len(names) == len(set(names)) == 35
+    assert len(names) == len(set(names)) == 33
     assert set(edgepool.__all__) - {"__version__"} == set(names)
 
 
@@ -57,6 +57,15 @@ def test_train_config_holds_only_what_commands_set():
     # (halving period, dropout rates) is fixed, so no test-only knob returns.
     fields = [f.name for f in dataclasses.fields(edgepool.TrainConfig)]
     assert fields == ["epochs", "batch_size", "learning_rate", "channels", "seed"]
+
+
+def test_models_hold_only_what_forward_reads():
+    # Widths and class counts live in the parameter shapes; a second copy on
+    # the model would be read by nothing.
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (edgepool.GraphClassifier, edgepool.NodeClassifier)}
+    assert fields == {"GraphClassifier": ["pooling", "params"],
+                      "NodeClassifier": ["conv_kind", "pooling", "params"]}
 
 
 def test_param_store_methods():

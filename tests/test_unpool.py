@@ -1,4 +1,4 @@
-"""Unpooling: per-level expansion, level chaining, and the exact adjoint."""
+"""Unpooling: per-level expansion, chains of levels, and the exact adjoint."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from edgepool import (
     PoolParams,
-    UnpoolPlan,
     build_graph,
     edgepool_forward,
     unpool_backward,
-    unpool_chain,
     unpool_once,
 )
 from edgepool.data import make_connected_erdos_renyi, make_path
@@ -95,6 +93,7 @@ class TestUnpoolOnce:
 
 
 class TestUnpoolChain:
+    # A chain of levels is unpool_once per level, innermost first.
     def test_two_level_path(self):
         rng = seeded_rng(4, "chain")
         g = make_path(8, feature_width=2)
@@ -102,27 +101,23 @@ class TestUnpoolChain:
         params = PoolParams(weight=rng.normal(size=4), bias=0.0)
         p1, info1, _ = edgepool_forward(g, params)
         p2, info2, _ = edgepool_forward(p1, params)
-        plan = UnpoolPlan(levels=(info1, info2))
-        out = unpool_chain(p2.node_features, plan)
+        out = unpool_once(unpool_once(p2.node_features, info2), info1)
         assert out.shape == g.node_features.shape
-        step = unpool_once(unpool_once(p2.node_features, info2), info1)
-        assert np.allclose(out, step, atol=1e-12)
-
-    def test_single_level_equals_once(self):
-        rng = seeded_rng(5, "chain1")
-        _, pooled, info = pooled_instance(rng)
-        x = rng.normal(size=pooled.node_features.shape)
-        assert np.allclose(
-            unpool_chain(x, UnpoolPlan(levels=(info,))), unpool_once(x, info)
-        )
+        for i, j in info1.matching.tolist():
+            assert np.array_equal(out[i], out[j])
+        alone = np.flatnonzero((info1.node_score == 1.0)
+                               & (info2.node_score[info1.cluster_of] == 1.0))
+        assert np.allclose(out[alone], g.node_features[alone], atol=1e-12)
 
     def test_broken_chain_rejected(self):
+        # unpool_once's row check rejects a level that does not fit the last.
         rng = seeded_rng(6, "chainbad")
         g, pooled, info1 = pooled_instance(rng)
         if pooled.num_nodes == g.num_nodes:  # paranoid: needs a real contraction
             pytest.skip("no contraction drawn")
-        with pytest.raises(ValueError):
-            UnpoolPlan(levels=(info1, info1))
+        once = unpool_once(pooled.node_features, info1)
+        with pytest.raises(ValueError, match="pooled feature rows"):
+            unpool_once(once, info1)
 
 
 class TestAdjoint:
