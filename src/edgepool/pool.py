@@ -463,8 +463,9 @@ def edgepool_backward(
     """Exact reverse-mode derivatives of one pooling level.
 
     ``upstream_grad`` is the loss gradient w.r.t. the pooled node features.
-    Returns gradients w.r.t. the input node features, the scorer weight,
-    and the scorer bias. The matching is a constant of the backward pass;
+    Returns gradients w.r.t. the input node features (in their dtype), the
+    scorer weight (float64, as the scorer computes in float64) and the
+    scorer bias. The matching is a constant of the backward pass;
     the gradient flows through the gating score, whose softmax couples all
     non-dropped edges sharing a destination with a matched edge.
     """
@@ -484,8 +485,7 @@ def edgepool_backward(
         term *= info.node_score[rows, None]
         grad_x[rows] += term
 
-    dtype = graph.node_features.dtype
-    return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
+    return grad_x.astype(graph.node_features.dtype), grad_w, grad_b
 
 
 def score_path_backward(

@@ -189,8 +189,7 @@ def scatter_edgepool_backward(graph, params, info, scores, upstream):
     grad_x[unmatched] += upstream[info.cluster_of[unmatched]]
     grad_x[mi] += s[:, None] * g_out
     grad_x[mj] += s[:, None] * g_out
-    dtype = graph.node_features.dtype
-    return grad_x.astype(dtype), grad_w.astype(dtype), grad_b
+    return grad_x.astype(graph.node_features.dtype), grad_w, grad_b
 
 
 def fancy_unpool_once(pooled_features, info):

@@ -916,6 +916,27 @@ class TestBackward:
         upstream = rng.normal(size=(v, f)).astype(np.float32)
         assert traced_peak(unpool_backward, upstream, info) < 1.4 * v * f * 8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_gradient_is_the_float64_score_path_gradient(self, dtype):
+        # The scorer weight is float64 whatever the features are, so its
+        # gradient is the score path's, unrounded: the same bits the
+        # node-score path hands the weight.
+        from edgepool.pool import _pair_features
+
+        rng = seeded_rng(23, "weight-dtype")
+        g = random_graph(rng, n=12, f=3, p=0.4)
+        g = g.with_node_features(g.node_features.astype(dtype))
+        params = PoolParams(weight=rng.normal(size=6), bias=0.2)
+        pooled, info, scores = edgepool_forward(g, params)
+        assert info.num_matched > 0
+        upstream = rng.normal(size=pooled.node_features.shape).astype(dtype)
+        _, gw, _ = edgepool_backward(g, params, info, scores, upstream)
+        g_s = np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
+                        _pair_features(g, info.matching))
+        want = score_path_backward(g, params, info, scores, g_s)[1]
+        assert gw.dtype == np.float64
+        assert gw.tobytes() == want.tobytes()
+
     def test_upstream_shape_validated(self):
         rng = seeded_rng(22, "shape")
         g = random_graph(rng, n=6, f=2)
