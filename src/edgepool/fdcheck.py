@@ -188,7 +188,7 @@ def _build_relu(rng):
 def _build_global_mean_pool(rng):
     graph_id = np.asarray([0, 0, 0, 1, 1, 2, 2, 2], dtype=np.int64)
     inputs = {"x": rng.normal(size=(8, 3))}
-    return inputs, lambda v: (global_mean_pool(v["x"], graph_id, 3), None)
+    return inputs, lambda v: (global_mean_pool(v["x"], graph_id), None)
 
 
 def _build_cross_entropy(rng):
@@ -197,7 +197,7 @@ def _build_cross_entropy(rng):
     return inputs, lambda v: (cross_entropy(v["logits"], labels), None)
 
 
-def _edge_pool_case(training: bool, dropout_p: float):
+def _edge_pool_case(dropout_p: float):
     def build(rng):
         graph = _random_graph(rng, n=8, f=3, p=0.45)
         inputs = {
@@ -209,8 +209,7 @@ def _edge_pool_case(training: bool, dropout_p: float):
 
         def run(v):
             out, _, _, info, scores = edge_pool(
-                v["x"], v["weight"], v["bias"], graph,
-                training=training, dropout_p=dropout_p, seed=dropout_seed,
+                v["x"], v["weight"], v["bias"], graph, dropout_p=dropout_p, seed=dropout_seed
             )
             fp = (info.matching.tobytes(), scores.dropped.tobytes())
             return out, fp
@@ -249,9 +248,7 @@ def _build_graph_model(rng):
 
     def run(v):
         trace = []
-        logits = model.forward(
-            v, batched.graph, batched.graph_id, batched.num_graphs, trace=trace
-        )
+        logits = model.forward(v, batched.graph, batched.graph_id, trace=trace)
         loss = cross_entropy(logits, labels)
         return loss, tuple(i.matching.tobytes() for i in trace)
 
@@ -302,8 +299,8 @@ _TAPE_CASES = {
     "relu": (_build_relu, DEFAULT_RTOL),
     "global_mean_pool": (_build_global_mean_pool, DEFAULT_RTOL),
     "cross_entropy": (_build_cross_entropy, DEFAULT_RTOL),
-    "edge_pool": (_edge_pool_case(False, 0.0), DEFAULT_RTOL),
-    "edge_pool_score_dropout": (_edge_pool_case(True, 0.3), DEFAULT_RTOL),
+    "edge_pool": (_edge_pool_case(0.0), DEFAULT_RTOL),
+    "edge_pool_score_dropout": (_edge_pool_case(0.3), DEFAULT_RTOL),
     "unpool": (_build_unpool, DEFAULT_RTOL),
     "graph_model": (_build_graph_model, MODEL_RTOL),
     "node_model": (_build_node_model, MODEL_RTOL),

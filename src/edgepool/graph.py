@@ -19,7 +19,7 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +34,6 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "load_graph_file",
-    "save_graph_file",
 ]
 
 
@@ -136,10 +135,6 @@ class Graph:
         """
         return _unit_csr(self.edge_dst, self.edge_src, (self.num_nodes, self.num_nodes))
 
-    def in_degrees(self) -> np.ndarray:
-        """Number of incoming edges per node."""
-        return np.bincount(self.edge_dst, minlength=self.num_nodes)
-
     def with_node_features(self, features: np.ndarray) -> "Graph":
         """Same structure, different node features (layer activations etc.)."""
         features = np.asarray(features)
@@ -152,11 +147,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class BatchedGraph:
-    """Disjoint union of graphs with a node-to-graph assignment vector."""
+    """Disjoint union of graphs with a node-to-graph assignment vector.
+
+    Graph k's nodes have ``graph_id`` k; every graph has a node, so the
+    graphs are numbered 0 to ``graph_id.max()``.
+    """
 
     graph: Graph
     graph_id: np.ndarray
-    num_graphs: int
 
 
 def build_graph(
@@ -300,7 +298,7 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     merged = Graph(
         int(sizes.sum()), _freeze(features), _freeze(edges), None if ef is None else _freeze(ef)
     )
-    return BatchedGraph(merged, _freeze(graph_id), len(graphs))
+    return BatchedGraph(merged, _freeze(graph_id))
 
 
 # Fill palette for cluster-coloured DOT output (colour-blind friendly hexes).
@@ -332,12 +330,8 @@ def to_dot(graph: Graph, cluster_colors: Sequence[int] | None = None, name: str 
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(
-    graph: Graph,
-    label: int | None = None,
-    node_labels: Sequence[int] | None = None,
-) -> dict:
-    """JSON-ready dict in the interchange graph format."""
+def graph_to_json(graph: Graph) -> dict:
+    """JSON-ready dict in the interchange graph format, without labels."""
     obj: dict = {
         "num_nodes": graph.num_nodes,
         "edges": graph.edges.tolist(),
@@ -345,10 +339,6 @@ def graph_to_json(
     }
     if graph.edge_features is not None:
         obj["edge_features"] = graph.edge_features.tolist()
-    if label is not None:
-        obj["label"] = int(label)
-    if node_labels is not None:
-        obj["node_labels"] = [int(x) for x in node_labels]
     return obj
 
 
@@ -415,8 +405,3 @@ def load_graph_file(path) -> tuple[Graph, int | None, np.ndarray | None]:
     """Load a single-graph JSON file; returns (graph, label, node_labels)."""
     with open(path, "r", encoding="utf-8") as fh:
         return _graph_and_labels(json.load(fh))
-
-
-def save_graph_file(path, graph: Graph, label=None, node_labels=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph, label, node_labels), fh)

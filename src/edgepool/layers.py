@@ -60,10 +60,10 @@ def _neighbor_mean(graph: Graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     The sum is ``graph.in_adjacency @ x`` in double precision, adding each
     node's in-neighbors in ascending (canonical) order. Also returns the
-    inverse in-degrees (0 for isolated nodes).
+    inverse in-degrees (0 for isolated nodes), read off the operator's rows.
     """
     acc = graph.in_adjacency @ x.astype(np.float64)
-    deg = graph.in_degrees().astype(np.float64)
+    deg = np.diff(graph.in_adjacency.indptr).astype(np.float64)
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
     return (acc * inv[:, None]).astype(x.dtype), inv
 
@@ -136,25 +136,31 @@ def relu(x: Var) -> Var:
     return Var(y, (x,), vjp)
 
 
-def feature_dropout(x: Var, p: float, rng: np.random.Generator, training: bool) -> Var:
-    """Inverted dropout on feature entries; identity outside training."""
+def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
+    """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity.
+
+    Evaluation passes rate 0, so it draws nothing from ``rng``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     mask = mask.astype(x.data.dtype)
     return Var(x.data * mask, (x,), lambda dy: (dy * mask,))
 
 
-def global_mean_pool(x: Var, graph_id: np.ndarray, num_graphs: int) -> Var:
-    """Per-graph mean of node rows, following the node-to-graph map."""
+def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
+    """Per-graph mean of node rows, following the node-to-graph map.
+
+    Graphs are numbered 0 to ``graph_id.max()``, one output row each.
+    """
     if x.data.shape[0] != len(graph_id):
         raise ValueError("activation rows != graph_id length")
-    counts = np.bincount(graph_id, minlength=num_graphs).astype(np.float64)
+    counts = np.bincount(graph_id).astype(np.float64)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
-    acc = _segment_sum(graph_id, x.data.astype(np.float64), num_graphs)
+    acc = _segment_sum(graph_id, x.data.astype(np.float64), len(counts))
     y = (acc / counts[:, None]).astype(x.data.dtype)
 
     def vjp(dy):
@@ -223,23 +229,23 @@ def edge_pool(
     weight: Var,
     bias: Var,
     graph: Graph,
-    training: bool = False,
     dropout_p: float = 0.0,
     seed: int | None = None,
 ) -> tuple[Var, Var, Graph, PoolInfo, EdgeScores]:
     """Tape op for one pooling level over the current activations.
 
     A thin wrapper: the pooling math is :func:`edgepool_forward`,
-    :func:`edgepool_backward` and :func:`score_path_backward`. Returns
-    (pooled activations, per-node gating scores, pooled graph, level info,
-    edge scores). The gating-score Var lets later consumers (unpooling
+    :func:`edgepool_backward` and :func:`score_path_backward`. Edge-score
+    dropout at rate ``dropout_p`` needs a ``seed``; rate 0 drops nothing.
+    Returns (pooled activations, per-node gating scores, pooled graph, level
+    info, edge scores). The gating-score Var lets later consumers (unpooling
     divides by it) propagate gradient back into the scorer; the matching
     itself is a constant of the backward pass.
     """
     scored_graph = graph.with_node_features(x.data)
     params = PoolParams(weight=weight.data, bias=float(bias.data))
     pooled, info, scores = edgepool_forward(
-        scored_graph, params, training=training, dropout_p=dropout_p, seed=seed
+        scored_graph, params, training=dropout_p > 0.0, dropout_p=dropout_p, seed=seed
     )
 
     def vjp(dy):

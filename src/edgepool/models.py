@@ -98,7 +98,7 @@ def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
     """
     x, score, graph, info, _ = edge_pool(
         x, leaves[f"{name}.weight"], leaves[f"{name}.bias"], graph,
-        training=training, dropout_p=EDGE_SCORE_DROPOUT_P, seed=draw_seed(rng),
+        dropout_p=EDGE_SCORE_DROPOUT_P if training else 0.0, seed=draw_seed(rng),
     )
     if trace is not None:
         trace.append(info)
@@ -107,7 +107,7 @@ def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
 
 def _head(leaves, h: Var, rng, training: bool) -> Var:
     h = relu(dense(h, leaves["head.fc1.weight"], leaves["head.fc1.bias"]))
-    h = feature_dropout(h, HEAD_DROPOUT_P, rng, training)
+    h = feature_dropout(h, HEAD_DROPOUT_P if training else 0.0, rng)
     return dense(h, leaves["head.fc2.weight"], leaves["head.fc2.bias"])
 
 
@@ -151,12 +151,11 @@ class GraphClassifier:
         leaves: dict[str, Var],
         graph: Graph,
         graph_id: np.ndarray,
-        num_graphs: int,
         training: bool = False,
         seed: int = 0,
         trace: list | None = None,
     ) -> Var:
-        """Logits for every graph in the batch, shape (num_graphs, classes).
+        """Logits for every graph in the batch, one row per graph id.
 
         When ``trace`` is a list, each pooling level's info is appended to
         it, exposing the contraction structure to callers.
@@ -174,7 +173,7 @@ class GraphClassifier:
                 x, _, graph, info = _pool(leaves, f"{name}.pool", x, graph, rng, training, trace)
                 graph_id = _pooled_graph_id(graph_id, info)
             # Readout reads the block's final (pooled) node set.
-            readouts.append(global_mean_pool(x, graph_id, num_graphs))
+            readouts.append(global_mean_pool(x, graph_id))
         h = concat_cols(concat_cols(readouts[0], readouts[1]), readouts[2])
         return _head(leaves, h, rng, training)
 
@@ -321,7 +320,7 @@ def evaluate_graph_model(
     correct = 0
     for chunk in _batches(indices, config.batch_size):
         batched = batch([dataset.graphs[i] for i in chunk])
-        logits = model.forward(leaves, batched.graph, batched.graph_id, batched.num_graphs)
+        logits = model.forward(leaves, batched.graph, batched.graph_id)
         pred = logits.data.argmax(axis=1)
         correct += int((pred == dataset.labels[chunk]).sum())
     return correct / len(indices)
@@ -356,8 +355,7 @@ def train_graph_model(
 
     def batch_loss(leaves, item, seed):
         batched, chunk = item
-        logits = model.forward(leaves, batched.graph, batched.graph_id, batched.num_graphs,
-                               training=True, seed=seed)
+        logits = model.forward(leaves, batched.graph, batched.graph_id, training=True, seed=seed)
         return cross_entropy(logits, dataset.labels[chunk])
 
     return _fit(model, config, "graph-epoch", batches, batch_loss,

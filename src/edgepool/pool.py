@@ -122,12 +122,16 @@ class PoolInfo:
     matching: np.ndarray
     cluster_of: np.ndarray
     node_score: np.ndarray
-    pooled_num_nodes: int
     matched_edge_index: np.ndarray
 
     @property
     def num_matched(self) -> int:
         return int(self.matching.shape[0])
+
+    @property
+    def pooled_num_nodes(self) -> int:
+        """One pooled node per matched pair plus one per unmatched node."""
+        return len(self.cluster_of) - self.num_matched
 
 
 def _check_widths(graph: Graph, params: PoolParams) -> int:
@@ -409,7 +413,6 @@ def contract(
         matching=matching,
         cluster_of=cluster_of,
         node_score=node_score,
-        pooled_num_nodes=pooled_n,
         matched_edge_index=edge_idx,
     )
     return pooled, info

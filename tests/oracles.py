@@ -218,7 +218,8 @@ def segment_sum_unpool_backward(upstream, info):
 def two_loop_train_graph_model(dataset, train_idx, eval_idx, config, pooling=True):
     """``train_graph_model`` as its own Adam loop, as the library first wrote it.
 
-    Verbatim but for the forward call, which no longer takes the config.
+    Verbatim but for the forward call, which no longer takes the config or
+    the graph count.
     """
     from edgepool.autodiff import backward
     from edgepool.graph import batch
@@ -252,7 +253,6 @@ def two_loop_train_graph_model(dataset, train_idx, eval_idx, config, pooling=Tru
                 leaves,
                 batched.graph,
                 batched.graph_id,
-                batched.num_graphs,
                 training=True,
                 seed=draw_seed(epoch_rng),
             )

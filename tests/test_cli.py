@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from edgepool import cli, gen_synthetic, load_tu, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
-from edgepool.graph import build_graph, graph_from_json, graph_to_json, save_graph_file, symmetrize
+from edgepool.graph import build_graph, graph_from_json, graph_to_json, symmetrize
 from edgepool.models import CONV_KINDS
 from edgepool.params import TrainConfig
 from edgepool.rng import seeded_rng
@@ -21,7 +21,7 @@ from edgepool.rng import seeded_rng
 def write_graph(path, n=12, seed=0):
     rng = seeded_rng(seed, "cli-graph")
     g = make_connected_erdos_renyi(n, 0.3, rng, feature_width=3)
-    save_graph_file(path, g)
+    path.write_text(json.dumps(graph_to_json(g)))
     return g
 
 

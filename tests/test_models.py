@@ -79,8 +79,7 @@ class TestGraphClassifier:
         m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes,
                                    channels=8)
         batched = batch(ds.graphs)
-        logits = m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                           batched.num_graphs)
+        logits = m.forward(m.params.as_vars(), batched.graph, batched.graph_id)
         assert logits.data.shape == (5, ds.num_classes)
 
     def test_train_eval_identity_without_stochastic_stages(self):
@@ -91,7 +90,7 @@ class TestGraphClassifier:
                                    channels=8)
         batched = batch(ds.graphs)
         leaves = m.params.as_vars()
-        args = (batched.graph, batched.graph_id, batched.num_graphs)
+        args = (batched.graph, batched.graph_id)
         train_logits = m.forward(leaves, *args, training=True, seed=3)
         eval_logits = m.forward(leaves, *args, training=False, seed=99)
         assert np.array_equal(train_logits.data, eval_logits.data)
@@ -103,8 +102,7 @@ class TestGraphClassifier:
             m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes,
                                        channels=8, pooling=pooling)
             trace = []
-            m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                      batched.num_graphs, trace=trace)
+            m.forward(m.params.as_vars(), batched.graph, batched.graph_id, trace=trace)
             assert len(trace) == expect
 
     def test_pooling_contracts_between_blocks(self):
@@ -113,8 +111,7 @@ class TestGraphClassifier:
         m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes,
                                    channels=8, pooling=True)
         trace = []
-        m.forward(m.params.as_vars(), batched.graph, batched.graph_id,
-                  batched.num_graphs, trace=trace)
+        m.forward(m.params.as_vars(), batched.graph, batched.graph_id, trace=trace)
         assert trace[0].pooled_num_nodes < batched.graph.num_nodes
         assert len(trace[1].cluster_of) == trace[0].pooled_num_nodes
         assert len(trace[2].cluster_of) == trace[1].pooled_num_nodes
@@ -132,7 +129,7 @@ class TestGraphClassifier:
         for graphs in (ds.graphs, with_ef):
             batched = batch(graphs)
             logits.append(m.forward(leaves, batched.graph, batched.graph_id,
-                                    batched.num_graphs, training=True).data)
+                                    training=True).data)
         assert logits[0].tobytes() == logits[1].tobytes()
 
 
@@ -285,6 +282,27 @@ class TestNodeTraining:
         rows = []
         train_node_model(task, tiny_config(epochs=2), progress=rows.append)
         assert [r["epoch"] for r in rows] == [0, 1]
+
+
+@pytest.mark.parametrize("kind", ["graph", "node"])
+def test_evaluation_runs_both_dropout_stages_at_rate_zero(kind):
+    # The models alone tell training from evaluation. With both dropout
+    # stages at their real rates, evaluation ignores the forward seed, and
+    # training does not.
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=6)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        batched = batch(ds.graphs)
+        args = (batched.graph, batched.graph_id)
+    else:
+        task = node_fixture()
+        m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+        args = (task.graph,)
+    leaves = m.params.as_vars()
+    logits = {(training, seed): m.forward(leaves, *args, training=training, seed=seed).data
+              for training in (False, True) for seed in (1, 2)}
+    assert logits[False, 1].tobytes() == logits[False, 2].tobytes()
+    assert logits[True, 1].tobytes() != logits[True, 2].tobytes()
 
 
 def param_bytes(model):

@@ -1,6 +1,7 @@
 """The public surface: what ``edgepool`` exports and what README documents."""
 
 import dataclasses
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -72,3 +73,27 @@ def test_param_store_methods():
     # The library reads a store through these alone.
     methods = sorted(n for n, v in vars(ParamStore).items() if callable(v))
     assert methods == ["__init__", "add", "as_vars", "items"]
+
+
+def test_nothing_settable_that_the_code_derives():
+    # Train or eval is the models' to know (they pass rate 0 outside
+    # training), a batch's graph count is read off graph_id, the pooled
+    # node count and in-degrees are derived, and the JSON writer writes a
+    # graph alone.
+    from edgepool import graph, layers, pool
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(layers.feature_dropout) == ["x", "p", "rng"]
+    assert params(layers.edge_pool) == ["x", "weight", "bias", "graph", "dropout_p", "seed"]
+    assert params(layers.global_mean_pool) == ["x", "graph_id"]
+    assert params(edgepool.GraphClassifier.forward) == [
+        "self", "leaves", "graph", "graph_id", "training", "seed", "trace"]
+    assert params(graph.graph_to_json) == ["graph"]
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (graph.BatchedGraph, pool.PoolInfo)}
+    assert fields == {"BatchedGraph": ["graph", "graph_id"],
+                      "PoolInfo": ["matching", "cluster_of", "node_score", "matched_edge_index"]}
+    assert not hasattr(graph.Graph, "in_degrees")
+    assert not hasattr(graph, "save_graph_file")

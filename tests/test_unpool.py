@@ -33,7 +33,6 @@ def zero_score_info():
         matching=np.asarray([[0, 1]]),
         cluster_of=np.asarray([0, 0, 1]),
         node_score=np.asarray([0.0, 0.0, 1.0]),
-        pooled_num_nodes=2,
         matched_edge_index=np.asarray([0]),
     )
 
