@@ -4,6 +4,8 @@ Every command honors ``--seed``, funnels randomness through labeled
 generators, and writes a run manifest next to its artifacts so a run can
 be reproduced from the recorded configuration alone. The two training
 commands declare their shared flags once, with ``TrainConfig``'s defaults.
+Number flags are read by the TU files' rule (``data.integer`` and
+``data.decimal``): ``1_0`` and non-ASCII digits are refused.
 
 Exit codes: 0 success, 1 validation failure, 2 input error.
 """
@@ -22,8 +24,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .data import _node_task, gen_synthetic, kfold_splits, load_tu, node_split
-from .fdcheck import CASE_NAMES, run_gradcheck
+from .data import _node_task, decimal, gen_synthetic, integer, kfold_splits, load_tu, node_split
+from .fdcheck import CASE_GROUPS, run_gradcheck
 from .graph import (
     _graph_and_labels,
     _json_array,
@@ -274,15 +276,6 @@ def cmd_train_node(args) -> int:
     return EXIT_OK
 
 
-CASE_GROUPS = {
-    "all": list(CASE_NAMES),
-    "edgepool": ["edge_pool", "edge_pool_score_dropout"],
-    "unpool": ["unpool", "unpool_adjoint"],
-    "layers": ["dense", "mean_conv", "batch_norm", "batch_norm_one_row", "relu",
-               "global_mean_pool", "cross_entropy"],
-}
-
-
 def cmd_gradcheck(args) -> int:
     cases = CASE_GROUPS[args.cases]
     results = run_gradcheck(seed=args.seed, cases=cases, corrupt=args.corrupt)
@@ -321,7 +314,7 @@ def _bench_graph(num_directed_edges: int, seed: int):
 
 def _edge_count(text: str, flag: str) -> int:
     try:
-        return int(_json_array(float(text), flag, 0, integer=True))
+        return int(_json_array(decimal(text), flag, 0, integer=True))
     except ValueError:  # not a number, or not a whole one
         raise ValueError(f"{flag} must be a whole finite number, got {text!r}") from None
 
@@ -385,10 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="pool a graph repeatedly and export the hierarchy")
     p.add_argument("--input", help="graph JSON file")
     p.add_argument("--tu", nargs=2, metavar=("DIR", "NAME"), help="benchmark dataset")
-    p.add_argument("--index", type=int, default=0, help="graph index within --tu")
-    p.add_argument("--levels", type=int, default=1)
+    p.add_argument("--index", type=integer, default=0, help="graph index within --tu")
+    p.add_argument("--levels", type=integer, default=1)
     p.add_argument("--params", help="scorer params JSON file {weight, bias}")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0,
                    help="seed for random scorer params when --params is absent")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pool)
@@ -396,17 +389,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # The flags both training commands share, with TrainConfig's defaults.
     train = argparse.ArgumentParser(add_help=False)
     train.add_argument("--pooling", choices=["none", "edgepool"], default="edgepool")
-    train.add_argument("--seed", type=int, default=TrainConfig.seed)
-    train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    train.add_argument("--channels", type=int, default=TrainConfig.channels)
-    train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    train.add_argument("--seed", type=integer, default=TrainConfig.seed)
+    train.add_argument("--epochs", type=integer, default=TrainConfig.epochs)
+    train.add_argument("--channels", type=integer, default=TrainConfig.channels)
+    train.add_argument("--lr", type=decimal, default=TrainConfig.learning_rate)
     train.add_argument("--quiet", action="store_true")
     train.add_argument("--out", required=True)
 
     p = sub.add_parser("train-graph", parents=[train], help="k-fold graph classification")
     p.add_argument("--tu", nargs=2, metavar=("DIR", "NAME"), required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, dest="batch_size")
+    p.add_argument("--folds", type=integer, default=10)
+    p.add_argument("--batch-size", type=integer, default=TrainConfig.batch_size, dest="batch_size")
     p.set_defaults(func=cmd_train_graph)
 
     p = sub.add_parser("train-node", parents=[train],
@@ -417,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_node)
 
     p = sub.add_parser("gradcheck", help="finite-difference backward validation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--cases", choices=sorted(CASE_GROUPS), default="all")
     p.add_argument("--corrupt", action="store_true",
                    help="deliberately corrupt one gradient (negative control)")
@@ -427,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="pooling runtime/memory scaling")
     p.add_argument("--min-edges", default="1e3", dest="min_edges")
     p.add_argument("--max-edges", default="1e6", dest="max_edges")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", default="bench_out")
     p.set_defaults(func=cmd_bench)
 

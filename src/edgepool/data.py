@@ -6,8 +6,9 @@ line, one label per graph line, and optional node labels / attributes.
 Numbers are ASCII: an integer file entry is ``[+-]?[0-9]+`` and an
 attribute a decimal number within float32 range, each after stripping
 whitespace; anything else raises ``ValueError`` naming ``path:line``.
-Synthetic generators provide deterministic desk-scale graphs for property
-tests and node-classification experiments.
+The CLI's number flags follow the same rule (:func:`integer`,
+:func:`decimal`). Synthetic generators provide deterministic desk-scale
+graphs for property tests and node-classification experiments.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _ascii(tok: str, pattern: re.Pattern, noun: str) -> str:
     return tok
 
 
-def _int64(tok: str) -> int:
+def integer(tok: str) -> int:
     """An ASCII integer token within int64; ``2.5``, ``1_0`` and ``١`` are refused."""
     value = int(_ascii(tok, _INTEGER, "an integer"))
     if not -(2**63) <= value < 2**63:
@@ -100,9 +101,14 @@ def _int64(tok: str) -> int:
     return value
 
 
+def decimal(tok: str) -> float:
+    """An ASCII decimal token; ``nan``, ``inf``, ``1_0`` and ``١`` are refused."""
+    return float(_ascii(tok, _DECIMAL, "a decimal number"))
+
+
 def _float32(tok: str) -> float:
-    """An ASCII decimal token within float32 range; ``nan``, ``inf``, ``1_0`` are refused."""
-    value = float(_ascii(tok, _DECIMAL, "a decimal number"))
+    """A :func:`decimal` token within float32 range."""
+    value = decimal(tok)
     if not abs(value) <= _FLOAT32_MAX:
         raise ValueError(f"{tok.strip()} is outside the float32 range")
     return value
@@ -115,7 +121,7 @@ def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
     """
 
     def parse_row(tokens):
-        row = [_int64(tok) for tok in tokens]
+        row = [integer(tok) for tok in tokens]
         if len(row) < columns:
             raise ValueError(f"needs {columns} entries")
         return row[:columns]
@@ -392,7 +398,7 @@ def make_sbm(
 
 
 def _make_proteinlike(
-    num_graphs: int, rng: np.random.Generator, min_nodes: int = 10, max_nodes: int = 30
+    num_graphs: int, rng: np.random.Generator, min_nodes: int, max_nodes: int
 ) -> GraphDataset:
     """Binary-labeled mostly-linear graphs: class 1 paths carry extra chords.
 
@@ -430,6 +436,15 @@ def _make_proteinlike(
     )
 
 
+# Each synthetic kind's parameters, with their defaults.
+_SYNTHETIC_DEFAULTS = {
+    "path_proteinlike": {"num_graphs": 100, "min_nodes": 10, "max_nodes": 30},
+    "sbm_node_task": {"blocks": 2, "nodes_per_block": 100, "p_in": 0.12, "p_out": 0.01,
+                      "feature_width": 4, "feature_noise": 1.8, "signal": 1.0,
+                      "per_class_train": 20, "per_class_test": 30},
+}
+
+
 def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | NodeTask:
     """Deterministic synthetic data keyed by kind.
 
@@ -439,32 +454,22 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
       ``max_nodes`` nodes, class 1 with extra chords (a graph dataset);
     * ``sbm_node_task``: a stochastic block model node task with the blocks
       as labels and the standard per-class train/test split.
+
+    ``params`` overrides the kind's ``_SYNTHETIC_DEFAULTS``; an unknown
+    kind or key raises ``ValueError`` naming it.
     """
+    if kind not in _SYNTHETIC_DEFAULTS:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    defaults = _SYNTHETIC_DEFAULTS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {kind} parameters {unknown}; known: {sorted(defaults)}")
+    # Each value is read as its default's type: int or float.
+    p = {key: type(value)(params.get(key, value)) for key, value in defaults.items()}
     rng = seeded_rng(seed, "synthetic", kind)
     if kind == "path_proteinlike":
-        return _make_proteinlike(
-            int(params.get("num_graphs", 100)),
-            rng,
-            int(params.get("min_nodes", 10)),
-            int(params.get("max_nodes", 30)),
-        )
-    if kind == "sbm_node_task":
-        graph, blocks = make_sbm(
-            int(params.get("blocks", 2)),
-            int(params.get("nodes_per_block", 100)),
-            float(params.get("p_in", 0.12)),
-            float(params.get("p_out", 0.01)),
-            rng,
-            int(params.get("feature_width", 4)),
-            float(params.get("feature_noise", 1.8)),
-            float(params.get("signal", 1.0)),
-        )
-        return node_split(
-            graph,
-            blocks,
-            int(params.get("per_class_train", 20)),
-            int(params.get("per_class_test", 30)),
-            seed=seed,
-            name="sbm",
-        )
-    raise ValueError(f"unknown synthetic kind {kind!r}")
+        return _make_proteinlike(p["num_graphs"], rng, p["min_nodes"], p["max_nodes"])
+    graph, blocks = make_sbm(p["blocks"], p["nodes_per_block"], p["p_in"], p["p_out"], rng,
+                             p["feature_width"], p["feature_noise"], p["signal"])
+    return node_split(graph, blocks, p["per_class_train"], p["per_class_test"],
+                      seed=seed, name="sbm")

@@ -35,12 +35,13 @@ from .pool import edgepool_forward, random_pool_params
 from .rng import seeded_rng
 from .unpool import unpool_backward, unpool_once
 
-__all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES"]
+__all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES", "CASE_GROUPS"]
 
 FD_STEP = 1e-6  # central-difference step
 DEFAULT_RTOL = 1e-4
 DEFAULT_ATOL = 1e-7
 MODEL_RTOL = 1e-3
+MODEL_ATOL = 1e-6
 
 
 @dataclass
@@ -292,21 +293,30 @@ def _check_unpool_adjoint(seed, corrupt) -> GradCheckResult:
 
 
 _TAPE_CASES = {
-    "dense": (_build_dense, DEFAULT_RTOL),
-    "mean_conv": (_build_mean_conv, DEFAULT_RTOL),
-    "batch_norm": (_batch_norm_case(6), DEFAULT_RTOL),
-    "batch_norm_one_row": (_batch_norm_case(1), DEFAULT_RTOL),
-    "relu": (_build_relu, DEFAULT_RTOL),
-    "global_mean_pool": (_build_global_mean_pool, DEFAULT_RTOL),
-    "cross_entropy": (_build_cross_entropy, DEFAULT_RTOL),
-    "edge_pool": (_edge_pool_case(0.0), DEFAULT_RTOL),
-    "edge_pool_score_dropout": (_edge_pool_case(0.3), DEFAULT_RTOL),
-    "unpool": (_build_unpool, DEFAULT_RTOL),
-    "graph_model": (_build_graph_model, MODEL_RTOL),
-    "node_model": (_build_node_model, MODEL_RTOL),
+    "dense": (_build_dense, DEFAULT_RTOL, DEFAULT_ATOL),
+    "mean_conv": (_build_mean_conv, DEFAULT_RTOL, DEFAULT_ATOL),
+    "batch_norm": (_batch_norm_case(6), DEFAULT_RTOL, DEFAULT_ATOL),
+    "batch_norm_one_row": (_batch_norm_case(1), DEFAULT_RTOL, DEFAULT_ATOL),
+    "relu": (_build_relu, DEFAULT_RTOL, DEFAULT_ATOL),
+    "global_mean_pool": (_build_global_mean_pool, DEFAULT_RTOL, DEFAULT_ATOL),
+    "cross_entropy": (_build_cross_entropy, DEFAULT_RTOL, DEFAULT_ATOL),
+    "edge_pool": (_edge_pool_case(0.0), DEFAULT_RTOL, DEFAULT_ATOL),
+    "edge_pool_score_dropout": (_edge_pool_case(0.3), DEFAULT_RTOL, DEFAULT_ATOL),
+    "unpool": (_build_unpool, DEFAULT_RTOL, DEFAULT_ATOL),
+    "graph_model": (_build_graph_model, MODEL_RTOL, MODEL_ATOL),
+    "node_model": (_build_node_model, MODEL_RTOL, MODEL_ATOL),
 }
 
 CASE_NAMES = tuple(_TAPE_CASES) + ("unpool_adjoint",)
+
+# The case sets ``edgepool gradcheck --cases`` selects by name.
+CASE_GROUPS = {
+    "all": list(CASE_NAMES),
+    "edgepool": ["edge_pool", "edge_pool_score_dropout"],
+    "unpool": ["unpool", "unpool_adjoint"],
+    "layers": ["dense", "mean_conv", "batch_norm", "batch_norm_one_row", "relu",
+               "global_mean_pool", "cross_entropy"],
+}
 
 
 def run_gradcheck(
@@ -324,7 +334,6 @@ def run_gradcheck(
         if name == "unpool_adjoint":
             results.append(_check_unpool_adjoint(seed, corrupt))
             continue
-        build, rtol = _TAPE_CASES[name]
-        atol = DEFAULT_ATOL if rtol == DEFAULT_RTOL else 1e-6
+        build, rtol, atol = _TAPE_CASES[name]
         results.append(_check_case(name, build, seed, rtol, atol, corrupt))
     return results

@@ -147,11 +147,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class BatchedGraph:
-    """Disjoint union of graphs with a node-to-graph assignment vector.
-
-    Graph k's nodes have ``graph_id`` k; every graph has a node, so the
-    graphs are numbered 0 to ``graph_id.max()``.
-    """
+    """Disjoint union of graphs; graph k's nodes (at least one) have ``graph_id`` k."""
 
     graph: Graph
     graph_id: np.ndarray

@@ -137,10 +137,7 @@ def relu(x: Var) -> Var:
 
 
 def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
-    """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity.
-
-    Evaluation passes rate 0, so it draws nothing from ``rng``.
-    """
+    """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
@@ -151,10 +148,7 @@ def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
 
 
 def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
-    """Per-graph mean of node rows, following the node-to-graph map.
-
-    Graphs are numbered 0 to ``graph_id.max()``, one output row each.
-    """
+    """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``."""
     if x.data.shape[0] != len(graph_id):
         raise ValueError("activation rows != graph_id length")
     counts = np.bincount(graph_id).astype(np.float64)

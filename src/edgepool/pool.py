@@ -130,7 +130,6 @@ class PoolInfo:
 
     @property
     def pooled_num_nodes(self) -> int:
-        """One pooled node per matched pair plus one per unmatched node."""
         return len(self.cluster_of) - self.num_matched
 
 

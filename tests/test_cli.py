@@ -17,6 +17,8 @@ from edgepool.models import CONV_KINDS
 from edgepool.params import TrainConfig
 from edgepool.rng import seeded_rng
 
+from oracles import loop_load_tu
+
 
 def write_graph(path, n=12, seed=0):
     rng = seeded_rng(seed, "cli-graph")
@@ -49,6 +51,14 @@ def read_checkpoint(path):
     """The checkpoint's config and its name -> {shape, data} parameter entries."""
     obj = json.loads(path.read_text())
     return obj["config"], obj["params"]
+
+
+def exit_code(argv):
+    """``main``'s exit code, also when the parser exits before a command runs."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def artifacts(out):
@@ -544,8 +554,10 @@ class TestBenchCommand:
         ("nan", "10", "finite number"),
         ("2.5", "10", "--min-edges must be a whole finite number"),
         ("10", "30.9", "--max-edges must be a whole finite number"),
+        ("\u0661\u0660", "100", "--min-edges must be a whole finite number"),
+        ("10", "1_000", "--max-edges must be a whole finite number"),
     ], ids=["min-zero", "min-negative", "min-inf", "max-overflow", "min-nan", "min-fractional",
-            "max-fractional"])
+            "max-fractional", "min-arabic-indic", "max-underscore"])
     def test_bad_edge_counts_rejected(self, tmp_path, capsys, min_edges, max_edges, message):
         out = tmp_path / "bench"
         code = main(["bench", "--min-edges", min_edges, "--max-edges", max_edges,
@@ -750,6 +762,81 @@ class TestTuFuzz:
         assert same_dataset(dataset, load_tu(tmp / "canonical", "F"))
 
 
+TU_LINE_EDITS = ["drop", "repeat", "move", "insert", "widen", "narrow", "truncate", "remove"]
+TU_ODD_LINES = ["", "   ", ",", "1,", "1,,2", "1 2", "١, 2", "6", "1, 2, 3", "0.5, 0.5, 0.5"]
+
+
+@st.composite
+def tu_files_with_odd_lines(draw):
+    """The lines of each TU file after one or two line edits: a line dropped,
+    repeated, moved, preceded by an odd line, given an extra entry or cut to
+    its first; a file cut short; or a file removed."""
+    files = copy.deepcopy(TU_FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 2))):
+        suffix = draw(st.sampled_from(sorted(files)))
+        lines = files[suffix]
+        edit = draw(st.sampled_from(TU_LINE_EDITS))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "remove":
+            del files[suffix]
+        elif edit == "insert":
+            lines.insert(i, draw(st.sampled_from(TU_ODD_LINES)))
+        elif edit == "truncate":
+            del lines[i:]
+        elif not lines:
+            continue
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif edit == "widen":
+            lines[i] += ", " + draw(st.sampled_from(TU_FUZZ_TOKENS))
+        else:
+            lines[i] = lines[i].split(",")[0]
+    return files
+
+
+class TestTuLineFuzz:
+    # Whole lines of each TU file dropped, repeated, moved, added, widened,
+    # narrowed or cut off, or a file removed: load_tu reads exactly what the
+    # loop oracle reads from the same files, or refuses them as it does, and
+    # a run exits 0 or 2 and never raises.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(files=tu_files_with_odd_lines())
+    def test_odd_lines_read_as_the_oracle_reads_them_or_exit_2(self, tmp_path_factory, files):
+        tmp = tmp_path_factory.mktemp("tulines")
+        write_tu(tmp / "odd", files)
+        try:
+            want = loop_load_tu(tmp / "odd", "F")
+        except (OSError, ValueError):
+            want = None
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "load_tu", recording(calls, "load_tu", load_tu))
+            code = main(["pool", "--tu", str(tmp / "odd"), "F", "--out", str(tmp / "out")])
+        assert code in (0, 2)
+        if want is None:
+            assert code == 2 and "load_tu" not in calls
+        else:
+            _, dataset = calls["load_tu"]
+            assert same_dataset(dataset, want)
+
+
+# Every flag that takes a number. Each command takes --out, and train-graph needs --tu.
+NUMBER_FLAGS = [("pool", "--index"), ("pool", "--levels"), ("pool", "--seed"),
+                *[("train-graph", f) for f in ("--seed", "--epochs", "--channels", "--lr",
+                                               "--folds", "--batch-size")],
+                *[("train-node", f) for f in ("--seed", "--epochs", "--channels", "--lr")],
+                ("gradcheck", "--seed"), ("bench", "--seed")]
+
+
+def number_argv(command, out, option, text):
+    tu = ["--tu", str(out), "T"] if command == "train-graph" else []
+    return [command, *tu, "--out", str(out), option, text]
+
+
 class TestArgumentErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -762,15 +849,47 @@ class TestArgumentErrors:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
-    def test_learning_rate_must_be_positive_and_finite(self, tmp_path, lr, capsys):
-        # Without pooling no score check stops a NaN rate: only the config
-        # keeps training from finishing with a checkpoint of NaNs.
-        code = main(["train-node", "--synthetic", "sbm", "--pooling", "none", "--epochs", "1",
-                     "--lr", lr, "--quiet", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("lr, message", [
+        ("nan", "invalid decimal value: 'nan'"),
+        ("inf", "invalid decimal value: 'inf'"),
+        ("1e999", "must be positive and finite"),
+        ("0", "must be positive and finite"),
+    ], ids=["nan", "inf", "overflow", "0"])
+    def test_learning_rate_must_be_positive_and_finite(self, tmp_path, lr, message, capsys):
+        # Without pooling no score check stops a NaN rate: only the parser
+        # (nan and inf are no decimal numbers) and the config (a decimal that
+        # overflows to inf, or 0) keep training from finishing with a
+        # checkpoint of NaNs.
+        code = exit_code(["train-node", "--synthetic", "sbm", "--pooling", "none",
+                          "--epochs", "1", "--lr", lr, "--quiet", "--out", str(tmp_path)])
         assert code == 2
-        assert "must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("flag", NUMBER_FLAGS, ids=" ".join)
+    @pytest.mark.parametrize("text", ["\u0661", "1_0"], ids=["arabic-indic", "underscore"])
+    def test_number_flags_take_ascii_digits_only(self, tmp_path, capsys, flag, text):
+        # The rule of the TU files: float() and int() would read both as numbers.
+        command, option = flag
+        out = tmp_path / "out"
+        assert exit_code(number_argv(command, out, option, text)) == 2
+        assert f"argument {option}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", NUMBER_FLAGS, ids=" ".join)
+    def test_number_flags_parse_valid_spellings_as_before(self, tmp_path, flag):
+        command, option = flag
+        texts = ["+5", " 7", "-0"] if option != "--lr" else ["1e3", "+5", "0.001", ".5", "2."]
+        convert = float if option == "--lr" else int
+        for text in texts:
+            args = cli._build_parser().parse_args(number_argv(command, tmp_path, option, text))
+            got = getattr(args, option[2:].replace("-", "_"))
+            assert type(got) is convert and got == convert(text)
+
+    @pytest.mark.parametrize("text, count", [("1e3", 1000), ("+5", 5), ("1000", 1000),
+                                             ("2.5e1", 25)])
+    def test_edge_counts_parse_valid_spellings_as_before(self, text, count):
+        assert cli._edge_count(text, "--min-edges") == count
 
     @pytest.mark.parametrize("argv", [
         ["pool", "--input", "g.json", "--random-seed", "7"],
@@ -789,21 +908,21 @@ PARSER_FLAGS = {
     "pool": {
         "input": (["--input"], None, None, False, None, None),
         "tu": (["--tu"], None, None, False, None, 2),
-        "index": (["--index"], 0, None, False, "int", None),
-        "levels": (["--levels"], 1, None, False, "int", None),
+        "index": (["--index"], 0, None, False, "integer", None),
+        "levels": (["--levels"], 1, None, False, "integer", None),
         "params": (["--params"], None, None, False, None, None),
-        "seed": (["--seed"], 0, None, False, "int", None),
+        "seed": (["--seed"], 0, None, False, "integer", None),
         "out": (["--out"], None, None, True, None, None),
     },
     "train-graph": {
         "tu": (["--tu"], None, None, True, None, 2),
         "pooling": (["--pooling"], "edgepool", ["none", "edgepool"], False, None, None),
-        "folds": (["--folds"], 10, None, False, "int", None),
-        "seed": (["--seed"], 0, None, False, "int", None),
-        "epochs": (["--epochs"], 200, None, False, "int", None),
-        "channels": (["--channels"], 64, None, False, "int", None),
-        "batch_size": (["--batch-size"], 128, None, False, "int", None),
-        "lr": (["--lr"], 0.001, None, False, "float", None),
+        "folds": (["--folds"], 10, None, False, "integer", None),
+        "seed": (["--seed"], 0, None, False, "integer", None),
+        "epochs": (["--epochs"], 200, None, False, "integer", None),
+        "channels": (["--channels"], 64, None, False, "integer", None),
+        "batch_size": (["--batch-size"], 128, None, False, "integer", None),
+        "lr": (["--lr"], 0.001, None, False, "decimal", None),
         "quiet": (["--quiet"], False, None, False, None, 0),
         "out": (["--out"], None, None, True, None, None),
     },
@@ -812,15 +931,15 @@ PARSER_FLAGS = {
         "synthetic": (["--synthetic"], None, ["sbm"], False, None, None),
         "pooling": (["--pooling"], "edgepool", ["none", "edgepool"], False, None, None),
         "conv": (["--conv"], "mean", ["mean", "mlp"], False, None, None),
-        "seed": (["--seed"], 0, None, False, "int", None),
-        "epochs": (["--epochs"], 200, None, False, "int", None),
-        "channels": (["--channels"], 64, None, False, "int", None),
-        "lr": (["--lr"], 0.001, None, False, "float", None),
+        "seed": (["--seed"], 0, None, False, "integer", None),
+        "epochs": (["--epochs"], 200, None, False, "integer", None),
+        "channels": (["--channels"], 64, None, False, "integer", None),
+        "lr": (["--lr"], 0.001, None, False, "decimal", None),
         "quiet": (["--quiet"], False, None, False, None, 0),
         "out": (["--out"], None, None, True, None, None),
     },
     "gradcheck": {
-        "seed": (["--seed"], 0, None, False, "int", None),
+        "seed": (["--seed"], 0, None, False, "integer", None),
         "cases": (["--cases"], "all", ["all", "edgepool", "layers", "unpool"], False, None, None),
         "corrupt": (["--corrupt"], False, None, False, None, 0),
         "out": (["--out"], None, None, False, None, None),
@@ -828,7 +947,7 @@ PARSER_FLAGS = {
     "bench": {
         "min_edges": (["--min-edges"], "1e3", None, False, None, None),
         "max_edges": (["--max-edges"], "1e6", None, False, None, None),
-        "seed": (["--seed"], 0, None, False, "int", None),
+        "seed": (["--seed"], 0, None, False, "integer", None),
         "out": (["--out"], "bench_out", None, False, None, None),
     },
 }

@@ -333,6 +333,13 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic("hypercube", {})
 
+    @pytest.mark.parametrize("kind, key", [("sbm_node_task", "nodes_per_blok"),
+                                           ("path_proteinlike", "blocks")])
+    def test_unknown_parameter_is_named(self, kind, key):
+        # A misspelt key would otherwise leave its default silently in place.
+        with pytest.raises(ValueError, match=f"unknown {kind} parameters \\['{key}'\\]"):
+            gen_synthetic(kind, {key: 30})
+
     @pytest.mark.parametrize("kind", ["star", "erdos_renyi", "cycle"])
     def test_unrequested_kinds_are_gone(self, kind):
         with pytest.raises(ValueError, match="unknown synthetic kind"):
