@@ -245,9 +245,7 @@ def _load_task(args):
                                  "the splits must be disjoint")
             return _node_task(graph, labels, train_mask, test_mask, identity), identity
         return node_split(graph, labels, seed=args.seed, name=identity), identity
-    if args.synthetic is not None:
-        if args.synthetic != "sbm":
-            raise ValueError(f"unknown synthetic task {args.synthetic!r}")
+    if args.synthetic is not None:  # the parser allows "sbm" alone
         task = gen_synthetic("sbm_node_task", {}, seed=args.seed)
         return task, "sbm"
     raise ValueError("one of --input or --synthetic is required")

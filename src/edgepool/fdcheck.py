@@ -38,10 +38,8 @@ from .unpool import unpool_backward, unpool_once
 __all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES", "CASE_GROUPS"]
 
 FD_STEP = 1e-6  # central-difference step
-DEFAULT_RTOL = 1e-4
-DEFAULT_ATOL = 1e-7
-MODEL_RTOL = 1e-3
-MODEL_ATOL = 1e-6
+LAYER_TOL = (1e-4, 1e-7)  # (rtol, atol)
+MODEL_TOL = (1e-3, 1e-6)
 
 
 @dataclass
@@ -293,18 +291,18 @@ def _check_unpool_adjoint(seed, corrupt) -> GradCheckResult:
 
 
 _TAPE_CASES = {
-    "dense": (_build_dense, DEFAULT_RTOL, DEFAULT_ATOL),
-    "mean_conv": (_build_mean_conv, DEFAULT_RTOL, DEFAULT_ATOL),
-    "batch_norm": (_batch_norm_case(6), DEFAULT_RTOL, DEFAULT_ATOL),
-    "batch_norm_one_row": (_batch_norm_case(1), DEFAULT_RTOL, DEFAULT_ATOL),
-    "relu": (_build_relu, DEFAULT_RTOL, DEFAULT_ATOL),
-    "global_mean_pool": (_build_global_mean_pool, DEFAULT_RTOL, DEFAULT_ATOL),
-    "cross_entropy": (_build_cross_entropy, DEFAULT_RTOL, DEFAULT_ATOL),
-    "edge_pool": (_edge_pool_case(0.0), DEFAULT_RTOL, DEFAULT_ATOL),
-    "edge_pool_score_dropout": (_edge_pool_case(0.3), DEFAULT_RTOL, DEFAULT_ATOL),
-    "unpool": (_build_unpool, DEFAULT_RTOL, DEFAULT_ATOL),
-    "graph_model": (_build_graph_model, MODEL_RTOL, MODEL_ATOL),
-    "node_model": (_build_node_model, MODEL_RTOL, MODEL_ATOL),
+    "dense": (_build_dense, LAYER_TOL),
+    "mean_conv": (_build_mean_conv, LAYER_TOL),
+    "batch_norm": (_batch_norm_case(6), LAYER_TOL),
+    "batch_norm_one_row": (_batch_norm_case(1), LAYER_TOL),
+    "relu": (_build_relu, LAYER_TOL),
+    "global_mean_pool": (_build_global_mean_pool, LAYER_TOL),
+    "cross_entropy": (_build_cross_entropy, LAYER_TOL),
+    "edge_pool": (_edge_pool_case(0.0), LAYER_TOL),
+    "edge_pool_score_dropout": (_edge_pool_case(0.3), LAYER_TOL),
+    "unpool": (_build_unpool, LAYER_TOL),
+    "graph_model": (_build_graph_model, MODEL_TOL),
+    "node_model": (_build_node_model, MODEL_TOL),
 }
 
 CASE_NAMES = tuple(_TAPE_CASES) + ("unpool_adjoint",)
@@ -334,6 +332,6 @@ def run_gradcheck(
         if name == "unpool_adjoint":
             results.append(_check_unpool_adjoint(seed, corrupt))
             continue
-        build, rtol, atol = _TAPE_CASES[name]
+        build, (rtol, atol) = _TAPE_CASES[name]
         results.append(_check_case(name, build, seed, rtol, atol, corrupt))
     return results

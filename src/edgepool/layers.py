@@ -2,7 +2,8 @@
 
 All ops take and return :class:`~edgepool.autodiff.Var` nodes. Structural
 inputs (graphs, index vectors, labels, dropout masks) are constants of the
-backward pass. Neighbor and segment reductions are products with unit-weight
+backward pass. No op takes what it can work out: dropout takes a rate
+alone (rate 0 is the identity), and a readout counts graphs off ``graph_id``. Neighbor and segment reductions are products with unit-weight
 sparse operators (the graph's cached in-adjacency, or a segment matrix):
 they accumulate in double precision in fixed canonical order, then cast back
 to the activation dtype.

@@ -10,7 +10,8 @@ Two architectures:
   pooling after layers 2 and 4 and unpooling in reverse order with
   shortcut concatenation, in the style of a graph U-net.
 
-Both share one pooling step and one head. One Adam loop trains both, with
+Both share one pooling step and one head, which get their dropout rates
+in training and 0.0 in evaluation. One Adam loop trains both, with
 a stepped learning-rate schedule and one history row per epoch. Before
 each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged

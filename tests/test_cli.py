@@ -763,7 +763,7 @@ class TestTuFuzz:
 
 
 TU_LINE_EDITS = ["drop", "repeat", "move", "insert", "widen", "narrow", "truncate", "remove"]
-TU_ODD_LINES = ["", "   ", ",", "1,", "1,,2", "1 2", "١, 2", "6", "1, 2, 3", "0.5, 0.5, 0.5"]
+TU_ODD_LINES = ["", "   ", ",", "1,", "1,,2", "1 2", "\u0661, 2", "6", "1, 2, 3", "0.5, 0.5, 0.5"]
 
 
 @st.composite
