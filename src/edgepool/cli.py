@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 import tracemalloc
@@ -23,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from .data import _node_task, decimal, gen_synthetic, integer, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_GROUPS, run_gradcheck
@@ -49,6 +51,12 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
 
+def _versions() -> dict:
+    """The Python, numpy and scipy versions, on which a run's bytes depend."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to re-run a command deterministically."""
@@ -60,6 +68,7 @@ class RunManifest:
     started: str = ""
     ended: str = ""
     outputs: list[str] = field(default_factory=list)
+    versions: dict = field(default_factory=_versions)
 
     @classmethod
     def start(cls, args: argparse.Namespace, dataset: str) -> "RunManifest":

@@ -269,18 +269,24 @@ def kfold_splits(n: int, k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, n
     return out
 
 
+# The standard node split: labeled nodes per class for training, for testing.
+_PER_CLASS_TRAIN, _PER_CLASS_TEST = 20, 30
+
+
 def node_split(
     graph: Graph,
     node_labels: np.ndarray,
-    per_class_train: int = 20,
-    per_class_test: int = 30,
+    per_class_train: int = _PER_CLASS_TRAIN,
+    per_class_test: int = _PER_CLASS_TEST,
     seed: int = 0,
     name: str = "node-task",
 ) -> NodeTask:
     """Per-class sampling without replacement into train/test masks.
 
     Remaining nodes stay unlabeled. Every class needs at least
-    per_class_train + per_class_test members.
+    per_class_train + per_class_test members. The defaults are the
+    standard split, which the ``sbm_node_task`` synthetic and ``train-node``
+    on a task without given splits use.
     """
     node_labels = np.asarray(node_labels, dtype=np.int64)
     if node_labels.shape != (graph.num_nodes,):
@@ -441,7 +447,7 @@ _SYNTHETIC_DEFAULTS = {
     "path_proteinlike": {"num_graphs": 100, "min_nodes": 10, "max_nodes": 30},
     "sbm_node_task": {"blocks": 2, "nodes_per_block": 100, "p_in": 0.12, "p_out": 0.01,
                       "feature_width": 4, "feature_noise": 1.8, "signal": 1.0,
-                      "per_class_train": 20, "per_class_test": 30},
+                      "per_class_train": _PER_CLASS_TRAIN, "per_class_test": _PER_CLASS_TEST},
 }
 
 

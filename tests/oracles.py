@@ -80,6 +80,27 @@ def sequential_greedy(edges: np.ndarray, normalized: np.ndarray, dropped: np.nda
     return np.asarray(pairs, dtype=np.int64)
 
 
+def argsort_sweep(e, src, dst, s, num_nodes):
+    """``pool._greedy_sweep`` as it was before it sorted block by block: one
+    stable argsort of every edge it is handed, then the loop.
+
+    Sequential greedy over edges ``e`` (ascending) with endpoints and scores.
+
+    Visits by score descending, index ascending on ties; returns the taken
+    edge indices in visiting order. The edges must touch no node matched
+    earlier, so every node starts unmatched.
+    """
+    order = np.argsort(-s, kind="stable")
+    matched = bytearray(num_nodes)
+    out = []
+    for k, i, j in zip(e[order].tolist(), src[order].tolist(), dst[order].tolist()):
+        if not matched[i] and not matched[j]:
+            matched[i] = 1
+            matched[j] = 1
+            out.append(k)
+    return np.asarray(out, dtype=np.int64)
+
+
 def naive_contract_features(
     node_features: np.ndarray,
     matching: list,

@@ -3,10 +3,12 @@
 import argparse
 import copy
 import json
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from edgepool import cli, gen_synthetic, load_tu, save_tu
@@ -313,6 +315,8 @@ class TestTrainNodeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train-node"
         assert manifest["seed"] == 0
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_deterministic_summaries(self, tmp_path):
         assert self.run_synthetic(tmp_path / "a") == 0

@@ -18,8 +18,9 @@ from edgepool import (
     symmetrize,
     unpool_backward,
 )
-from edgepool.data import make_connected_erdos_renyi, make_cycle, make_star
+from edgepool.data import make_connected_erdos_renyi, make_cycle, make_sbm, make_star
 from edgepool.pool import (
+    _greedy_sweep,
     apply_score_dropout,
     contract,
     hierarchy_to_json,
@@ -31,6 +32,7 @@ from edgepool.pool import (
 from edgepool.rng import seeded_rng
 
 from oracles import (
+    argsort_sweep,
     naive_contract_features,
     naive_matching,
     naive_normalize,
@@ -351,7 +353,76 @@ def tied_scores(digraph, data):
     return g, EdgeScores(normalized=normalized, dropped=dropped)
 
 
+@st.composite
+def sweep_inputs(draw):
+    """Arguments of ``_greedy_sweep``: ascending edge indices of canonical
+    edges in canonical order, their endpoints, scores and the node count.
+
+    Dense random edge sets of 1,500-9,900 edges on at most 100 nodes run
+    several blocks and the final sort; their scores are continuous or drawn
+    from a 3-4 value set. A monotone chain of up to 6,000 edges and the
+    empty input come too.
+    """
+    kind = draw(st.sampled_from(["dense", "dense-ties", "chain", "empty"]))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "sweep-inputs")
+    if kind == "empty":
+        z = np.zeros(0, dtype=np.int64)
+        return z, z, z, np.zeros(0), draw(st.integers(1, 10))
+    if kind == "chain":
+        n = draw(st.integers(2, 3000))
+        g = path_graph(n)
+        src, dst = g.edge_src, g.edge_dst
+        return np.arange(g.num_edges), src, dst, 0.6 + 0.8 * np.minimum(src, dst) / n, n
+    n = draw(st.integers(40, 100))
+    off_diagonal = np.flatnonzero(~np.eye(n, dtype=bool))
+    m = draw(st.integers(1500, min(9900, off_diagonal.size)))
+    key = np.sort(rng.choice(off_diagonal, size=m, replace=False))
+    e = np.sort(rng.choice(2 * m, size=m, replace=False))
+    if kind == "dense":
+        s = rng.uniform(0.5, 1.5, size=m)
+    else:
+        values = draw(st.lists(st.floats(0.5, 1.5, exclude_min=True),
+                               min_size=3, max_size=4, unique=True))
+        s = np.asarray(values)[rng.integers(0, len(values), size=m)]
+    return e, key // n, key % n, s, n
+
+
+class TestGreedySweep:
+    @settings(max_examples=60, deadline=None)
+    @given(args=sweep_inputs())
+    def test_equals_argsort_sweep(self, args):
+        got = _greedy_sweep(*args)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.sort(argsort_sweep(*args)))
+
+
 class TestSelectionAtScale:
+    @pytest.mark.parametrize("case", ["plain", "dropout", "ties"])
+    def test_dense_sbm_reaches_the_sweep(self, case, monkeypatch):
+        # 2,000 nodes of mean degree about 16, as in perfbench's node_train.
+        # The softmax over a destination's incoming edges cancels the
+        # destination's term of a linear scorer, so the normalized score
+        # follows a source term; it spreads little at small weights. Then
+        # the first round removes too little, and the sweep does most of the work.
+        rng = seeded_rng(23, "select-sbm")
+        g, _ = make_sbm(4, 500, 0.03, 0.001, rng)
+        raw = 0.05 * rng.normal(size=g.num_nodes)[g.edge_src]
+        dropped = (apply_score_dropout(g.num_edges, 0.2, seed=9) if case == "dropout"
+                   else no_dropout(g))
+        normalized = normalize_scores(g, raw, dropped)
+        if case == "ties":
+            normalized = np.round(normalized, 2)
+        swept = []
+
+        def spy(e, *args):
+            swept.append(e.size)
+            return _greedy_sweep(e, *args)
+
+        monkeypatch.setattr("edgepool.pool._greedy_sweep", spy)
+        mine = select_contractions(g, EdgeScores(normalized=normalized, dropped=dropped))
+        assert swept, "the sweep did not run"
+        assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
+
     def test_monotone_path_is_fast_and_exact(self):
         # Scores rise along the path, so each vectorized round could take
         # only its top edge; the sequential sweep has to finish the job.
