@@ -29,6 +29,7 @@ import scipy
 from .data import _node_task, decimal, gen_synthetic, integer, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_GROUPS, run_gradcheck
 from .graph import (
+    Graph,
     _graph_and_labels,
     _json_array,
     _sorted_unique,
@@ -39,7 +40,14 @@ from .graph import (
 )
 from .models import CONV_KINDS, train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
-from .pool import PoolParams, edgepool_forward, hierarchy_to_json, pool_hierarchy, random_pool_params
+from .pool import (
+    PoolParams,
+    _check_widths,
+    edgepool_forward,
+    hierarchy_to_json,
+    pool_hierarchy,
+    random_pool_params,
+)
 from .rng import seeded_rng
 
 __all__ = ["main", "entry_point", "RunManifest"]
@@ -125,7 +133,7 @@ def _load_pool_input(args):
     raise ValueError("one of --input or --tu is required")
 
 
-def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> PoolParams:
+def _load_pool_params(args, graph: Graph) -> PoolParams:
     if args.params is not None:
         with open(args.params, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -133,13 +141,12 @@ def _load_pool_params(args, feature_width: int, edge_feature_width: int) -> Pool
             raise ValueError("params file needs an object with 'weight' and 'bias' keys")
         weight = _json_array(obj["weight"], "params weight", 1)
         bias = float(_json_array(obj["bias"], "params bias", 0))
-        expected = 2 * feature_width + edge_feature_width
-        if len(weight) != expected:
-            raise ValueError(f"params weight has length {len(weight)}, graph needs {expected}")
+        params = PoolParams(weight=weight, bias=bias)
+        _check_widths(graph, params)  # also when --levels 0 scores nothing
         if not (np.isfinite(weight).all() and np.isfinite(bias)):
             raise ValueError("params weight and bias must be finite")
-        return PoolParams(weight=weight, bias=bias)
-    return random_pool_params(feature_width, edge_feature_width, seed=args.seed)
+        return params
+    return random_pool_params(graph.feature_width, graph.edge_feature_width, seed=args.seed)
 
 
 def cmd_pool(args) -> int:
@@ -148,7 +155,7 @@ def cmd_pool(args) -> int:
     graph, identity = _load_pool_input(args)
     manifest = RunManifest.start(args, identity)
     os.makedirs(args.out, exist_ok=True)
-    params = _load_pool_params(args, graph.feature_width, graph.edge_feature_width)
+    params = _load_pool_params(args, graph)
     levels = pool_hierarchy(graph, params, args.levels)
 
     hierarchy_path = os.path.join(args.out, "hierarchy.json")

@@ -5,10 +5,13 @@ graphs: comma-separated 1-indexed edge lines, a graph indicator per node
 line, one label per graph line, and optional node labels / attributes.
 Numbers are ASCII: an integer file entry is ``[+-]?[0-9]+`` and an
 attribute a decimal number within float32 range, each after stripping
-whitespace; anything else raises ``ValueError`` naming ``path:line``.
-The CLI's number flags follow the same rule (:func:`integer`,
-:func:`decimal`). Synthetic generators provide deterministic desk-scale
-graphs for property tests and node-classification experiments.
+whitespace; anything else raises ``ValueError`` naming ``path:line``,
+as does an attribute line whose entry count differs from the first
+line's. An integer line is read for its first entries (two for an edge,
+one otherwise) and may have more. The CLI's number flags follow the
+number rule (:func:`integer`, :func:`decimal`). Synthetic generators
+provide deterministic desk-scale graphs for property tests and
+node-classification experiments.
 """
 
 from __future__ import annotations
@@ -63,24 +66,6 @@ class NodeTask:
     name: str = "node-task"
 
 
-def _read_lines(path, what: str, parse_row) -> list[list]:
-    """Parse every non-blank line of ``path``, split at commas, with ``parse_row``.
-
-    Raises ``ValueError`` naming ``path:line`` for a line ``parse_row`` rejects.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(parse_row(line.split(",")))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
-    return rows
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -114,19 +99,39 @@ def _float32(tok: str) -> float:
     return value
 
 
-def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
-    """The first ``columns`` entries of each line of an integer file, (rows, columns) int64.
+def _read_table(path, what: str, parse, dtype, columns: int | None = None) -> np.ndarray:
+    """Every non-blank line of ``path``, split at commas, each entry read by ``parse``:
+    a (lines, width) array of ``dtype``.
 
-    Every entry of every line must be an integer.
+    With ``columns``, each line keeps its first ``columns`` entries; without,
+    every line must have as many entries as the first. Raises ``ValueError``
+    naming ``path:line`` for a line that breaks either rule or has an entry
+    ``parse`` rejects.
     """
+    rows, width = [], columns
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [parse(tok) for tok in line.split(",")]
+                width = width or len(row)  # without columns, the first line's count
+                if len(row) < width:
+                    raise ValueError(f"needs {width} entries")
+                if len(row) > width and columns is None:
+                    raise ValueError(f"has {len(row)} entries, not the first line's {width}")
+                rows.append(row[:width])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
+    return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
 
-    def parse_row(tokens):
-        row = [integer(tok) for tok in tokens]
-        if len(row) < columns:
-            raise ValueError(f"needs {columns} entries")
-        return row[:columns]
 
-    return np.asarray(_read_lines(path, what, parse_row), dtype=np.int64).reshape(-1, columns)
+def _label_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each label's rank among the distinct labels (int64 codes 0..C-1 in
+    sorted order of the values), and C."""
+    values = _sorted_unique(labels.copy())
+    return np.searchsorted(values, labels).astype(np.int64), len(values)
 
 
 def _tu_path(directory, name: str, suffix: str) -> str:
@@ -150,9 +155,9 @@ def load_tu(directory, name: str) -> GraphDataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory {what} file: {path}")
 
-    indicator = _read_ints(ind_path, "graph indicator")[:, 0]
-    raw_labels = _read_ints(lab_path, "graph label")[:, 0]
-    edges_global = _read_ints(a_path, "edge", columns=2)
+    indicator = _read_table(ind_path, "graph indicator", integer, np.int64, 1)[:, 0]
+    raw_labels = _read_table(lab_path, "graph label", integer, np.int64, 1)[:, 0]
+    edges_global = _read_table(a_path, "edge", integer, np.int64, 2)
 
     total_nodes = len(indicator)
     num_graphs = len(raw_labels)
@@ -162,15 +167,14 @@ def load_tu(directory, name: str) -> GraphDataset:
     node_labels = None
     nl_path = _tu_path(directory, name, "node_labels")
     if os.path.exists(nl_path):
-        node_labels = _read_ints(nl_path, "node label")[:, 0]
+        node_labels = _read_table(nl_path, "node label", integer, np.int64, 1)[:, 0]
         if len(node_labels) != total_nodes:
             raise ValueError("node label count != node count")
 
     attributes = None
     attr_path = _tu_path(directory, name, "node_attributes")
     if os.path.exists(attr_path):
-        rows = _read_lines(attr_path, "node attribute", lambda tokens: list(map(_float32, tokens)))
-        attributes = np.asarray(rows, dtype=np.float32)
+        attributes = _read_table(attr_path, "node attribute", _float32, np.float32)
         if attributes.shape[0] != total_nodes:
             raise ValueError("node attribute count != node count")
 
@@ -178,9 +182,9 @@ def load_tu(directory, name: str) -> GraphDataset:
     if attributes is not None:
         feature_parts.append(attributes)
     if node_labels is not None:
-        values = np.unique(node_labels)
-        onehot = np.zeros((total_nodes, len(values)), dtype=np.float32)
-        onehot[np.arange(total_nodes), np.searchsorted(values, node_labels)] = 1.0
+        codes, num_values = _label_codes(node_labels)
+        onehot = np.zeros((total_nodes, num_values), dtype=np.float32)
+        onehot[np.arange(total_nodes), codes] = 1.0
         feature_parts.append(onehot)
     if feature_parts:
         features = np.concatenate(feature_parts, axis=1)
@@ -210,8 +214,7 @@ def load_tu(directory, name: str) -> GraphDataset:
     src, dst = key // total_nodes, key % total_nodes
     bounds = np.searchsorted(src, np.append(offsets, total_nodes))
 
-    label_values = np.unique(raw_labels)
-    labels = np.searchsorted(label_values, raw_labels).astype(np.int64)
+    labels, num_classes = _label_codes(raw_labels)
 
     graphs = []
     for g in range(num_graphs):
@@ -222,7 +225,7 @@ def load_tu(directory, name: str) -> GraphDataset:
         graph = build_graph(n, local, features[off : off + n])
         graphs.append(symmetrize(graph))
 
-    return GraphDataset(graphs=graphs, labels=labels, num_classes=len(label_values), name=name)
+    return GraphDataset(graphs=graphs, labels=labels, num_classes=num_classes, name=name)
 
 
 def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
@@ -291,7 +294,7 @@ def node_split(
     node_labels = np.asarray(node_labels, dtype=np.int64)
     if node_labels.shape != (graph.num_nodes,):
         raise ValueError("one label per node required")
-    classes = np.unique(node_labels)
+    classes = _sorted_unique(node_labels.copy())
     rng = seeded_rng(seed, "node-split")
     train_mask = np.zeros(graph.num_nodes, dtype=bool)
     test_mask = np.zeros(graph.num_nodes, dtype=bool)
@@ -311,15 +314,9 @@ def node_split(
 def _node_task(graph: Graph, node_labels: np.ndarray, train_mask: np.ndarray,
                test_mask: np.ndarray, name: str) -> NodeTask:
     """The task with its labels remapped to 0..C-1 in sorted order."""
-    classes = np.unique(node_labels)
-    return NodeTask(
-        graph=graph,
-        node_labels=np.searchsorted(classes, node_labels).astype(np.int64),
-        train_mask=train_mask,
-        test_mask=test_mask,
-        num_classes=len(classes),
-        name=name,
-    )
+    codes, num_classes = _label_codes(node_labels)
+    return NodeTask(graph=graph, node_labels=codes, train_mask=train_mask,
+                    test_mask=test_mask, num_classes=num_classes, name=name)
 
 
 def _with_features(n: int, rng: np.random.Generator | None, feature_width: int) -> np.ndarray:

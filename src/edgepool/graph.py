@@ -6,7 +6,8 @@ downstream tie-break deterministic, so it is established at construction
 and never changes. Input from outside the library is validated and
 canonicalized once, by :func:`build_graph`; graphs derived from canonical
 ones (:func:`symmetrize`, :func:`batch`, pooling) are assembled directly
-from parts that are canonical by construction. Node features are dense
+from parts that are canonical by construction, and the :class:`Graph`
+type makes the arrays of every graph read-only. Node features are dense
 row-major matrices; structure is sparse, and row reductions over it are
 products with unit-weight CSR operators whose rows keep their entries in
 canonical order.
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _unit_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
     """CSR operator with a 1.0 at each of the distinct (rows[k], cols[k]) pairs.
 
@@ -63,6 +59,24 @@ def _segment_sum(index: np.ndarray, values: np.ndarray, num_segments: int) -> np
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
+
+
+def _feature_matrix(values, kind: str, rows: int) -> np.ndarray:
+    """``values`` as a 2-D numeric matrix of ``rows`` finite rows, integers as float64.
+
+    ``kind`` is ``"node"`` or ``"edge"``: the rows are one per node or per edge.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "fiu":
+        raise ValueError(f"{kind} features must be numeric")
+    if a.dtype.kind in "iu":
+        a = a.astype(np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"{kind} features must be 2-D, got {a.ndim}-D")
+    if a.shape[0] != rows:
+        raise ValueError(f"{kind} feature rows ({a.shape[0]}) != num_{kind}s ({rows})")
+    _require_finite(a, f"{kind} features")
+    return a
 
 
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
@@ -95,14 +109,19 @@ class Graph:
     preceding node totals), :func:`~edgepool.pool.contract` (sorted
     unique keys of the pooled edges; it checks the features it computes
     for overflow) and the models' ``forward`` (the same graph without its
-    edge features). Each leaves every array read-only, as ``build_graph``
-    does.
+    edge features). Whichever path builds it, the type makes every array
+    read-only (as :class:`BatchedGraph` does its ``graph_id``).
     """
 
     num_nodes: int
     node_features: np.ndarray
     edges: np.ndarray
     edge_features: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for a in (self.node_features, self.edges, self.edge_features):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
@@ -142,7 +161,7 @@ class Graph:
             raise ValueError(
                 f"feature matrix must have {self.num_nodes} rows, got shape {features.shape}"
             )
-        return Graph(self.num_nodes, _freeze(features.copy()), self.edges, self.edge_features)
+        return Graph(self.num_nodes, features.copy(), self.edges, self.edge_features)
 
 
 @dataclass(frozen=True)
@@ -151,6 +170,9 @@ class BatchedGraph:
 
     graph: Graph
     graph_id: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.graph_id.flags.writeable = False
 
 
 def build_graph(
@@ -177,18 +199,7 @@ def build_graph(
             f"num_nodes ({num_nodes}) is too large: num_nodes**2 must be < 2**63"
         )
 
-    features = np.asarray(node_features)
-    if features.dtype.kind not in "fiu":
-        raise ValueError("node features must be numeric")
-    if features.dtype.kind in "iu":
-        features = features.astype(np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"node features must be 2-D, got {features.ndim}-D")
-    if features.shape[0] != num_nodes:
-        raise ValueError(
-            f"node feature rows ({features.shape[0]}) != num_nodes ({num_nodes})"
-        )
-    _require_finite(features, "node features")
+    features = _feature_matrix(node_features, "node", num_nodes)
 
     edges = np.asarray(edge_list, dtype=np.int64)
     if edges.size == 0:
@@ -196,20 +207,7 @@ def build_graph(
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edge list must be a sequence of (src, dst) pairs")
 
-    ef = None
-    if edge_features is not None:
-        ef = np.asarray(edge_features)
-        if ef.dtype.kind not in "fiu":
-            raise ValueError("edge features must be numeric")
-        if ef.dtype.kind in "iu":
-            ef = ef.astype(np.float64)
-        if ef.ndim != 2:
-            raise ValueError("edge features must be 2-D")
-        if ef.shape[0] != edges.shape[0]:
-            raise ValueError(
-                f"edge feature rows ({ef.shape[0]}) != num_edges ({edges.shape[0]})"
-            )
-        _require_finite(ef, "edge features")
+    ef = None if edge_features is None else _feature_matrix(edge_features, "edge", len(edges))
 
     if edges.shape[0]:
         if edges.min() < 0 or edges.max() >= num_nodes:
@@ -227,12 +225,7 @@ def build_graph(
                 i, j = edges[dup[0] + 1]
                 raise ValueError(f"duplicate directed edge ({i}, {j})")
 
-    return Graph(
-        num_nodes,
-        _freeze(features.copy()),
-        _freeze(edges.copy()),
-        None if ef is None else _freeze(ef.copy()),
-    )
+    return Graph(num_nodes, features.copy(), edges.copy(), None if ef is None else ef.copy())
 
 
 def symmetrize(graph: Graph) -> Graph:
@@ -258,8 +251,8 @@ def symmetrize(graph: Graph) -> Graph:
         added = np.flatnonzero(np.take(fkey, row, mode="clip") != key)
         order = np.argsort(rkey)  # the reverse keys are distinct
         row[added] = order[np.searchsorted(np.take(rkey, order), key[added])]
-        ef = _freeze(np.take(ef, row, axis=0))
-    return Graph(graph.num_nodes, graph.node_features, _freeze(edges), ef)
+        ef = np.take(ef, row, axis=0)
+    return Graph(graph.num_nodes, graph.node_features, edges, ef)
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:
@@ -291,10 +284,7 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     # Offsetting canonical graphs by the preceding node totals keeps their
     # concatenation canonical, and every part was validated when it was built.
-    merged = Graph(
-        int(sizes.sum()), _freeze(features), _freeze(edges), None if ef is None else _freeze(ef)
-    )
-    return BatchedGraph(merged, _freeze(graph_id))
+    return BatchedGraph(Graph(int(sizes.sum()), features, edges, ef), graph_id)
 
 
 # Fill palette for cluster-coloured DOT output (colour-blind friendly hexes).
@@ -317,11 +307,11 @@ def to_dot(graph: Graph, cluster_colors: Sequence[int] | None = None, name: str 
             color = _DOT_PALETTE[int(cluster_colors[v]) % len(_DOT_PALETTE)]
             attrs = f' [style=filled, fillcolor="{color}"]'
         lines.append(f"  {v}{attrs};")
-    if graph.num_edges:
-        pairs = np.sort(graph.edges, axis=1)
-        pairs = np.unique(pairs, axis=0)
-        for u, v in pairs:
-            lines.append(f"  {u} -- {v};")
+    n = np.int64(graph.num_nodes)
+    src, dst = graph.edge_src, graph.edge_dst
+    key = _sorted_unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    for u, v in zip(key // n, key % n):
+        lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,6 +19,7 @@ from .pool import (
     EdgeScores,
     PoolInfo,
     PoolParams,
+    _check_dropout_rate,
     edgepool_backward,
     edgepool_forward,
     score_path_backward,
@@ -109,12 +110,13 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     """
     if x.data.shape[0] < 1:
         raise ValueError("batch norm needs at least 1 row")
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
-    xhat = (x.data - mu) * inv_std
-    y = gamma.data * xhat + beta.data
     n = x.data.shape[0]
+    centered = x.data - x.data.mean(axis=0)
+    # The mean and centered sum of squares of ``x.data.var(axis=0)``, bit for bit.
+    var = np.add.reduce(centered * centered, axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
+    xhat = centered * inv_std
+    y = gamma.data * xhat + beta.data
 
     def vjp(dy):
         dgamma = (dy * xhat).sum(axis=0)
@@ -139,8 +141,7 @@ def relu(x: Var) -> Var:
 
 def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
     """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    _check_dropout_rate(p)
     if p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
@@ -159,7 +160,7 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     y = (acc / counts[:, None]).astype(x.data.dtype)
 
     def vjp(dy):
-        return ((dy / counts[:, None].astype(dy.dtype))[graph_id],)
+        return (np.take(dy / counts[:, None].astype(dy.dtype), graph_id, axis=0),)
 
     return Var(y, (x,), vjp)
 
@@ -175,7 +176,7 @@ def concat_cols(a: Var, b: Var) -> Var:
 
 
 def gather_rows(x: Var, index: np.ndarray) -> Var:
-    y = x.data[index]
+    y = np.take(x.data, index, axis=0)
 
     def vjp(dy):
         dx = _segment_sum(index, dy.astype(np.float64), x.data.shape[0])

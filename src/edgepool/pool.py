@@ -83,7 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _freeze, _require_finite, _segment_sum, _sorted_unique, graph_to_json
+from .graph import Graph, _require_finite, _segment_sum, _sorted_unique, graph_to_json
 from .rng import seeded_rng
 
 __all__ = [
@@ -226,14 +226,19 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
     return out
 
 
+def _check_dropout_rate(p: float) -> None:
+    """The one rule for a dropout rate, of edge scores or of features: 0 <= p < 1."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+
+
 def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
     """Boolean mask dropping each of ``num_edges`` edges with probability ``p``.
 
     Training only; deterministic given the seed. Dropped edges take part in
     neither normalization nor selection.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    _check_dropout_rate(p)
     rng = seeded_rng(seed, "edge-score-dropout")
     return rng.random(num_edges) < p
 
@@ -472,9 +477,8 @@ def contract(
         inverse = np.searchsorted(uniq_key, key)
         ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
         _require_finite(ef, "edge features")
-        ef = _freeze(ef)
 
-    pooled = Graph(pooled_n, _freeze(feats), _freeze(uniq), ef)
+    pooled = Graph(pooled_n, feats, uniq, ef)
     info = PoolInfo(
         matching=matching,
         cluster_of=cluster_of,

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from edgepool.data import GraphDataset, _float32, _read_ints, _read_lines, _tu_path
+from edgepool.data import GraphDataset, _float32, _tu_path, integer
 from edgepool.graph import build_graph, symmetrize
 
 
@@ -334,9 +334,54 @@ def two_loop_train_node_model(task, config, conv_kind="mean", pooling=True):
     return model, history
 
 
+def var_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
+    """``edgepool.layers.batch_norm``'s forward with numpy's ``x.var``: mean and
+    variance computed apart, then ``(x - mean) * inv_std``."""
+    mu = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return gamma * xhat + beta
+
+
+def _read_lines(path, what: str, parse_row) -> list[list]:
+    """Parse every non-blank line of ``path``, split at commas, with ``parse_row``.
+
+    Raises ``ValueError`` naming ``path:line`` for a line ``parse_row`` rejects.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append(parse_row(line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
+    return rows
+
+
+def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
+    """The first ``columns`` entries of each line of an integer file, (rows, columns) int64.
+
+    Every entry of every line must be an integer.
+    """
+
+    def parse_row(tokens):
+        row = [integer(tok) for tok in tokens]
+        if len(row) < columns:
+            raise ValueError(f"needs {columns} entries")
+        return row[:columns]
+
+    return np.asarray(_read_lines(path, what, parse_row), dtype=np.int64).reshape(-1, columns)
+
+
 def loop_load_tu(directory, name: str) -> GraphDataset:
     """``edgepool.data.load_tu`` as it was before edges were grouped by one
-    sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph.
+    sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph,
+    with the readers it had before one table reader replaced them (which
+    leave a ragged attribute file to numpy to refuse).
 
     Load one benchmark dataset from its plain-text files.
 

@@ -168,14 +168,18 @@ class TestPoolCommand:
                      str(params_path), "--out", str(tmp_path / "out")])
         assert code == 0
 
-    def test_wrong_width_params_rejected(self, tmp_path):
+    @pytest.mark.parametrize("levels", ["1", "0"])
+    def test_wrong_width_params_rejected(self, tmp_path, capsys, levels):
+        # At --levels 0 nothing is scored, and the params file is still checked.
         graph_path = tmp_path / "g.json"
-        write_graph(graph_path)
+        write_graph(graph_path)  # feature width 3 -> weight length 6
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps({"weight": [0.1] * 4, "bias": 0.0}))
-        code = main(["pool", "--input", str(graph_path), "--params",
-                     str(params_path), "--out", str(tmp_path / "out")])
+        code = main(["pool", "--input", str(graph_path), "--params", str(params_path),
+                     "--levels", levels, "--out", str(tmp_path / "out")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "length 4" in err and "=6" in err
 
     def test_nan_feature_rejected(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
@@ -291,6 +295,18 @@ class TestTuInput:
         err = capsys.readouterr().err
         assert "TINY_graph_labels.txt:3:" in err and "not an integer" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["0.25", "0.25, 2.0, 3.0"], ids=["narrow", "wide"])
+    def test_ragged_attribute_line_names_its_line(self, tmp_path, capsys, second):
+        # Two nodes whose attribute lines differ in width.
+        data = tmp_path / "data"
+        data.mkdir()
+        for suffix, text in (("A", "1, 2\n2, 1\n"), ("graph_indicator", "1\n1\n"),
+                             ("graph_labels", "0\n"), ("node_attributes", f"0.5, 1.0\n{second}\n")):
+            (data / f"R_{suffix}.txt").write_text(text)
+        code = main(["pool", "--tu", str(data), "R", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "R_node_attributes.txt:2:" in capsys.readouterr().err
 
 
 class TestTrainNodeCommand:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgepool import gen_synthetic, kfold_splits, load_tu, node_split, save_tu
 from edgepool.data import (
     GraphDataset,
+    _label_codes,
     make_connected_erdos_renyi,
     make_cycle,
     make_erdos_renyi,
@@ -268,6 +270,25 @@ class TestKfold:
     def test_too_few_folds(self, k):
         with pytest.raises(ValueError, match="need 2 <= folds"):
             kfold_splits(10, k=k)
+
+
+class TestLabelCodes:
+    # Graph labels, node-label one-hots and node tasks all code labels here.
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.one_of(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+        st.lists(st.integers(-3, 3), max_size=30),
+        st.integers(-(2**63), 2**63 - 1).flatmap(lambda v: st.lists(st.just(v), min_size=1)),
+    ))
+    def test_equal_to_unique_and_searchsorted(self, labels):
+        labels = np.asarray(labels, dtype=np.int64)
+        before = labels.copy()
+        codes, num_classes = _label_codes(labels)
+        values = np.unique(labels)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == np.searchsorted(values, labels).tolist()
+        assert num_classes == len(values)
+        assert np.array_equal(labels, before)  # the caller's labels stay as they were
 
 
 class TestNodeSplit:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import batch, build_graph, symmetrize
+from edgepool import batch, build_graph, models, symmetrize
 from edgepool.graph import (
+    BatchedGraph,
+    Graph,
     _segment_sum,
     graph_from_json,
     graph_to_json,
@@ -220,6 +222,25 @@ class TestGraphsBuiltFromCanonicalParts:
     def test_contract(self, level):
         assert_canonical(level[2])
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=featured_digraphs())
+    def test_with_node_features(self, g):
+        # The caller's matrix is copied, so it stays writable.
+        x = np.arange(g.num_nodes * 2, dtype=np.float64).reshape(-1, 2)
+        assert_canonical(g.with_node_features(x))
+        assert x.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=featured_digraphs())
+    def test_models_copy_without_edge_features(self, g):
+        assert_canonical(models._without_edge_features(g))
+
+    def test_any_construction_is_read_only(self):
+        edges = np.asarray([[0, 1], [1, 0]])
+        g = Graph(2, np.ones((2, 1)), edges, np.ones((2, 1)))
+        assert not any(a.flags.writeable for a in graph_arrays(g))
+        assert not BatchedGraph(g, np.zeros(2, dtype=np.int64)).graph_id.flags.writeable
+
 
 def in_neighbors(g, j):
     """Row j of the cached in-adjacency: column indices, checked unit-weight."""
@@ -341,6 +362,14 @@ class TestBatch:
 
 
 class TestDot:
+    @settings(max_examples=100, deadline=None)
+    @given(g=featured_digraphs())
+    def test_edge_lines_equal_unique_sorted_pairs(self, g):
+        # One line per undirected pair, in the order of np.unique(axis=0).
+        lines = [ln for ln in to_dot(g).splitlines() if "--" in ln]
+        pairs = np.unique(np.sort(g.edges, axis=1), axis=0)
+        assert lines == [f"  {u} -- {v};" for u, v in pairs]
+
     def test_single_node(self):
         g = build_graph(1, [], features(1))
         text = to_dot(g)

@@ -27,6 +27,7 @@ from edgepool import (
 from edgepool import models
 from edgepool.data import make_connected_erdos_renyi
 from edgepool.layers import (
+    BATCH_NORM_EPS,
     concat_cols,
     feature_dropout,
     gather_rows,
@@ -36,8 +37,10 @@ from edgepool.layers import (
 from edgepool.params import (
     LR_HALVING_PERIOD, ParamStore, adam_step, glorot_uniform, lr_at_epoch, save_checkpoint,
 )
+from edgepool.pool import apply_score_dropout
 from edgepool.rng import seeded_rng
 
+from oracles import var_batch_norm
 from strategies import simple_digraphs
 
 
@@ -237,6 +240,17 @@ class TestBatchNorm:
         assert gamma.grad.tolist() == [0.0, 0.0]
         assert beta.grad.tolist() == [4.0, -3.0]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_var_form(self, dtype):
+        # One centering pass gives numpy's var bit for bit, at every row count.
+        rng = seeded_rng(7, "bn-var")
+        for rows in [*range(1, 40), 100, 999, 2900]:
+            x = spread_values(rng, (rows, 64), dtype)
+            gamma, beta = rng.normal(size=64).astype(dtype), rng.normal(size=64).astype(dtype)
+            y = batch_norm(Var(x), Var(gamma), Var(beta))
+            want = var_batch_norm(x, gamma, beta, BATCH_NORM_EPS)
+            assert y.data.dtype == want.dtype and y.data.tobytes() == want.tobytes(), rows
+
     def test_matches_finite_differences(self):
         rng = seeded_rng(6, "bn-fd")
         data = rng.normal(size=(5, 3))
@@ -373,10 +387,15 @@ class TestFeatureDropout:
         backward(y, np.ones((10, 10)))
         assert np.array_equal(x.grad != 0, y.data != 0)
 
-    def test_probability_validated(self):
-        rng = seeded_rng(13, "drop")
-        with pytest.raises(ValueError):
-            feature_dropout(Var(np.ones((2, 2))), 1.0, rng)
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    @pytest.mark.parametrize("drop", [
+        lambda p: feature_dropout(Var(np.ones((2, 2))), p, seeded_rng(13, "drop")),
+        lambda p: apply_score_dropout(3, p, seed=0),
+    ], ids=["feature", "edge-score"])
+    def test_probability_validated(self, drop, p):
+        # Feature and edge-score dropout share one rule for the rate.
+        with pytest.raises(ValueError, match=rf"^dropout probability must be in \[0, 1\), got {p}$"):
+            drop(p)
 
 
 class TestGlobalMeanPool:
