@@ -259,8 +259,8 @@ def _load_task(args):
             if shared.size:
                 raise ValueError(f"train_nodes and test_nodes share node {shared[0]}: "
                                  "the splits must be disjoint")
-            return _node_task(graph, labels, train_mask, test_mask, identity), identity
-        return node_split(graph, labels, seed=args.seed, name=identity), identity
+            return _node_task(graph, labels, train_mask, test_mask), identity
+        return node_split(graph, labels, seed=args.seed), identity
     if args.synthetic is not None:  # the parser allows "sbm" alone
         task = gen_synthetic("sbm_node_task", {}, seed=args.seed)
         return task, "sbm"

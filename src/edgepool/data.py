@@ -208,22 +208,24 @@ def load_tu(directory, name: str) -> GraphDataset:
         if not in_range[e]:
             raise ValueError(f"edge endpoint {u if u < 1 or u > total_nodes else v} out of range")
         raise ValueError(f"edge ({u}, {v}) references a node outside its graph")
-    # Nodes are numbered in graph order, so sorted keys come out grouped
-    # per graph, and each group in canonical (src, dst) order.
-    key = _sorted_unique((u - 1) * np.int64(total_nodes) + (v - 1))
-    src, dst = key // total_nodes, key % total_nodes
+    if np.any(u == v):
+        raise ValueError("self-loops are not allowed")
+    # Nodes are numbered in graph order, so the sorted unique keys of every
+    # edge and its reversal come out grouped per graph, each group symmetric
+    # and in canonical (src, dst) order.
+    n = np.int64(total_nodes)
+    u, v = u - 1, v - 1
+    key = _sorted_unique(np.concatenate([u * n + v, v * n + u]))
+    src, dst = key // n, key % n
     bounds = np.searchsorted(src, np.append(offsets, total_nodes))
 
     labels, num_classes = _label_codes(raw_labels)
 
     graphs = []
     for g in range(num_graphs):
-        n = int(counts[g])
-        off = int(offsets[g])
-        lo, hi = bounds[g], bounds[g + 1]
-        local = np.stack([src[lo:hi] - off, dst[lo:hi] - off], axis=1)
-        graph = build_graph(n, local, features[off : off + n])
-        graphs.append(symmetrize(graph))
+        lo, hi, off = bounds[g], bounds[g + 1], offsets[g]
+        graphs.append(Graph(int(counts[g]), features[off : off + counts[g]].copy(),
+                            src[lo:hi] - off, dst[lo:hi] - off))
 
     return GraphDataset(graphs=graphs, labels=labels, num_classes=num_classes, name=name)
 
@@ -282,7 +284,6 @@ def node_split(
     per_class_train: int = _PER_CLASS_TRAIN,
     per_class_test: int = _PER_CLASS_TEST,
     seed: int = 0,
-    name: str = "node-task",
 ) -> NodeTask:
     """Per-class sampling without replacement into train/test masks.
 
@@ -308,15 +309,15 @@ def node_split(
         picked = rng.permutation(members)
         train_mask[picked[:per_class_train]] = True
         test_mask[picked[per_class_train:need]] = True
-    return _node_task(graph, node_labels, train_mask, test_mask, name)
+    return _node_task(graph, node_labels, train_mask, test_mask)
 
 
 def _node_task(graph: Graph, node_labels: np.ndarray, train_mask: np.ndarray,
-               test_mask: np.ndarray, name: str) -> NodeTask:
+               test_mask: np.ndarray) -> NodeTask:
     """The task with its labels remapped to 0..C-1 in sorted order."""
     codes, num_classes = _label_codes(node_labels)
     return NodeTask(graph=graph, node_labels=codes, train_mask=train_mask,
-                    test_mask=test_mask, num_classes=num_classes, name=name)
+                    test_mask=test_mask, num_classes=num_classes)
 
 
 def _with_features(n: int, rng: np.random.Generator | None, feature_width: int) -> np.ndarray:
@@ -474,5 +475,4 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
         return _make_proteinlike(p["num_graphs"], rng, p["min_nodes"], p["max_nodes"])
     graph, blocks = make_sbm(p["blocks"], p["nodes_per_block"], p["p_in"], p["p_out"], rng,
                              p["feature_width"], p["feature_noise"], p["signal"])
-    return node_split(graph, blocks, p["per_class_train"], p["per_class_test"],
-                      seed=seed, name="sbm")
+    return node_split(graph, blocks, p["per_class_train"], p["per_class_test"], seed=seed)

@@ -1,16 +1,17 @@
 """Sparse directed-graph containers, batching, and structural queries.
 
-Graphs store edges as explicit directed (src, dst) pairs in a canonical
-order (sorted by src, then dst). The canonical order is what makes every
-downstream tie-break deterministic, so it is established at construction
-and never changes. Input from outside the library is validated and
-canonicalized once, by :func:`build_graph`; graphs derived from canonical
-ones (:func:`symmetrize`, :func:`batch`, pooling) are assembled directly
-from parts that are canonical by construction, and the :class:`Graph`
-type makes the arrays of every graph read-only. Node features are dense
-row-major matrices; structure is sparse, and row reductions over it are
-products with unit-weight CSR operators whose rows keep their entries in
-canonical order.
+Graphs store edges as two int64 columns of endpoints, src and dst, in a
+canonical order (sorted by src, then dst). The canonical order is what
+makes every downstream tie-break deterministic, so it is established at
+construction and never changes. Input from outside the library is
+validated and canonicalized once, by :func:`build_graph` (or, for a whole
+benchmark dataset, by :func:`~edgepool.data.load_tu`); graphs derived from
+canonical ones (:func:`symmetrize`, :func:`batch`, pooling) are assembled
+directly from parts that are canonical by construction, and the
+:class:`Graph` type makes the arrays of every graph read-only. Node
+features are dense row-major matrices; structure is sparse, and row
+reductions over it are products with unit-weight CSR operators whose rows
+keep their entries in canonical order.
 """
 
 from __future__ import annotations
@@ -97,35 +98,40 @@ def _sorted_unique(key: np.ndarray) -> np.ndarray:
 class Graph:
     """Immutable directed graph with per-node (and optional per-edge) features.
 
-    ``edges`` is an ``(num_edges, 2)`` int64 array in canonical order. Use
-    :func:`build_graph` instead of constructing directly; it validates and
-    canonicalizes.
+    Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``: two 1-D int64
+    columns in canonical order, which every pooling stage reads as they
+    are. Use :func:`build_graph` instead of constructing directly; it
+    validates and canonicalizes.
 
-    Five internal paths construct a ``Graph`` directly, because their parts
+    Six internal paths construct a ``Graph`` directly, because their parts
     are canonical and valid by construction and a second validation would
-    only repeat work: :meth:`with_node_features` (same structure),
-    :func:`symmetrize` (sorted unique keys of a canonical graph's edges and
-    their reversals), :func:`batch` (canonical graphs offset by the
-    preceding node totals), :func:`~edgepool.pool.contract` (sorted
-    unique keys of the pooled edges; it checks the features it computes
-    for overflow) and the models' ``forward`` (the same graph without its
-    edge features). Whichever path builds it, the type makes every array
-    read-only (as :class:`BatchedGraph` does its ``graph_id``).
+    only repeat work: :meth:`with_node_features` (same structure; it checks
+    the new features as :func:`build_graph` does), :func:`symmetrize`
+    (sorted unique keys of a canonical graph's edges and their reversals),
+    :func:`batch` (canonical graphs offset by the preceding node totals),
+    :func:`~edgepool.pool.contract` (sorted unique keys of the pooled
+    edges; it checks the features it computes for overflow),
+    :func:`~edgepool.data.load_tu` (sorted unique keys of all its edges and
+    their reversals, split per graph) and the models' ``forward`` (the same
+    graph without its edge features). Whichever path builds it, the type
+    makes every array read-only (as :class:`BatchedGraph` does its
+    ``graph_id``).
     """
 
     num_nodes: int
     node_features: np.ndarray
-    edges: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
     edge_features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for a in (self.node_features, self.edges, self.edge_features):
+        for a in (self.node_features, self.edge_src, self.edge_dst, self.edge_features):
             if a is not None:
                 a.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self.edge_src.shape[0])
 
     @property
     def feature_width(self) -> int:
@@ -136,12 +142,11 @@ class Graph:
         return 0 if self.edge_features is None else int(self.edge_features.shape[1])
 
     @property
-    def edge_src(self) -> np.ndarray:
-        return self.edges[:, 0]
-
-    @property
-    def edge_dst(self) -> np.ndarray:
-        return self.edges[:, 1]
+    def edges(self) -> np.ndarray:
+        """The ``(num_edges, 2)`` (src, dst) pairs, stacked on each access, read-only."""
+        pairs = np.stack([self.edge_src, self.edge_dst], axis=1)
+        pairs.flags.writeable = False
+        return pairs
 
     @cached_property
     def in_adjacency(self) -> sparse.csr_array:
@@ -155,13 +160,10 @@ class Graph:
         return _unit_csr(self.edge_dst, self.edge_src, (self.num_nodes, self.num_nodes))
 
     def with_node_features(self, features: np.ndarray) -> "Graph":
-        """Same structure, different node features (layer activations etc.)."""
-        features = np.asarray(features)
-        if features.ndim != 2 or features.shape[0] != self.num_nodes:
-            raise ValueError(
-                f"feature matrix must have {self.num_nodes} rows, got shape {features.shape}"
-            )
-        return Graph(self.num_nodes, features.copy(), self.edges, self.edge_features)
+        """Same structure, different node features (layer activations etc.),
+        checked and copied as :func:`build_graph` checks and copies them."""
+        x = _feature_matrix(features, "node", self.num_nodes).copy()
+        return Graph(self.num_nodes, x, self.edge_src, self.edge_dst, self.edge_features)
 
 
 @dataclass(frozen=True)
@@ -209,23 +211,24 @@ def build_graph(
 
     ef = None if edge_features is None else _feature_matrix(edge_features, "edge", len(edges))
 
-    if edges.shape[0]:
+    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
+    if src.size:
         if edges.min() < 0 or edges.max() >= num_nodes:
             raise ValueError("edge endpoint index out of range")
-        if np.any(edges[:, 0] == edges[:, 1]):
+        if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
-        key = edges[:, 0] * np.int64(num_nodes) + edges[:, 1]
+        key = src * np.int64(num_nodes) + dst
         if not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
-            edges = edges[order]
+            src, dst = src[order], dst[order]
             if ef is not None:
                 ef = ef[order]
             dup = np.flatnonzero(np.diff(key[order]) == 0)
             if dup.size:
-                i, j = edges[dup[0] + 1]
-                raise ValueError(f"duplicate directed edge ({i}, {j})")
+                i = dup[0] + 1
+                raise ValueError(f"duplicate directed edge ({src[i]}, {dst[i]})")
 
-    return Graph(num_nodes, features.copy(), edges.copy(), None if ef is None else ef.copy())
+    return Graph(num_nodes, features.copy(), src, dst, None if ef is None else ef.copy())
 
 
 def symmetrize(graph: Graph) -> Graph:
@@ -242,7 +245,6 @@ def symmetrize(graph: Graph) -> Graph:
     key = _sorted_unique(np.concatenate([fkey, rkey]))
     if key.size == graph.num_edges:
         return graph
-    edges = np.stack([key // n, key % n], axis=1)
     ef = graph.edge_features
     if ef is not None:
         # Both searches take ascending needles, so each starts where the last
@@ -252,7 +254,7 @@ def symmetrize(graph: Graph) -> Graph:
         order = np.argsort(rkey)  # the reverse keys are distinct
         row[added] = order[np.searchsorted(np.take(rkey, order), key[added])]
         ef = np.take(ef, row, axis=0)
-    return Graph(graph.num_nodes, graph.node_features, edges, ef)
+    return Graph(graph.num_nodes, graph.node_features, key // n, key % n, ef)
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:
@@ -274,9 +276,11 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
 
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    edges = np.concatenate(
-        [g.edges + off for g, off in zip(graphs, offsets)], axis=0
-    ) if any(g.num_edges for g in graphs) else np.zeros((0, 2), dtype=np.int64)
+    shift = np.repeat(offsets, [g.num_edges for g in graphs])
+    src = np.concatenate([g.edge_src for g in graphs])
+    src += shift
+    dst = np.concatenate([g.edge_dst for g in graphs])
+    dst += shift
     features = np.concatenate([g.node_features for g in graphs], axis=0)
     ef = (
         np.concatenate([g.edge_features for g in graphs], axis=0) if has_ef else None
@@ -284,7 +288,7 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     # Offsetting canonical graphs by the preceding node totals keeps their
     # concatenation canonical, and every part was validated when it was built.
-    return BatchedGraph(Graph(int(sizes.sum()), features, edges, ef), graph_id)
+    return BatchedGraph(Graph(int(sizes.sum()), features, src, dst, ef), graph_id)
 
 
 # Fill palette for cluster-coloured DOT output (colour-blind friendly hexes).

@@ -49,10 +49,7 @@ change no bit. Measured on numpy 2.4.6 at 1e6 edges:
 - ``np.flatnonzero`` of a float array with 33k nonzeros took 5.7 ms, of
   ``a != 0.0`` 1.9 ms;
 - a float32 by float64 row scaling took 5.4 ms, a float64 copy scaled in
-  place 3.9 ms;
-- a column of the (m, 2) edge array is a strided view, which gathers,
-  comparisons and ``ufunc.at`` read 1.3-2x slower than a contiguous copy,
-  so selection copies the two columns once.
+  place 3.9 ms.
 
 Measured on numpy 2.4.6 for the block sweep, against one stable argsort
 of every edge handed to the sweep:
@@ -282,10 +279,9 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     if scores.dropped.any():
         e = np.flatnonzero(~scores.dropped)
         src, dst, s = graph.edge_src[e], graph.edge_dst[e], scores.normalized[e]
-    else:  # round 1 reads the scores themselves, and contiguous endpoint columns
+    else:  # round 1 reads the graph's endpoint columns and the scores themselves
         e = np.arange(graph.num_edges)
-        src, dst = np.ascontiguousarray(graph.edge_src), np.ascontiguousarray(graph.edge_dst)
-        s = scores.normalized
+        src, dst, s = graph.edge_src, graph.edge_dst, scores.normalized
     taken = [np.zeros(0, dtype=np.int64)]
     while e.size:
         best = np.full(v, -np.inf)
@@ -321,7 +317,7 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
     t = t[np.argsort(-scores.normalized[t], kind="stable")]
-    return np.take(graph.edges, t, axis=0)
+    return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
 
 
 def _greedy_sweep(
@@ -470,15 +466,12 @@ def contract(
         ef = np.take(graph.edge_features, keep, axis=0).astype(np.float64)
     del keep
     uniq_key = _sorted_unique(key if ef is None else key.copy())
-    uniq = np.empty((uniq_key.size, 2), dtype=np.int64)
-    np.floor_divide(uniq_key, n, out=uniq[:, 0])
-    np.remainder(uniq_key, n, out=uniq[:, 1])
     if ef is not None:
         inverse = np.searchsorted(uniq_key, key)
         ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
         _require_finite(ef, "edge features")
 
-    pooled = Graph(pooled_n, feats, uniq, ef)
+    pooled = Graph(pooled_n, feats, uniq_key // n, uniq_key % n, ef)
     info = PoolInfo(
         matching=matching,
         cluster_of=cluster_of,

@@ -189,7 +189,9 @@ class TestLoadTuGrouping:
 
     @pytest.mark.parametrize("bad", [
         ["3, 4", "0, 2"], ["2, 9", "3, 4"], ["6, 1"], ["1, -2"], ["5, 3"],
-    ], ids=["cross-then-range", "range-then-cross", "src-range", "dst-range", "cross"])
+        ["2, 2"], ["2, 2", "5, 3"],
+    ], ids=["cross-then-range", "range-then-cross", "src-range", "dst-range", "cross",
+            "self-loop", "self-loop-then-cross"])
     def test_first_bad_line_in_file_order(self, tmp_path, bad):
         d = write_tu_fixture(tmp_path / "toy")
         path = d / "TOY_A.txt"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import batch, build_graph, models, symmetrize
+from edgepool import batch, build_graph, gen_synthetic, load_tu, models, save_tu, symmetrize
 from edgepool.graph import (
     BatchedGraph,
     Graph,
@@ -182,7 +182,8 @@ class TestSymmetrize:
 
 
 def graph_arrays(g):
-    return [g.node_features, g.edges] + ([] if g.edge_features is None else [g.edge_features])
+    return [g.node_features, g.edge_src, g.edge_dst] + (
+        [] if g.edge_features is None else [g.edge_features])
 
 
 def assert_same_graph(got, want):
@@ -194,13 +195,23 @@ def assert_same_graph(got, want):
 
 
 def assert_canonical(g):
-    """Equal to ``build_graph`` of its own parts, with read-only arrays."""
+    """Equal to ``build_graph`` of its own parts, with read-only arrays, its
+    endpoints in two 1-D C-contiguous int64 columns, and ``edges`` their stack."""
     assert_same_graph(g, build_graph(g.num_nodes, g.edges, g.node_features, g.edge_features))
+    for column in (g.edge_src, g.edge_dst):
+        assert column.ndim == 1 and column.dtype == np.int64 and column.flags.c_contiguous
     assert not any(a.flags.writeable for a in graph_arrays(g))
+    assert not g.edges.flags.writeable
+    assert g.edges.tobytes() == np.stack([g.edge_src, g.edge_dst], axis=1).tobytes()
 
 
 class TestGraphsBuiltFromCanonicalParts:
-    """symmetrize, batch and contract build a Graph without build_graph."""
+    """build_graph validates; every other constructor builds a Graph directly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=featured_digraphs())
+    def test_build_graph(self, g):
+        assert_canonical(g)
 
     @settings(max_examples=100, deadline=None)
     @given(g=featured_digraphs())
@@ -229,15 +240,33 @@ class TestGraphsBuiltFromCanonicalParts:
         x = np.arange(g.num_nodes * 2, dtype=np.float64).reshape(-1, 2)
         assert_canonical(g.with_node_features(x))
         assert x.flags.writeable
+        # Checked as build_graph checks node features: integers widen to float64.
+        assert g.with_node_features(x.astype(np.int32)).node_features.dtype == np.float64
+        for bad in (np.full((g.num_nodes, 1), "a"), np.full((g.num_nodes, 2), np.nan),
+                    x[:-1], x[:, 0]):
+            with pytest.raises(ValueError):
+                g.with_node_features(bad)
 
     @settings(max_examples=100, deadline=None)
     @given(g=featured_digraphs())
     def test_models_copy_without_edge_features(self, g):
         assert_canonical(models._without_edge_features(g))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_load_tu(self, tmp_path, seed):
+        # A third of the lines dropped and a fifth repeated: load_tu restores
+        # the missing reversals and drops the repeats.
+        save_tu(gen_synthetic("path_proteinlike", {"num_graphs": 12}, seed=seed), tmp_path, "T")
+        path = tmp_path / "T_A.txt"
+        lines = path.read_text().splitlines()
+        kept = [line for i, line in enumerate(lines) if i % 3] + lines[::5]
+        path.write_text("\n".join(kept) + "\n")
+        for g in load_tu(tmp_path, "T").graphs:
+            assert_canonical(g)
+
     def test_any_construction_is_read_only(self):
-        edges = np.asarray([[0, 1], [1, 0]])
-        g = Graph(2, np.ones((2, 1)), edges, np.ones((2, 1)))
+        src, dst = np.asarray([0, 1]), np.asarray([1, 0])
+        g = Graph(2, np.ones((2, 1)), src, dst, np.ones((2, 1)))
         assert not any(a.flags.writeable for a in graph_arrays(g))
         assert not BatchedGraph(g, np.zeros(2, dtype=np.int64)).graph_id.flags.writeable
 
