@@ -2,8 +2,11 @@
 
 Every command honors ``--seed``, funnels randomness through labeled
 generators, and writes a run manifest next to its artifacts so a run can
-be reproduced from the recorded configuration alone. The two training
-commands declare their shared flags once, with ``TrainConfig``'s defaults.
+be reproduced from the recorded configuration alone. ``RunManifest`` is
+each run's only writer: it makes the ``--out`` directory, names every
+artifact in it, and lists each under ``outputs`` in ``manifest.json``.
+The two training commands declare their shared flags once, with
+``TrainConfig``'s defaults.
 Number flags are read by the TU files' rule (``data.integer`` and
 ``data.decimal``): ``1_0`` and non-ASCII digits are refused.
 
@@ -34,20 +37,14 @@ from .graph import (
     _json_array,
     _sorted_unique,
     build_graph,
+    graph_to_json,
     load_graph_file,
     symmetrize,
     to_dot,
 )
 from .models import CONV_KINDS, train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
-from .pool import (
-    PoolParams,
-    _check_widths,
-    edgepool_forward,
-    hierarchy_to_json,
-    pool_hierarchy,
-    random_pool_params,
-)
+from .pool import PoolParams, _check_widths, edgepool_forward, random_pool_params
 from .rng import seeded_rng
 
 __all__ = ["main", "entry_point", "RunManifest"]
@@ -67,7 +64,13 @@ def _versions() -> dict:
 
 @dataclass
 class RunManifest:
-    """Everything needed to re-run a command deterministically."""
+    """Everything needed to re-run a command deterministically, and the run's writer.
+
+    ``start`` makes the output directory ``config["out"]``. ``output(name)``
+    is the path of one artifact in it, listed under ``outputs``, so the
+    manifest names every file the run wrote. ``finish`` writes
+    ``manifest.json`` beside them.
+    """
 
     command: str
     config: dict
@@ -80,14 +83,21 @@ class RunManifest:
 
     @classmethod
     def start(cls, args: argparse.Namespace, dataset: str) -> "RunManifest":
-        """A manifest for the parsed command ``args``, started now."""
+        """A manifest for the parsed command ``args``, started now; makes ``args.out``."""
         config = {k: v for k, v in vars(args).items() if k != "func"}
+        os.makedirs(args.out, exist_ok=True)
         return cls(args.command, config, args.seed, dataset, started=_now())
 
-    def finish(self, out_dir) -> None:
-        """Stamp the end time and write ``manifest.json`` into ``out_dir``."""
+    def output(self, name: str) -> str:
+        """The path of artifact ``name`` in the output directory, now listed in ``outputs``."""
+        path = os.path.join(self.config["out"], name)
+        self.outputs.append(path)
+        return path
+
+    def finish(self) -> None:
+        """Stamp the end time and write ``manifest.json`` into the output directory."""
         self.ended = _now()
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(self.config["out"], "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
@@ -95,29 +105,25 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _save_run(out_dir, prefix: str, history: list[dict], config: dict, model,
-              manifest: RunManifest) -> dict:
+def _save_run(manifest: RunManifest, prefix: str, history: list[dict], config: dict,
+              model) -> dict:
     """Write ``{prefix}history.csv`` and ``{prefix}checkpoint.json``; returns their names."""
-    history_path = os.path.join(out_dir, f"{prefix}history.csv")
-    with open(history_path, "w", encoding="utf-8", newline="") as fh:
+    names = {"history": f"{prefix}history.csv", "checkpoint": f"{prefix}checkpoint.json"}
+    with open(manifest.output(names["history"]), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for row in history:
             writer.writerow([row["epoch"], repr(row["lr"]),
                              repr(row["train_loss"]), repr(row["eval_acc"])])
-    ckpt_path = os.path.join(out_dir, f"{prefix}checkpoint.json")
-    save_checkpoint(ckpt_path, config, model.params)
-    manifest.outputs.extend([history_path, ckpt_path])
-    return {"history": os.path.basename(history_path), "checkpoint": os.path.basename(ckpt_path)}
+    save_checkpoint(manifest.output(names["checkpoint"]), config, model.params)
+    return names
 
 
-def _save_summary(out_dir, summary: dict, manifest: RunManifest) -> None:
+def _save_summary(manifest: RunManifest, summary: dict) -> None:
     """Write a training run's ``summary.json``, then its manifest."""
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(manifest.output("summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
-    manifest.outputs.append(summary_path)
-    manifest.finish(out_dir)
+    manifest.finish()
 
 
 def _load_pool_input(args):
@@ -153,29 +159,30 @@ def cmd_pool(args) -> int:
     if args.levels < 0:
         raise ValueError(f"--levels must be non-negative, got {args.levels}")
     graph, identity = _load_pool_input(args)
-    manifest = RunManifest.start(args, identity)
-    os.makedirs(args.out, exist_ok=True)
     params = _load_pool_params(args, graph)
-    levels = pool_hierarchy(graph, params, args.levels)
+    manifest = RunManifest.start(args, identity)
+    # Each level is a graph and the info of its contraction by the same
+    # scorer; the last level is not contracted again.
+    levels = []
+    for _ in range(args.levels):
+        pooled, info, _ = edgepool_forward(graph, params)
+        levels.append((graph, info))
+        graph = pooled
+    levels.append((graph, None))
 
-    hierarchy_path = os.path.join(args.out, "hierarchy.json")
-    with open(hierarchy_path, "w", encoding="utf-8") as fh:
-        json.dump(hierarchy_to_json(levels), fh)
-    manifest.outputs.append(hierarchy_path)
-
-    # One DOT per level, colored by the next level's clusters; the last
-    # level has no further contraction so it renders uncolored.
-    graphs = [graph] + [pooled for pooled, _, _ in levels]
-    infos = [info for _, info, _ in levels]
-    for depth, g in enumerate(graphs):
-        colors = infos[depth].cluster_of if depth < len(infos) else None
-        dot_path = os.path.join(args.out, f"level{depth}.dot")
-        with open(dot_path, "w", encoding="utf-8") as fh:
+    hierarchy = [{"cluster_of": info.cluster_of.tolist(), "matching": info.matching.tolist(),
+                  "node_score": info.node_score.tolist(), "graph": graph_to_json(pooled)}
+                 for (_, info), (pooled, _) in zip(levels, levels[1:])]
+    with open(manifest.output("hierarchy.json"), "w", encoding="utf-8") as fh:
+        json.dump(hierarchy, fh)
+    # One DOT per level, colored by its contraction's clusters.
+    for depth, (g, info) in enumerate(levels):
+        colors = None if info is None else info.cluster_of
+        with open(manifest.output(f"level{depth}.dot"), "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, colors, name=f"level{depth}"))
-        manifest.outputs.append(dot_path)
 
-    manifest.finish(args.out)
-    for depth, g in enumerate(graphs):
+    manifest.finish()
+    for depth, (g, _) in enumerate(levels):
         print(f"level {depth}: {g.num_nodes} nodes, {g.num_edges} directed edges")
     return EXIT_OK
 
@@ -192,7 +199,6 @@ def cmd_train_graph(args) -> int:
     directory, name = args.tu
     dataset = load_tu(directory, name)
     manifest = RunManifest.start(args, name)
-    os.makedirs(args.out, exist_ok=True)
     config = _config_from_args(args, batch_size=args.batch_size)
     pooling = args.pooling == "edgepool"
     folds = kfold_splits(len(dataset), k=args.folds, seed=args.seed)
@@ -203,8 +209,8 @@ def cmd_train_graph(args) -> int:
             dataset, train_idx, test_idx, config, pooling=pooling,
             progress=None if args.quiet else _print_row(f"fold {k}"),
         )
-        files = _save_run(args.out, f"fold{k}_", history,
-                          config.to_dict() | {"pooling": args.pooling}, model, manifest)
+        files = _save_run(manifest, f"fold{k}_", history,
+                          config.to_dict() | {"pooling": args.pooling}, model)
         acc = history[-1]["eval_acc"]
         accuracies.append(acc)
         fold_entries.append({"fold": k, "accuracy": acc} | files)
@@ -215,7 +221,7 @@ def cmd_train_graph(args) -> int:
         "mean_acc": float(np.mean(accuracies)),
         "std_acc": float(np.std(accuracies)),
     }
-    _save_summary(args.out, summary, manifest)
+    _save_summary(manifest, summary)
     print(f"mean_acc={summary['mean_acc']:.4f} std_acc={summary['std_acc']:.4f}")
     return EXIT_OK
 
@@ -270,14 +276,13 @@ def _load_task(args):
 def cmd_train_node(args) -> int:
     task, identity = _load_task(args)
     manifest = RunManifest.start(args, identity)
-    os.makedirs(args.out, exist_ok=True)
     config = _config_from_args(args)
     model, history = train_node_model(
         task, config, conv_kind=args.conv, pooling=args.pooling == "edgepool",
         progress=None if args.quiet else _print_row(identity),
     )
-    _save_run(args.out, "", history,
-              config.to_dict() | {"pooling": args.pooling, "conv": args.conv}, model, manifest)
+    _save_run(manifest, "", history,
+              config.to_dict() | {"pooling": args.pooling, "conv": args.conv}, model)
     summary = {
         "dataset": identity,
         "pooling": args.pooling,
@@ -285,7 +290,7 @@ def cmd_train_node(args) -> int:
         "accuracy": history[-1]["eval_acc"],
         "final_train_loss": history[-1]["train_loss"],
     }
-    _save_summary(args.out, summary, manifest)
+    _save_summary(manifest, summary)
     print(f"accuracy={summary['accuracy']:.4f}")
     return EXIT_OK
 
@@ -301,13 +306,10 @@ def cmd_gradcheck(args) -> int:
               + (f" [{r.detail}]" if r.detail else ""))
         all_ok = all_ok and r.passed
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         manifest = RunManifest.start(args, "synthetic")
-        report_path = os.path.join(args.out, "gradcheck.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with open(manifest.output("gradcheck.json"), "w", encoding="utf-8") as fh:
             json.dump([asdict(r) for r in results], fh, indent=2)
-        manifest.outputs.append(report_path)
-        manifest.finish(args.out)
+        manifest.finish()
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
@@ -350,7 +352,6 @@ def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
 def cmd_bench(args) -> int:
     sizes = _bench_sizes(_edge_count(args.min_edges, "--min-edges"),
                          _edge_count(args.max_edges, "--max-edges"))
-    os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest.start(args, "synthetic")
     rows = []
     for size in sizes:
@@ -366,19 +367,17 @@ def cmd_bench(args) -> int:
         tracemalloc.stop()
         rows.append((graph.num_edges, elapsed, peak))
         print(f"edges={graph.num_edges} pool_time={elapsed:.4f}s peak_aux_memory={peak}")
-    csv_path = os.path.join(args.out, "bench.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with open(manifest.output("bench.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["edges", "pool_time", "peak_aux_memory"])
         writer.writerows(rows)
-    manifest.outputs.append(csv_path)
     if len(rows) >= 2:
         log_e = np.log([r[0] for r in rows])
         time_slope = float(np.polyfit(log_e, np.log([r[1] for r in rows]), 1)[0])
         mem_slope = float(np.polyfit(log_e, np.log([r[2] for r in rows]), 1)[0])
         print(f"runtime log-log slope: {time_slope:.3f}")
         print(f"memory log-log slope: {mem_slope:.3f}")
-    manifest.finish(args.out)
+    manifest.finish()
     return EXIT_OK
 
 

@@ -15,8 +15,10 @@ in training and 0.0 in evaluation. One Adam loop trains both, with
 a stepped learning-rate schedule and one history row per epoch. Before
 each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
-run stops where it diverged. An empty train or evaluation set raises
-``ValueError`` before training starts.
+run stops where it diverged. Before training or evaluating, each split is
+checked: graph indices are integers in ``[0, len(dataset))``, node masks are
+boolean with one entry per node, and there is one label per node. A bad or
+empty split raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -265,9 +267,32 @@ def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int)
             raise ValueError(f"non-finite gradient of {name} {where}")
 
 
-def _require_nonempty(count: int, what: str) -> None:
-    if count == 0:
-        raise ValueError(f"{what} is empty")
+def _split(name: str, values, size: int, mask: bool = False, labels=None) -> np.ndarray:
+    """The non-empty split ``values`` of ``size`` items, as int64 indices.
+
+    A ``mask`` is a boolean array with one entry per item; otherwise
+    ``values`` are integer indices in ``[0, size)``. ``labels``, when given,
+    need one entry per item. Raises ValueError naming the argument at fault.
+    """
+    if labels is not None and np.shape(labels) != (size,):
+        raise ValueError(f"node_labels needs one entry per node ({size}), "
+                         f"got shape {np.shape(labels)}")
+    values = np.asarray(values)
+    if mask:
+        if values.dtype != bool:
+            raise ValueError(f"{name} must be a boolean mask, got dtype {values.dtype}")
+        if values.shape != (size,):
+            raise ValueError(f"{name} needs one entry per node ({size}), got shape {values.shape}")
+        values = np.flatnonzero(values)
+    if values.size == 0:
+        raise ValueError(f"{name} is empty")
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a list of integer indices, "
+                         f"got shape {values.shape} and dtype {values.dtype}")
+    outside = values[(values < 0) | (values >= size)]
+    if outside.size:
+        raise ValueError(f"{name} entry {outside[0]} is not an index in [0, {size})")
+    return values.astype(np.int64, copy=False)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
@@ -315,8 +340,7 @@ def evaluate_graph_model(
     model: GraphClassifier, dataset: GraphDataset, indices: np.ndarray, config: TrainConfig
 ) -> float:
     """Accuracy over the indexed graphs (at least one) with training behaviors off."""
-    indices = np.asarray(indices, dtype=np.int64)
-    _require_nonempty(len(indices), "indices")
+    indices = _split("indices", indices, len(dataset))
     leaves = model.params.as_vars()
     correct = 0
     for chunk in _batches(indices, config.batch_size):
@@ -339,13 +363,12 @@ def train_graph_model(
 
     One history row per epoch: epoch, lr, mean train loss per graph, eval
     accuracy. ``progress`` receives each row as it is produced. Raises
-    ValueError when ``train_idx`` or ``eval_idx`` is empty, and naming the
-    epoch and batch when the loss or a gradient is non-finite.
+    ValueError when ``train_idx`` or ``eval_idx`` is empty or holds anything
+    but graph indices, and naming the epoch and batch when the loss or a
+    gradient is non-finite.
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    _require_nonempty(len(train_idx), "train_idx")
-    _require_nonempty(len(eval_idx), "eval_idx")
+    train_idx = _split("train_idx", train_idx, len(dataset))
+    eval_idx = _split("eval_idx", eval_idx, len(dataset))
     model = GraphClassifier.create(dataset.graphs[0].feature_width, dataset.num_classes,
                                    channels=config.channels, pooling=pooling, seed=config.seed)
 
@@ -368,11 +391,11 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
 
     ``config`` is unused: full-batch evaluation has no batch size.
     """
-    mask = task.test_mask
-    _require_nonempty(np.count_nonzero(mask), "test_mask")
+    nodes = _split("test_mask", task.test_mask, task.graph.num_nodes, mask=True,
+                   labels=task.node_labels)
     logits = model.forward(model.params.as_vars(), task.graph)
     pred = logits.data.argmax(axis=1)
-    return float((pred[mask] == task.node_labels[mask]).mean())
+    return float((pred[nodes] == task.node_labels[nodes]).mean())
 
 
 def train_node_model(
@@ -386,11 +409,13 @@ def train_node_model(
 
     Each epoch is one batch (0) of weight 1, so ``train_loss`` is that
     step's loss. Raises ValueError when the task has no train or no test
-    nodes, and naming the epoch when the loss or a gradient is non-finite.
+    nodes, a mask is not boolean with one entry per node, or there is not
+    one label per node; and naming the epoch when the loss or a gradient is
+    non-finite.
     """
-    train_nodes = np.flatnonzero(task.train_mask)
-    _require_nonempty(len(train_nodes), "train_mask")
-    _require_nonempty(np.count_nonzero(task.test_mask), "test_mask")
+    n = task.graph.num_nodes
+    train_nodes = _split("train_mask", task.train_mask, n, mask=True, labels=task.node_labels)
+    _split("test_mask", task.test_mask, n, mask=True)
     model = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=config.channels, conv_kind=conv_kind,
                                   pooling=pooling, seed=config.seed)

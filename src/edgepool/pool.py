@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _require_finite, _segment_sum, _sorted_unique, graph_to_json
+from .graph import Graph, _require_finite, _segment_sum, _sorted_unique
 from .rng import seeded_rng
 
 __all__ = [
@@ -95,8 +95,6 @@ __all__ = [
     "edgepool_forward",
     "edgepool_backward",
     "random_pool_params",
-    "pool_hierarchy",
-    "hierarchy_to_json",
 ]
 
 
@@ -624,36 +622,3 @@ def random_pool_params(
     n = 2 * feature_width + edge_feature_width
     return PoolParams(weight=rng.normal(size=n), bias=0.0)
 
-
-def pool_hierarchy(
-    graph: Graph,
-    params: PoolParams,
-    levels: int,
-) -> list[tuple[Graph, PoolInfo, EdgeScores]]:
-    """Pool repeatedly with the same scorer; one entry per level."""
-    out = []
-    current = graph
-    for _ in range(levels):
-        pooled, info, scores = edgepool_forward(current, params)
-        out.append((pooled, info, scores))
-        current = pooled
-    return out
-
-
-def hierarchy_to_json(levels: list[tuple[Graph, PoolInfo, EdgeScores]]) -> list[dict]:
-    """Serialize a pooling hierarchy: one dict per level.
-
-    Each level carries the cluster map, the matching, the per-node gating
-    scores, and the pooled graph in the interchange format.
-    """
-    out = []
-    for pooled, info, _ in levels:
-        out.append(
-            {
-                "cluster_of": info.cluster_of.tolist(),
-                "matching": info.matching.tolist(),
-                "node_score": info.node_score.tolist(),
-                "graph": graph_to_json(pooled),
-            }
-        )
-    return out

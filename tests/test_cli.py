@@ -5,16 +5,23 @@ import copy
 import json
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from edgepool import cli, gen_synthetic, load_tu, save_tu
+from edgepool import cli, edgepool_forward, gen_synthetic, load_tu, random_pool_params, save_tu
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
-from edgepool.graph import build_graph, graph_from_json, graph_to_json, symmetrize
+from edgepool.graph import (
+    build_graph,
+    graph_from_json,
+    graph_to_json,
+    load_graph_file,
+    symmetrize,
+)
 from edgepool.models import CONV_KINDS
 from edgepool.params import TrainConfig
 from edgepool.rng import seeded_rng
@@ -125,6 +132,32 @@ class TestPoolCommand:
         for depth in range(4):
             assert (out / f"level{depth}.dot").exists()
 
+    def test_hierarchy_levels_chain(self, tmp_path):
+        # hierarchy.json holds what a loop of edgepool_forward does with the
+        # same scorer, level by level, and no level grows.
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path, n=20, seed=16)
+        graph, _, _ = load_graph_file(str(graph_path))
+        params = random_pool_params(graph.feature_width, seed=16)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"weight": params.weight.tolist(),
+                                           "bias": params.bias}))
+        out = tmp_path / "out"
+        assert main(["pool", "--input", str(graph_path), "--params", str(params_path),
+                     "--levels", "3", "--out", str(out)]) == 0
+        payload = json.loads((out / "hierarchy.json").read_text())
+        assert len(payload) == 3
+        sizes = [graph.num_nodes]
+        for obj in payload:
+            graph, info, _ = edgepool_forward(graph, params)
+            sizes.append(graph.num_nodes)
+            assert obj["cluster_of"] == info.cluster_of.tolist()
+            assert obj["matching"] == info.matching.tolist()
+            assert obj["node_score"] == info.node_score.tolist()
+            assert obj["graph"]["num_nodes"] == graph.num_nodes
+        for a, b in zip(sizes, sizes[1:]):
+            assert b <= a
+
     def test_intermediate_dots_are_colored(self, tmp_path):
         graph_path = tmp_path / "g.json"
         write_graph(graph_path)
@@ -227,6 +260,7 @@ class TestPoolCommand:
                      str(params_path), "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()  # the params are read before the run starts
         assert not (out / "hierarchy.json").exists()
 
     def test_overflowing_scores_rejected(self, tmp_path, capsys):
@@ -604,6 +638,31 @@ LITERAL_1E400 = "<1e400>"  # written as the bare JSON number 1e400, which reads 
 FUZZ_VALUES = [None, True, False, "1", {}, {"a": 1}, [], [1], 2**70, LITERAL_1E400, 0.5, -2.5]
 
 
+class TestManifestOutputs:
+    # manifest.json lists every file a run wrote, once, and nothing else.
+    @pytest.mark.parametrize("argv", [
+        ["pool", "--input", "{graph}", "--levels", "0"],
+        ["pool", "--input", "{graph}", "--levels", "2"],
+        ["train-graph", "--tu", "{data}", "TINY", "--folds", "2", "--epochs", "1",
+         "--channels", "8", "--quiet"],
+        ["train-node", "--input", "{task}", "--epochs", "1", "--channels", "8", "--quiet"],
+        ["gradcheck"],
+        ["bench", "--min-edges", "1e3", "--max-edges", "1e3"],
+    ], ids=["pool-0", "pool-2", "train-graph", "train-node", "gradcheck", "bench"])
+    def test_outputs_are_the_files_written(self, tmp_path, argv):
+        inputs = {"graph": tmp_path / "g.json", "task": tmp_path / "task.json",
+                  "data": tmp_path / "data"}
+        write_graph(inputs["graph"])
+        write_task(inputs["task"])
+        write_dataset(inputs["data"])
+        out = tmp_path / "out"
+        assert main([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = [Path(path).name for path in manifest["outputs"]]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+
 @st.composite
 def odd_json_files(draw):
     """(file kind, JSON text): one key of a valid file, or its top level, set to
@@ -677,7 +736,7 @@ class TestJsonFuzz:
         for argv in runs:
             calls = {}
             with pytest.MonkeyPatch.context() as mp:
-                for name in ("load_graph_file", "pool_hierarchy", "train_node_model"):
+                for name in ("load_graph_file", "edgepool_forward", "train_node_model"):
                     mp.setattr(cli, name, recording(calls, name, getattr(cli, name)))
                 code = main([*argv, "--out", str(tmp / "out")])
             assert code in (0, 2)
@@ -685,7 +744,7 @@ class TestJsonFuzz:
                 continue
             obj = json.loads(text)
             if kind == "params":
-                (_, params, _), _ = calls["pool_hierarchy"]
+                (_, params), _ = calls["edgepool_forward"]
                 assert_read_exactly(params.weight, obj, "weight")
                 assert_read_exactly(params.bias, obj, "bias")
                 continue

@@ -1,9 +1,10 @@
-"""Smoke tests of the benchmark harness: short runs of two workloads.
+"""Smoke tests of the benchmark harness: a short run of each workload.
 
 The harness imports the package from this checkout and its tracer wraps
 every public function, so a package change that breaks either shows here
 and not first in a benchmark run. The ``pool_1e6`` run checks one pooling
 level of a 1e6-edge graph exactly, reading ``Graph.edges`` at that scale.
+The ``graph_train`` run evaluates the graph model on every eval pass.
 """
 
 import json
@@ -31,4 +32,9 @@ def test_traced_node_train_run_is_correct():
 
 def test_untraced_pool_1e6_run_is_correct():
     result = run_result("pool_1e6", "0")
+    assert result["correct"] is True and result["failed"] == 0
+
+
+def test_untraced_graph_train_run_is_correct():
+    result = run_result("graph_train", "0")
     assert result["correct"] is True and result["failed"] == 0

@@ -363,6 +363,49 @@ class TestEmptySplits:
                 evaluate_node_model(m, task, tiny_config())
 
 
+# (model kind, argument, bad value, or a function of the node task giving one)
+BAD_SPLITS = [
+    ("graph", "eval_idx", [-1]),
+    ("graph", "eval_idx", [0.5]),
+    ("graph", "eval_idx", [99]),
+    ("graph", "train_idx", np.ones(6, dtype=bool)),
+    ("graph", "train_idx", [[0, 1], [2, 3]]),
+    ("graph", "indices", [6]),
+    ("node", "test_mask", lambda task: task.test_mask.astype(np.int64)),
+    ("node", "train_mask", lambda task: task.train_mask[:-5]),
+    ("node", "test_mask", lambda task: np.ones(1, dtype=bool)),
+    ("node", "node_labels", lambda task: task.node_labels[:-1]),
+]
+
+
+@pytest.mark.parametrize("kind, name, bad", BAD_SPLITS, ids=[
+    "negative-index", "fractional-index", "index-past-end", "mask-as-indices", "nested-indices",
+    "evaluated-index-past-end", "integer-mask", "short-train-mask", "one-entry-test-mask",
+    "short-labels",
+])
+def test_trainers_reject_a_bad_split_naming_it(kind, name, bad):
+    # Each split is checked before use: no index is wrapped, truncated or
+    # read past the end, and a mask selects nodes, never positions.
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=6)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            if name == "indices":
+                evaluate_graph_model(m, ds, bad, tiny_config())
+            else:
+                split = {"train_idx": np.arange(4), "eval_idx": np.arange(4, 6), name: bad}
+                train_graph_model(ds, split["train_idx"], split["eval_idx"], tiny_config())
+        return
+    task = node_fixture()
+    task = dataclasses.replace(task, **{name: bad(task)})
+    with pytest.raises(ValueError, match=f"^{name} "):
+        train_node_model(task, tiny_config())
+    if name != "train_mask":
+        m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            evaluate_node_model(m, task, tiny_config())
+
+
 def run_model(kind, pooling=False, **overrides):
     cfg = tiny_config(epochs=3, **overrides)
     if kind == "graph":

@@ -23,9 +23,7 @@ from edgepool.pool import (
     _greedy_sweep,
     apply_score_dropout,
     contract,
-    hierarchy_to_json,
     normalize_scores,
-    pool_hierarchy,
     raw_scores,
     score_path_backward,
 )
@@ -809,23 +807,6 @@ class TestForward:
             rest_p = np.sort(pooled_p.node_features[k:], axis=0)
             assert np.allclose(rest, rest_p)
         assert done >= 5, f"only {done} tie-free instances"
-
-    def test_hierarchy_levels_chain(self):
-        rng = seeded_rng(16, "hier")
-        g = random_graph(rng, n=20, f=2, p=0.25)
-        params = self.params_for(g)
-        levels = pool_hierarchy(g, params, 3)
-        assert len(levels) == 3
-        sizes = [g.num_nodes] + [lvl[0].num_nodes for lvl in levels]
-        for a, b in zip(sizes, sizes[1:]):
-            assert b <= a
-        payload = hierarchy_to_json(levels)
-        assert len(payload) == 3
-        for (pooled, info, _), obj in zip(levels, payload):
-            assert obj["cluster_of"] == info.cluster_of.tolist()
-            assert obj["matching"] == info.matching.tolist()
-            assert obj["node_score"] == info.node_score.tolist()
-            assert obj["graph"]["num_nodes"] == pooled.num_nodes
 
 
 def scalar_loss_grads(graph, params, projection):
