@@ -33,10 +33,6 @@ class Var:
         self.parents = tuple(parents)
         self.vjp = vjp
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Var(shape={self.data.shape}, leaf={not self.parents})"
 

@@ -112,9 +112,7 @@ def _save_run(manifest: RunManifest, prefix: str, history: list[dict], config: d
     with open(manifest.output(names["history"]), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["lr"]),
-                             repr(row["train_loss"]), repr(row["eval_acc"])])
+        writer.writerows([repr(row[k]) for k in HISTORY_HEADER] for row in history)
     save_checkpoint(manifest.output(names["checkpoint"]), config, model.params)
     return names
 

@@ -224,7 +224,7 @@ def load_tu(directory, name: str) -> GraphDataset:
     graphs = []
     for g in range(num_graphs):
         lo, hi, off = bounds[g], bounds[g + 1], offsets[g]
-        graphs.append(Graph(int(counts[g]), features[off : off + counts[g]].copy(),
+        graphs.append(Graph(features[off : off + counts[g]].copy(),
                             src[lo:hi] - off, dst[lo:hi] - off))
 
     return GraphDataset(graphs=graphs, labels=labels, num_classes=num_classes, name=name)

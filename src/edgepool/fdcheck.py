@@ -40,6 +40,7 @@ __all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES", "CASE_GROUPS"]
 FD_STEP = 1e-6  # central-difference step
 LAYER_TOL = (1e-4, 1e-7)  # (rtol, atol)
 MODEL_TOL = (1e-3, 1e-6)
+FLIP_ATTEMPTS = 6  # seeds a case may try before no stable contraction is a failure
 
 
 @dataclass
@@ -105,10 +106,10 @@ def _compare(name, analytic, numeric, rtol, atol):
     return GradCheckResult(name, ok, max_abs, max_rel, entries)
 
 
-def _check_case(name, build, seed, rtol, atol, corrupt, attempts=6):
+def _check_case(name, build, seed, rtol, atol, corrupt):
     """Run one FD comparison, rebuilding on matching flips."""
     last_flip = None
-    for attempt in range(attempts):
+    for attempt in range(FLIP_ATTEMPTS):
         rng = seeded_rng(seed, "gradcheck", name, attempt)
         inputs, run = build(rng)
         inputs = {k: np.asarray(v, dtype=np.float64) for k, v in inputs.items()}
@@ -130,7 +131,7 @@ def _check_case(name, build, seed, rtol, atol, corrupt, attempts=6):
         return _compare(name, analytic, numeric, rtol, atol)
     return GradCheckResult(
         name, False, np.inf, np.inf, 0,
-        f"no perturbation-stable contraction in {attempts} seeds ({last_flip})",
+        f"no perturbation-stable contraction in {FLIP_ATTEMPTS} seeds ({last_flip})",
     )
 
 

@@ -100,8 +100,10 @@ class Graph:
 
     Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``: two 1-D int64
     columns in canonical order, which every pooling stage reads as they
-    are. Use :func:`build_graph` instead of constructing directly; it
-    validates and canonicalizes.
+    are. ``num_nodes`` is derived: it is the row count of
+    ``node_features``, so no count can disagree with the features. Use
+    :func:`build_graph` instead of constructing directly; it validates and
+    canonicalizes.
 
     Six internal paths construct a ``Graph`` directly, because their parts
     are canonical and valid by construction and a second validation would
@@ -118,7 +120,6 @@ class Graph:
     ``graph_id``).
     """
 
-    num_nodes: int
     node_features: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
@@ -128,6 +129,10 @@ class Graph:
         for a in (self.node_features, self.edge_src, self.edge_dst, self.edge_features):
             if a is not None:
                 a.flags.writeable = False
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.node_features.shape[0])
 
     @property
     def num_edges(self) -> int:
@@ -163,7 +168,7 @@ class Graph:
         """Same structure, different node features (layer activations etc.),
         checked and copied as :func:`build_graph` checks and copies them."""
         x = _feature_matrix(features, "node", self.num_nodes).copy()
-        return Graph(self.num_nodes, x, self.edge_src, self.edge_dst, self.edge_features)
+        return Graph(x, self.edge_src, self.edge_dst, self.edge_features)
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,7 @@ def build_graph(
                 i = dup[0] + 1
                 raise ValueError(f"duplicate directed edge ({src[i]}, {dst[i]})")
 
-    return Graph(num_nodes, features.copy(), src, dst, None if ef is None else ef.copy())
+    return Graph(features.copy(), src, dst, None if ef is None else ef.copy())
 
 
 def symmetrize(graph: Graph) -> Graph:
@@ -254,7 +259,7 @@ def symmetrize(graph: Graph) -> Graph:
         order = np.argsort(rkey)  # the reverse keys are distinct
         row[added] = order[np.searchsorted(np.take(rkey, order), key[added])]
         ef = np.take(ef, row, axis=0)
-    return Graph(graph.num_nodes, graph.node_features, key // n, key % n, ef)
+    return Graph(graph.node_features, key // n, key % n, ef)
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:
@@ -288,7 +293,7 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     # Offsetting canonical graphs by the preceding node totals keeps their
     # concatenation canonical, and every part was validated when it was built.
-    return BatchedGraph(Graph(int(sizes.sum()), features, src, dst, ef), graph_id)
+    return BatchedGraph(Graph(features, src, dst, ef), graph_id)
 
 
 # Fill palette for cluster-coloured DOT output (colour-blind friendly hexes).

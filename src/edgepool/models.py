@@ -10,15 +10,19 @@ Two architectures:
   pooling after layers 2 and 4 and unpooling in reverse order with
   shortcut concatenation, in the style of a graph U-net.
 
-Both share one pooling step and one head, which get their dropout rates
-in training and 0.0 in evaluation. One Adam loop trains both, with
-a stepped learning-rate schedule and one history row per epoch. Before
+A model is its parameters: a level pools (and, in ``NodeClassifier``,
+unpools) exactly when the store holds its scorer, and a layer aggregates
+neighbors exactly when the store holds its ``w_neigh``; ``create`` chooses
+what to build. Both share one pooling step and one head, which get their
+dropout rates in training and 0.0 in evaluation. One Adam loop trains both,
+with a stepped learning-rate schedule and one history row per epoch. Before
 each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
 run stops where it diverged. Before training or evaluating, each split is
 checked: graph indices are integers in ``[0, len(dataset))``, node masks are
-boolean with one entry per node, and there is one label per node. A bad or
-empty split raises ``ValueError`` naming the argument.
+boolean with one entry per node, and the labels are a 1-D integer array with
+one entry per graph (or node), each in ``[0, num_classes)``. A bad or empty
+split, or a bad label, raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -61,8 +65,10 @@ HEAD_DROPOUT_P = 0.5
 EDGE_SCORE_DROPOUT_P = 0.2
 
 
-def _pooled_graph_id(graph_id: np.ndarray, info: PoolInfo) -> np.ndarray:
+def _pooled_graph_id(graph_id: np.ndarray, info: PoolInfo | None) -> np.ndarray:
     """Graph membership survives contraction: both endpoints share a graph."""
+    if info is None:  # a level that did not pool
+        return graph_id
     out = np.zeros(info.pooled_num_nodes, dtype=np.int64)
     out[info.cluster_of] = graph_id
     return out
@@ -87,8 +93,9 @@ def _add_head(store: ParamStore, fan_in: int, width: int, num_classes: int, rng)
     store.add("head.fc2.bias", np.zeros(num_classes, dtype=np.float32))
 
 
-def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
-    if kind == "mean":
+def _conv(leaves, name: str, graph: Graph, x: Var) -> Var:
+    """Mean aggregation when the store holds ``{name}.w_neigh``, else a dense layer."""
+    if f"{name}.w_neigh" in leaves:
         return mean_conv(graph, x, leaves[f"{name}.w_self"], leaves[f"{name}.w_neigh"],
                          leaves[f"{name}.bias"])
     return dense(x, leaves[f"{name}.w_self"], leaves[f"{name}.bias"])
@@ -97,8 +104,12 @@ def _conv(leaves, name: str, graph: Graph, x: Var, kind: str) -> Var:
 def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
     """One edge-contraction level scored by ``name``; appends its info to ``trace``.
 
-    Returns (pooled activations, gating-score Var, pooled graph, info).
+    Returns (pooled activations, gating-score Var, pooled graph, info). A
+    store without ``{name}.weight`` does not pool here: the level comes back
+    unchanged, with no score or info, and nothing is drawn from ``rng``.
     """
+    if f"{name}.weight" not in leaves:
+        return x, None, graph, None
     x, score, graph, info, _ = edge_pool(
         x, leaves[f"{name}.weight"], leaves[f"{name}.bias"], graph,
         dropout_p=EDGE_SCORE_DROPOUT_P if training else 0.0, seed=draw_seed(rng),
@@ -106,6 +117,10 @@ def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
     if trace is not None:
         trace.append(info)
     return x, score, graph, info
+
+
+def _unpool(x: Var, score: Var | None, info: PoolInfo | None) -> Var:
+    return x if info is None else unpool(x, score, info)
 
 
 def _head(leaves, h: Var, rng, training: bool) -> Var:
@@ -118,14 +133,13 @@ def _head(leaves, h: Var, rng, training: bool) -> Var:
 class GraphClassifier:
     """Whole-graph classifier with a readout after each block's pooling step.
 
-    Each block runs aggregation, batch norm and activation, then pools when
-    ``pooling`` is set; its mean readout reads the pooled node set. In
-    training, feature dropout ``HEAD_DROPOUT_P`` applies to the
-    fully-connected head only, and each pooling step drops edges with
-    probability ``EDGE_SCORE_DROPOUT_P``.
+    The model is its parameters. Each block runs aggregation, batch norm and
+    activation, then pools when ``params`` holds the block's scorer; its mean
+    readout reads the pooled node set. In training, feature dropout
+    ``HEAD_DROPOUT_P`` applies to the fully-connected head only, and each
+    pooling step drops edges with probability ``EDGE_SCORE_DROPOUT_P``.
     """
 
-    pooling: bool
     params: ParamStore
 
     @classmethod
@@ -147,7 +161,7 @@ class GraphClassifier:
             if pooling:
                 _add_pool(store, f"block{i + 1}.pool", channels, rng)
         _add_head(store, 3 * channels, channels, num_classes, rng)
-        return cls(pooling, store)
+        return cls(store)
 
     def forward(
         self,
@@ -169,12 +183,11 @@ class GraphClassifier:
         readouts = []
         for i in range(3):
             name = f"block{i + 1}"
-            x = _conv(leaves, f"{name}.conv", graph, x, "mean")
+            x = _conv(leaves, f"{name}.conv", graph, x)
             x = batch_norm(x, leaves[f"{name}.bn.gamma"], leaves[f"{name}.bn.beta"])
             x = relu(x)
-            if self.pooling:
-                x, _, graph, info = _pool(leaves, f"{name}.pool", x, graph, rng, training, trace)
-                graph_id = _pooled_graph_id(graph_id, info)
+            x, _, graph, info = _pool(leaves, f"{name}.pool", x, graph, rng, training, trace)
+            graph_id = _pooled_graph_id(graph_id, info)
             # Readout reads the block's final (pooled) node set.
             readouts.append(global_mean_pool(x, graph_id))
         h = concat_cols(concat_cols(readouts[0], readouts[1]), readouts[2])
@@ -183,10 +196,12 @@ class GraphClassifier:
 
 @dataclass
 class NodeClassifier:
-    """Per-node classifier: encoder, two pooling levels, mirrored unpooling."""
+    """Per-node classifier: encoder, two pooling levels, mirrored unpooling.
 
-    conv_kind: str
-    pooling: bool
+    The model is its parameters: a layer aggregates when ``params`` holds its
+    ``w_neigh``, and a level pools and unpools when it holds its scorer.
+    """
+
     params: ParamStore
 
     @classmethod
@@ -211,7 +226,7 @@ class NodeClassifier:
             _add_pool(store, "pool1", c, rng)
             _add_pool(store, "pool2", c, rng)
         _add_head(store, 2 * c, c, num_classes, rng)
-        return cls(conv_kind, pooling, store)
+        return cls(store)
 
     def forward(
         self,
@@ -223,31 +238,22 @@ class NodeClassifier:
     ) -> Var:
         """Per-node logits, shape (num_nodes, classes)."""
         rng = seeded_rng(seed, "node-forward")
-        kind = self.conv_kind
         graph = _without_edge_features(graph)
 
         x = Var(graph.node_features.astype(np.float32))
-        x = relu(_conv(leaves, "conv1", graph, x, kind))
-        x = relu(_conv(leaves, "conv2", graph, x, kind))
+        x = relu(_conv(leaves, "conv1", graph, x))
+        x = relu(_conv(leaves, "conv2", graph, x))
         shortcut1 = x
-        g1, info1, score1 = graph, None, None
-        if self.pooling:
-            x, score1, g1, info1 = _pool(leaves, "pool1", x, graph, rng, training, trace)
-        x = relu(_conv(leaves, "conv3", g1, x, kind))
-        x = relu(_conv(leaves, "conv4", g1, x, kind))
+        x, score1, g1, info1 = _pool(leaves, "pool1", x, graph, rng, training, trace)
+        x = relu(_conv(leaves, "conv3", g1, x))
+        x = relu(_conv(leaves, "conv4", g1, x))
         shortcut2 = x
-        g2, info2, score2 = g1, None, None
-        if self.pooling:
-            x, score2, g2, info2 = _pool(leaves, "pool2", x, g1, rng, training, trace)
-        x = relu(_conv(leaves, "conv5", g2, x, kind))
-        if self.pooling:
-            x = unpool(x, score2, info2)
-        x = concat_cols(x, shortcut2)
-        x = relu(_conv(leaves, "conv6", g1, x, kind))
-        x = relu(_conv(leaves, "conv7", g1, x, kind))
-        if self.pooling:
-            x = unpool(x, score1, info1)
-        x = concat_cols(x, shortcut1)
+        x, score2, g2, info2 = _pool(leaves, "pool2", x, g1, rng, training, trace)
+        x = relu(_conv(leaves, "conv5", g2, x))
+        x = concat_cols(_unpool(x, score2, info2), shortcut2)
+        x = relu(_conv(leaves, "conv6", g1, x))
+        x = relu(_conv(leaves, "conv7", g1, x))
+        x = concat_cols(_unpool(x, score1, info1), shortcut1)
         return _head(leaves, x, rng, training)
 
 
@@ -267,16 +273,25 @@ def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int)
             raise ValueError(f"non-finite gradient of {name} {where}")
 
 
-def _split(name: str, values, size: int, mask: bool = False, labels=None) -> np.ndarray:
+def _check_labels(name: str, labels, item: str, size: int, num_classes: int) -> None:
+    """Raise ValueError naming ``name`` unless ``labels`` is a 1-D integer array
+    with one entry per ``item`` (``size`` of them), each in ``[0, num_classes)``."""
+    labels = np.asarray(labels)
+    if labels.shape != (size,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer array with one entry per {item} "
+                         f"({size}), got shape {labels.shape} and dtype {labels.dtype}")
+    outside = labels[(labels < 0) | (labels >= num_classes)]
+    if outside.size:
+        raise ValueError(f"{name} entry {outside[0]} is not a class in [0, {num_classes})")
+
+
+def _split(name: str, values, size: int, mask: bool = False) -> np.ndarray:
     """The non-empty split ``values`` of ``size`` items, as int64 indices.
 
     A ``mask`` is a boolean array with one entry per item; otherwise
-    ``values`` are integer indices in ``[0, size)``. ``labels``, when given,
-    need one entry per item. Raises ValueError naming the argument at fault.
+    ``values`` are integer indices in ``[0, size)``. Raises ValueError naming
+    the argument at fault.
     """
-    if labels is not None and np.shape(labels) != (size,):
-        raise ValueError(f"node_labels needs one entry per node ({size}), "
-                         f"got shape {np.shape(labels)}")
     values = np.asarray(values)
     if mask:
         if values.dtype != bool:
@@ -341,6 +356,7 @@ def evaluate_graph_model(
 ) -> float:
     """Accuracy over the indexed graphs (at least one) with training behaviors off."""
     indices = _split("indices", indices, len(dataset))
+    _check_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
     leaves = model.params.as_vars()
     correct = 0
     for chunk in _batches(indices, config.batch_size):
@@ -364,11 +380,13 @@ def train_graph_model(
     One history row per epoch: epoch, lr, mean train loss per graph, eval
     accuracy. ``progress`` receives each row as it is produced. Raises
     ValueError when ``train_idx`` or ``eval_idx`` is empty or holds anything
-    but graph indices, and naming the epoch and batch when the loss or a
-    gradient is non-finite.
+    but graph indices, when ``dataset.labels`` is not one integer class in
+    ``[0, num_classes)`` per graph, and naming the epoch and batch when the
+    loss or a gradient is non-finite.
     """
     train_idx = _split("train_idx", train_idx, len(dataset))
     eval_idx = _split("eval_idx", eval_idx, len(dataset))
+    _check_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
     model = GraphClassifier.create(dataset.graphs[0].feature_width, dataset.num_classes,
                                    channels=config.channels, pooling=pooling, seed=config.seed)
 
@@ -391,8 +409,9 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
 
     ``config`` is unused: full-batch evaluation has no batch size.
     """
-    nodes = _split("test_mask", task.test_mask, task.graph.num_nodes, mask=True,
-                   labels=task.node_labels)
+    n = task.graph.num_nodes
+    nodes = _split("test_mask", task.test_mask, n, mask=True)
+    _check_labels("node_labels", task.node_labels, "node", n, task.num_classes)
     logits = model.forward(model.params.as_vars(), task.graph)
     pred = logits.data.argmax(axis=1)
     return float((pred[nodes] == task.node_labels[nodes]).mean())
@@ -409,13 +428,14 @@ def train_node_model(
 
     Each epoch is one batch (0) of weight 1, so ``train_loss`` is that
     step's loss. Raises ValueError when the task has no train or no test
-    nodes, a mask is not boolean with one entry per node, or there is not
-    one label per node; and naming the epoch when the loss or a gradient is
-    non-finite.
+    nodes, a mask is not boolean with one entry per node, or
+    ``node_labels`` is not one integer class in ``[0, num_classes)`` per
+    node; and naming the epoch when the loss or a gradient is non-finite.
     """
     n = task.graph.num_nodes
-    train_nodes = _split("train_mask", task.train_mask, n, mask=True, labels=task.node_labels)
+    train_nodes = _split("train_mask", task.train_mask, n, mask=True)
     _split("test_mask", task.test_mask, n, mask=True)
+    _check_labels("node_labels", task.node_labels, "node", n, task.num_classes)
     model = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=config.channels, conv_kind=conv_kind,
                                   pooling=pooling, seed=config.seed)

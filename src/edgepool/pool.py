@@ -469,7 +469,7 @@ def contract(
         ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
         _require_finite(ef, "edge features")
 
-    pooled = Graph(pooled_n, feats, uniq_key // n, uniq_key % n, ef)
+    pooled = Graph(feats, uniq_key // n, uniq_key % n, ef)
     info = PoolInfo(
         matching=matching,
         cluster_of=cluster_of,

@@ -26,6 +26,7 @@ from edgepool.models import CONV_KINDS
 from edgepool.params import TrainConfig
 from edgepool.rng import seeded_rng
 
+import artifacts as digest_tool
 from oracles import loop_load_tu
 
 
@@ -661,6 +662,20 @@ class TestManifestOutputs:
         listed = [Path(path).name for path in manifest["outputs"]]
         assert len(listed) == len(set(listed))
         assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+    def test_digest_tool_covers_every_listed_output(self, tmp_path):
+        # tests/artifacts.py shows two trees write the same bytes: it digests
+        # every file each manifest lists, and each manifest, timings aside.
+        digest_tool.run_set(digest_tool.SRC, tmp_path)
+        digested = digest_tool.digests(tmp_path)
+        manifests = sorted(tmp_path.rglob("manifest.json"))
+        assert len(manifests) == len(digest_tool.RUNS)
+        for path in manifests:
+            listed = json.loads(path.read_text())["outputs"] + [str(path)]
+            for out in listed:
+                rel = Path(out).relative_to(tmp_path).as_posix()
+                assert rel in digested or rel in digest_tool.TIMED, rel
+            assert str(tmp_path) not in digest_tool._normalized_manifest(path, tmp_path).decode()
 
 
 @st.composite

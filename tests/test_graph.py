@@ -1,5 +1,6 @@
 """Graph construction, validation, batching, and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -196,7 +197,9 @@ def assert_same_graph(got, want):
 
 def assert_canonical(g):
     """Equal to ``build_graph`` of its own parts, with read-only arrays, its
-    endpoints in two 1-D C-contiguous int64 columns, and ``edges`` their stack."""
+    endpoints in two 1-D C-contiguous int64 columns, ``edges`` their stack,
+    and one node per feature row."""
+    assert g.num_nodes == len(g.node_features)
     assert_same_graph(g, build_graph(g.num_nodes, g.edges, g.node_features, g.edge_features))
     for column in (g.edge_src, g.edge_dst):
         assert column.ndim == 1 and column.dtype == np.int64 and column.flags.c_contiguous
@@ -207,6 +210,11 @@ def assert_canonical(g):
 
 class TestGraphsBuiltFromCanonicalParts:
     """build_graph validates; every other constructor builds a Graph directly."""
+
+    def test_fields_are_features_and_endpoints(self):
+        # The node count is derived from the feature rows, never stored beside them.
+        fields = [f.name for f in dataclasses.fields(Graph)]
+        assert fields == ["node_features", "edge_src", "edge_dst", "edge_features"]
 
     @settings(max_examples=100, deadline=None)
     @given(g=featured_digraphs())
@@ -266,7 +274,7 @@ class TestGraphsBuiltFromCanonicalParts:
 
     def test_any_construction_is_read_only(self):
         src, dst = np.asarray([0, 1]), np.asarray([1, 0])
-        g = Graph(2, np.ones((2, 1)), src, dst, np.ones((2, 1)))
+        g = Graph(np.ones((2, 1)), src, dst, np.ones((2, 1)))
         assert not any(a.flags.writeable for a in graph_arrays(g))
         assert not BatchedGraph(g, np.zeros(2, dtype=np.int64)).graph_id.flags.writeable
 

@@ -406,6 +406,50 @@ def test_trainers_reject_a_bad_split_naming_it(kind, name, bad):
             evaluate_node_model(m, task, tiny_config())
 
 
+def _with_label(y, value, at=5):
+    y = y.copy()
+    y[at] = value
+    return y
+
+
+# (model kind, a function of the dataset's or task's labels giving bad ones)
+BAD_LABELS = [
+    ("graph", lambda y: y[:4]),
+    ("graph", lambda y: y + 0.5),
+    ("graph", lambda y: _with_label(y, -1)),
+    ("graph", lambda y: _with_label(y, 7)),
+    ("node", lambda y: y.astype(np.float64)),
+    ("node", lambda y: y + 7),
+]
+
+
+@pytest.mark.parametrize("kind, bad", BAD_LABELS, ids=[
+    "short-labels", "fractional-labels", "negative-eval-label", "eval-label-past-classes",
+    "float-node-labels", "node-labels-past-classes",
+])
+def test_trainers_reject_bad_labels_naming_them(kind, bad):
+    # One rule for both trainers and both evaluations: labels are a 1-D
+    # integer array, one entry per graph (or node), each in [0, num_classes).
+    # Nothing is cast, read past the end or scored against a missing class.
+    cfg = tiny_config()
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=6)
+        ds = dataclasses.replace(ds, labels=bad(ds.labels))
+        with pytest.raises(ValueError, match="^labels "):
+            train_graph_model(ds, [0, 1, 2, 3], [4, 5], cfg)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        with pytest.raises(ValueError, match="^labels "):
+            evaluate_graph_model(m, ds, [4, 5], cfg)
+        return
+    task = gen_synthetic("sbm_node_task", {"nodes_per_block": 60})
+    task = dataclasses.replace(task, node_labels=bad(task.node_labels))
+    with pytest.raises(ValueError, match="^node_labels "):
+        train_node_model(task, cfg)
+    m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+    with pytest.raises(ValueError, match="^node_labels "):
+        evaluate_node_model(m, task, cfg)
+
+
 def run_model(kind, pooling=False, **overrides):
     cfg = tiny_config(epochs=3, **overrides)
     if kind == "graph":

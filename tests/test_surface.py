@@ -61,12 +61,11 @@ def test_train_config_holds_only_what_commands_set():
 
 
 def test_models_hold_only_what_forward_reads():
-    # Widths and class counts live in the parameter shapes; a second copy on
-    # the model would be read by nothing.
+    # Widths, class counts, pooling levels and the aggregation kind all live
+    # in the parameters; a second copy on the model could disagree with them.
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (edgepool.GraphClassifier, edgepool.NodeClassifier)}
-    assert fields == {"GraphClassifier": ["pooling", "params"],
-                      "NodeClassifier": ["conv_kind", "pooling", "params"]}
+    assert fields == {"GraphClassifier": ["params"], "NodeClassifier": ["params"]}
 
 
 def test_param_store_methods():
