@@ -42,7 +42,7 @@ from .graph import (
     symmetrize,
     to_dot,
 )
-from .models import CONV_KINDS, train_graph_model, train_node_model
+from .models import CONV_KINDS, _split, train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
 from .pool import PoolParams, _check_widths, edgepool_forward, random_pool_params
 from .rng import seeded_rng
@@ -232,13 +232,10 @@ def _print_row(prefix: str):
 
 
 def _node_mask(obj: dict, key: str, num_nodes: int) -> np.ndarray:
-    """Boolean mask of the node indices listed under ``key``; raises if invalid."""
-    nodes = _json_array(obj[key], key, 1, integer=True, noun="a node index")
-    if not nodes.size:
-        raise ValueError(f"{key} must be a non-empty list of node indices")
-    outside = nodes[(nodes < 0) | (nodes >= num_nodes)]
-    if outside.size:
-        raise ValueError(f"{key} entry {outside[0]} is not a node index in [0, {num_nodes})")
+    """Boolean mask of the node indices listed under ``key``, checked as the
+    trainers check a split (``models._split``)."""
+    nodes = _split(key, _json_array(obj[key], key, 1, integer=True, noun="a node index"),
+                   num_nodes)
     mask = np.zeros(num_nodes, dtype=bool)
     mask[nodes] = True
     return mask

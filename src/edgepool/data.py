@@ -10,8 +10,8 @@ as does an attribute line whose entry count differs from the first
 line's. An integer line is read for its first entries (two for an edge,
 one otherwise) and may have more. The CLI's number flags follow the
 number rule (:func:`integer`, :func:`decimal`). Synthetic generators
-provide deterministic desk-scale graphs for property tests and
-node-classification experiments.
+provide deterministic desk-scale graphs for the gradient check and the
+training experiments.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph, _sorted_unique, build_graph, symmetrize
+from .graph import Graph, _class_labels, _sorted_unique, build_graph, symmetrize
 from .rng import seeded_rng
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "kfold_splits",
     "node_split",
     "gen_synthetic",
-    "make_cycle",
-    "make_star",
-    "make_path",
     "make_erdos_renyi",
     "make_connected_erdos_renyi",
     "make_sbm",
@@ -287,14 +284,18 @@ def node_split(
 ) -> NodeTask:
     """Per-class sampling without replacement into train/test masks.
 
-    Remaining nodes stay unlabeled. Every class needs at least
-    per_class_train + per_class_test members. The defaults are the
+    ``node_labels`` are one integer per node (``graph._class_labels`` with
+    no class range: the task remaps them to 0..C-1). Remaining nodes stay
+    unlabeled. Every class needs at least per_class_train + per_class_test
+    members; a negative count raises ``ValueError`` naming it, and a zero
+    count is left to the trainers' empty-split check. The defaults are the
     standard split, which the ``sbm_node_task`` synthetic and ``train-node``
     on a task without given splits use.
     """
-    node_labels = np.asarray(node_labels, dtype=np.int64)
-    if node_labels.shape != (graph.num_nodes,):
-        raise ValueError("one label per node required")
+    node_labels = _class_labels("node_labels", node_labels, "node", graph.num_nodes)
+    for name, count in (("per_class_train", per_class_train), ("per_class_test", per_class_test)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     classes = _sorted_unique(node_labels.copy())
     rng = seeded_rng(seed, "node-split")
     train_mask = np.zeros(graph.num_nodes, dtype=bool)
@@ -320,35 +321,13 @@ def _node_task(graph: Graph, node_labels: np.ndarray, train_mask: np.ndarray,
                     test_mask=test_mask, num_classes=num_classes)
 
 
-def _with_features(n: int, rng: np.random.Generator | None, feature_width: int) -> np.ndarray:
-    if rng is None:
-        return np.ones((n, feature_width), dtype=np.float64)
-    return rng.normal(0.0, 1.0, size=(n, feature_width))
-
-
-def make_path(n: int, rng=None, feature_width: int = 1) -> Graph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return symmetrize(build_graph(n, edges, _with_features(n, rng, feature_width)))
-
-
-def make_cycle(n: int, rng=None, feature_width: int = 1) -> Graph:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return symmetrize(build_graph(n, edges, _with_features(n, rng, feature_width)))
-
-
-def make_star(n: int, rng=None, feature_width: int = 1) -> Graph:
-    """Center node 0 plus n-1 leaves."""
-    edges = [(0, i) for i in range(1, n)]
-    return symmetrize(build_graph(n, edges, _with_features(n, rng, feature_width)))
-
-
 def make_erdos_renyi(n: int, p: float, rng: np.random.Generator, feature_width: int = 1) -> Graph:
     """Undirected G(n, p), stored with both edge directions."""
     mask = rng.random((n, n)) < p
     iu = np.triu_indices(n, k=1)
     take = mask[iu]
     edges = np.stack([iu[0][take], iu[1][take]], axis=1)
-    return symmetrize(build_graph(n, edges, _with_features(n, rng, feature_width)))
+    return symmetrize(build_graph(n, edges, rng.normal(0.0, 1.0, size=(n, feature_width))))
 
 
 def _is_connected(graph: Graph) -> bool:

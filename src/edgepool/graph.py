@@ -80,6 +80,25 @@ def _feature_matrix(values, kind: str, rows: int) -> np.ndarray:
     return a
 
 
+def _class_labels(name: str, labels, item: str, size: int,
+                  num_classes: int | None = None) -> np.ndarray:
+    """``labels`` as int64: a 1-D integer array with one entry per ``item``
+    (``size`` of them), each in ``[0, num_classes)`` when that is given.
+
+    Nothing is cast or clipped: float and boolean labels are refused. Raises
+    ValueError naming ``name`` otherwise.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (size,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer array with one entry per {item} "
+                         f"({size}), got shape {labels.shape} and dtype {labels.dtype}")
+    if num_classes is not None:
+        outside = labels[(labels < 0) | (labels >= num_classes)]
+        if outside.size:
+            raise ValueError(f"{name} entry {outside[0]} is not a class in [0, {num_classes})")
+    return labels.astype(np.int64, copy=False)
+
+
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
     """``np.unique(key)`` of a 1-D array, by a sort and a step mask.
 

@@ -2,8 +2,11 @@
 
 All ops take and return :class:`~edgepool.autodiff.Var` nodes. Structural
 inputs (graphs, index vectors, labels, dropout masks) are constants of the
-backward pass. No op takes what it can work out: dropout takes a rate
-alone (rate 0 is the identity), and a readout counts graphs off ``graph_id``.
+backward pass. The loss, :func:`cross_entropy`, takes its labels by the
+one label rule, ``graph._class_labels``: one integer class per logit row;
+float and boolean labels are refused, never cast. No op takes what it can
+work out: dropout takes a rate alone (rate 0 is the identity), and a
+readout counts graphs off ``graph_id``.
 Neighbor and segment reductions are products with unit-weight
 sparse operators (the graph's cached in-adjacency, or a segment matrix):
 they accumulate in double precision in fixed canonical order, then cast back
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var
-from .graph import Graph, _segment_sum
+from .graph import Graph, _class_labels, _segment_sum
 from .pool import (
     EdgeScores,
     PoolInfo,
@@ -37,7 +40,6 @@ __all__ = [
     "global_mean_pool",
     "concat_cols",
     "gather_rows",
-    "softmax_cross_entropy",
     "cross_entropy",
     "edge_pool",
     "unpool",
@@ -186,20 +188,16 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
     return Var(y, (x,), vjp)
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean negative log softmax probability of the true class.
+def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
+    """Mean negative log softmax probability of the true class: a scalar Var.
 
-    Returns (loss, gradient w.r.t. logits). Uses a stable log-sum-exp.
+    A stable log-sum-exp in double precision. ``labels`` follow the label
+    rule (:func:`~edgepool.graph._class_labels`): one integer class per
+    logit row, in ``[0, classes)``.
     """
-    logits64 = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    logits64 = np.asarray(logits.data, dtype=np.float64)
     n, c = logits64.shape
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},)")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
-        raise ValueError("label out of class range")
+    labels = _class_labels("labels", labels, "logit row", n, c)
     mx = logits64.max(axis=1, keepdims=True)
     shifted = logits64 - mx
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -208,15 +206,10 @@ def softmax_cross_entropy(
     grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, grad.astype(np.asarray(logits).dtype)
-
-
-def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
-    """Tape op wrapping :func:`softmax_cross_entropy`; yields a scalar Var."""
-    loss, base_grad = softmax_cross_entropy(logits.data, labels)
+    grad = grad.astype(logits.data.dtype)
 
     def vjp(dy):
-        return (float(dy) * base_grad,)
+        return (float(dy) * grad,)
 
     return Var(np.asarray(loss), (logits,), vjp)
 

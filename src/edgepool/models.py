@@ -20,9 +20,11 @@ each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
 run stops where it diverged. Before training or evaluating, each split is
 checked: graph indices are integers in ``[0, len(dataset))``, node masks are
-boolean with one entry per node, and the labels are a 1-D integer array with
-one entry per graph (or node), each in ``[0, num_classes)``. A bad or empty
-split, or a bad label, raises ``ValueError`` naming the argument.
+boolean with one entry per node (``_split``, which the task JSON reader also
+uses), and the labels are a 1-D integer array with one entry per graph (or
+node), each in ``[0, num_classes)`` (``graph._class_labels``, the rule of the
+loss and of ``node_split`` too). A bad or empty split, or a bad label, raises
+``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .autodiff import Var, backward
 from .data import GraphDataset, NodeTask
-from .graph import Graph, batch
+from .graph import Graph, _class_labels, batch
 from .layers import (
     batch_norm,
     concat_cols,
@@ -273,18 +275,6 @@ def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int)
             raise ValueError(f"non-finite gradient of {name} {where}")
 
 
-def _check_labels(name: str, labels, item: str, size: int, num_classes: int) -> None:
-    """Raise ValueError naming ``name`` unless ``labels`` is a 1-D integer array
-    with one entry per ``item`` (``size`` of them), each in ``[0, num_classes)``."""
-    labels = np.asarray(labels)
-    if labels.shape != (size,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be a 1-D integer array with one entry per {item} "
-                         f"({size}), got shape {labels.shape} and dtype {labels.dtype}")
-    outside = labels[(labels < 0) | (labels >= num_classes)]
-    if outside.size:
-        raise ValueError(f"{name} entry {outside[0]} is not a class in [0, {num_classes})")
-
-
 def _split(name: str, values, size: int, mask: bool = False) -> np.ndarray:
     """The non-empty split ``values`` of ``size`` items, as int64 indices.
 
@@ -356,7 +346,7 @@ def evaluate_graph_model(
 ) -> float:
     """Accuracy over the indexed graphs (at least one) with training behaviors off."""
     indices = _split("indices", indices, len(dataset))
-    _check_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
+    _class_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
     leaves = model.params.as_vars()
     correct = 0
     for chunk in _batches(indices, config.batch_size):
@@ -386,7 +376,7 @@ def train_graph_model(
     """
     train_idx = _split("train_idx", train_idx, len(dataset))
     eval_idx = _split("eval_idx", eval_idx, len(dataset))
-    _check_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
+    _class_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
     model = GraphClassifier.create(dataset.graphs[0].feature_width, dataset.num_classes,
                                    channels=config.channels, pooling=pooling, seed=config.seed)
 
@@ -411,7 +401,7 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
     """
     n = task.graph.num_nodes
     nodes = _split("test_mask", task.test_mask, n, mask=True)
-    _check_labels("node_labels", task.node_labels, "node", n, task.num_classes)
+    _class_labels("node_labels", task.node_labels, "node", n, task.num_classes)
     logits = model.forward(model.params.as_vars(), task.graph)
     pred = logits.data.argmax(axis=1)
     return float((pred[nodes] == task.node_labels[nodes]).mean())
@@ -435,7 +425,7 @@ def train_node_model(
     n = task.graph.num_nodes
     train_nodes = _split("train_mask", task.train_mask, n, mask=True)
     _split("test_mask", task.test_mask, n, mask=True)
-    _check_labels("node_labels", task.node_labels, "node", n, task.num_classes)
+    _class_labels("node_labels", task.node_labels, "node", n, task.num_classes)
     model = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=config.channels, conv_kind=conv_kind,
                                   pooling=pooling, seed=config.seed)

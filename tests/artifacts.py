@@ -12,7 +12,7 @@ are left out. Two trees write the same bytes when their outputs match::
     python tests/artifacts.py > change.txt
     diff parent.txt change.txt
 
-SRC defaults to this tree's ``src``. The run set takes about 15 s on two cores.
+SRC defaults to this tree's ``src``. The run set takes about 16 s on two cores.
 pytest does not collect this file; ``tests/test_cli.py`` runs it once.
 """
 
@@ -44,6 +44,17 @@ MAKE_TU = ("import sys; from edgepool import gen_synthetic, save_tu; "
            "save_tu(gen_synthetic('path_proteinlike', {'num_graphs': 40}, seed=3), "
            "sys.argv[1], 'P')")
 
+# Task JSON for `train-node --input`: an SBM task with its split given as
+# explicit `train_nodes` and `test_nodes`.
+MAKE_TASK = ("import json, sys; import numpy as np; from edgepool import gen_synthetic; "
+             "from edgepool.graph import graph_to_json; "
+             "t = gen_synthetic('sbm_node_task', {'nodes_per_block': 40, 'per_class_train': 5, "
+             "'per_class_test': 10}, seed=4); "
+             "obj = graph_to_json(t.graph) | {'node_labels': t.node_labels.tolist(), "
+             "'train_nodes': np.flatnonzero(t.train_mask).tolist(), "
+             "'test_nodes': np.flatnonzero(t.test_mask).tolist()}; "
+             "open(sys.argv[1], 'w', encoding='utf-8').write(json.dumps(obj))")
+
 # (run name, CLI arguments); "{in}" is the inputs directory, and each run
 # writes to --out <root>/<run name>.
 RUNS = [
@@ -56,6 +67,7 @@ RUNS = [
     *[(f"train_node_{c}_{p}", ["train-node", "--synthetic", "sbm", "--epochs", "3",
                                "--conv", c, "--pooling", p, "--quiet"])
       for c in ("mean", "mlp") for p in ("edgepool", "none")],
+    ("train_node_input", ["train-node", "--input", "{in}/task.json", "--epochs", "3", "--quiet"]),
     ("gradcheck", ["gradcheck"]),
     ("gradcheck_layers", ["gradcheck", "--cases", "layers"]),
     ("bench", ["bench", "--min-edges", "1e3", "--max-edges", "1e3"]),
@@ -75,6 +87,7 @@ def run_set(src: Path, root: Path) -> None:
     (inputs / "tu").mkdir(parents=True)
     (inputs / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
     _run(["-c", MAKE_TU, str(inputs / "tu")], src)
+    _run(["-c", MAKE_TASK, str(inputs / "task.json")], src)
     for name, args in RUNS:
         args = [a.replace("{in}", str(inputs)) for a in args]
         _run(["-m", "edgepool.cli", *args, "--out", str(root / name)], src)

@@ -1,11 +1,12 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and small fixed graphs shared by the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from edgepool import PoolParams, build_graph, edgepool_forward
+from edgepool import PoolParams, build_graph, edgepool_forward, symmetrize
+from edgepool.graph import Graph
 from edgepool.rng import seeded_rng
 
 
@@ -84,3 +85,23 @@ def pool_levels(draw):
     if kind == "perfect" and drop == 0.0:
         assert 2 * info.num_matched == n
     return graph, params, pooled, info, scores, rng
+
+
+def _symmetric(n: int, edges: list, rng, feature_width: int) -> Graph:
+    """Both directions of ``edges``; features are ones, or normal draws from ``rng``."""
+    x = (np.ones((n, feature_width)) if rng is None
+         else rng.normal(0.0, 1.0, size=(n, feature_width)))
+    return symmetrize(build_graph(n, edges, x))
+
+
+def make_path(n: int, rng=None, feature_width: int = 1) -> Graph:
+    return _symmetric(n, [(i, i + 1) for i in range(n - 1)], rng, feature_width)
+
+
+def make_cycle(n: int, rng=None, feature_width: int = 1) -> Graph:
+    return _symmetric(n, [(i, (i + 1) % n) for i in range(n)], rng, feature_width)
+
+
+def make_star(n: int, rng=None, feature_width: int = 1) -> Graph:
+    """Center node 0 plus n-1 leaves."""
+    return _symmetric(n, [(0, i) for i in range(1, n)], rng, feature_width)

@@ -29,18 +29,13 @@ from edgepool import (
     train_node_model,
     unpool_once,
 )
-from edgepool.data import (
-    make_connected_erdos_renyi,
-    make_cycle,
-    make_erdos_renyi,
-    make_path,
-    make_star,
-)
+from edgepool.data import make_connected_erdos_renyi, make_erdos_renyi
 from edgepool.cli import main as cli_main
 from edgepool.pool import normalize_scores, raw_scores
 from edgepool.rng import seeded_rng
 
 from oracles import naive_matching
+from strategies import make_cycle, make_path, make_star
 
 NOT_REPRODUCED = (
     "Not reproduced at this scale: the large social-interaction benchmarks "

@@ -411,12 +411,12 @@ class TestTrainNodeCommand:
         assert histories[0] == histories[1]
 
     @pytest.mark.parametrize("field, value, message", [
-        ("train_nodes", [0, 999], "not a node index"),
-        ("train_nodes", [-1, 0], "not a node index"),
+        ("train_nodes", [0, 999], "not an index"),
+        ("train_nodes", [-1, 0], "not an index"),
         ("train_nodes", [0.5, 1], "not a node index"),
         ("node_labels", [0] * 10, "one label per node"),
-        ("test_nodes", [], "non-empty"),
-        ("train_nodes", [], "non-empty"),
+        ("test_nodes", [], "is empty"),
+        ("train_nodes", [], "is empty"),
     ], ids=["index-past-end", "index-negative", "index-fractional", "labels-short",
             "test-empty", "train-empty"])
     def test_invalid_explicit_split_rejected(self, tmp_path, capsys, field, value, message):

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import gen_synthetic, kfold_splits, load_tu, node_split, save_tu
+from edgepool import (
+    TrainConfig, gen_synthetic, kfold_splits, load_tu, node_split, save_tu, train_node_model,
+)
 from edgepool.data import (
     GraphDataset,
     _label_codes,
     make_connected_erdos_renyi,
-    make_cycle,
     make_erdos_renyi,
-    make_path,
     make_sbm,
-    make_star,
 )
 from edgepool.graph import build_graph
 from edgepool.rng import seeded_rng
 
 from oracles import loop_load_tu
+from strategies import make_cycle, make_path, make_star
 
 
 def write_tu_fixture(directory, name="TOY"):
@@ -329,6 +329,26 @@ class TestNodeSplit:
         g, labels = self.task_graph()
         with pytest.raises(ValueError):
             node_split(g, labels[:-1], 5, 5)
+
+    # Labels are never cast (a cast would give labels + 0.7 the integer
+    # labels' task), and a negative count would empty a class's test split.
+    @pytest.mark.parametrize("relabel, counts, message", [
+        (lambda y: y + 0.7, (20, 30), "node_labels"),
+        (lambda y: y > 10, (20, 30), "node_labels"),
+        (lambda y: y, (-5, 10), "per_class_train"),
+        (lambda y: y, (20, -1), "per_class_test"),
+    ], ids=["float-labels", "bool-labels", "negative-train", "negative-test"])
+    def test_refused(self, relabel, counts, message):
+        g, labels = self.task_graph()
+        with pytest.raises(ValueError, match=message):
+            node_split(g, relabel(labels), *counts)
+
+    def test_zero_count_reaches_the_trainers_empty_split_check(self):
+        g, labels = self.task_graph()
+        task = node_split(g, labels, 0, 30)
+        assert not task.train_mask.any() and task.test_mask.sum() == 90
+        with pytest.raises(ValueError, match="train_mask is empty"):
+            train_node_model(task, TrainConfig(epochs=1, channels=4))
 
 
 class TestSynthetic:

@@ -32,7 +32,6 @@ from edgepool.layers import (
     feature_dropout,
     gather_rows,
     global_mean_pool,
-    softmax_cross_entropy,
 )
 from edgepool.params import (
     LR_HALVING_PERIOD, ParamStore, adam_step, glorot_uniform, lr_at_epoch, save_checkpoint,
@@ -454,46 +453,51 @@ class TestConcatGather:
         assert x.grad.ravel().tolist() == [11.0, 100.0]
 
 
+def loss_and_grad(logits, labels):
+    """The loss of the ``cross_entropy`` op and its ``backward`` gradient w.r.t. ``logits``."""
+    v = Var(np.asarray(logits))
+    loss = cross_entropy(v, labels)
+    backward(loss)
+    return float(loss.data), v.grad
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_classes(self):
-        loss, _ = softmax_cross_entropy(np.zeros((4, 3)), np.zeros(4, dtype=int))
+        loss, _ = loss_and_grad(np.zeros((4, 3)), np.zeros(4, dtype=int))
         assert loss == pytest.approx(np.log(3.0), rel=1e-12)
 
     def test_confident_correct_reference_value(self):
-        loss, _ = softmax_cross_entropy(np.asarray([[10.0, -10.0]]), np.asarray([0]))
+        loss, _ = loss_and_grad(np.asarray([[10.0, -10.0]]), np.asarray([0]))
         assert loss == pytest.approx(2.0611536181902037e-09, rel=1e-9)
 
     def test_gradient_rows_sum_to_zero(self):
         rng = seeded_rng(15, "ce")
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
-        _, grad = softmax_cross_entropy(logits, labels)
+        _, grad = loss_and_grad(logits, labels)
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
     def test_gradient_is_mean_softmax_minus_onehot(self):
         logits = np.asarray([[0.0, 0.0]])
-        _, grad = softmax_cross_entropy(logits, np.asarray([1]))
+        _, grad = loss_and_grad(logits, np.asarray([1]))
         assert np.allclose(grad, [[0.5, -0.5]])
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros((2, 3)), np.asarray([0, 3]))
-
-    def test_var_wrapper_matches(self):
-        rng = seeded_rng(16, "ce-var")
-        logits = rng.normal(size=(5, 3))
-        labels = rng.integers(0, 3, size=5)
-        ref_loss, ref_grad = softmax_cross_entropy(logits, labels)
-        v = Var(logits)
-        loss = cross_entropy(v, labels)
-        assert float(loss.data) == pytest.approx(ref_loss, rel=1e-12)
-        backward(loss)
-        assert np.allclose(v.grad, ref_grad)
+    # Labels are never cast: a cast would score [0.7, 2.9] as [0, 2] and
+    # [True, False] as [1, 0].
+    @pytest.mark.parametrize("labels", [
+        np.asarray([0.7, 2.9]),
+        np.asarray([True, False]),
+        np.asarray([0, 3]),
+        np.asarray([-1, 0]),
+        np.asarray([0, 1, 2]),
+    ], ids=["float", "bool", "past-classes", "negative", "wrong-length"])
+    def test_labels_refused(self, labels):
+        logits = Var(np.asarray([[0.0, 1.0, 2.0], [3.0, 1.0, 0.5]]))
+        with pytest.raises(ValueError, match="labels"):
+            cross_entropy(logits, labels)
 
     def test_stability_with_large_logits(self):
-        loss, grad = softmax_cross_entropy(
-            np.asarray([[1e4, 0.0], [0.0, 1e4]]), np.asarray([0, 1])
-        )
+        loss, grad = loss_and_grad(np.asarray([[1e4, 0.0], [0.0, 1e4]]), np.asarray([0, 1]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 

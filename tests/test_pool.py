@@ -18,7 +18,7 @@ from edgepool import (
     symmetrize,
     unpool_backward,
 )
-from edgepool.data import make_connected_erdos_renyi, make_cycle, make_sbm, make_star
+from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.pool import (
     _greedy_sweep,
     apply_score_dropout,
@@ -38,7 +38,7 @@ from oracles import (
     sequential_greedy,
     whole_array_score_path_backward,
 )
-from strategies import pool_levels, signed_rows, simple_digraphs
+from strategies import make_cycle, make_star, pool_levels, signed_rows, simple_digraphs
 
 
 def path_graph(n, feats=None):

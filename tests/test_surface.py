@@ -96,3 +96,14 @@ def test_nothing_settable_that_the_code_derives():
                       "PoolInfo": ["matching", "cluster_of", "node_score", "matched_edge_index"]}
     assert not hasattr(graph.Graph, "in_degrees")
     assert not hasattr(graph, "save_graph_file")
+
+
+def test_one_home_for_each_label_rule_and_no_test_generators():
+    # The loss is the tape op alone, and graphs that only tests build live
+    # with the tests.
+    from edgepool import data, layers
+
+    assert not hasattr(layers, "softmax_cross_entropy")
+    assert "softmax_cross_entropy" not in layers.__all__
+    for name in ("make_path", "make_cycle", "make_star"):
+        assert not hasattr(data, name) and name not in data.__all__

@@ -11,12 +11,12 @@ from edgepool import (
     unpool_backward,
     unpool_once,
 )
-from edgepool.data import make_connected_erdos_renyi, make_path
+from edgepool.data import make_connected_erdos_renyi
 from edgepool.pool import PoolInfo
 from edgepool.rng import seeded_rng
 
 from oracles import fancy_unpool_once, segment_sum_unpool_backward
-from strategies import pool_levels, signed_rows, simple_digraphs
+from strategies import make_path, pool_levels, signed_rows, simple_digraphs
 
 
 def pooled_instance(rng, n=10, f=3):
