@@ -59,7 +59,8 @@ def _topo_order(root: Var) -> list[Var]:
 def backward(root: Var, seed: np.ndarray | None = None) -> None:
     """Accumulate gradients of ``root`` into every Var it depends on.
 
-    ``seed`` defaults to ones, i.e. the gradient of root.sum().
+    ``seed`` defaults to ones, i.e. the gradient of root.sum(). Each gradient
+    a vjp returns is cast to its parent's dtype here, so no vjp casts its own.
     """
     root.grad = (
         np.ones_like(root.data) if seed is None else np.asarray(seed, dtype=root.data.dtype)

@@ -242,7 +242,7 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
     a_lines, ind_lines, attr_lines = [], [], []
     offset = 0
     for k, g in enumerate(dataset.graphs):
-        for u, v in g.edges:
+        for u, v in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
             a_lines.append(f"{u + 1 + offset}, {v + 1 + offset}")
         ind_lines.extend([str(k + 1)] * g.num_nodes)
         for row in g.node_features:

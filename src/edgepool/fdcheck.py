@@ -1,11 +1,13 @@
 """Finite-difference validation of every hand-written backward pass.
 
-Each registered case builds a small randomized problem, computes analytic
-gradients through the tape, then compares against central differences of
-a scalar projection of the output. Contraction choices are recorded as a
-structural fingerprint; if a perturbation flips the matching the case is
-rebuilt from a fresh seed, since the objective is only piecewise smooth
-across matching boundaries.
+The gate is one table, ``_CASES``: each case's name, its ``--cases`` group
+and its check, in report order. Every tape op of :mod:`edgepool.layers` has
+a case, and so do both models. A tape case builds a small randomized
+problem, computes analytic gradients through the tape, then compares
+against central differences of a scalar projection of the output.
+Contraction choices are recorded as a structural fingerprint; if a
+perturbation flips the matching the case is rebuilt from a fresh seed,
+since the objective is only piecewise smooth across matching boundaries.
 
 The ``corrupt`` flag scales one analytic gradient by 5 percent, proving
 the comparison actually has teeth.
@@ -14,6 +16,7 @@ the comparison actually has teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,9 +25,12 @@ from .data import make_connected_erdos_renyi
 from .graph import batch
 from .layers import (
     batch_norm,
+    concat_cols,
     cross_entropy,
     dense,
     edge_pool,
+    feature_dropout,
+    gather_rows,
     global_mean_pool,
     mean_conv,
     relu,
@@ -106,8 +112,9 @@ def _compare(name, analytic, numeric, rtol, atol):
     return GradCheckResult(name, ok, max_abs, max_rel, entries)
 
 
-def _check_case(name, build, seed, rtol, atol, corrupt):
-    """Run one FD comparison, rebuilding on matching flips."""
+def _check_case(build, tol, name, seed, corrupt):
+    """Run one FD comparison at ``tol`` = (rtol, atol), rebuilding on matching flips."""
+    rtol, atol = tol
     last_flip = None
     for attempt in range(FLIP_ATTEMPTS):
         rng = seeded_rng(seed, "gradcheck", name, attempt)
@@ -144,13 +151,13 @@ def _random_graph(rng, n=8, f=3, p=0.4):
 # (output Var, structural fingerprint).
 
 
-def _build_dense(rng):
-    inputs = {
-        "x": rng.normal(size=(5, 3)),
-        "w": rng.normal(size=(3, 4)),
-        "b": rng.normal(size=4),
-    }
-    return inputs, lambda v: (dense(v["x"], v["w"], v["b"]), None)
+def _normal_case(op, shapes, *constants):
+    """``op(*inputs, *constants)`` over standard-normal inputs of ``shapes``, in order."""
+    def build(rng):
+        inputs = {f"arg{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)}
+        return inputs, lambda v: (op(*v.values(), *constants), None)
+
+    return build
 
 
 def _build_mean_conv(rng):
@@ -185,18 +192,6 @@ def _build_relu(rng):
     return {"x": x}, lambda v: (relu(v["x"]), None)
 
 
-def _build_global_mean_pool(rng):
-    graph_id = np.asarray([0, 0, 0, 1, 1, 2, 2, 2], dtype=np.int64)
-    inputs = {"x": rng.normal(size=(8, 3))}
-    return inputs, lambda v: (global_mean_pool(v["x"], graph_id), None)
-
-
-def _build_cross_entropy(rng):
-    labels = np.asarray([0, 2, 1, 1], dtype=np.int64)
-    inputs = {"logits": rng.normal(size=(4, 3))}
-    return inputs, lambda v: (cross_entropy(v["logits"], labels), None)
-
-
 def _edge_pool_case(dropout_p: float):
     def build(rng):
         graph = _random_graph(rng, n=8, f=3, p=0.45)
@@ -211,8 +206,7 @@ def _edge_pool_case(dropout_p: float):
             out, _, _, info, scores = edge_pool(
                 v["x"], v["weight"], v["bias"], graph, dropout_p=dropout_p, seed=dropout_seed
             )
-            fp = (info.matching.tobytes(), scores.dropped.tobytes())
-            return out, fp
+            return out, (info.matching.tobytes(), scores.dropped.tobytes())
 
         return inputs, run
 
@@ -225,54 +219,45 @@ def _build_unpool(rng):
     inputs = {"x": rng.normal(size=(8, 3))}
 
     def run(v):
-        pooled, score, _, level_info, _ = edge_pool(
-            v["x"],
-            Var(params.weight.copy()),
-            Var(np.asarray(params.bias)),
-            graph,
+        pooled, score, _, info, _ = edge_pool(
+            v["x"], Var(params.weight.copy()), Var(np.asarray(params.bias)), graph
         )
-        fp = level_info.matching.tobytes()
-        return unpool(pooled, score, level_info), fp
+        return unpool(pooled, score, info), info.matching.tobytes()
+
+    return inputs, run
+
+
+def _model_run(model, labels, *graph_args):
+    """Inputs and run of a model's loss; the fingerprint is each level's matching."""
+    inputs = {name: p.data.astype(np.float64) for name, p in model.params.items()}
+
+    def run(v):
+        trace = []
+        loss = cross_entropy(model.forward(v, *graph_args, trace=trace), labels)
+        return loss, tuple(i.matching.tobytes() for i in trace)
 
     return inputs, run
 
 
 def _build_graph_model(rng):
     graphs = [_random_graph(rng, n=int(rng.integers(6, 10)), f=3) for _ in range(3)]
-    labels = np.asarray([0, 1, 0], dtype=np.int64)
     batched = batch(graphs)
     rng.integers(0, 2**31)  # discarded: the model seed is the stream's second draw
     model = GraphClassifier.create(3, 2, channels=4, pooling=True,
                                    seed=int(rng.integers(0, 2**31)))
-    inputs = {name: p.data.astype(np.float64) for name, p in model.params.items()}
-
-    def run(v):
-        trace = []
-        logits = model.forward(v, batched.graph, batched.graph_id, trace=trace)
-        loss = cross_entropy(logits, labels)
-        return loss, tuple(i.matching.tobytes() for i in trace)
-
-    return inputs, run
+    return _model_run(model, np.asarray([0, 1, 0]), batched.graph, batched.graph_id)
 
 
 def _build_node_model(rng):
     graph = _random_graph(rng, n=10, f=2, p=0.4)
-    labels = rng.integers(0, 2, size=10).astype(np.int64)
+    labels = rng.integers(0, 2, size=10)
     rng.integers(0, 2**31)  # discarded: the model seed is the stream's second draw
     model = NodeClassifier.create(2, 2, channels=3, conv_kind="mean", pooling=True,
                                   seed=int(rng.integers(0, 2**31)))
-    inputs = {name: p.data.astype(np.float64) for name, p in model.params.items()}
-
-    def run(v):
-        trace = []
-        logits = model.forward(v, graph, trace=trace)
-        loss = cross_entropy(logits, labels)
-        return loss, tuple(i.matching.tobytes() for i in trace)
-
-    return inputs, run
+    return _model_run(model, labels, graph)
 
 
-def _check_unpool_adjoint(seed, corrupt) -> GradCheckResult:
+def _check_unpool_adjoint(name, seed, corrupt) -> GradCheckResult:
     """Exact adjoint identity: <unpool(x), y> equals <x, unpool^T(y)>."""
     worst = 0.0
     for attempt in range(5):
@@ -288,51 +273,55 @@ def _check_unpool_adjoint(seed, corrupt) -> GradCheckResult:
             back = back * 1.05
         rhs = float((x * back).sum())
         worst = max(worst, abs(lhs - rhs))
-    return GradCheckResult("unpool_adjoint", worst <= 1e-8, worst, worst, 5)
+    return GradCheckResult(name, worst <= 1e-8, worst, worst, 5)
 
 
-_TAPE_CASES = {
-    "dense": (_build_dense, LAYER_TOL),
-    "mean_conv": (_build_mean_conv, LAYER_TOL),
-    "batch_norm": (_batch_norm_case(6), LAYER_TOL),
-    "batch_norm_one_row": (_batch_norm_case(1), LAYER_TOL),
-    "relu": (_build_relu, LAYER_TOL),
-    "global_mean_pool": (_build_global_mean_pool, LAYER_TOL),
-    "cross_entropy": (_build_cross_entropy, LAYER_TOL),
-    "edge_pool": (_edge_pool_case(0.0), LAYER_TOL),
-    "edge_pool_score_dropout": (_edge_pool_case(0.3), LAYER_TOL),
-    "unpool": (_build_unpool, LAYER_TOL),
-    "graph_model": (_build_graph_model, MODEL_TOL),
-    "node_model": (_build_node_model, MODEL_TOL),
+def _tape(build, tol=LAYER_TOL):
+    """Check of a tape case: finite differences of ``build``'s run at ``tol``."""
+    return partial(_check_case, build, tol)
+
+
+# Case name -> (``--cases`` group, check), in report order. A check maps
+# (name, seed, corrupt) to its result; every case is also in group "all".
+_CASES = {
+    "dense": ("layers", _tape(_normal_case(dense, [(5, 3), (3, 4), (4,)]))),
+    "mean_conv": ("layers", _tape(_build_mean_conv)),
+    "batch_norm": ("layers", _tape(_batch_norm_case(6))),
+    "batch_norm_one_row": ("layers", _tape(_batch_norm_case(1))),
+    "relu": ("layers", _tape(_build_relu)),
+    # A generator seeded alike on every evaluation: the differences see one mask.
+    "feature_dropout": ("layers", _tape(_normal_case(
+        lambda x: feature_dropout(x, 0.5, seeded_rng(0, "gradcheck-dropout")), [(6, 4)]))),
+    "global_mean_pool": ("layers", _tape(_normal_case(
+        global_mean_pool, [(8, 3)], np.asarray([0, 0, 0, 1, 1, 2, 2, 2])))),
+    "concat_cols": ("layers", _tape(_normal_case(concat_cols, [(4, 2), (4, 3)]))),
+    # Row 4 is read twice and row 3 never.
+    "gather_rows": ("layers", _tape(_normal_case(
+        gather_rows, [(5, 3)], np.asarray([4, 0, 4, 2, 1])))),
+    "cross_entropy": ("layers", _tape(_normal_case(
+        cross_entropy, [(4, 3)], np.asarray([0, 2, 1, 1])))),
+    "edge_pool": ("edgepool", _tape(_edge_pool_case(0.0))),
+    "edge_pool_score_dropout": ("edgepool", _tape(_edge_pool_case(0.3))),
+    "unpool": ("unpool", _tape(_build_unpool)),
+    "graph_model": (None, _tape(_build_graph_model, MODEL_TOL)),
+    "node_model": (None, _tape(_build_node_model, MODEL_TOL)),
+    "unpool_adjoint": ("unpool", _check_unpool_adjoint),
 }
 
-CASE_NAMES = tuple(_TAPE_CASES) + ("unpool_adjoint",)
+CASE_NAMES = tuple(_CASES)
 
 # The case sets ``edgepool gradcheck --cases`` selects by name.
-CASE_GROUPS = {
-    "all": list(CASE_NAMES),
-    "edgepool": ["edge_pool", "edge_pool_score_dropout"],
-    "unpool": ["unpool", "unpool_adjoint"],
-    "layers": ["dense", "mean_conv", "batch_norm", "batch_norm_one_row", "relu",
-               "global_mean_pool", "cross_entropy"],
+CASE_GROUPS = {"all": list(CASE_NAMES)} | {
+    group: [name for name, (g, _) in _CASES.items() if g == group]
+    for group, _ in _CASES.values() if group
 }
 
 
-def run_gradcheck(
-    seed: int = 0,
-    cases: list[str] | None = None,
-    corrupt: bool = False,
-) -> list[GradCheckResult]:
+def run_gradcheck(seed: int = 0, cases: list[str] | None = None,
+                  corrupt: bool = False) -> list[GradCheckResult]:
     """Run the requested cases (default: all) and return their results."""
     names = list(cases) if cases else list(CASE_NAMES)
     unknown = [n for n in names if n not in CASE_NAMES]
     if unknown:
         raise ValueError(f"unknown gradcheck cases: {unknown}; known: {list(CASE_NAMES)}")
-    results = []
-    for name in names:
-        if name == "unpool_adjoint":
-            results.append(_check_unpool_adjoint(seed, corrupt))
-            continue
-        build, (rtol, atol) = _TAPE_CASES[name]
-        results.append(_check_case(name, build, seed, rtol, atol, corrupt))
-    return results
+    return [_CASES[name][1](name, seed, corrupt) for name in names]

@@ -44,6 +44,8 @@ def _unit_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> spa
 
     A product sums each row's terms in ascending column order; where the
     columns of each row ascend in k, that is the order of a scatter-add in k.
+    The 1.0s are float64, and that is the one home of the sum precision: scipy
+    widens a float32 operand to float64, exactly, and the product is float64.
     """
     return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
 
@@ -348,7 +350,7 @@ def graph_to_json(graph: Graph) -> dict:
     """JSON-ready dict in the interchange graph format, without labels."""
     obj: dict = {
         "num_nodes": graph.num_nodes,
-        "edges": graph.edges.tolist(),
+        "edges": [[u, v] for u, v in zip(graph.edge_src.tolist(), graph.edge_dst.tolist())],
         "node_features": graph.node_features.tolist(),
     }
     if graph.edge_features is not None:
@@ -410,8 +412,7 @@ def _graph_and_labels(obj: dict) -> tuple[Graph, int | None, np.ndarray | None]:
         label = int(_json_array(label, "label", 0, integer=True, noun="an integer class label"))
     if labels is not None:
         labels = _json_array(labels, "node_labels", 1, integer=True, noun="an integer class label")
-        if labels.shape != (graph.num_nodes,):
-            raise ValueError(f"node_labels must hold one label per node ({graph.num_nodes})")
+        labels = _class_labels("node_labels", labels, "node", graph.num_nodes)
     return graph, label, labels
 
 

@@ -7,10 +7,16 @@ one label rule, ``graph._class_labels``: one integer class per logit row;
 float and boolean labels are refused, never cast. No op takes what it can
 work out: dropout takes a rate alone (rate 0 is the identity), and a
 readout counts graphs off ``graph_id``.
-Neighbor and segment reductions are products with unit-weight
-sparse operators (the graph's cached in-adjacency, or a segment matrix):
-they accumulate in double precision in fixed canonical order, then cast back
-to the activation dtype.
+Neighbor and segment reductions are products with unit-weight sparse
+operators (the graph's cached in-adjacency, or a segment matrix) in fixed
+canonical order. Two dtype rules have one home each. The operators' float64
+ones (``graph._unit_csr``) make every such sum double precision, as scipy
+widens a float32 operand exactly, so no op widens its own operand; and
+:func:`~edgepool.autodiff.backward` casts each gradient to its parent's
+dtype, so no vjp casts its result. The casts that stay are arithmetic: a
+forward sum back to the activation dtype, ``mean_conv``'s scatter before
+it joins the self term, ``cross_entropy``'s float64 gradient and
+``global_mean_pool``'s vjp division.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def _neighbor_mean(graph: Graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     node's in-neighbors in ascending (canonical) order. Also returns the
     inverse in-degrees (0 for isolated nodes), read off the operator's rows.
     """
-    acc = graph.in_adjacency @ x.astype(np.float64)
+    acc = graph.in_adjacency @ x
     deg = np.diff(graph.in_adjacency.indptr).astype(np.float64)
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
     return (acc * inv[:, None]).astype(x.dtype), inv
@@ -159,7 +165,7 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     counts = np.bincount(graph_id).astype(np.float64)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
-    acc = _segment_sum(graph_id, x.data.astype(np.float64), len(counts))
+    acc = _segment_sum(graph_id, x.data, len(counts))
     y = (acc / counts[:, None]).astype(x.data.dtype)
 
     def vjp(dy):
@@ -182,8 +188,7 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
     y = np.take(x.data, index, axis=0)
 
     def vjp(dy):
-        dx = _segment_sum(index, dy.astype(np.float64), x.data.shape[0])
-        return (dx.astype(x.data.dtype),)
+        return (_segment_sum(index, dy, x.data.shape[0]),)
 
     return Var(y, (x,), vjp)
 
@@ -250,7 +255,7 @@ def edge_pool(
         mi, mj = info.matching[:, 0], info.matching[:, 1]
         g_s = d_node_score[mi] + d_node_score[mj]
         gx, gw, gb = score_path_backward(scored_graph, params, info, scores, g_s)
-        return gx.astype(x.data.dtype), gw, np.asarray(gb)
+        return gx, gw, np.asarray(gb)
 
     score_var = Var(info.node_score, (x, weight, bias), vjp_score)
     return out, score_var, pooled, info, scores

@@ -461,7 +461,7 @@ def contract(
     del src_c, dst_c
     ef = None
     if graph.edge_features is not None:
-        ef = np.take(graph.edge_features, keep, axis=0).astype(np.float64)
+        ef = np.take(graph.edge_features, keep, axis=0)
     del keep
     uniq_key = _sorted_unique(key if ef is None else key.copy())
     if ef is not None:

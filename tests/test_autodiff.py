@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from edgepool import Var, backward, run_gradcheck
-from edgepool.fdcheck import CASE_NAMES
+from edgepool import Var, backward, layers, run_gradcheck
+from edgepool.fdcheck import CASE_GROUPS, CASE_NAMES
 from edgepool.rng import draw_seed, seeded_rng
 
 
@@ -89,3 +89,12 @@ class TestFdHarness:
         assert "graph_model" in CASE_NAMES
         assert "node_model" in CASE_NAMES
         assert "unpool_adjoint" in CASE_NAMES
+
+    def test_every_tape_op_has_a_case(self):
+        assert [op for op in layers.__all__ if op not in CASE_NAMES] == []
+
+    def test_layers_group_is_the_layer_cases(self):
+        # Every op but the pooling pair, and batch norm's one-row case.
+        ops = set(layers.__all__) - {"edge_pool", "unpool"}
+        assert set(CASE_GROUPS["layers"]) == ops | {"batch_norm_one_row"}
+        assert CASE_GROUPS["all"] == list(CASE_NAMES)

@@ -414,7 +414,7 @@ class TestTrainNodeCommand:
         ("train_nodes", [0, 999], "not an index"),
         ("train_nodes", [-1, 0], "not an index"),
         ("train_nodes", [0.5, 1], "not a node index"),
-        ("node_labels", [0] * 10, "one label per node"),
+        ("node_labels", [0] * 10, "one entry per node"),
         ("test_nodes", [], "is empty"),
         ("train_nodes", [], "is empty"),
     ], ids=["index-past-end", "index-negative", "index-fractional", "labels-short",

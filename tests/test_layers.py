@@ -409,23 +409,25 @@ class TestGlobalMeanPool:
         backward(y, np.asarray([[6.0], [5.0]]))
         assert np.allclose(x.grad, [[3.0], [3.0], [5.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @settings(max_examples=60, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
         seed=st.integers(0, 2**16),
     )
-    def test_bitwise_equal_to_scatter_reference_unsorted_ids(self, sizes, seed):
+    def test_bitwise_equal_to_scatter_reference_unsorted_ids(self, dtype, sizes, seed):
         # Pooled batches list clusters before unmatched nodes, so graph ids
-        # come out of order.
+        # come out of order. Float32 rows are summed in float64, then cast back.
         rng = seeded_rng(seed, "readout-scatter")
         graph_id = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-        x = spread_values(rng, (len(graph_id), 3), np.float64)
+        x = spread_values(rng, (len(graph_id), 3), dtype)
         y = global_mean_pool(Var(x), graph_id)
 
         acc = np.zeros((len(sizes), 3))
-        np.add.at(acc, graph_id, x)
+        np.add.at(acc, graph_id, x.astype(np.float64))
         counts = np.bincount(graph_id).astype(np.float64)
-        assert np.array_equal(y.data, acc / counts[:, None])
+        want = (acc / counts[:, None]).astype(dtype)
+        assert y.data.dtype == dtype and y.data.tobytes() == want.tobytes()
 
     def test_empty_graph_rejected(self):
         # Graph 1 lies below the largest id and has no node.
@@ -451,6 +453,18 @@ class TestConcatGather:
         assert y.data.ravel().tolist() == [1.0, 1.0, 2.0]
         backward(y, np.asarray([[1.0], [10.0], [100.0]]))
         assert x.grad.ravel().tolist() == [11.0, 100.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_vjp_bitwise_equal_to_scatter_reference(self, dtype):
+        # Repeated reads sum in float64 in read order; row 6 is never read.
+        rng = seeded_rng(15, "gather-scatter")
+        index = rng.integers(0, 6, size=40)
+        x = Var(np.zeros((7, 3), dtype))
+        dy = spread_values(rng, (40, 3), dtype)
+        backward(gather_rows(x, index), dy)
+        acc = np.zeros((7, 3))
+        np.add.at(acc, index, dy.astype(np.float64))
+        assert x.grad.dtype == dtype and x.grad.tobytes() == acc.astype(dtype).tobytes()
 
 
 def loss_and_grad(logits, labels):

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import edgepool
 from edgepool.params import ParamStore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CODELINES = Path(__file__).resolve().parent / "codelines.py"
 
 
 def readme_surface_names():
@@ -107,3 +109,12 @@ def test_one_home_for_each_label_rule_and_no_test_generators():
     assert "softmax_cross_entropy" not in layers.__all__
     for name in ("make_path", "make_cycle", "make_star"):
         assert not hasattr(data, name) and name not in data.__all__
+
+
+def test_line_counter_prints_lines_and_code_lines():
+    # tests/codelines.py is the count that each size claim quotes.
+    out = subprocess.run([sys.executable, str(CODELINES)], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert len(out) == 2 and all(word.isdigit() for word in out), out
+    lines, code = map(int, out)
+    assert 0 < code < lines
