@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -96,32 +97,81 @@ def _float32(tok: str) -> float:
     return value
 
 
-def _read_table(path, what: str, parse, dtype, columns: int | None = None) -> np.ndarray:
-    """Every non-blank line of ``path``, split at commas, each entry read by ``parse``:
-    a (lines, width) array of ``dtype``.
+# Each table dtype's entry rule, and the characters its entries may hold
+# besides whitespace. Once every character passes, Python's int() and float()
+# accept exactly the entries the rule accepts, but for the separators
+# U+001C..U+001F: whitespace to str.strip, and so to the rule, but not to them.
+_TABLE_RULES = {
+    np.int64: (integer, "0123456789+-"),
+    np.float32: (_float32, "0123456789+-.eE"),
+}
+_SEPARATORS_TO_SPACES = str.maketrans("\x1c\x1d\x1e\x1f", "    ")
+
+
+def _read_table(path, what: str, dtype, columns: int | None = None) -> np.ndarray:
+    """Every non-blank line of ``path``, split at commas, each entry read by
+    ``dtype``'s rule (:func:`integer` or :func:`_float32`): a (lines, width)
+    array of ``dtype``.
 
     With ``columns``, each line keeps its first ``columns`` entries; without,
     every line must have as many entries as the first. Raises ``ValueError``
-    naming ``path:line`` for a line that breaks either rule or has an entry
-    ``parse`` rejects.
+    naming ``path:line`` for the first line that breaks either rule or has an
+    entry the rule rejects.
+
+    The file is read whole: its characters are checked once, its entries
+    converted by one numpy call, and its line widths read off the separator
+    positions. Only a file that fails has its entries read by the rule one by
+    one, up to the first it rejects, to name that entry.
     """
-    rows, width = [], columns
+    parse, number_chars = _TABLE_RULES[dtype]
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+        text = fh.read()
+    if not text.endswith("\n"):
+        text += "\n"
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    present = [chr(c) for c in np.flatnonzero(np.bincount(codes)).tolist()]
+    space = np.zeros(ord(present[-1]) + 1, dtype=bool)
+    space[[ord(c) for c in present if c.isspace()]] = True
+    odd = any(not (c.isspace() or c == "," or c in number_chars) for c in present)
+
+    # Entry k ends at separator ends[k], on line line_of[k] (from 0).
+    ends = np.flatnonzero((codes == 10) | (codes == 44))
+    newline = codes[ends] == 10
+    line_of = np.cumsum(newline) - newline
+    filled = np.diff(np.cumsum(~space[codes] & (codes != 44))[ends], prepend=0) > 0
+    kept = filled | (np.bincount(line_of)[line_of] > 1)  # the entries of non-blank lines
+    entries = list(compress(text.replace("\n", ",").split(","), kept.tolist()))
+    widths = np.bincount(line_of[kept])
+    rows = np.flatnonzero(widths)
+    widths = widths[rows]
+    width = columns or (int(widths[0]) if len(rows) else 0)
+
+    numbers = entries
+    if space[0x1C:0x20].any():
+        numbers = [e.translate(_SEPARATORS_TO_SPACES) for e in entries]
+    try:
+        values = np.array(numbers, dtype=np.float64 if dtype is np.float32 else dtype)
+    except (ValueError, OverflowError):
+        values = None
+    bad_line, message = len(newline), None
+    if odd or values is None or (dtype is np.float32 and not np.all(np.abs(values) <= _FLOAT32_MAX)):
+        for k, entry in enumerate(entries):
             try:
-                row = [parse(tok) for tok in line.split(",")]
-                width = width or len(row)  # without columns, the first line's count
-                if len(row) < width:
-                    raise ValueError(f"needs {width} entries")
-                if len(row) > width and columns is None:
-                    raise ValueError(f"has {len(row)} entries, not the first line's {width}")
-                rows.append(row[:width])
+                parse(entry)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
-    return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
+                bad_line, message = line_of[kept][k], exc
+                break
+    wrong = np.flatnonzero((widths < width) | ((widths > width) & (columns is None)))
+    if len(wrong) and rows[wrong[0]] < bad_line:
+        bad_line, n = rows[wrong[0]], widths[wrong[0]]
+        message = (f"needs {width} entries" if n < width
+                   else f"has {n} entries, not the first line's {width}")
+    if message is not None:
+        line_ends = ends[newline]
+        line = text[line_ends[bad_line - 1] + 1 if bad_line else 0 : line_ends[bad_line]]
+        raise ValueError(f"{path}:{bad_line + 1}: bad {what} line {line.strip()!r}: {message}")
+    starts = np.cumsum(widths) - widths
+    return values[starts[:, None] + np.arange(width)].astype(dtype)
 
 
 def _label_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,9 +202,9 @@ def load_tu(directory, name: str) -> GraphDataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory {what} file: {path}")
 
-    indicator = _read_table(ind_path, "graph indicator", integer, np.int64, 1)[:, 0]
-    raw_labels = _read_table(lab_path, "graph label", integer, np.int64, 1)[:, 0]
-    edges_global = _read_table(a_path, "edge", integer, np.int64, 2)
+    indicator = _read_table(ind_path, "graph indicator", np.int64, 1)[:, 0]
+    raw_labels = _read_table(lab_path, "graph label", np.int64, 1)[:, 0]
+    edges_global = _read_table(a_path, "edge", np.int64, 2)
 
     total_nodes = len(indicator)
     num_graphs = len(raw_labels)
@@ -164,14 +214,14 @@ def load_tu(directory, name: str) -> GraphDataset:
     node_labels = None
     nl_path = _tu_path(directory, name, "node_labels")
     if os.path.exists(nl_path):
-        node_labels = _read_table(nl_path, "node label", integer, np.int64, 1)[:, 0]
+        node_labels = _read_table(nl_path, "node label", np.int64, 1)[:, 0]
         if len(node_labels) != total_nodes:
             raise ValueError("node label count != node count")
 
     attributes = None
     attr_path = _tu_path(directory, name, "node_attributes")
     if os.path.exists(attr_path):
-        attributes = _read_table(attr_path, "node attribute", _float32, np.float32)
+        attributes = _read_table(attr_path, "node attribute", np.float32)
         if attributes.shape[0] != total_nodes:
             raise ValueError("node attribute count != node count")
 

@@ -44,16 +44,16 @@ def _unit_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> spa
 
     A product sums each row's terms in ascending column order; where the
     columns of each row ascend in k, that is the order of a scatter-add in k.
-    The 1.0s are float64, and that is the one home of the sum precision: scipy
-    widens a float32 operand to float64, exactly, and the product is float64.
+    The 1.0s are float32, the one home of the sum precision: they widen
+    exactly, so a product sums in its operand's dtype (float32 or float64).
     """
-    return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+    return sparse.csr_array((np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=shape)
 
 
 def _segment_sum(index: np.ndarray, values: np.ndarray, num_segments: int) -> np.ndarray:
     """Row k of the result sums ``values[i]`` over ``index[i] == k``, in order of i.
 
-    Bit-identical to an in-order scatter-add into zeros; empty segments are 0.
+    Bit-identical to an in-order scatter-add in the values' dtype; empty segments are 0.
     """
     m = len(index)
     return _unit_csr(index, np.arange(m), (num_segments, m)) @ values

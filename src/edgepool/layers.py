@@ -9,14 +9,13 @@ work out: dropout takes a rate alone (rate 0 is the identity), and a
 readout counts graphs off ``graph_id``.
 Neighbor and segment reductions are products with unit-weight sparse
 operators (the graph's cached in-adjacency, or a segment matrix) in fixed
-canonical order. Two dtype rules have one home each. The operators' float64
-ones (``graph._unit_csr``) make every such sum double precision, as scipy
-widens a float32 operand exactly, so no op widens its own operand; and
-:func:`~edgepool.autodiff.backward` casts each gradient to its parent's
-dtype, so no vjp casts its result. The casts that stay are arithmetic: a
-forward sum back to the activation dtype, ``mean_conv``'s scatter before
-it joins the self term, ``cross_entropy``'s float64 gradient and
-``global_mean_pool``'s vjp division.
+canonical order. Two dtype rules have one home each. The operators' ones
+(``graph._unit_csr``) are float32 and widen exactly, so every such sum runs
+in its operand's dtype and no op widens its operand or casts a sum back;
+float64 stays in the pooling scorer, its softmax and the unpool divisions.
+And :func:`~edgepool.autodiff.backward` casts each gradient to its parent's
+dtype, so no vjp casts its result (``cross_entropy`` casts its float64
+gradient to the logits' dtype).
 """
 
 from __future__ import annotations
@@ -69,14 +68,15 @@ def dense(x: Var, weight: Var, bias: Var) -> Var:
 def _neighbor_mean(graph: Graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean of in-neighbor features per node; zero where there are none.
 
-    The sum is ``graph.in_adjacency @ x`` in double precision, adding each
+    The sum is ``graph.in_adjacency @ x`` in ``x``'s dtype, adding each
     node's in-neighbors in ascending (canonical) order. Also returns the
     inverse in-degrees (0 for isolated nodes), read off the operator's rows.
     """
     acc = graph.in_adjacency @ x
-    deg = np.diff(graph.in_adjacency.indptr).astype(np.float64)
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return (acc * inv[:, None]).astype(x.dtype), inv
+    deg = np.diff(graph.in_adjacency.indptr).astype(acc.dtype)
+    inv = np.where(deg > 0, 1 / np.maximum(deg, 1), 0)
+    acc *= inv[:, None]
+    return acc, inv
 
 
 def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var:
@@ -95,10 +95,8 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
     y = x.data @ w_self.data + nm @ w_neigh.data + bias.data
 
     def vjp(dy):
-        dx = dy @ w_self.data.T
         d_nm = dy @ w_neigh.data.T
-        scatter = graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
-        dx = dx + scatter.astype(dx.dtype)
+        dx = dy @ w_self.data.T + graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
         return dx, x.data.T @ dy, nm.T @ dy, dy.sum(axis=0)
 
     return Var(y, (x, w_self, w_neigh, bias), vjp)
@@ -162,14 +160,13 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``."""
     if x.data.shape[0] != len(graph_id):
         raise ValueError("activation rows != graph_id length")
-    counts = np.bincount(graph_id).astype(np.float64)
+    counts = np.bincount(graph_id).astype(x.data.dtype)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
-    acc = _segment_sum(graph_id, x.data, len(counts))
-    y = (acc / counts[:, None]).astype(x.data.dtype)
+    y = _segment_sum(graph_id, x.data, len(counts)) / counts[:, None]
 
     def vjp(dy):
-        return (np.take(dy / counts[:, None].astype(dy.dtype), graph_id, axis=0),)
+        return (np.take(dy / counts[:, None], graph_id, axis=0),)
 
     return Var(y, (x,), vjp)
 

@@ -466,7 +466,7 @@ def contract(
     uniq_key = _sorted_unique(key if ef is None else key.copy())
     if ef is not None:
         inverse = np.searchsorted(uniq_key, key)
-        ef = _segment_sum(inverse, ef, len(uniq_key)).astype(graph.edge_features.dtype)
+        ef = _segment_sum(inverse, ef, len(uniq_key))
         _require_finite(ef, "edge features")
 
     pooled = Graph(feats, uniq_key // n, uniq_key % n, ef)

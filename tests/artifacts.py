@@ -12,7 +12,13 @@ are left out. Two trees write the same bytes when their outputs match::
     python tests/artifacts.py > change.txt
     diff parent.txt change.txt
 
-SRC defaults to this tree's ``src``. The run set takes about 16 s on two cores.
+SRC defaults to this tree's ``src``. Given two source trees, it runs the set
+for each and prints only the ``run/file`` names whose digests differ (or that
+one tree alone wrote)::
+
+    python tests/artifacts.py /path/to/parent/src src
+
+The run set takes about 16 s on two cores.
 pytest does not collect this file; ``tests/test_cli.py`` runs it once.
 """
 
@@ -113,13 +119,30 @@ def digests(root: Path) -> dict[str, str]:
     return out
 
 
-def main(argv: list[str]) -> int:
-    src = Path(argv[0]).resolve() if argv else SRC
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """Sorted names whose digests differ between ``a`` and ``b``, or that one lacks."""
+    return sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
+
+
+def tree_digests(src: Path) -> dict[str, str]:
+    """:func:`digests` of the run set written with the ``edgepool`` under ``src``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         run_set(src, root)
-        for rel, sha in digests(root).items():
-            print(f"{sha}  {rel}")
+        return digests(root)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 2:
+        print("usage: artifacts.py [SRC | PARENT_SRC CHANGE_SRC]", file=sys.stderr)
+        return 2
+    runs = [tree_digests(Path(a).resolve()) for a in argv or [SRC]]
+    if len(runs) == 2:
+        lines = differing(*runs)
+    else:
+        lines = [f"{sha}  {rel}" for rel, sha in runs[0].items()]
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -377,6 +377,30 @@ def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
     return np.asarray(_read_lines(path, what, parse_row), dtype=np.int64).reshape(-1, columns)
 
 
+def loop_read_table(path, what: str, dtype, columns: int | None = None) -> np.ndarray:
+    """``edgepool.data._read_table`` as it was before it read a file whole: each
+    entry of each line read by ``dtype``'s rule, one Python call per entry.
+
+    With ``columns``, each line keeps its first ``columns`` entries; without,
+    every line must have as many entries as the first.
+    """
+    parse = _float32 if dtype is np.float32 else integer
+    width = columns
+
+    def parse_row(tokens):
+        nonlocal width
+        row = [parse(tok) for tok in tokens]
+        width = width or len(row)
+        if len(row) < width:
+            raise ValueError(f"needs {width} entries")
+        if len(row) > width and columns is None:
+            raise ValueError(f"has {len(row)} entries, not the first line's {width}")
+        return row[:width]
+
+    rows = _read_lines(path, what, parse_row)
+    return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
+
+
 def loop_load_tu(directory, name: str) -> GraphDataset:
     """``edgepool.data.load_tu`` as it was before edges were grouped by one
     sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph,

@@ -677,6 +677,12 @@ class TestManifestOutputs:
                 assert rel in digested or rel in digest_tool.TIMED, rel
             assert str(tmp_path) not in digest_tool._normalized_manifest(path, tmp_path).decode()
 
+    def test_digest_tool_diff_names_changed_and_one_sided_files(self):
+        parent = {"a/same": "1", "a/moved": "2", "b/gone": "3"}
+        change = {"a/same": "1", "a/moved": "4", "c/new": "5"}
+        assert digest_tool.differing(parent, change) == ["a/moved", "b/gone", "c/new"]
+        assert digest_tool.differing(parent, dict(parent)) == []
+
 
 @st.composite
 def odd_json_files(draw):

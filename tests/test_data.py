@@ -10,6 +10,7 @@ from edgepool import (
 from edgepool.data import (
     GraphDataset,
     _label_codes,
+    _read_table,
     make_connected_erdos_renyi,
     make_erdos_renyi,
     make_sbm,
@@ -17,7 +18,7 @@ from edgepool.data import (
 from edgepool.graph import build_graph
 from edgepool.rng import seeded_rng
 
-from oracles import loop_load_tu
+from oracles import loop_load_tu, loop_read_table
 from strategies import make_cycle, make_path, make_star
 
 
@@ -202,6 +203,41 @@ class TestLoadTuGrouping:
         with pytest.raises(ValueError) as want:
             loop_load_tu(d, "TOY")
         assert str(got.value) == str(want.value)
+
+
+TABLE_ENTRIES = ["1", "-3", "+07", "2.5", " .5", "1e3 ", "\u30008"] * 4 + [
+    "", " ", "1 2", "+", "e5", "nan", "1_0", "\u0661", "1e39", "1e400", "9223372036854775808",
+    "\x1c4", "4\x1c", "1\x1c2", "\xa05"]
+
+
+@st.composite
+def table_texts(draw):
+    """A table file's text: lines of entries, blank lines among them, with
+    any newline convention and with or without a last newline."""
+    lines = draw(st.lists(st.lists(st.sampled_from(TABLE_ENTRIES), max_size=4), max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(",".join(entries) for entries in lines) + draw(st.sampled_from(["", newline]))
+
+
+def table_or_error(read, path, dtype, columns):
+    try:
+        out = read(path, "entry", dtype, columns)
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestReadTable:
+    # _read_table checks and converts a file whole; the per-entry loop it
+    # replaced is the oracle, for the values and for each error message.
+    @settings(max_examples=400, deadline=None)
+    @given(text=table_texts(),
+           rule=st.sampled_from([(np.int64, 1), (np.int64, 2), (np.float32, None)]))
+    def test_reads_as_the_entry_loop_reads(self, tmp_path_factory, text, rule):
+        path = tmp_path_factory.mktemp("table") / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert (table_or_error(_read_table, path, *rule)
+                == table_or_error(loop_read_table, path, *rule))
 
 
 class TestSaveTu:

@@ -36,7 +36,7 @@ from edgepool.layers import (
 from edgepool.params import (
     LR_HALVING_PERIOD, ParamStore, adam_step, glorot_uniform, lr_at_epoch, save_checkpoint,
 )
-from edgepool.pool import apply_score_dropout
+from edgepool.pool import EdgeScores, apply_score_dropout, contract
 from edgepool.rng import seeded_rng
 
 from oracles import var_batch_norm
@@ -337,18 +337,17 @@ class TestMeanConv:
         y = mean_conv(g, Var(x), Var(ws), Var(wn), Var(b))
         grads = y.vjp(dy)
 
+        # Sums run in the activations' dtype; 1/deg is rounded from float64.
         src, dst = g.edge_src, g.edge_dst
-        acc = np.zeros((n, 5))
-        np.add.at(acc, dst, x[src].astype(np.float64))
+        acc = np.zeros((n, 5), dtype)
+        np.add.at(acc, dst, x[src])
         deg = np.bincount(dst, minlength=n).astype(np.float64)
-        inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        nm = (acc * inv[:, None]).astype(dtype)
+        inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0).astype(dtype)
+        nm = acc * inv[:, None]
         d_nm = dy @ wn.T
-        scatter = np.zeros((n, 5))
+        scatter = np.zeros((n, 5), dtype)
         np.add.at(scatter, src, d_nm[dst] * inv[dst][:, None])
-        expected = (
-            dy @ ws.T + scatter.astype(dtype), x.T @ dy, nm.T @ dy, dy.sum(axis=0)
-        )
+        expected = (dy @ ws.T + scatter, x.T @ dy, nm.T @ dy, dy.sum(axis=0))
         assert y.data.dtype == dtype
         assert np.array_equal(y.data, x @ ws + nm @ wn + b)
         for got, want in zip(grads, expected):
@@ -417,14 +416,15 @@ class TestGlobalMeanPool:
     )
     def test_bitwise_equal_to_scatter_reference_unsorted_ids(self, dtype, sizes, seed):
         # Pooled batches list clusters before unmatched nodes, so graph ids
-        # come out of order. Float32 rows are summed in float64, then cast back.
+        # come out of order. Rows are summed in their dtype; the float64
+        # division rounds to the bits of a division in that dtype.
         rng = seeded_rng(seed, "readout-scatter")
         graph_id = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         x = spread_values(rng, (len(graph_id), 3), dtype)
         y = global_mean_pool(Var(x), graph_id)
 
-        acc = np.zeros((len(sizes), 3))
-        np.add.at(acc, graph_id, x.astype(np.float64))
+        acc = np.zeros((len(sizes), 3), dtype)
+        np.add.at(acc, graph_id, x)
         counts = np.bincount(graph_id).astype(np.float64)
         want = (acc / counts[:, None]).astype(dtype)
         assert y.data.dtype == dtype and y.data.tobytes() == want.tobytes()
@@ -456,15 +456,40 @@ class TestConcatGather:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gather_rows_vjp_bitwise_equal_to_scatter_reference(self, dtype):
-        # Repeated reads sum in float64 in read order; row 6 is never read.
+        # Repeated reads sum in the gradient's dtype in read order; row 6 is
+        # never read.
         rng = seeded_rng(15, "gather-scatter")
         index = rng.integers(0, 6, size=40)
         x = Var(np.zeros((7, 3), dtype))
         dy = spread_values(rng, (40, 3), dtype)
         backward(gather_rows(x, index), dy)
-        acc = np.zeros((7, 3))
-        np.add.at(acc, index, dy.astype(np.float64))
-        assert x.grad.dtype == dtype and x.grad.tobytes() == acc.astype(dtype).tobytes()
+        acc = np.zeros((7, 3), dtype)
+        np.add.at(acc, index, dy)
+        assert x.grad.dtype == dtype and x.grad.tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["mean_conv", "global_mean_pool", "gather_rows", "contract"])
+def test_unit_operator_sums_keep_the_operand_dtype(op, dtype):
+    # Each op that sums through a unit operator returns its operand's dtype,
+    # forward and vjp; contract sums edge features.
+    rng = seeded_rng(16, "sum-dtype")
+    pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)]
+    g = build_graph(4, pairs, np.ones((4, 1)), rng.normal(size=(6, 2)).astype(dtype))
+    x = Var(rng.normal(size=(4, 3)).astype(dtype))
+    if op == "mean_conv":
+        w = [Var(rng.normal(size=shape).astype(dtype)) for shape in [(3, 2), (3, 2), (2,)]]
+        y = mean_conv(g, x, *w)
+        outs = [y.data, *y.vjp(np.ones_like(y.data))]
+    elif op == "global_mean_pool":
+        y = global_mean_pool(x, np.asarray([1, 0, 1, 1]))
+        outs = [y.data, *y.vjp(np.ones_like(y.data))]
+    elif op == "gather_rows":
+        outs = list(gather_rows(x, np.asarray([0, 3, 0])).vjp(np.ones((3, 3), dtype)))
+    else:
+        scores = EdgeScores(normalized=np.full(6, 0.5), dropped=np.zeros(6, dtype=bool))
+        outs = [contract(g, np.asarray([[0, 1], [2, 3]]), scores)[0].edge_features]
+    assert [a.dtype for a in outs] == [np.dtype(dtype)] * len(outs)
 
 
 def loss_and_grad(logits, labels):

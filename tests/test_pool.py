@@ -544,9 +544,10 @@ class TestContract:
         assert lookup[(0, 1)] == 1010.0
         assert lookup[(1, 0)] == 1010.0
 
-    def test_float32_edge_features_sum_in_float64(self):
+    def test_float32_edge_features_sum_in_float32(self):
         # Contracting (0,1) and (2,3) collapses the four edges from {0,1} to
-        # {2,3} into one. In float32, 1 + 2**-24 + 2**-24 would round to 1.
+        # {2,3} into one. In float32, 1 + 2**-24 + 2**-24 rounds to 1, where
+        # float64 would give 1 + 2**-23.
         pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (0, 3), (1, 2), (1, 3)]
         ef = np.asarray([[0.0], [0.0], [0.0], [0.0], [1.0], [2**-24], [2**-24], [0.0]],
                         dtype=np.float32)
@@ -555,12 +556,11 @@ class TestContract:
         pooled, info = contract(g, np.asarray([[0, 1], [2, 3]]), scores)
         src_c, dst_c = info.cluster_of[g.edge_src], info.cluster_of[g.edge_dst]
         keep = src_c != dst_c
-        want = np.zeros((1, 1))
-        np.add.at(want, np.zeros(keep.sum(), dtype=np.int64),
-                  g.edge_features[keep].astype(np.float64))
+        want = np.zeros((1, 1), np.float32)
+        np.add.at(want, np.zeros(keep.sum(), dtype=np.int64), g.edge_features[keep])
         assert pooled.edge_features.dtype == np.float32
-        assert pooled.edge_features.tobytes() == want.astype(np.float32).tobytes()
-        assert want[0, 0] == 1.0 + 2**-23
+        assert pooled.edge_features.tobytes() == want.tobytes()
+        assert want[0, 0] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(case=simple_digraphs(), seed=st.integers(0, 2**16))
