@@ -362,21 +362,6 @@ def _read_lines(path, what: str, parse_row) -> list[list]:
     return rows
 
 
-def _read_ints(path, what: str, columns: int = 1) -> np.ndarray:
-    """The first ``columns`` entries of each line of an integer file, (rows, columns) int64.
-
-    Every entry of every line must be an integer.
-    """
-
-    def parse_row(tokens):
-        row = [integer(tok) for tok in tokens]
-        if len(row) < columns:
-            raise ValueError(f"needs {columns} entries")
-        return row[:columns]
-
-    return np.asarray(_read_lines(path, what, parse_row), dtype=np.int64).reshape(-1, columns)
-
-
 def loop_read_table(path, what: str, dtype, columns: int | None = None) -> np.ndarray:
     """``edgepool.data._read_table`` as it was before it read a file whole: each
     entry of each line read by ``dtype``'s rule, one Python call per entry.
@@ -404,8 +389,8 @@ def loop_read_table(path, what: str, dtype, columns: int | None = None) -> np.nd
 def loop_load_tu(directory, name: str) -> GraphDataset:
     """``edgepool.data.load_tu`` as it was before edges were grouped by one
     sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph,
-    with the readers it had before one table reader replaced them (which
-    leave a ragged attribute file to numpy to refuse).
+    with per-entry readers (its attribute reader leaves a ragged attribute
+    file to numpy to refuse).
 
     Load one benchmark dataset from its plain-text files.
 
@@ -421,9 +406,9 @@ def loop_load_tu(directory, name: str) -> GraphDataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory {what} file: {path}")
 
-    indicator = _read_ints(ind_path, "graph indicator")[:, 0]
-    raw_labels = _read_ints(lab_path, "graph label")[:, 0]
-    edges_global = _read_ints(a_path, "edge", columns=2)
+    indicator = loop_read_table(ind_path, "graph indicator", np.int64, 1)[:, 0]
+    raw_labels = loop_read_table(lab_path, "graph label", np.int64, 1)[:, 0]
+    edges_global = loop_read_table(a_path, "edge", np.int64, 2)
 
     total_nodes = len(indicator)
     num_graphs = len(raw_labels)
@@ -433,7 +418,7 @@ def loop_load_tu(directory, name: str) -> GraphDataset:
     node_labels = None
     nl_path = _tu_path(directory, name, "node_labels")
     if os.path.exists(nl_path):
-        node_labels = _read_ints(nl_path, "node label")[:, 0]
+        node_labels = loop_read_table(nl_path, "node label", np.int64, 1)[:, 0]
         if len(node_labels) != total_nodes:
             raise ValueError("node label count != node count")
 
