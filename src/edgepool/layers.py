@@ -6,7 +6,8 @@ backward pass. The loss, :func:`cross_entropy`, takes its labels by the
 one label rule, ``graph._class_labels``: one integer class per logit row;
 float and boolean labels are refused, never cast. No op takes what it can
 work out: dropout takes a rate alone (rate 0 is the identity), and a
-readout counts graphs off ``graph_id``.
+readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
+gate and merge, whose vjps are the two halves of ``edgepool_backward``.
 Neighbor and segment reductions are products with unit-weight sparse
 operators (the graph's cached in-adjacency, or a segment matrix) in fixed
 canonical order. Two dtype rules have one home each. The operators' ones
@@ -29,7 +30,8 @@ from .pool import (
     PoolInfo,
     PoolParams,
     _check_dropout_rate,
-    edgepool_backward,
+    _add_gated_rows,
+    _gate_gradient,
     edgepool_forward,
     score_path_backward,
 )
@@ -224,53 +226,48 @@ def edge_pool(
     dropout_p: float = 0.0,
     seed: int | None = None,
 ) -> tuple[Var, Var, Graph, PoolInfo, EdgeScores]:
-    """Tape op for one pooling level over the current activations.
+    """Tape ops for one pooling level, :func:`edgepool_forward`, as two ops.
 
-    A thin wrapper: the pooling math is :func:`edgepool_forward`,
-    :func:`edgepool_backward` and :func:`score_path_backward`. Edge-score
-    dropout at rate ``dropout_p`` needs a ``seed``; rate 0 drops nothing.
-    Returns (pooled activations, per-node gating scores, pooled graph, level
-    info, edge scores). The gating-score Var lets later consumers (unpooling
-    divides by it) propagate gradient back into the scorer; the matching
-    itself is a constant of the backward pass.
+    The gate, the matched pairs' normalized scores in matching order, shape
+    (k,), has parents (x, weight, bias) and vjp :func:`score_path_backward`.
+    The pooled activations have parents (x, gate) and the merge adjoint as
+    vjp. Edge-score dropout at rate ``dropout_p`` needs a ``seed``; rate 0
+    drops nothing. Returns (pooled activations, gate, pooled graph, level
+    info, edge scores); the matching is a constant of the backward.
     """
     scored_graph = graph.with_node_features(x.data)
     params = PoolParams(weight=weight.data, bias=float(bias.data))
-    pooled, info, scores = edgepool_forward(
-        scored_graph, params, training=dropout_p > 0.0, dropout_p=dropout_p, seed=seed
-    )
+    pooled, info, scores = edgepool_forward(scored_graph, params, training=dropout_p > 0.0,
+                                            dropout_p=dropout_p, seed=seed)
+
+    gate = Var(scores.normalized[info.matched_edge_index], (x, weight, bias),
+               lambda g_s: score_path_backward(scored_graph, params, info, scores, g_s))
 
     def vjp(dy):
-        gx, gw, gb = edgepool_backward(scored_graph, params, info, scores, dy)
-        return gx, gw, np.asarray(gb)
+        gx = _add_gated_rows(info, dy, np.zeros_like(x.data))
+        return gx, _gate_gradient(scored_graph, info, dy)
 
-    out = Var(pooled.node_features, (x, weight, bias), vjp)
-
-    def vjp_score(d_node_score):
-        # Unmatched node scores are the constant 1.0; only matched pairs
-        # carry gradient, both members contributing to their edge's score.
-        mi, mj = info.matching[:, 0], info.matching[:, 1]
-        g_s = d_node_score[mi] + d_node_score[mj]
-        gx, gw, gb = score_path_backward(scored_graph, params, info, scores, g_s)
-        return gx, gw, np.asarray(gb)
-
-    score_var = Var(info.node_score, (x, weight, bias), vjp_score)
-    return out, score_var, pooled, info, scores
+    return Var(pooled.node_features, (x, gate), vjp), gate, pooled, info, scores
 
 
-def unpool(x: Var, node_score: Var, info: PoolInfo) -> Var:
+def unpool(x: Var, gate: Var, info: PoolInfo) -> Var:
     """Tape op for one unpooling level (duplicate rows, divide by gate).
 
-    ``node_score`` is the gating-score Var returned by :func:`edge_pool`
-    for the same level; the division's score dependence is differentiated
-    through it.
+    ``gate`` is the gate Var that :func:`edge_pool` returned for the same
+    level, shape (k,), else ``ValueError``; the division's score dependence
+    is differentiated through it.
     """
+    if gate.data.shape != (info.num_matched,):
+        raise ValueError(f"gate must have shape ({info.num_matched},), got {gate.data.shape}")
     y = unpool_once(x.data, info)
 
     def vjp(dy):
-        dy64 = np.asarray(dy, dtype=np.float64)
-        d_score = -np.einsum("nf,nf->n", dy64, np.asarray(y, dtype=np.float64))
-        d_score /= info.node_score
-        return _unpool_adjoint(dy, info), d_score
+        # Per pair, the sum over both members' rows of -<dy, y> over the gate.
+        # einsum widens rows in its 8192-entry buffer, which sums a row of
+        # up to 8192 entries as its float64 copy would.
+        rows, k = info.matching.T.ravel(), info.num_matched
+        d = -np.einsum("nf,nf->n", np.take(dy, rows, axis=0), np.take(y, rows, axis=0),
+                       dtype=np.float64) / info.node_score[rows]
+        return _unpool_adjoint(dy, info), d[:k] + d[k:]
 
-    return Var(y, (x, node_score), vjp)
+    return Var(y, (x, gate), vjp)

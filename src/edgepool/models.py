@@ -106,7 +106,7 @@ def _conv(leaves, name: str, graph: Graph, x: Var) -> Var:
 def _pool(leaves, name: str, x: Var, graph: Graph, rng, training: bool, trace):
     """One edge-contraction level scored by ``name``; appends its info to ``trace``.
 
-    Returns (pooled activations, gating-score Var, pooled graph, info). A
+    Returns (pooled activations, per-pair gate Var, pooled graph, info). A
     store without ``{name}.weight`` does not pool here: the level comes back
     unchanged, with no score or info, and nothing is drawn from ``rng``.
     """

@@ -169,14 +169,16 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
 
     For edge (i, j): weight . (features_i ++ features_j [++ edge_features])
     plus bias. The node terms are projected once per node, then gathered.
+    Each projection is a row dot (``np.einsum``), the same in a batch as
+    alone; a BLAS matrix-vector product's row sums depend on the row count.
     """
     f = _check_widths(graph, params)
     w = np.asarray(params.weight, dtype=np.float64)
     x = graph.node_features.astype(np.float64, copy=False)
-    r = (x @ w[:f])[graph.edge_src]
-    r += (x @ w[f : 2 * f])[graph.edge_dst]
+    r = np.einsum("ij,j->i", x, w[:f])[graph.edge_src]
+    r += np.einsum("ij,j->i", x, w[f : 2 * f])[graph.edge_dst]
     if graph.edge_feature_width:
-        r += graph.edge_features.astype(np.float64, copy=False) @ w[2 * f :]
+        r += np.einsum("ij,j->i", graph.edge_features.astype(np.float64, copy=False), w[2 * f :])
     r += float(params.bias)
     return r
 
@@ -531,25 +533,39 @@ def edgepool_backward(
     scorer weight (float64, as the scorer computes in float64) and the
     scorer bias. The matching is a constant of the backward pass;
     the gradient flows through the gating score, whose softmax couples all
-    non-dropped edges sharing a destination with a matched edge.
+    non-dropped edges sharing a destination with a matched edge. It composes
+    the vjps of ``layers.edge_pool``'s two ops: the merge adjoint
+    (:func:`_gate_gradient`, :func:`_add_gated_rows`) and the gate's,
+    :func:`score_path_backward`.
     """
     upstream = np.asarray(upstream_grad)
     if upstream.shape != (info.pooled_num_nodes, graph.feature_width):
         raise ValueError(f"upstream gradient must have shape "
                          f"({info.pooled_num_nodes}, {graph.feature_width})")
-    g_s = np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
-                    _pair_features(graph, info.matching))
+    g_s = _gate_gradient(graph, info, upstream)
     # The score term holds no -0.0, so adding the row terms to it in place
     # rounds exactly as adding it to them.
     grad_x, grad_w, grad_b = score_path_backward(graph, params, info, scores, g_s)
-    # Every node's cluster row times its gate, which is exactly 1.0 for an
-    # unmatched node (a pass-through) and the pair's score for both members.
-    for rows in _row_blocks(graph.num_nodes, graph.feature_width):
+    _add_gated_rows(info, upstream, grad_x)
+    return grad_x.astype(graph.node_features.dtype), grad_w, grad_b
+
+
+def _gate_gradient(graph: Graph, info: PoolInfo, upstream: np.ndarray) -> np.ndarray:
+    """Float64 gradient w.r.t. each pair's gate: its pooled row's upstream
+    gradient dotted with the pair's pre-gating features."""
+    return np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
+                     _pair_features(graph, info.matching))
+
+
+def _add_gated_rows(info: PoolInfo, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` plus every node's cluster row times its gate, added in place
+    in float64 row blocks; the gate is exactly 1.0 for an unmatched node (a
+    pass-through) and the pair's score for both members."""
+    for rows in _row_blocks(*out.shape):
         term = np.take(upstream, info.cluster_of[rows], axis=0).astype(np.float64, copy=False)
         term *= info.node_score[rows, None]
-        grad_x[rows] += term
-
-    return grad_x.astype(graph.node_features.dtype), grad_w, grad_b
+        out[rows] += term
+    return out
 
 
 def score_path_backward(
@@ -563,9 +579,9 @@ def score_path_backward(
 
     ``g_s`` is the loss gradient w.r.t. the normalized score of each
     matched edge, ordered like info.matching. Returns gradients w.r.t.
-    node features, scorer weight, and scorer bias. Shared by the merge
-    gating and by any later consumer of the scores (unpooling divides by
-    them), both of which route their score gradients through here.
+    node features, scorer weight, and scorer bias. It is the vjp of
+    ``layers.edge_pool``'s gate, which the tape runs once per backward,
+    with the gradients of all the gate's consumers summed.
     """
     v, f = graph.num_nodes, graph.feature_width
     w = np.asarray(params.weight, dtype=np.float64)

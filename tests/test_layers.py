@@ -36,11 +36,11 @@ from edgepool.layers import (
 from edgepool.params import (
     LR_HALVING_PERIOD, ParamStore, adam_step, glorot_uniform, lr_at_epoch, save_checkpoint,
 )
-from edgepool.pool import EdgeScores, apply_score_dropout, contract
+from edgepool.pool import EdgeScores, apply_score_dropout, contract, score_path_backward
 from edgepool.rng import seeded_rng
 
 from oracles import var_batch_norm
-from strategies import simple_digraphs
+from strategies import pool_levels, signed_rows, simple_digraphs
 
 
 class TestTrainConfig:
@@ -562,7 +562,7 @@ class TestEdgePoolLayer:
         for dtype, mode in self.CASES:
             case = f"{dtype.__name__} {mode}"
             rng, g, x, w, b = self.instance(0, dtype)
-            out, score_var, pooled, info, scores = edge_pool(x, w, b, g, **mode)
+            out, gate, pooled, info, scores = edge_pool(x, w, b, g, **mode)
             ref, ref_info, ref_scores = edgepool_forward(
                 g.with_node_features(x.data),
                 PoolParams(weight=w.data, bias=float(b.data)), training=bool(mode), **mode,
@@ -572,7 +572,11 @@ class TestEdgePoolLayer:
             assert np.array_equal(out.data, ref.node_features), case
             assert np.array_equal(pooled.edges, ref.edges), case
             assert np.array_equal(info.matching, ref_info.matching), case
-            assert np.array_equal(score_var.data, ref_info.node_score), case
+            # One gate per matched pair, in matching order.
+            assert gate.data.shape == (info.num_matched,), case
+            assert np.array_equal(
+                gate.data, ref_scores.normalized[ref_info.matched_edge_index]
+            ), case
             assert np.array_equal(scores.normalized, ref_scores.normalized), case
             assert np.array_equal(scores.dropped, ref_scores.dropped), case
 
@@ -590,9 +594,21 @@ class TestEdgePoolLayer:
                 info, scores, upstream,
             )
             assert x.grad.dtype == gx.dtype == dtype, case
-            assert np.array_equal(x.grad, gx), case
-            assert np.array_equal(w.grad, gw), case
+            assert w.grad.tobytes() == gw.tobytes(), case
             assert float(b.grad) == gb, case
+            if dtype == np.float64:
+                assert x.grad.tobytes() == gx.tobytes(), case
+                continue
+            # In float32 the tape adds the two halves, the merge adjoint and
+            # the score path, each cast to float32 on its own.
+            merge = upstream[info.cluster_of].astype(np.float64) * info.node_score[:, None]
+            mi, mj = info.matching[:, 0], info.matching[:, 1]
+            g_s = np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
+                            x.data[mi].astype(np.float64) + x.data[mj])
+            path = score_path_backward(g.with_node_features(x.data),
+                                       PoolParams(weight=w.data, bias=float(b.data)),
+                                       info, scores, g_s)[0]
+            assert x.grad.tobytes() == (merge.astype(dtype) + path.astype(dtype)).tobytes(), case
 
 
 class TestUnpoolLayer:
@@ -602,15 +618,44 @@ class TestUnpoolLayer:
         x = Var(rng.normal(size=(8, 3)))
         w = Var(rng.normal(size=6))
         b = Var(np.asarray(0.0))
-        out, score_var, pooled, info, _ = edge_pool(x, w, b, g)
+        out, gate, pooled, info, _ = edge_pool(x, w, b, g)
         h = Var(rng.normal(size=out.data.shape))
-        frozen_score = Var(info.node_score)  # leaf: isolates the feature path
-        y = unpool(h, frozen_score, info)
+        frozen_gate = Var(gate.data.copy())  # leaf: isolates the feature path
+        y = unpool(h, frozen_gate, info)
         assert y.data.shape == (g.num_nodes, 3)
         assert np.allclose(y.data, h.data[info.cluster_of] / info.node_score[:, None])
         upstream = rng.normal(size=y.data.shape)
         backward(y, upstream)
         assert np.allclose(h.grad, unpool_backward(upstream, info))
-        # The score leaf received the division's gradient.
-        expected = -np.einsum("nf,nf->n", upstream, y.data) / info.node_score
-        assert np.allclose(frozen_score.grad, expected)
+        # The gate leaf received the division's gradient, both members per pair.
+        d = -np.einsum("nf,nf->n", upstream, y.data) / info.node_score
+        mi, mj = info.matching[:, 0], info.matching[:, 1]
+        assert frozen_gate.grad.shape == (info.num_matched,)
+        assert np.allclose(frozen_gate.grad, d[mi] + d[mj])
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=pool_levels(), width=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 300]))
+    def test_gate_gradient_bitwise_equal_to_all_rows_formula(self, level, width):
+        # The vjp dots the 2k matched rows alone; the formula dots every row.
+        graph, _, pooled, info, _, rng = level
+        dtype = graph.node_features.dtype
+        h = Var(signed_rows(rng, (pooled.num_nodes, width), dtype))
+        gate = Var(info.node_score[info.matching[:, 0]])
+        y = unpool(h, gate, info)
+        upstream = signed_rows(rng, y.data.shape, dtype)
+        backward(y, upstream)
+        d = -np.einsum("nf,nf->n", upstream.astype(np.float64), y.data.astype(np.float64))
+        d /= info.node_score
+        want = d[info.matching[:, 0]] + d[info.matching[:, 1]]
+        assert gate.grad.dtype == np.float64
+        assert gate.grad.tobytes() == want.tobytes()
+
+    def test_gate_of_another_shape_is_refused(self):
+        rng = seeded_rng(18, "unpool-gate")
+        g = make_connected_erdos_renyi(8, 0.4, rng, feature_width=3)
+        out, gate, _, info, _ = edge_pool(Var(g.node_features), Var(rng.normal(size=6)),
+                                          Var(np.asarray(0.0)), g)
+        assert info.num_matched > 0
+        for bad in (info.node_score, gate.data[:-1], gate.data[:, None]):
+            with pytest.raises(ValueError, match="gate must have shape"):
+                unpool(out, Var(bad), info)

@@ -11,13 +11,15 @@ from edgepool import (
     build_graph,
     NodeClassifier,
     TrainConfig,
+    backward,
     batch,
+    cross_entropy,
     gen_synthetic,
     symmetrize,
     train_graph_model,
     train_node_model,
 )
-from edgepool import models
+from edgepool import layers, models, pool
 from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
@@ -303,6 +305,37 @@ def test_evaluation_runs_both_dropout_stages_at_rate_zero(kind):
               for training in (False, True) for seed in (1, 2)}
     assert logits[False, 1].tobytes() == logits[False, 2].tobytes()
     assert logits[True, 1].tobytes() != logits[True, 2].tobytes()
+
+
+@pytest.mark.parametrize("kind, levels", [("graph", 3), ("node", 2)])
+def test_one_backward_runs_each_levels_score_path_once(kind, levels, monkeypatch):
+    # The tape sums every consumer's gradient into a level's gate (the
+    # merge's, and in the node model the unpooling's) before its one vjp.
+    calls = []
+    real = pool.score_path_backward
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for module in (layers, pool):  # every binding, wherever it is called from
+        monkeypatch.setattr(module, "score_path_backward", counted)
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=6)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        batched = batch(ds.graphs)
+        args, labels = (batched.graph, batched.graph_id), ds.labels
+    else:
+        task = node_fixture()
+        m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+        args, labels = (task.graph,), task.node_labels
+    trace = []
+    loss = cross_entropy(m.forward(m.params.as_vars(), *args, training=True, seed=1,
+                                   trace=trace), labels)
+    assert calls == []
+    backward(loss)
+    assert len(trace) == levels
+    assert sorted(map(id, calls)) == sorted(map(id, trace))
 
 
 def param_bytes(model):

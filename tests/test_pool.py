@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from edgepool import (
     EdgeScores,
     PoolParams,
+    batch,
     build_graph,
     edgepool_backward,
     edgepool_forward,
@@ -868,6 +869,59 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@st.composite
+def graph_batches(draw):
+    """(graphs, params): 1-5 random digraphs of one feature width, dtype and
+    edge-feature width, with standard normal features, and a scorer for them.
+
+    Features of one scale keep the softmax unsaturated, so that a rounding
+    difference in a raw score shows in the normalized ones."""
+    f = draw(st.sampled_from([1, 3, 8, 64]))
+    g = draw(st.integers(0, 2))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "graph-batch")
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n, pairs = draw(simple_digraphs())
+        ef = rng.normal(size=(len(pairs), g)).astype(dtype) if g else None
+        graphs.append(build_graph(n, pairs, rng.normal(size=(n, f)).astype(dtype), ef))
+    return graphs, PoolParams(weight=rng.normal(size=2 * f + g), bias=float(rng.normal()))
+
+
+class TestBatchMates:
+    """A graph pools the same in a batch as alone, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=graph_batches(), seed=st.integers(0, 2**16))
+    def test_forward_and_backward_do_not_depend_on_batch_mates(self, case, seed):
+        graphs, params = case
+        batched = batch(graphs)
+        pooled, info, scores = edgepool_forward(batched.graph, params)
+        rng = seeded_rng(seed, "batch-mates")
+        upstream = signed_rows(rng, pooled.node_features.shape, pooled.node_features.dtype)
+        grad_x = edgepool_backward(batched.graph, params, info, scores, upstream)[0]
+        node_off = edge_off = 0
+        for graph in graphs:
+            nodes = slice(node_off, node_off + graph.num_nodes)
+            edges = slice(edge_off, edge_off + graph.num_edges)
+            node_off, edge_off = nodes.stop, edges.stop
+            assert np.array_equal(batched.graph.edge_src[edges] - nodes.start, graph.edge_src)
+            one_pooled, one_info, one_scores = edgepool_forward(graph, params)
+            assert scores.normalized[edges].tobytes() == one_scores.normalized.tobytes()
+            mine = (info.matching >= nodes.start).all(1) & (info.matching < nodes.stop).all(1)
+            assert np.array_equal(info.matching[mine] - nodes.start, one_info.matching)
+            assert info.node_score[nodes].tobytes() == one_info.node_score.tobytes()
+            cluster = info.cluster_of[nodes]
+            one_cluster = one_info.cluster_of
+            assert (np.take(pooled.node_features, cluster, axis=0).tobytes()
+                    == np.take(one_pooled.node_features, one_cluster, axis=0).tobytes())
+            # The same upstream rows for the graph's pooled nodes, alone.
+            one_upstream = np.empty_like(one_pooled.node_features)
+            one_upstream[one_cluster] = upstream[cluster]
+            one_grad_x = edgepool_backward(graph, params, one_info, one_scores, one_upstream)[0]
+            assert grad_x[nodes].tobytes() == one_grad_x.tobytes()
 
 
 class TestBackward:
