@@ -371,12 +371,17 @@ def _node_task(graph: Graph, node_labels: np.ndarray, train_mask: np.ndarray,
                     test_mask=test_mask, num_classes=num_classes)
 
 
+def _upper_edges(n: int, p, rng: np.random.Generator) -> np.ndarray:
+    """Pairs i < j, each kept with probability ``p`` (a scalar or an (n, n)
+    array) by one (n, n) uniform draw, as a (m, 2) array in row order."""
+    iu = np.triu_indices(n, k=1)
+    take = (rng.random((n, n)) < p)[iu]
+    return np.stack([iu[0][take], iu[1][take]], axis=1)
+
+
 def make_erdos_renyi(n: int, p: float, rng: np.random.Generator, feature_width: int = 1) -> Graph:
     """Undirected G(n, p), stored with both edge directions."""
-    mask = rng.random((n, n)) < p
-    iu = np.triu_indices(n, k=1)
-    take = mask[iu]
-    edges = np.stack([iu[0][take], iu[1][take]], axis=1)
+    edges = _upper_edges(n, p, rng)
     return symmetrize(build_graph(n, edges, rng.normal(0.0, 1.0, size=(n, feature_width))))
 
 
@@ -419,11 +424,7 @@ def make_sbm(
         raise ValueError("feature_width must be at least num_blocks")
     n = num_blocks * nodes_per_block
     blocks = np.repeat(np.arange(num_blocks), nodes_per_block)
-    prob = np.where(blocks[:, None] == blocks[None, :], p_in, p_out)
-    mask = rng.random((n, n)) < prob
-    iu = np.triu_indices(n, k=1)
-    take = mask[iu]
-    edges = np.stack([iu[0][take], iu[1][take]], axis=1)
+    edges = _upper_edges(n, np.where(blocks[:, None] == blocks[None, :], p_in, p_out), rng)
     features = rng.normal(0.0, feature_noise, size=(n, feature_width))
     features[np.arange(n), blocks] += signal
     graph = symmetrize(build_graph(n, edges, features.astype(np.float32)))

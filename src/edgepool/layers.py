@@ -4,9 +4,10 @@ All ops take and return :class:`~edgepool.autodiff.Var` nodes. Structural
 inputs (graphs, index vectors, labels, dropout masks) are constants of the
 backward pass. The loss, :func:`cross_entropy`, takes its labels by the
 one label rule, ``graph._class_labels``: one integer class per logit row;
-float and boolean labels are refused, never cast. No op takes what it can
-work out: dropout takes a rate alone (rate 0 is the identity), and a
-readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
+float and boolean labels are refused, never cast. The same rule checks
+:func:`global_mean_pool`'s graph ids and :func:`gather_rows`' row index.
+No op takes what it can work out: dropout takes a rate alone (rate 0 is
+the identity), and a readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
 gate and merge, whose vjps are the two halves of ``edgepool_backward``.
 Neighbor and segment reductions are products with unit-weight sparse
 operators (the graph's cached in-adjacency, or a segment matrix) in fixed
@@ -32,6 +33,7 @@ from .pool import (
     _check_dropout_rate,
     _add_gated_rows,
     _gate_gradient,
+    _member_rows,
     edgepool_forward,
     score_path_backward,
 )
@@ -159,9 +161,12 @@ def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
 
 
 def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
-    """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``."""
-    if x.data.shape[0] != len(graph_id):
-        raise ValueError("activation rows != graph_id length")
+    """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``.
+
+    ``graph_id`` follows the rule of integer codes
+    (:func:`~edgepool.graph._class_labels`): one integer per activation row.
+    """
+    graph_id = _class_labels("graph_id", graph_id, "activation row", x.data.shape[0])
     counts = np.bincount(graph_id).astype(x.data.dtype)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
@@ -184,6 +189,9 @@ def concat_cols(a: Var, b: Var) -> Var:
 
 
 def gather_rows(x: Var, index: np.ndarray) -> Var:
+    """Rows ``x[index]``; ``index`` is a 1-D integer array with entries in
+    ``[0, rows)`` (:func:`~edgepool.graph._class_labels`)."""
+    index = _class_labels("index", index, "gathered row", np.size(index), x.data.shape[0])
     y = np.take(x.data, index, axis=0)
 
     def vjp(dy):
@@ -254,20 +262,23 @@ def unpool(x: Var, gate: Var, info: PoolInfo) -> Var:
     """Tape op for one unpooling level (duplicate rows, divide by gate).
 
     ``gate`` is the gate Var that :func:`edge_pool` returned for the same
-    level, shape (k,), else ``ValueError``; the division's score dependence
-    is differentiated through it.
+    level: shape (k,) and, per pair, the score that ``info.node_score``
+    holds for both members, else ``ValueError``. The forward divides by
+    ``info.node_score``, and the division's score dependence is
+    differentiated through the gate.
     """
     if gate.data.shape != (info.num_matched,):
         raise ValueError(f"gate must have shape ({info.num_matched},), got {gate.data.shape}")
+    # Both members of a pair hold its gate, so the second members' scores serve.
+    if not np.array_equal(gate.data, info.node_score[info.matching[:, 1]]):
+        raise ValueError("gate must be this level's gate: its scores differ from info.node_score")
     y = unpool_once(x.data, info)
 
     def vjp(dy):
-        # Per pair, the sum over both members' rows of -<dy, y> over the gate.
+        # Per pair, the member sum of each row's -<dy, y> over its gate.
         # einsum widens rows in its 8192-entry buffer, which sums a row of
         # up to 8192 entries as its float64 copy would.
-        rows, k = info.matching.T.ravel(), info.num_matched
-        d = -np.einsum("nf,nf->n", np.take(dy, rows, axis=0), np.take(y, rows, axis=0),
-                       dtype=np.float64) / info.node_score[rows]
-        return _unpool_adjoint(dy, info), d[:k] + d[k:]
+        d = -np.einsum("nf,nf->n", dy, y, dtype=np.float64) / info.node_score
+        return _unpool_adjoint(dy, info), _member_rows(info, d[:, None])[: info.num_matched, 0]
 
     return Var(y, (x, gate), vjp)

@@ -71,9 +71,7 @@ def _pooled_graph_id(graph_id: np.ndarray, info: PoolInfo | None) -> np.ndarray:
     """Graph membership survives contraction: both endpoints share a graph."""
     if info is None:  # a level that did not pool
         return graph_id
-    out = np.zeros(info.pooled_num_nodes, dtype=np.int64)
-    out[info.cluster_of] = graph_id
-    return out
+    return np.take(graph_id, info.first_member)
 
 
 def _add_conv(store: ParamStore, name: str, fan_in: int, fan_out: int, rng, kind: str):

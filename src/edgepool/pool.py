@@ -130,8 +130,10 @@ class EdgeScores:
 class PoolInfo:
     """One coarsening level: which pairs merged and how to map back.
 
-    ``matching`` lists the contracted directed edges in selection order;
-    pooled node c < len(matching) is the merge of matching[c]. ``cluster_of``
+    ``matching`` lists the contracted directed edges in selection order.
+    The level's row order: pooled node c < k = len(matching) is the merge of
+    matching[c], and the unmatched nodes follow in ascending order; each
+    pooled node's first member is :attr:`first_member`. ``cluster_of``
     maps every original node to its pooled node. ``node_score`` is the
     gating score of the edge that merged the node (1.0 for unmatched nodes).
     ``matched_edge_index`` caches each matched pair's canonical edge index.
@@ -149,6 +151,16 @@ class PoolInfo:
     @property
     def pooled_num_nodes(self) -> int:
         return len(self.cluster_of) - self.num_matched
+
+    @property
+    def first_member(self) -> np.ndarray:
+        """Each pooled node's first member (a pair's second is ``matching[:, 1]``).
+
+        Derived on each access, not stored: a stored copy raised the peak
+        memory of a 1e6-edge level.
+        """
+        return np.concatenate([self.matching[:, 0],
+                               np.flatnonzero(self.cluster_of >= self.num_matched)])
 
 
 def _check_widths(graph: Graph, params: PoolParams) -> int:
@@ -376,12 +388,20 @@ def _greedy_sweep(
     return e[np.searchsorted(key, taken * n + mate[taken])]
 
 
-def _pair_features(graph: Graph, matching: np.ndarray) -> np.ndarray:
-    """Pre-gating merged features per matched edge, float64, (k, f)."""
-    # Gather the matched rows before widening them: no (v, f) float64 copy.
-    # The add widens the second gather on the fly (numpy reuses the first's buffer).
-    x_src = np.take(graph.node_features, matching[:, 0], axis=0).astype(np.float64)
-    return x_src + np.take(graph.node_features, matching[:, 1], axis=0)
+def _member_rows(info: PoolInfo, x: np.ndarray, score: np.ndarray | None = None) -> np.ndarray:
+    """Float64 pooled rows of the per-node rows ``x``: each pooled node's
+    first member's row, plus the second member's for a pair. With ``score``,
+    each member's row is divided by its node's score before the sum (folding
+    1/score into a sum's weights rounds differently)."""
+    # Gather the rows before widening them: no (v, f) float64 copy.
+    first, second = info.first_member, info.matching[:, 1]
+    out = np.take(x, first, axis=0).astype(np.float64, copy=False)
+    rest = np.take(x, second, axis=0)
+    if score is not None:
+        out /= score[first, None]
+        rest = rest / score[second, None]
+    out[: info.num_matched] += rest
+    return out
 
 
 def _matched_edge_index(
@@ -409,10 +429,10 @@ def contract(
 ) -> tuple[Graph, PoolInfo]:
     """Collapse each matched edge into one node; rebuild the edge set.
 
-    Pooled node order: merged nodes first in matching order, then unmatched
-    nodes in original order. Pooled edges are the image of the original
-    edges under the cluster map, with self-loops removed and parallel
-    edges deduplicated (edge features of collapsing edges are summed).
+    Pooled nodes come in the level's row order (:class:`PoolInfo`). Pooled
+    edges are the image of the original edges under the cluster map, with
+    self-loops removed and parallel edges deduplicated (edge features of
+    collapsing edges are summed).
     The matched edges are read off the cluster map: the only edges it
     sends into one cluster run between the two members of a pair, and a
     pair's matched edge is the one that starts at its first member.
@@ -447,11 +467,12 @@ def contract(
         raise ValueError("cannot contract a dropped (zero-score) edge")
 
     node_score = np.concatenate([s, np.ones(len(unmatched))])[cluster_of]
+    info = PoolInfo(matching=matching, cluster_of=cluster_of, node_score=node_score,
+                    matched_edge_index=edge_idx)
 
     pooled_n = v - k
-    feats = np.empty((pooled_n, graph.feature_width), dtype=np.float64)
-    feats[:k] = s[:, None] * _pair_features(graph, matching)
-    feats[k:] = np.take(graph.node_features, unmatched, axis=0)
+    feats = _member_rows(info, graph.node_features)
+    feats[:k] *= s[:, None]
     feats = feats.astype(graph.node_features.dtype, copy=False)
     _require_finite(feats, "node features")
 
@@ -471,14 +492,7 @@ def contract(
         ef = _segment_sum(inverse, ef, len(uniq_key))
         _require_finite(ef, "edge features")
 
-    pooled = Graph(feats, uniq_key // n, uniq_key % n, ef)
-    info = PoolInfo(
-        matching=matching,
-        cluster_of=cluster_of,
-        node_score=node_score,
-        matched_edge_index=edge_idx,
-    )
-    return pooled, info
+    return Graph(feats, uniq_key // n, uniq_key % n, ef), info
 
 
 def edgepool_forward(
@@ -553,8 +567,9 @@ def edgepool_backward(
 def _gate_gradient(graph: Graph, info: PoolInfo, upstream: np.ndarray) -> np.ndarray:
     """Float64 gradient w.r.t. each pair's gate: its pooled row's upstream
     gradient dotted with the pair's pre-gating features."""
-    return np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
-                     _pair_features(graph, info.matching))
+    k = info.num_matched
+    return np.einsum("kf,kf->k", upstream[:k].astype(np.float64),
+                     _member_rows(info, graph.node_features)[:k])
 
 
 def _add_gated_rows(info: PoolInfo, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:

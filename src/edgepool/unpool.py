@@ -3,18 +3,18 @@
 Each original node receives its pooled representative's feature vector
 divided by the gating score stored at pooling time; unmatched nodes
 (score 1.0) are plain copies. The map is linear in the features, so the
-backward pass is its exact adjoint. Several levels unpool by applying
-:func:`unpool_once` per level, innermost first; its row check rejects a
-level that does not fit the one before. A pooled row has at most two
-parents, so both directions are row gathers (``np.take``), two at most
-per pooled row, with no sparse operator.
+backward pass is its exact adjoint, the level's member sum
+(``pool._member_rows``) of the divided rows. Several levels unpool by
+applying :func:`unpool_once` per level, innermost first; its row check
+rejects a level that does not fit the one before. Both directions are row
+gathers (``np.take``), with no sparse operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pool import PoolInfo
+from .pool import PoolInfo, _member_rows
 
 __all__ = ["unpool_once", "unpool_backward"]
 
@@ -25,21 +25,18 @@ def unpool_once(pooled_features: np.ndarray, info: PoolInfo) -> np.ndarray:
     Both members of a merged pair receive the same vector.
     """
     pooled_features = _checked(pooled_features, info.pooled_num_nodes, "pooled feature", info)
-    out = _divided_rows(pooled_features, info.cluster_of, info.node_score)
+    out = np.take(pooled_features, info.cluster_of, axis=0).astype(np.float64, copy=False)
+    out /= info.node_score[:, None]
     return out.astype(pooled_features.dtype, copy=False)
 
 
 def unpool_backward(upstream_grad: np.ndarray, info: PoolInfo) -> np.ndarray:
-    """Adjoint of :func:`unpool_once`: row c is its cluster's first member's
-    upstream row over its gate score, plus 0.0 (so -0.0 reads +0.0, as in a
-    sum into zeros), plus the second member's for a pair, in either order."""
+    """Adjoint of :func:`unpool_once`: each pooled node's members' upstream
+    rows, each over its gate score, summed, plus 0.0 (so -0.0 reads +0.0, as
+    in a sum into zeros)."""
     upstream = _checked(upstream_grad, len(info.cluster_of), "gradient", info)
-    k = info.num_matched
-    first = np.concatenate([info.matching[:, 0], np.flatnonzero(info.cluster_of >= k)])
-    out = _divided_rows(upstream, first, info.node_score[first])
+    out = _member_rows(info, upstream, info.node_score)
     out += 0.0
-    second = info.matching[:, 1]
-    out[:k] += _divided_rows(upstream, second, info.node_score[second])
     return out.astype(upstream.dtype, copy=False)
 
 
@@ -52,10 +49,3 @@ def _checked(x: np.ndarray, rows: int, what: str, info: PoolInfo) -> np.ndarray:
         raise ValueError("gate scores must be positive")
     return x
 
-
-def _divided_rows(x: np.ndarray, rows: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Float64 rows ``x[rows]``, each divided by its ``score`` (before any sum:
-    folding 1/score into a sum's weights rounds differently)."""
-    out = np.take(x, rows, axis=0).astype(np.float64, copy=False)
-    out /= score[:, None]
-    return out

@@ -13,8 +13,9 @@ are left out. Two trees write the same bytes when their outputs match::
     diff parent.txt change.txt
 
 SRC defaults to this tree's ``src``. Given two source trees, it runs the set
-for each and prints only the ``run/file`` names whose digests differ (or that
-one tree alone wrote)::
+for each, prints only the ``run/file`` names whose digests differ (or that
+one tree alone wrote), and exits 1 if it printed any, so a script can gate a
+byte-identity claim on it::
 
     python tests/artifacts.py /path/to/parent/src src
 
@@ -143,7 +144,7 @@ def main(argv: list[str]) -> int:
         lines = [f"{sha}  {rel}" for rel, sha in runs[0].items()]
     for line in lines:
         print(line)
-    return 0
+    return 1 if len(runs) == 2 and lines else 0
 
 
 if __name__ == "__main__":

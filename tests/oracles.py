@@ -197,14 +197,13 @@ def scatter_edgepool_backward(graph, params, info, scores, upstream):
     added into the whole-array score path's (v, f) float64 term row set by
     row set, as the library did before it gathered every node's cluster row.
     """
-    from edgepool.pool import _pair_features
-
     k = info.num_matched
     upstream = np.asarray(upstream)
     mi, mj = info.matching[:, 0], info.matching[:, 1]
     s = scores.normalized[info.matched_edge_index]
     g_out = upstream[:k].astype(np.float64)
-    g_s = np.einsum("kf,kf->k", g_out, _pair_features(graph, info.matching))
+    x = graph.node_features
+    g_s = np.einsum("kf,kf->k", g_out, x[mi].astype(np.float64) + x[mj])
     grad_x, grad_w, grad_b = whole_array_score_path_backward(graph, params, info, scores, g_s)
     unmatched = np.flatnonzero(info.cluster_of >= k)
     grad_x[unmatched] += upstream[info.cluster_of[unmatched]]

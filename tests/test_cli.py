@@ -683,6 +683,15 @@ class TestManifestOutputs:
         assert digest_tool.differing(parent, change) == ["a/moved", "b/gone", "c/new"]
         assert digest_tool.differing(parent, dict(parent)) == []
 
+    def test_digest_tool_exits_1_when_two_trees_differ(self, monkeypatch, capsys):
+        trees = {"same": {"a/x": "1"}, "twin": {"a/x": "1"}, "other": {"a/x": "2"}}
+        monkeypatch.setattr(digest_tool, "tree_digests", lambda src: trees[src.name])
+        assert digest_tool.main(["same", "twin"]) == 0
+        assert capsys.readouterr().out == ""
+        assert digest_tool.main(["same", "other"]) == 1
+        assert capsys.readouterr().out == "a/x\n"
+        assert digest_tool.main(["other"]) == 0
+
 
 @st.composite
 def odd_json_files(draw):

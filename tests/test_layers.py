@@ -435,6 +435,13 @@ class TestGlobalMeanPool:
         with pytest.raises(ValueError, match="at least one node"):
             global_mean_pool(x, np.asarray([0, 2]))
 
+    @pytest.mark.parametrize("graph_id", [[True, False], [0.0, 1.0], [[0, 1]], [0, 1, 1]])
+    def test_graph_id_follows_the_integer_code_rule(self, graph_id):
+        # Booleans are not read as graphs 1 and 0, nor floats cast; a shape
+        # that is not one id per row names graph_id too.
+        with pytest.raises(ValueError, match="^graph_id "):
+            global_mean_pool(Var(np.ones((2, 1))), np.asarray(graph_id))
+
 
 class TestConcatGather:
     def test_concat_cols(self):
@@ -453,6 +460,13 @@ class TestConcatGather:
         assert y.data.ravel().tolist() == [1.0, 1.0, 2.0]
         backward(y, np.asarray([[1.0], [10.0], [100.0]]))
         assert x.grad.ravel().tolist() == [11.0, 100.0]
+
+    @pytest.mark.parametrize("index", [[True, False], [0.0], [-1], [2], [[0, 1]], 0])
+    def test_gather_rows_index_follows_the_integer_code_rule(self, index):
+        # Booleans are not read as rows 1 and 0, and -1 does not wrap to the
+        # last row (whose scatter backward would then fail).
+        with pytest.raises(ValueError, match="^index "):
+            gather_rows(Var(np.ones((2, 1))), np.asarray(index))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gather_rows_vjp_bitwise_equal_to_scatter_reference(self, dtype):
@@ -659,3 +673,14 @@ class TestUnpoolLayer:
         for bad in (info.node_score, gate.data[:-1], gate.data[:, None]):
             with pytest.raises(ValueError, match="gate must have shape"):
                 unpool(out, Var(bad), info)
+
+    def test_gate_of_another_level_is_refused(self):
+        # The forward divides by info.node_score, so a gate with other
+        # scores would be differentiated where it was never read.
+        rng = seeded_rng(18, "unpool-gate")
+        g = make_connected_erdos_renyi(8, 0.4, rng, feature_width=3)
+        out, gate, _, info, _ = edge_pool(Var(g.node_features), Var(rng.normal(size=6)),
+                                          Var(np.asarray(0.0)), g)
+        assert info.num_matched > 0
+        with pytest.raises(ValueError, match="gate must be this level's gate"):
+            unpool(out, Var(gate.data * 3.0), info)

@@ -28,6 +28,7 @@ from edgepool.pool import (
     raw_scores,
     score_path_backward,
 )
+from edgepool.models import _pooled_graph_id
 from edgepool.rng import seeded_rng
 
 from oracles import (
@@ -465,6 +466,23 @@ class TestContract:
         assert pooled.edges.tolist() == [[0, 1], [1, 0]]
         assert info.cluster_of.tolist() == [1, 1, 0, 0]
         assert np.allclose(info.node_score, [1.30, 1.30, 1.40, 1.40])
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=pool_levels())
+    def test_first_members_give_the_row_order(self, level):
+        # The pairs' first and second members list each node once, each
+        # pooled node's first member lies in it, and a batch's graph ids
+        # (constant on each pair) come out as the old scatter wrote them.
+        graph, _, pooled, info, _, rng = level
+        first = info.first_member
+        members = np.concatenate([first, info.matching[:, 1]])
+        assert np.sort(members).tolist() == list(range(graph.num_nodes))
+        assert info.cluster_of[first].tolist() == list(range(pooled.num_nodes))
+        graph_id = rng.integers(0, 3, size=pooled.num_nodes)[info.cluster_of]
+        want = np.zeros(pooled.num_nodes, dtype=np.int64)
+        want[info.cluster_of] = graph_id
+        got = _pooled_graph_id(graph_id, info)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_single_pair_merge_value(self):
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
@@ -1045,8 +1063,6 @@ class TestBackward:
         # The scorer weight is float64 whatever the features are, so its
         # gradient is the score path's, unrounded: the same bits the
         # node-score path hands the weight.
-        from edgepool.pool import _pair_features
-
         rng = seeded_rng(23, "weight-dtype")
         g = random_graph(rng, n=12, f=3, p=0.4)
         g = g.with_node_features(g.node_features.astype(dtype))
@@ -1055,8 +1071,9 @@ class TestBackward:
         assert info.num_matched > 0
         upstream = rng.normal(size=pooled.node_features.shape).astype(dtype)
         _, gw, _ = edgepool_backward(g, params, info, scores, upstream)
+        x, (mi, mj) = g.node_features, info.matching.T
         g_s = np.einsum("kf,kf->k", upstream[: info.num_matched].astype(np.float64),
-                        _pair_features(g, info.matching))
+                        x[mi].astype(np.float64) + x[mj])
         want = score_path_backward(g, params, info, scores, g_s)[1]
         assert gw.dtype == np.float64
         assert gw.tobytes() == want.tobytes()
