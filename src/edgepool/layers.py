@@ -164,9 +164,12 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``.
 
     ``graph_id`` follows the rule of integer codes
-    (:func:`~edgepool.graph._class_labels`): one integer per activation row.
+    (:func:`~edgepool.graph._class_labels`): one integer per activation row,
+    none negative.
     """
     graph_id = _class_labels("graph_id", graph_id, "activation row", x.data.shape[0])
+    if np.any(graph_id < 0):
+        raise ValueError(f"graph_id entry {graph_id[np.argmax(graph_id < 0)]} is negative")
     counts = np.bincount(graph_id).astype(x.data.dtype)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")

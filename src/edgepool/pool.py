@@ -34,12 +34,14 @@ At scale a level's memory is its arrays with one entry per directed edge
 (m of them, 8 bytes each). Between stages the forward holds only the
 normalized scores and the dropped mask; it frees the raw scores once they
 are normalized. Within a stage, temporaries are built in place (``out=``,
-``&=``, ``*=``) and deleted before the next one is made, so ``contract``,
-the forward's peak, holds about five m-length arrays and the score-path
-backward about two. The backward's (v, f) float64 updates run over row
-blocks of ``_ROW_BLOCK_BYTES`` (2 MB, one block at training sizes);
-elementwise operations round the same in any blocking, so the blocks
-change no bit. Measured on numpy 2.4.6 at 1e6 edges:
+``&=``, ``*=``) and deleted before the next one is made. Without score
+dropout the forward peaks in ``contract``, which holds three m-length
+arrays (its pooled edge key is built in one of its two endpoint cluster
+columns); with dropout, in ``select_contractions``' compacted kept edges.
+The score-path backward holds about two. The backward's (v, f) float64
+updates run over row blocks of ``_ROW_BLOCK_BYTES`` (2 MB, one block at
+training sizes); elementwise operations round the same in any blocking,
+so the blocks change no bit. Measured on numpy 2.4.6 at 1e6 edges:
 
 - when a level starts on a trimmed heap (as in perfbench's ``pool_1e6``
   loop), the forward grows it again, and the backward runs free of page
@@ -49,7 +51,19 @@ change no bit. Measured on numpy 2.4.6 at 1e6 edges:
 - ``np.flatnonzero`` of a float array with 33k nonzeros took 5.7 ms, of
   ``a != 0.0`` 1.9 ms;
 - a float32 by float64 row scaling took 5.4 ms, a float64 copy scaled in
-  place 3.9 ms.
+  place 3.9 ms;
+- on perfbench's ``pool_1e6`` graph (seed 1, best of 15 or 21 calls on a
+  2-vCPU VM): round 1's winner test took 3.4-3.8 ms on the 36k edges that
+  have the best score at both endpoints, against 7.9-11.0 ms on all 1e6;
+  the selection order of the 74k taken edges, 3.2-4.6 ms by
+  :func:`_score_order` against 7.9-10.5 ms by a stable argsort (of which
+  the default argsort is about 2.2 ms); ``contract``'s matched edge index
+  4.6-6.5 ms from the first-member mask, against 6.1-7.5 ms by a 2-D
+  gather from the matching; and the key's decode by one division
+  3.0-3.2 ms, against 4.1-4.9 ms by ``//`` and ``%``. Building the key in
+  place took as long as from the kept entries, but cut ``contract``'s
+  peak from 5.14 to 3.53 m*8 bytes, and the forward's from 6.40 to 4.80
+  (5.64 with dropout) on the edge-heavy graph of the tests.
 
 Measured on numpy 2.4.6 for the block sweep, against one stable argsort
 of every edge handed to the sweep:
@@ -164,13 +178,16 @@ class PoolInfo:
 
 
 def _check_widths(graph: Graph, params: PoolParams) -> int:
+    """The scorer-width rule: a 1-D weight of length 2f+g. Returns f."""
     f = graph.feature_width
     g = graph.edge_feature_width
     expected = 2 * f + g
-    if len(params.weight) != expected:
+    shape = np.shape(params.weight)
+    if shape != (expected,):
+        got = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
         raise ValueError(
-            f"scorer weight length {len(params.weight)} does not match "
-            f"2*{f}+{g}={expected} for this graph"
+            f"scorer weight must be 1-D of length 2*{f}+{g}={expected} for "
+            f"this graph, got {got}"
         )
     return f
 
@@ -261,6 +278,10 @@ _SWEEP_SHARE = 0.25
 # The sweep's first block of edges, and the factor by which each next one grows.
 _SWEEP_BLOCK = 512
 _SWEEP_GROWTH = 4
+# Up to this many taken edges, a stable argsort puts them in selection order
+# faster than _score_order: on numpy 2.4.6 the two crossed at 1,300-1,500
+# (about 50 us), and at 1,000 took 21-26 against 34-41 us.
+_STABLE_ORDER_MAX = 1400
 
 
 def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
@@ -278,14 +299,18 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     first incident edge (``np.maximum.at`` on the score, then
     ``np.minimum.at`` on the edge index over the incidences at that best
     score), takes every edge that is first at both endpoints, and drops
-    every edge that touches a newly matched node. A chain of monotone
+    every edge that touches a newly matched node. Only the edges with the
+    best score at both endpoints are tested for being first, since an edge
+    first at a node has that node's best score. A chain of monotone
     scores matches one edge per round, so once a round removes less than
     ``_SWEEP_SHARE`` of the alive edges, :func:`_greedy_sweep` finishes
     the remaining edges in order, which is exact for the same reason. It
     sorts them block by block and skips, before each block is sorted, the
     edges already matched away, which on a dense graph are most of them.
     Returns the matched directed edges in selection order (the greedy's
-    visiting order) as a (k, 2) int64 array.
+    visiting order) as a (k, 2) int64 array; only the k taken edges are put
+    in that order, by a stable argsort or, for more than
+    ``_STABLE_ORDER_MAX`` of them, by :func:`_score_order`.
     """
     v = graph.num_nodes
     if scores.dropped.any():
@@ -300,14 +325,19 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         np.maximum.at(best, src, s)
         np.maximum.at(best, dst, s)
         first = np.full(v, graph.num_edges, dtype=np.int64)
-        at = np.flatnonzero(s == best[src])
+        at_s = s == best[src]
+        at_d = s == best[dst]
+        at = np.flatnonzero(at_s)
         np.minimum.at(first, src[at], e[at])
-        at = np.flatnonzero(s == best[dst])
+        at = np.flatnonzero(at_d)
         np.minimum.at(first, dst[at], e[at])
-        del at
-        hit = first[src] == e
-        hit &= first[dst] == e
-        win = np.flatnonzero(hit)
+        at_s &= at_d
+        cand = np.flatnonzero(at_s)
+        del at, at_s, at_d
+        ce = e[cand]
+        hit = first[src[cand]] == ce
+        hit &= first[dst[cand]] == ce
+        win = cand[np.flatnonzero(hit)]
         taken.append(e[win])
         matched = np.zeros(v, dtype=bool)
         matched[src[win]] = True
@@ -315,7 +345,7 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         gone = matched[src]
         gone |= matched[dst]
         alive = np.flatnonzero(np.logical_not(gone, out=gone))
-        del hit, gone
+        del gone
         before = e.size
         # One array at a time, so each old one is freed before the next copy.
         e = e[alive]
@@ -328,8 +358,30 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
             break
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
-    t = t[np.argsort(-scores.normalized[t], kind="stable")]
+    s = scores.normalized[t]
+    t = t[np.argsort(-s, kind="stable") if t.size <= _STABLE_ORDER_MAX else _score_order(s)]
     return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
+
+
+def _score_order(s: np.ndarray) -> np.ndarray:
+    """``np.argsort(-s, kind="stable")``, from the default (unstable) sort.
+
+    The unstable sort leaves each run of tied scores in some order. A run's
+    number (nondecreasing along the sorted scores) times k plus the position
+    is an int64 key whose sort puts every run back in position order; the
+    key mod k is the stable order. Ties are common: a node with one kept
+    incoming edge gives it a score of exactly 1.5.
+    """
+    k = s.size
+    order = np.argsort(-s)
+    ranked = s[order]
+    key = np.zeros(k, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=key[1:])
+    key *= k
+    key += order
+    key.sort()
+    key %= k
+    return key
 
 
 def _greedy_sweep(
@@ -411,8 +463,11 @@ def _matched_edge_index(
 
     Raises ``ValueError`` naming the first pair that is not an edge.
     """
-    inner = np.flatnonzero(src_c == dst_c)
-    hit = inner[graph.edge_src[inner] == matching[src_c[inner], 0]]
+    is_first = np.zeros(graph.num_nodes, dtype=bool)
+    is_first[matching[:, 0]] = True
+    inner = is_first[graph.edge_src]
+    inner &= src_c == dst_c
+    hit = np.flatnonzero(inner)
     edge_idx = np.full(matching.shape[0], -1, dtype=np.int64)
     edge_idx[src_c[hit]] = hit
     if np.any(edge_idx < 0):
@@ -435,12 +490,14 @@ def contract(
     collapsing edges are summed).
     The matched edges are read off the cluster map: the only edges it
     sends into one cluster run between the two members of a pair, and a
-    pair's matched edge is the one that starts at its first member.
+    pair's matched edge is the one that starts at its first member (a
+    boolean mask over the nodes marks the first members).
     Deduplication sorts the int64 key ``src * pooled_n + dst`` (the bound
-    of :func:`build_graph`) and keeps each value that differs from its
-    predecessor; the sorted unique keys decode to canonical edges, so the
-    pooled graph is built directly, without :func:`build_graph`'s sort and
-    checks. The features computed here are checked to be finite, since a
+    of :func:`build_graph`), built in place in the source cluster column
+    and then gathered at the edges that are not self-loops, and keeps each
+    value that differs from its predecessor; the sorted unique keys decode,
+    by one division, to canonical edges, so the pooled graph is built
+    directly, without :func:`build_graph`'s sort and checks. The features computed here are checked to be finite, since a
     gated float32 sum can overflow (with no warning). Only with edge features is
     each edge's pooled index looked up (``np.searchsorted``), to sum the
     features of edges that collapse into one.
@@ -478,10 +535,12 @@ def contract(
 
     keep = np.flatnonzero(src_c != dst_c)
     n = np.int64(pooled_n)
-    key = src_c[keep]
+    key = src_c  # built in src_c's buffer
+    del src_c
     key *= n
-    key += dst_c[keep]
-    del src_c, dst_c
+    key += dst_c
+    del dst_c
+    key = key[keep]
     ef = None
     if graph.edge_features is not None:
         ef = np.take(graph.edge_features, keep, axis=0)
@@ -491,8 +550,10 @@ def contract(
         inverse = np.searchsorted(uniq_key, key)
         ef = _segment_sum(inverse, ef, len(uniq_key))
         _require_finite(ef, "edge features")
-
-    return Graph(feats, uniq_key // n, uniq_key % n, ef), info
+    del key
+    src = uniq_key // n
+    uniq_key -= src * n
+    return Graph(feats, src, uniq_key, ef), info
 
 
 def edgepool_forward(
@@ -506,8 +567,9 @@ def edgepool_forward(
 
     The dropout mask is drawn on raw edges; dropped edges are excluded from
     both the softmax denominator and selection. Dropout applies only when
-    ``training`` is true.
+    ``training`` is true, but the rate must be in [0, 1) either way.
     """
+    _check_dropout_rate(dropout_p)
     raw = raw_scores(graph, params)
     if training and dropout_p > 0.0:
         if seed is None:

@@ -442,6 +442,11 @@ class TestGlobalMeanPool:
         with pytest.raises(ValueError, match="^graph_id "):
             global_mean_pool(Var(np.ones((2, 1))), np.asarray(graph_id))
 
+    def test_negative_graph_id_is_named(self):
+        # np.bincount's own message names no argument.
+        with pytest.raises(ValueError, match="^graph_id entry -1 is negative"):
+            global_mean_pool(Var(np.ones((2, 1))), np.asarray([0, -1]))
+
 
 class TestConcatGather:
     def test_concat_cols(self):
@@ -571,6 +576,14 @@ class TestEdgePoolLayer:
         w = Var(rng.normal(size=6))
         b = Var(np.asarray(0.1))
         return rng, g, x, w, b
+
+    @pytest.mark.parametrize("p", [float("nan"), -0.5], ids=["nan", "negative"])
+    def test_bad_dropout_rate_rejected(self, p):
+        # Neither rate is > 0, so the op asks for no training-mode dropout;
+        # the rate is refused all the same.
+        rng, g, x, w, b = self.instance(0, np.float64)
+        with pytest.raises(ValueError, match="dropout probability"):
+            edge_pool(x, w, b, g, dropout_p=p, seed=0)
 
     def test_forward_matches_functional(self):
         for dtype, mode in self.CASES:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgepool import (
     EdgeScores,
@@ -22,6 +22,7 @@ from edgepool import (
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.pool import (
     _greedy_sweep,
+    _score_order,
     apply_score_dropout,
     contract,
     normalize_scores,
@@ -89,6 +90,15 @@ class TestRawScores:
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
         with pytest.raises(ValueError):
             raw_scores(g, PoolParams(weight=np.ones(3), bias=0.0))
+
+    def test_weight_must_be_one_dimensional(self):
+        # A (4, 1) weight has the right length for f = 2, but einsum's
+        # error would name no argument.
+        g = build_graph(2, [(0, 1)], np.ones((2, 2)))
+        params = PoolParams(weight=np.ones((4, 1)), bias=0.0)
+        for fn in (raw_scores, edgepool_forward):
+            with pytest.raises(ValueError, match=r"^scorer weight must be 1-D .* shape \(4, 1\)"):
+                fn(g, params)
 
     def test_double_precision_output(self):
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]], dtype=np.float32))
@@ -452,6 +462,66 @@ class TestSelectionAtScale:
         assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
 
 
+def tie_class_graph(rng):
+    """A 6,000-node path with random features, then 1,500 disjoint pairs and
+    a 3,000-node 4-regular circulant, both with constant features; node ids
+    shuffled, so that the tie classes interleave in edge index order.
+
+    Without dropout, every edge of a pair scores exactly 1.5 (one incoming
+    edge) and every circulant edge exactly 0.75 (four equal ones), while the
+    path's scores spread over (0.5, 1.5)."""
+    n_path, n_pairs, n_reg = 6000, 3000, 3000
+    n = n_path + n_pairs + n_reg
+    edges = [(i, i + 1) for i in range(n_path - 1)]
+    edges += [(n_path + i, n_path + i + 1) for i in range(0, n_pairs, 2)]
+    base = n_path + n_pairs
+    edges += [(base + i, base + (i + d) % n_reg) for i in range(n_reg) for d in (1, 2)]
+    feats = np.full((n, 2), 0.25)
+    feats[:n_path] = rng.normal(size=(n_path, 2))
+    perm = rng.permutation(n)
+    shuffled = np.empty_like(feats)
+    shuffled[perm] = feats
+    return symmetrize(build_graph(n, perm[np.asarray(edges)], shuffled))
+
+
+class TestSelectionOrder:
+    """The k taken edges come by score descending, edge index ascending on
+    ties, also where the default (unstable) argsort orders them first
+    (more than ``_STABLE_ORDER_MAX`` of them)."""
+
+    @pytest.mark.parametrize("case", ["plain", "dropout"])
+    def test_tie_classes_keep_index_order(self, case):
+        rng = seeded_rng(26, "tie-classes")
+        g = tie_class_graph(rng)
+        params = PoolParams(weight=rng.normal(size=4), bias=0.0)
+        dropped = (apply_score_dropout(g.num_edges, 0.3, seed=6) if case == "dropout"
+                   else no_dropout(g))
+        s = normalize_scores(g, raw_scores(g, params), dropped)
+        mine = select_contractions(g, EdgeScores(normalized=s, dropped=dropped))
+        assert np.array_equal(mine, sequential_greedy(g.edges, s, dropped))
+        n = np.int64(g.num_nodes)
+        idx = np.searchsorted(g.edge_src * n + g.edge_dst, mine[:, 0] * n + mine[:, 1])
+        assert mine.shape[0] > 3000
+        assert np.array_equal(np.lexsort((idx, -s[idx])), np.arange(len(idx)))
+        _, repeats = np.unique(s[idx], return_counts=True)
+        assert np.count_nonzero(repeats >= 100) >= 2, "fewer than two large tie classes"
+        if case == "plain":
+            assert np.count_nonzero(s[idx] == 1.5) >= 1500
+            assert np.count_nonzero(s[idx] == 0.75) >= 500
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(0.5, 1.5, exclude_min=True), min_size=1, max_size=4),
+           size=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(values=[1.5], size=0, seed=0)
+    @example(values=[1.5], size=1, seed=0)
+    def test_score_order_is_the_stable_order(self, values, size, seed):
+        # Few values make long tie runs.
+        s = np.asarray(values)[seeded_rng(seed, "score-order").integers(0, len(values), size)]
+        order = _score_order(s)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(-s, kind="stable"))
+
+
 class TestContract:
     def test_path_trace_pooled_graph(self):
         g = path_graph(4, feats=np.ones((4, 1)))
@@ -659,6 +729,16 @@ class TestContract:
         with pytest.raises(ValueError, match=r"\(1, 0\) is not an edge"):
             contract(g, np.asarray([[1, 0]]), scores)
 
+    def test_first_non_edge_among_pairs_is_named(self):
+        # Only the forward edges exist; the pairs before and after the
+        # reversed one are edges.
+        g = build_graph(6, [(0, 1), (2, 3), (4, 5)], np.zeros((6, 1)))
+        scores = hand_scores(g, {(0, 1): 1.5, (2, 3): 1.5, (4, 5): 1.5})
+        for matching, bad in [([[0, 1], [3, 2], [4, 5]], r"\(3, 2\)"),
+                              ([[4, 5], [1, 2], [3, 0]], r"\(1, 2\)")]:
+            with pytest.raises(ValueError, match=bad + " is not an edge"):
+                contract(g, np.asarray(matching), scores)
+
     def test_dropped_edge_cannot_be_contracted(self):
         g = symmetrize(build_graph(2, [(0, 1)], np.zeros((2, 1))))
         scores = EdgeScores(normalized=np.asarray([0.0, 1.5]),
@@ -781,6 +861,30 @@ class TestForward:
         with pytest.raises(ValueError):
             edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0),
                              training=True, dropout_p=0.2, seed=None)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+    @pytest.mark.parametrize("p", [float("nan"), -0.5], ids=["nan", "negative"])
+    def test_bad_dropout_rate_rejected(self, p, training):
+        g = make_cycle(6)
+        with pytest.raises(ValueError, match="dropout probability"):
+            edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0),
+                             training=training, dropout_p=p, seed=0)
+
+    def test_stages_resolve_through_module_globals(self, monkeypatch):
+        # perfbench times the stages by patching these names in edgepool.pool.
+        import edgepool.pool as pool_module
+
+        calls = []
+        for name in ("select_contractions", "contract"):
+            def spy(*args, _name=name, _fn=getattr(pool_module, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(pool_module, name, spy)
+        g = make_cycle(8)
+        pooled, _, _ = edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0))
+        assert calls == ["select_contractions", "contract"]
+        edgepool_forward(pooled, PoolParams(weight=np.zeros(2), bias=0.0))
+        assert calls == ["select_contractions", "contract"] * 2
 
     def test_dropout_only_in_training(self):
         g = make_cycle(50)
@@ -1093,13 +1197,15 @@ class TestLevelPeakMemory:
 
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
     def test_forward_peak_memory_in_edge_arrays(self, dropout):
-        # The forward peaks in contract, holding the normalized scores and
-        # dropped mask (1.1 m*8 bytes) besides the two endpoint cluster
-        # columns, the kept-edge index, the key and one gather: 6.4 m*8
-        # bytes measured. Holding the raw scores through the level as well
-        # passes the bound.
+        # Besides the normalized scores and dropped mask (1.1 m*8 bytes),
+        # the forward peaks in contract without dropout, holding the two
+        # endpoint cluster columns (the key built in one of them) and the
+        # kept-edge index: 4.8 m*8 bytes measured. With dropout it peaks in
+        # select_contractions, holding the kept edges' indices, endpoints
+        # and scores and round 1's temporaries: 5.64 measured. Holding the
+        # raw scores through the level as well exceeds the bound with dropout.
         g, params, kw = edge_heavy_instance(dropout)
-        assert traced_peak(edgepool_forward, g, params, **kw) < 7.2 * g.num_edges * 8
+        assert traced_peak(edgepool_forward, g, params, **kw) < 6.2 * g.num_edges * 8
 
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
     def test_backward_peak_memory_in_edge_arrays(self, dropout):
