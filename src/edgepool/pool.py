@@ -358,8 +358,8 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
             break
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
-    s = scores.normalized[t]
-    t = t[np.argsort(-s, kind="stable") if t.size <= _STABLE_ORDER_MAX else _score_order(s)]
+    st = scores.normalized[t]
+    t = t[np.argsort(-st, kind="stable") if t.size <= _STABLE_ORDER_MAX else _score_order(st)]
     return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
 
 
