@@ -33,6 +33,7 @@ from .data import _node_task, decimal, gen_synthetic, integer, kfold_splits, loa
 from .fdcheck import CASE_GROUPS, run_gradcheck
 from .graph import (
     Graph,
+    _count,
     _graph_and_labels,
     _json_array,
     _sorted_unique,
@@ -154,8 +155,7 @@ def _load_pool_params(args, graph: Graph) -> PoolParams:
 
 
 def cmd_pool(args) -> int:
-    if args.levels < 0:
-        raise ValueError(f"--levels must be non-negative, got {args.levels}")
+    _count("--levels", args.levels)
     graph, identity = _load_pool_input(args)
     params = _load_pool_params(args, graph)
     manifest = RunManifest.start(args, identity)
@@ -192,8 +192,7 @@ def _config_from_args(args, **extra) -> TrainConfig:
 
 
 def cmd_train_graph(args) -> int:
-    if args.folds < 2:
-        raise ValueError(f"--folds must be at least 2, got {args.folds}")
+    _count("--folds", args.folds, 2)
     directory, name = args.tu
     dataset = load_tu(directory, name)
     manifest = RunManifest.start(args, name)
@@ -331,8 +330,7 @@ def _edge_count(text: str, flag: str) -> int:
 
 
 def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
-    if min_edges < 1:
-        raise ValueError("--min-edges must be at least 1")
+    _count("--min-edges", min_edges, 1)
     if min_edges > max_edges:
         raise ValueError("--min-edges must not exceed --max-edges")
     sizes = []
@@ -340,7 +338,7 @@ def _bench_sizes(min_edges: int, max_edges: int) -> list[int]:
     while current < max_edges * 0.999:
         sizes.append(int(round(current)))
         current *= 10**0.5
-    sizes.append(int(max_edges))
+    sizes.append(max_edges)
     return sizes
 
 

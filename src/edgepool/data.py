@@ -24,7 +24,7 @@ from itertools import compress
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph, _class_labels, _sorted_unique, build_graph, symmetrize
+from .graph import Graph, _codes, _count, _sorted_unique, build_graph, symmetrize
 from .rng import seeded_rng
 
 __all__ = [
@@ -309,9 +309,13 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
 
 
 def kfold_splits(n: int, k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random k-fold partition of ``range(n)``; fold sizes differ by at most one."""
+    """Random k-fold partition of ``range(n)``; fold sizes differ by at most one.
+
+    ``n`` and ``k`` are integers (``graph._count``), ``2 <= k <= n``.
+    """
+    n, k = _count("n", n), _count("k", k)
     if not 2 <= k <= n:
-        raise ValueError(f"cannot make {k} folds from {n} items: need 2 <= folds <= {n}")
+        raise ValueError(f"k ({k}) cannot split {n} items: need 2 <= folds <= {n}")
     perm = seeded_rng(seed, "kfold").permutation(n)
     folds = np.array_split(perm, k)
     out = []
@@ -334,23 +338,21 @@ def node_split(
 ) -> NodeTask:
     """Per-class sampling without replacement into train/test masks.
 
-    ``node_labels`` are one integer per node (``graph._class_labels`` with
-    no class range: the task remaps them to 0..C-1). Remaining nodes stay
-    unlabeled. Every class needs at least per_class_train + per_class_test
-    members; a negative count raises ``ValueError`` naming it, and a zero
-    count is left to the trainers' empty-split check. The defaults are the
+    ``node_labels`` are one integer per node (``graph._codes`` with no
+    range: the task remaps them to 0..C-1). Remaining nodes stay unlabeled.
+    Every class needs at least per_class_train + per_class_test members. The
+    two counts follow the count rule (``graph._count``): a float, a boolean
+    or a negative count raises ``ValueError`` naming it, and a zero count is
+    left to the trainers' empty-split check. The defaults are the
     standard split, which the ``sbm_node_task`` synthetic and ``train-node``
     on a task without given splits use.
     """
-    node_labels = _class_labels("node_labels", node_labels, "node", graph.num_nodes)
-    for name, count in (("per_class_train", per_class_train), ("per_class_test", per_class_test)):
-        if count < 0:
-            raise ValueError(f"{name} must be non-negative, got {count}")
+    node_labels = _codes("node_labels", node_labels, (graph.num_nodes,), item="node", signed=True)
+    need = _count("per_class_train", per_class_train) + _count("per_class_test", per_class_test)
     classes = _sorted_unique(node_labels.copy())
     rng = seeded_rng(seed, "node-split")
     train_mask = np.zeros(graph.num_nodes, dtype=bool)
     test_mask = np.zeros(graph.num_nodes, dtype=bool)
-    need = per_class_train + per_class_test
     for c in classes:
         members = np.flatnonzero(node_labels == c)
         if len(members) < need:
@@ -490,7 +492,9 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
       as labels and the standard per-class train/test split.
 
     ``params`` overrides the kind's ``_SYNTHETIC_DEFAULTS``; an unknown
-    kind or key raises ``ValueError`` naming it.
+    kind or key raises ``ValueError`` naming it. A key whose default is an
+    int takes a count (``graph._count``: a float or a negative value raises
+    ``ValueError`` naming the key); the others are read as floats.
     """
     if kind not in _SYNTHETIC_DEFAULTS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
@@ -498,8 +502,8 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {kind} parameters {unknown}; known: {sorted(defaults)}")
-    # Each value is read as its default's type: int or float.
-    p = {key: type(value)(params.get(key, value)) for key, value in defaults.items()}
+    p = {key: _count(key, params.get(key, value)) if type(value) is int
+         else float(params.get(key, value)) for key, value in defaults.items()}
     rng = seeded_rng(seed, "synthetic", kind)
     if kind == "path_proteinlike":
         return _make_proteinlike(p["num_graphs"], rng, p["min_nodes"], p["max_nodes"])

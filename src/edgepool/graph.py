@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,23 +83,55 @@ def _feature_matrix(values, kind: str, rows: int) -> np.ndarray:
     return a
 
 
-def _class_labels(name: str, labels, item: str, size: int,
-                  num_classes: int | None = None) -> np.ndarray:
-    """``labels`` as int64: a 1-D integer array with one entry per ``item``
-    (``size`` of them), each in ``[0, num_classes)`` when that is given.
+def _codes(name: str, values, shape: tuple, bound: int | None = None,
+           item: str | None = None, signed: bool = False) -> np.ndarray:
+    """``values`` as int64 integer codes: an integer array of ``shape``
+    (``None`` for a dimension of any length), each entry in ``[0, bound)``;
+    without a ``bound`` each entry is ``>= 0``, or of any sign when ``signed``
+    (raw labels). ``item`` names what each entry of a fixed-length array
+    stands for.
 
-    Nothing is cast or clipped: float and boolean labels are refused. Raises
-    ValueError naming ``name`` otherwise.
+    The one rule of integer codes: nothing is cast, wrapped, reshaped or
+    clipped. Float and boolean arrays are refused, and so is an entry that
+    int64 cannot hold. Any empty array, ``[]`` too, is the empty array of a
+    shape whose first dimension is ``None`` or 0. A Python list that mixes
+    booleans and integers reads as an int64 array before this rule sees it,
+    so its booleans pass as 0 and 1: lists are not scanned entry by entry. A
+    valid array costs a min and a max and makes no temporary; the first
+    offender is looked up only on failure. Raises ValueError whose message
+    starts with ``name`` otherwise.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (size,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be a 1-D integer array with one entry per {item} "
-                         f"({size}), got shape {labels.shape} and dtype {labels.dtype}")
-    if num_classes is not None:
-        outside = labels[(labels < 0) | (labels >= num_classes)]
-        if outside.size:
-            raise ValueError(f"{name} entry {outside[0]} is not a class in [0, {num_classes})")
-    return labels.astype(np.int64, copy=False)
+    a = np.asarray(values)
+    if a.size == 0 and not shape[0]:  # [] reads as float64 of shape (0,)
+        a = np.zeros((0, *shape[1:]), dtype=np.int64)
+    if (a.dtype.kind not in "iu" or a.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, a.shape))):
+        per = f", one entry per {item}" if item else ""
+        raise ValueError(f"{name} must be an integer array of shape "
+                         f"{str(shape).replace('None', 'k')}{per}, "
+                         f"got shape {a.shape} and dtype {a.dtype}")
+    low, high = -(2**63) if signed else 0, 2**63 if bound is None else bound
+    if a.size and (a.min() < low or a.max() >= high):
+        v = a[(a < low) | (a >= high)][0]
+        why = ("is negative" if v < 0 else "does not fit int64") if bound is None else (
+            f"is not an index: it lies outside [0, {bound})")
+        raise ValueError(f"{name} entry {v} {why}")
+    return a.astype(np.int64, copy=False)
+
+
+def _count(name: str, value, minimum: int | None = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, of at least
+    ``minimum`` (of any sign when ``minimum`` is None, as a seed is).
+
+    The one rule of counts and seeds: nothing is cast or truncated, so 2.5 and
+    True are refused. Raises ValueError whose message starts with ``name``
+    otherwise.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return operator.index(value)
 
 
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
@@ -215,32 +248,25 @@ def build_graph(
     needs ``num_nodes**2 < 2**63``. Input whose keys already increase
     strictly is canonical and duplicate-free, so it is not sorted again.
 
-    Raises ValueError on out-of-range indices, duplicate directed edges,
-    self-loops, dimension mismatches, non-numeric or non-finite features,
-    or a node count too large for the key.
+    ``num_nodes`` follows the count rule (:func:`_count`) and ``edge_list``,
+    a (k, 2) array of (src, dst) pairs, the code rule (:func:`_codes`), so no
+    count or endpoint is cast. Raises ValueError on a count or endpoint that
+    breaks its rule, duplicate directed edges, self-loops, dimension
+    mismatches, non-numeric or non-finite features, or a node count too large
+    for the key.
     """
-    num_nodes = int(num_nodes)
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be non-negative")
+    num_nodes = _count("num_nodes", num_nodes)
     if num_nodes * num_nodes >= 2**63:
         raise ValueError(
             f"num_nodes ({num_nodes}) is too large: num_nodes**2 must be < 2**63"
         )
 
     features = _feature_matrix(node_features, "node", num_nodes)
-
-    edges = np.asarray(edge_list, dtype=np.int64)
-    if edges.size == 0:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError("edge list must be a sequence of (src, dst) pairs")
-
+    edges = _codes("edge_list", edge_list, (None, 2), num_nodes)
     ef = None if edge_features is None else _feature_matrix(edge_features, "edge", len(edges))
 
     src, dst = edges[:, 0].copy(), edges[:, 1].copy()
     if src.size:
-        if edges.min() < 0 or edges.max() >= num_nodes:
-            raise ValueError("edge endpoint index out of range")
         if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
         key = src * np.int64(num_nodes) + dst
@@ -412,7 +438,7 @@ def _graph_and_labels(obj: dict) -> tuple[Graph, int | None, np.ndarray | None]:
         label = int(_json_array(label, "label", 0, integer=True, noun="an integer class label"))
     if labels is not None:
         labels = _json_array(labels, "node_labels", 1, integer=True, noun="an integer class label")
-        labels = _class_labels("node_labels", labels, "node", graph.num_nodes)
+        labels = _codes("node_labels", labels, (graph.num_nodes,), item="node", signed=True)
     return graph, label, labels
 
 

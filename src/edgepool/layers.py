@@ -2,10 +2,12 @@
 
 All ops take and return :class:`~edgepool.autodiff.Var` nodes. Structural
 inputs (graphs, index vectors, labels, dropout masks) are constants of the
-backward pass. The loss, :func:`cross_entropy`, takes its labels by the
-one label rule, ``graph._class_labels``: one integer class per logit row;
-float and boolean labels are refused, never cast. The same rule checks
-:func:`global_mean_pool`'s graph ids and :func:`gather_rows`' row index.
+backward pass. Every index vector passes the one rule of integer codes,
+``graph._codes``: float and boolean arrays are refused, never cast, and each
+entry lies in its range. It checks the labels of the loss,
+:func:`cross_entropy` (one class per logit row), :func:`global_mean_pool`'s
+graph ids and :func:`gather_rows`' row index. :func:`dense` and
+:func:`batch_norm` take a 2-D ``x``.
 No op takes what it can work out: dropout takes a rate alone (rate 0 is
 the identity), and a readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
 gate and merge, whose vjps are the two halves of ``edgepool_backward``.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var
-from .graph import Graph, _class_labels, _segment_sum
+from .graph import Graph, _codes, _segment_sum
 from .pool import (
     EdgeScores,
     PoolInfo,
@@ -56,11 +58,9 @@ __all__ = [
 
 
 def dense(x: Var, weight: Var, bias: Var) -> Var:
-    """y = x @ weight + bias."""
-    if x.data.shape[1] != weight.data.shape[0]:
-        raise ValueError(
-            f"dense shape mismatch: {x.data.shape} @ {weight.data.shape}"
-        )
+    """y = x @ weight + bias, for a 2-D ``x``."""
+    if x.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
+        raise ValueError(f"x must be 2-D and match weight: {x.data.shape} @ {weight.data.shape}")
     y = x.data @ weight.data + bias.data
 
     def vjp(dy):
@@ -117,10 +117,10 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     standardizes to exactly 0: the output is ``beta``, and the gradients
     with respect to ``x`` and ``gamma`` are exactly 0. A batch of one graph
     that pooling has reduced to one node gives such a batch. Zero rows
-    raise ``ValueError``.
+    raise ``ValueError``, as does an ``x`` that is not 2-D.
     """
-    if x.data.shape[0] < 1:
-        raise ValueError("batch norm needs at least 1 row")
+    if x.data.ndim != 2 or x.data.shape[0] < 1:
+        raise ValueError(f"x must be 2-D with at least 1 row, got shape {x.data.shape}")
     n = x.data.shape[0]
     centered = x.data - x.data.mean(axis=0)
     # The mean and centered sum of squares of ``x.data.var(axis=0)``, bit for bit.
@@ -164,12 +164,10 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     """Per-graph mean of node rows: one row per graph, 0 to ``graph_id.max()``.
 
     ``graph_id`` follows the rule of integer codes
-    (:func:`~edgepool.graph._class_labels`): one integer per activation row,
-    none negative.
+    (:func:`~edgepool.graph._codes`): one integer per activation row, none
+    negative.
     """
-    graph_id = _class_labels("graph_id", graph_id, "activation row", x.data.shape[0])
-    if np.any(graph_id < 0):
-        raise ValueError(f"graph_id entry {graph_id[np.argmax(graph_id < 0)]} is negative")
+    graph_id = _codes("graph_id", graph_id, (x.data.shape[0],), item="activation row")
     counts = np.bincount(graph_id).astype(x.data.dtype)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
@@ -193,8 +191,8 @@ def concat_cols(a: Var, b: Var) -> Var:
 
 def gather_rows(x: Var, index: np.ndarray) -> Var:
     """Rows ``x[index]``; ``index`` is a 1-D integer array with entries in
-    ``[0, rows)`` (:func:`~edgepool.graph._class_labels`)."""
-    index = _class_labels("index", index, "gathered row", np.size(index), x.data.shape[0])
+    ``[0, rows)`` (:func:`~edgepool.graph._codes`)."""
+    index = _codes("index", index, (None,), x.data.shape[0])
     y = np.take(x.data, index, axis=0)
 
     def vjp(dy):
@@ -206,13 +204,13 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
 def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     """Mean negative log softmax probability of the true class: a scalar Var.
 
-    A stable log-sum-exp in double precision. ``labels`` follow the label
-    rule (:func:`~edgepool.graph._class_labels`): one integer class per
+    A stable log-sum-exp in double precision. ``labels`` follow the rule of
+    integer codes (:func:`~edgepool.graph._codes`): one integer class per
     logit row, in ``[0, classes)``.
     """
     logits64 = np.asarray(logits.data, dtype=np.float64)
     n, c = logits64.shape
-    labels = _class_labels("labels", labels, "logit row", n, c)
+    labels = _codes("labels", labels, (n,), c, item="logit row")
     mx = logits64.max(axis=1, keepdims=True)
     shifted = logits64 - mx
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -19,12 +19,13 @@ with a stepped learning-rate schedule and one history row per epoch. Before
 each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
 run stops where it diverged. Before training or evaluating, each split is
-checked: graph indices are integers in ``[0, len(dataset))``, node masks are
-boolean with one entry per node (``_split``, which the task JSON reader also
-uses), and the labels are a 1-D integer array with one entry per graph (or
-node), each in ``[0, num_classes)`` (``graph._class_labels``, the rule of the
-loss and of ``node_split`` too). A bad or empty split, or a bad label, raises
-``ValueError`` naming the argument.
+checked (``_split``, which the task JSON reader also uses): it is not empty,
+node masks are boolean with one entry per node, and graph indices are
+integer codes in ``[0, len(dataset))``. The labels are integer codes with one
+entry per graph (or node), each in ``[0, num_classes)``. Indices and labels
+pass the one rule of integer codes, ``graph._codes``, which the loss, the
+readout, ``build_graph``, ``contract`` and ``node_split`` use too. A bad or
+empty split, or a bad label, raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .autodiff import Var, backward
 from .data import GraphDataset, NodeTask
-from .graph import Graph, _class_labels, batch
+from .graph import Graph, _codes, batch
 from .layers import (
     batch_norm,
     concat_cols,
@@ -277,8 +278,8 @@ def _split(name: str, values, size: int, mask: bool = False) -> np.ndarray:
     """The non-empty split ``values`` of ``size`` items, as int64 indices.
 
     A ``mask`` is a boolean array with one entry per item; otherwise
-    ``values`` are integer indices in ``[0, size)``. Raises ValueError naming
-    the argument at fault.
+    ``values`` are integer codes in ``[0, size)`` (``graph._codes``). Raises
+    ValueError naming the argument at fault.
     """
     values = np.asarray(values)
     if mask:
@@ -289,13 +290,7 @@ def _split(name: str, values, size: int, mask: bool = False) -> np.ndarray:
         values = np.flatnonzero(values)
     if values.size == 0:
         raise ValueError(f"{name} is empty")
-    if values.ndim != 1 or values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be a list of integer indices, "
-                         f"got shape {values.shape} and dtype {values.dtype}")
-    outside = values[(values < 0) | (values >= size)]
-    if outside.size:
-        raise ValueError(f"{name} entry {outside[0]} is not an index in [0, {size})")
-    return values.astype(np.int64, copy=False)
+    return _codes(name, values, (None,), size)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_step rejects what overflows
@@ -344,7 +339,7 @@ def evaluate_graph_model(
 ) -> float:
     """Accuracy over the indexed graphs (at least one) with training behaviors off."""
     indices = _split("indices", indices, len(dataset))
-    _class_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
+    _codes("labels", dataset.labels, (len(dataset),), dataset.num_classes, item="graph")
     leaves = model.params.as_vars()
     correct = 0
     for chunk in _batches(indices, config.batch_size):
@@ -374,7 +369,7 @@ def train_graph_model(
     """
     train_idx = _split("train_idx", train_idx, len(dataset))
     eval_idx = _split("eval_idx", eval_idx, len(dataset))
-    _class_labels("labels", dataset.labels, "graph", len(dataset), dataset.num_classes)
+    _codes("labels", dataset.labels, (len(dataset),), dataset.num_classes, item="graph")
     model = GraphClassifier.create(dataset.graphs[0].feature_width, dataset.num_classes,
                                    channels=config.channels, pooling=pooling, seed=config.seed)
 
@@ -399,7 +394,7 @@ def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConf
     """
     n = task.graph.num_nodes
     nodes = _split("test_mask", task.test_mask, n, mask=True)
-    _class_labels("node_labels", task.node_labels, "node", n, task.num_classes)
+    _codes("node_labels", task.node_labels, (n,), task.num_classes, item="node")
     logits = model.forward(model.params.as_vars(), task.graph)
     pred = logits.data.argmax(axis=1)
     return float((pred[nodes] == task.node_labels[nodes]).mean())
@@ -423,7 +418,7 @@ def train_node_model(
     n = task.graph.num_nodes
     train_nodes = _split("train_mask", task.train_mask, n, mask=True)
     _split("test_mask", task.test_mask, n, mask=True)
-    _class_labels("node_labels", task.node_labels, "node", n, task.num_classes)
+    _codes("node_labels", task.node_labels, (n,), task.num_classes, item="node")
     model = NodeClassifier.create(task.graph.feature_width, task.num_classes,
                                   channels=config.channels, conv_kind=conv_kind,
                                   pooling=pooling, seed=config.seed)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var
+from .graph import _count
 
 __all__ = [
     "Param",
@@ -65,7 +66,11 @@ class TrainConfig:
     The learning rate starts at ``learning_rate`` and is halved every
     ``LR_HALVING_PERIOD`` epochs. The dropout rates are the constants
     ``HEAD_DROPOUT_P`` and ``EDGE_SCORE_DROPOUT_P`` of
-    :mod:`edgepool.models`.
+    :mod:`edgepool.models`. ``epochs``, ``batch_size`` and ``channels`` are
+    integers of at least 1 and ``seed`` an integer of any sign, the seed rule
+    of :func:`~edgepool.rng.seeded_rng` (both ``graph._count``); a float or a
+    boolean raises ValueError naming the field, as does a learning rate that
+    is not positive and finite. The four are kept as Python ints.
     """
 
     epochs: int = 200
@@ -75,8 +80,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.channels <= 0:
-            raise ValueError("epochs, batch_size, and channels must be positive")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("channels", 1), ("seed", None)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate {self.learning_rate} must be positive and finite")
 

@@ -94,7 +94,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _require_finite, _segment_sum, _sorted_unique
+from .graph import Graph, _codes, _require_finite, _segment_sum, _sorted_unique
 from .rng import seeded_rng
 
 __all__ = [
@@ -484,6 +484,10 @@ def contract(
 ) -> tuple[Graph, PoolInfo]:
     """Collapse each matched edge into one node; rebuild the edge set.
 
+    ``matching`` is a (k, 2) array of node pairs that passes the rule of
+    integer codes (:func:`~edgepool.graph._codes`), entries in
+    ``[0, num_nodes)``: a float, boolean or flat matching raises ValueError
+    naming it, never cast or reshaped, and ``[]`` is the empty matching.
     Pooled nodes come in the level's row order (:class:`PoolInfo`). Pooled
     edges are the image of the original edges under the cluster map, with
     self-loops removed and parallel edges deduplicated (edge features of
@@ -497,17 +501,16 @@ def contract(
     and then gathered at the edges that are not self-loops, and keeps each
     value that differs from its predecessor; the sorted unique keys decode,
     by one division, to canonical edges, so the pooled graph is built
-    directly, without :func:`build_graph`'s sort and checks. The features computed here are checked to be finite, since a
-    gated float32 sum can overflow (with no warning). Only with edge features is
-    each edge's pooled index looked up (``np.searchsorted``), to sum the
-    features of edges that collapse into one.
+    directly, without :func:`build_graph`'s sort and checks. The features
+    computed here are checked to be finite, since a gated float32 sum can
+    overflow (with no warning). Only with edge features is each edge's
+    pooled index looked up (``np.searchsorted``), to sum the features of
+    edges that collapse into one.
     """
-    matching = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
     v = graph.num_nodes
+    matching = _codes("matching", matching, (None, 2), v)
     k = matching.shape[0]
 
-    if np.any((matching < 0) | (matching >= v)):
-        raise ValueError(f"invalid matching: a node index is outside [0, {v})")
     if np.any(np.bincount(matching.ravel(), minlength=v) > 1):
         raise ValueError("invalid matching: a node appears in two matched edges")
 

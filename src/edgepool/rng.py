@@ -11,14 +11,19 @@ import zlib
 
 import numpy as np
 
+from .graph import _count
+
 
 def seeded_rng(seed: int, *labels) -> np.random.Generator:
     """Return a generator for ``seed`` specialised by a label path.
 
-    Labels may be strings or integers. The same (seed, labels) pair always
-    yields the same stream, independent of any other stream in the program.
+    This is the one home of seeds: ``seed`` is an integer of any sign
+    (``graph._count``), and a float or boolean seed raises ValueError naming
+    it, never truncated to another seed's stream. Labels may be strings or
+    integers. The same (seed, labels) pair always yields the same stream,
+    independent of any other stream in the program.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [_count("seed", seed, None) & 0xFFFFFFFFFFFFFFFF]
     for label in labels:
         if isinstance(label, (int, np.integer)):
             entropy.append(int(label) & 0xFFFFFFFFFFFFFFFF)

@@ -200,6 +200,12 @@ class TestDense:
         with pytest.raises(ValueError):
             dense(leaf(rng, 4, 3), leaf(rng, 2, 2), leaf(rng, 2))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)], ids=["1-D", "3-D"])
+    def test_x_must_be_two_dimensional(self, shape):
+        # A 1-D x used to raise IndexError reading its column count.
+        with pytest.raises(ValueError, match="^x must be 2-D"):
+            dense(Var(np.ones(shape)), Var(np.ones((3, 2))), Var(np.zeros(2)))
+
 
 class TestRelu:
     def test_forward_and_mask(self):
@@ -228,6 +234,12 @@ class TestBatchNorm:
     def test_needs_one_row(self):
         with pytest.raises(ValueError, match="at least 1 row"):
             batch_norm(Var(np.ones((0, 2))), *self.unit_affine(2))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)], ids=["1-D", "3-D"])
+    def test_x_must_be_two_dimensional(self, shape):
+        # A 1-D x used to standardize as one feature column and return zeros.
+        with pytest.raises(ValueError, match="^x must be 2-D"):
+            batch_norm(Var(np.ones(shape)), *self.unit_affine(3))
 
     def test_one_row_gives_beta_and_zero_gradients(self):
         x = Var(np.asarray([[3.0, -7.5]]))
