@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .graph import _real
+
 __all__ = ["Var", "backward"]
 
 
@@ -59,14 +61,12 @@ def _topo_order(root: Var) -> list[Var]:
 def backward(root: Var, seed: np.ndarray | None = None) -> None:
     """Accumulate gradients of ``root`` into every Var it depends on.
 
-    ``seed`` defaults to ones, i.e. the gradient of root.sum(). Each gradient
+    ``seed`` defaults to ones, i.e. the gradient of root.sum(); a given seed
+    is a real array of the output's shape (``graph._real``). Each gradient
     a vjp returns is cast to its parent's dtype here, so no vjp casts its own.
     """
-    root.grad = (
-        np.ones_like(root.data) if seed is None else np.asarray(seed, dtype=root.data.dtype)
-    )
-    if root.grad.shape != root.data.shape:
-        raise ValueError(f"seed shape {root.grad.shape} != output shape {root.data.shape}")
+    root.grad = np.ones_like(root.data) if seed is None else (
+        _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
     for node in reversed(_topo_order(root)):
         if node.vjp is None or node.grad is None:
             continue

@@ -36,6 +36,7 @@ from .graph import (
     _count,
     _graph_and_labels,
     _json_array,
+    _real,
     _sorted_unique,
     build_graph,
     graph_to_json,
@@ -148,8 +149,7 @@ def _load_pool_params(args, graph: Graph) -> PoolParams:
         bias = float(_json_array(obj["bias"], "params bias", 0))
         params = PoolParams(weight=weight, bias=bias)
         _check_widths(graph, params)  # also when --levels 0 scores nothing
-        if not (np.isfinite(weight).all() and np.isfinite(bias)):
-            raise ValueError("params weight and bias must be finite")
+        _real("params weight and bias", np.append(weight, bias), (None,), finite=True)
         return params
     return random_pool_params(graph.feature_width, graph.edge_feature_width, seed=args.seed)
 

@@ -37,9 +37,8 @@ from .layers import (
     unpool,
 )
 from .models import GraphClassifier, NodeClassifier
-from .pool import edgepool_forward, random_pool_params
+from .pool import random_pool_params
 from .rng import seeded_rng
-from .unpool import unpool_backward, unpool_once
 
 __all__ = ["GradCheckResult", "run_gradcheck", "CASE_NAMES", "CASE_GROUPS"]
 
@@ -258,20 +257,22 @@ def _build_node_model(rng):
 
 
 def _check_unpool_adjoint(name, seed, corrupt) -> GradCheckResult:
-    """Exact adjoint identity: <unpool(x), y> equals <x, unpool^T(y)>."""
+    """Exact adjoint identity of the tape op: <unpool(x), y> equals <x, unpool^T(y)>,
+    where unpool^T(y) is the gradient that ``backward`` seeded with y gives x."""
     worst = 0.0
     for attempt in range(5):
         rng = seeded_rng(seed, "unpool-adjoint", attempt)
         graph = _random_graph(rng, n=9, f=3, p=0.4)
         params = random_pool_params(3, seed=int(rng.integers(0, 2**31)))
-        _, info, _ = edgepool_forward(graph, params)
-        x = rng.normal(size=(info.pooled_num_nodes, 4))
+        _, gate, _, info, _ = edge_pool(Var(graph.node_features), Var(params.weight),
+                                        Var(np.asarray(params.bias)), graph)
+        x = Var(rng.normal(size=(info.pooled_num_nodes, 4)))
         y = rng.normal(size=(graph.num_nodes, 4))
-        lhs = float((unpool_once(x, info) * y).sum())
-        back = unpool_backward(y, info)
-        if corrupt:
-            back = back * 1.05
-        rhs = float((x * back).sum())
+        out = unpool(x, gate, info)
+        backward(out, seed=y)
+        lhs = float((out.data * y).sum())
+        back = x.grad * 1.05 if corrupt else x.grad
+        rhs = float((x.data * back).sum())
         worst = max(worst, abs(lhs - rhs))
     return GradCheckResult(name, worst <= 1e-8, worst, worst, 5)
 

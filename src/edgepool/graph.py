@@ -65,21 +65,60 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _feature_matrix(values, kind: str, rows: int) -> np.ndarray:
-    """``values`` as a 2-D numeric matrix of ``rows`` finite rows, integers as float64.
+def _real(name: str, values, shape: tuple, finite: bool = False) -> np.ndarray:
+    """``values`` as a real array of ``shape`` (``None`` for a dimension of any
+    length): a float array unchanged, an integer array widened to float64.
 
-    ``kind`` is ``"node"`` or ``"edge"``: the rows are one per node or per edge.
+    The one rule of real arrays (features, activations, gradients, gates and
+    scores): boolean, complex, string and object arrays are refused, never
+    cast, and nothing is reshaped or broadcast, so integer input is widened,
+    never truncated. It reads the dtype and the shape alone, so a float array
+    costs O(1) and is not copied; only ``finite`` reads every entry, where
+    NaN and infinities must not enter. Raises ValueError whose message starts
+    with ``name`` otherwise.
     """
     a = np.asarray(values)
     if a.dtype.kind not in "fiu":
-        raise ValueError(f"{kind} features must be numeric")
-    if a.dtype.kind in "iu":
+        raise ValueError(f"{name} must be numeric and real, got dtype {a.dtype}")
+    if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        of = f" of shape {str(shape).replace('None', 'k')}" if set(shape) - {None} else ""
+        raise ValueError(f"{name} must be {len(shape)}-D{of}, got shape {a.shape}")
+    if a.dtype.kind != "f":
         a = a.astype(np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{kind} features must be 2-D, got {a.ndim}-D")
-    if a.shape[0] != rows:
-        raise ValueError(f"{kind} feature rows ({a.shape[0]}) != num_{kind}s ({rows})")
-    _require_finite(a, f"{kind} features")
+    if finite:
+        _require_finite(a, name)
+    return a
+
+
+# The ranges that a real number can be held to, by the words that name them.
+_RANGES = {"in [0, 1)": lambda v: 0.0 <= v < 1.0,
+           "positive and finite": lambda v: 0.0 < v < np.inf}
+
+
+def _real_number(name: str, value, within: str | None = None) -> float:
+    """``value`` as a float: a Python or numpy real number, or a 0-D real
+    array (:func:`_real`), so a bool or a string is refused; with ``within``,
+    a key of ``_RANGES``, it must lie in that range (a dropout rate in
+    ``[0, 1)``, a learning rate positive and finite). Raises ValueError whose
+    message starts with ``name`` otherwise.
+    """
+    number = float(_real(name, value, ()))
+    if within is not None and not _RANGES[within](number):
+        raise ValueError(f"{name} must be {within}, got {value}")
+    return number
+
+
+def _mask(name: str, values, size: int, item: str) -> np.ndarray:
+    """``values`` as a boolean mask of ``size`` entries, one per ``item``.
+
+    The one rule of masks: an integer or float array is refused, never cast,
+    so ``[0, 2]`` is no mask. Raises ValueError whose message starts with
+    ``name`` otherwise.
+    """
+    a = np.asarray(values)
+    if a.dtype != bool or a.shape != (size,):
+        raise ValueError(f"{name} must be a boolean mask of shape ({size},), one entry per "
+                         f"{item}, got shape {a.shape} and dtype {a.dtype}")
     return a
 
 
@@ -221,7 +260,7 @@ class Graph:
     def with_node_features(self, features: np.ndarray) -> "Graph":
         """Same structure, different node features (layer activations etc.),
         checked and copied as :func:`build_graph` checks and copies them."""
-        x = _feature_matrix(features, "node", self.num_nodes).copy()
+        x = _real("node features", features, (self.num_nodes, None), finite=True).copy()
         return Graph(x, self.edge_src, self.edge_dst, self.edge_features)
 
 
@@ -261,9 +300,10 @@ def build_graph(
             f"num_nodes ({num_nodes}) is too large: num_nodes**2 must be < 2**63"
         )
 
-    features = _feature_matrix(node_features, "node", num_nodes)
+    features = _real("node features", node_features, (num_nodes, None), finite=True)
     edges = _codes("edge_list", edge_list, (None, 2), num_nodes)
-    ef = None if edge_features is None else _feature_matrix(edge_features, "edge", len(edges))
+    ef = edge_features if edge_features is None else _real(
+        "edge features", edge_features, (len(edges), None), finite=True)
 
     src, dst = edges[:, 0].copy(), edges[:, 1].copy()
     if src.size:

@@ -6,8 +6,14 @@ backward pass. Every index vector passes the one rule of integer codes,
 ``graph._codes``: float and boolean arrays are refused, never cast, and each
 entry lies in its range. It checks the labels of the loss,
 :func:`cross_entropy` (one class per logit row), :func:`global_mean_pool`'s
-graph ids and :func:`gather_rows`' row index. :func:`dense` and
-:func:`batch_norm` take a 2-D ``x``.
+graph ids and :func:`gather_rows`' row index. Every activation an op reads
+as a matrix (``x``, ``logits``, ``concat_cols``' two operands and
+:func:`unpool`'s gate) passes the one rule of real arrays, ``graph._real``,
+of the shape the op needs, and every rate and the scorer bias the one rule
+of real numbers, ``graph._real_number``: boolean, complex, string and
+object input is refused, nothing is broadcast, and integer activations are
+widened to float64, never truncated. Both rules read the dtype and the
+shape alone, so a float operand costs O(1) and is not copied.
 No op takes what it can work out: dropout takes a rate alone (rate 0 is
 the identity), and a readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
 gate and merge, whose vjps are the two halves of ``edgepool_backward``.
@@ -27,12 +33,11 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var
-from .graph import Graph, _codes, _segment_sum
+from .graph import Graph, _codes, _real, _real_number, _segment_sum
 from .pool import (
     EdgeScores,
     PoolInfo,
     PoolParams,
-    _check_dropout_rate,
     _add_gated_rows,
     _gate_gradient,
     _member_rows,
@@ -58,13 +63,12 @@ __all__ = [
 
 
 def dense(x: Var, weight: Var, bias: Var) -> Var:
-    """y = x @ weight + bias, for a 2-D ``x``."""
-    if x.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
-        raise ValueError(f"x must be 2-D and match weight: {x.data.shape} @ {weight.data.shape}")
-    y = x.data @ weight.data + bias.data
+    """y = x @ weight + bias, for a 2-D ``x`` with a row of weight per column."""
+    xd = _real("x", x.data, (None, weight.data.shape[0]))
+    y = xd @ weight.data + bias.data
 
     def vjp(dy):
-        return dy @ weight.data.T, x.data.T @ dy, dy.sum(axis=0)
+        return dy @ weight.data.T, xd.T @ dy, dy.sum(axis=0)
 
     return Var(y, (x, weight, bias), vjp)
 
@@ -91,17 +95,14 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
     with the cached ``graph.in_adjacency`` and its transpose, in fixed
     canonical order.
     """
-    if x.data.shape[0] != graph.num_nodes:
-        raise ValueError(
-            f"activation rows ({x.data.shape[0]}) != num_nodes ({graph.num_nodes})"
-        )
-    nm, inv_deg = _neighbor_mean(graph, x.data)
-    y = x.data @ w_self.data + nm @ w_neigh.data + bias.data
+    xd = _real("x", x.data, (graph.num_nodes, None))
+    nm, inv_deg = _neighbor_mean(graph, xd)
+    y = xd @ w_self.data + nm @ w_neigh.data + bias.data
 
     def vjp(dy):
         d_nm = dy @ w_neigh.data.T
         dx = dy @ w_self.data.T + graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
-        return dx, x.data.T @ dy, nm.T @ dy, dy.sum(axis=0)
+        return dx, xd.T @ dy, nm.T @ dy, dy.sum(axis=0)
 
     return Var(y, (x, w_self, w_neigh, bias), vjp)
 
@@ -119,10 +120,11 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     that pooling has reduced to one node gives such a batch. Zero rows
     raise ``ValueError``, as does an ``x`` that is not 2-D.
     """
-    if x.data.ndim != 2 or x.data.shape[0] < 1:
-        raise ValueError(f"x must be 2-D with at least 1 row, got shape {x.data.shape}")
-    n = x.data.shape[0]
-    centered = x.data - x.data.mean(axis=0)
+    xd = _real("x", x.data, (None, None))
+    n = xd.shape[0]
+    if n < 1:
+        raise ValueError("x must have at least 1 row")
+    centered = xd - xd.mean(axis=0)
     # The mean and centered sum of squares of ``x.data.var(axis=0)``, bit for bit.
     var = np.add.reduce(centered * centered, axis=0) / n
     inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
@@ -152,7 +154,7 @@ def relu(x: Var) -> Var:
 
 def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
     """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity."""
-    _check_dropout_rate(p)
+    p = _real_number("dropout probability", p, "in [0, 1)")
     if p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
@@ -167,11 +169,12 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
     (:func:`~edgepool.graph._codes`): one integer per activation row, none
     negative.
     """
-    graph_id = _codes("graph_id", graph_id, (x.data.shape[0],), item="activation row")
-    counts = np.bincount(graph_id).astype(x.data.dtype)
+    xd = _real("x", x.data, (None, None))
+    graph_id = _codes("graph_id", graph_id, (len(xd),), item="activation row")
+    counts = np.bincount(graph_id).astype(xd.dtype)
     if np.any(counts == 0):
         raise ValueError("every graph in a batch needs at least one node")
-    y = _segment_sum(graph_id, x.data, len(counts)) / counts[:, None]
+    y = _segment_sum(graph_id, xd, len(counts)) / counts[:, None]
 
     def vjp(dy):
         return (np.take(dy / counts[:, None], graph_id, axis=0),)
@@ -180,8 +183,10 @@ def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
 
 
 def concat_cols(a: Var, b: Var) -> Var:
-    y = np.concatenate([a.data, b.data], axis=1)
-    na = a.data.shape[1]
+    """Columns of ``a`` then of ``b``, two 2-D Vars of the same row count."""
+    ad = _real("a", a.data, (None, None))
+    y = np.concatenate([ad, _real("b", b.data, (len(ad), None))], axis=1)
+    na = ad.shape[1]
 
     def vjp(dy):
         return dy[:, :na], dy[:, na:]
@@ -208,7 +213,7 @@ def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     integer codes (:func:`~edgepool.graph._codes`): one integer class per
     logit row, in ``[0, classes)``.
     """
-    logits64 = np.asarray(logits.data, dtype=np.float64)
+    logits64 = _real("logits", logits.data, (None, None)).astype(np.float64, copy=False)
     n, c = logits64.shape
     labels = _codes("labels", labels, (n,), c, item="logit row")
     mx = logits64.max(axis=1, keepdims=True)
@@ -245,8 +250,9 @@ def edge_pool(
     info, edge scores); the matching is a constant of the backward.
     """
     scored_graph = graph.with_node_features(x.data)
-    params = PoolParams(weight=weight.data, bias=float(bias.data))
-    pooled, info, scores = edgepool_forward(scored_graph, params, training=dropout_p > 0.0,
+    params = PoolParams(weight=weight.data, bias=_real_number("bias", bias.data))
+    # Training mode: the rate alone decides whether edges are dropped.
+    pooled, info, scores = edgepool_forward(scored_graph, params, training=True,
                                             dropout_p=dropout_p, seed=seed)
 
     gate = Var(scores.normalized[info.matched_edge_index], (x, weight, bias),
@@ -268,12 +274,11 @@ def unpool(x: Var, gate: Var, info: PoolInfo) -> Var:
     ``info.node_score``, and the division's score dependence is
     differentiated through the gate.
     """
-    if gate.data.shape != (info.num_matched,):
-        raise ValueError(f"gate must have shape ({info.num_matched},), got {gate.data.shape}")
+    _real("gate", gate.data, (info.num_matched,))
     # Both members of a pair hold its gate, so the second members' scores serve.
     if not np.array_equal(gate.data, info.node_score[info.matching[:, 1]]):
         raise ValueError("gate must be this level's gate: its scores differ from info.node_score")
-    y = unpool_once(x.data, info)
+    y = unpool_once(_real("x", x.data, (info.pooled_num_nodes, None)), info)
 
     def vjp(dy):
         # Per pair, the member sum of each row's -<dy, y> over its gate.

@@ -20,8 +20,8 @@ each Adam step it checks that the loss and every gradient are finite, and
 raises ``ValueError`` naming the epoch and batch otherwise, so a diverged
 run stops where it diverged. Before training or evaluating, each split is
 checked (``_split``, which the task JSON reader also uses): it is not empty,
-node masks are boolean with one entry per node, and graph indices are
-integer codes in ``[0, len(dataset))``. The labels are integer codes with one
+node masks are boolean with one entry per node (``graph._mask``), and graph
+indices are integer codes in ``[0, len(dataset))``. The labels are integer codes with one
 entry per graph (or node), each in ``[0, num_classes)``. Indices and labels
 pass the one rule of integer codes, ``graph._codes``, which the loss, the
 readout, ``build_graph``, ``contract`` and ``node_split`` use too. A bad or
@@ -36,7 +36,7 @@ import numpy as np
 
 from .autodiff import Var, backward
 from .data import GraphDataset, NodeTask
-from .graph import Graph, _codes, batch
+from .graph import Graph, _codes, _count, _mask, batch
 from .layers import (
     batch_norm,
     concat_cols,
@@ -152,6 +152,8 @@ class GraphClassifier:
         pooling: bool = True,
         seed: int = 0,
     ) -> "GraphClassifier":
+        feature_width = _count("feature_width", feature_width)
+        num_classes, channels = _count("num_classes", num_classes, 1), _count("channels", channels, 1)
         rng = seeded_rng(seed, "graph-model-init")
         store = ParamStore()
         widths = [feature_width, channels, channels]
@@ -217,6 +219,8 @@ class NodeClassifier:
     ) -> "NodeClassifier":
         if conv_kind not in CONV_KINDS:
             raise ValueError(f"conv_kind must be one of {CONV_KINDS}, got {conv_kind!r}")
+        feature_width = _count("feature_width", feature_width)
+        num_classes, channels = _count("num_classes", num_classes, 1), _count("channels", channels, 1)
         rng = seeded_rng(seed, "node-model-init")
         store = ParamStore()
         c = channels
@@ -277,17 +281,11 @@ def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int)
 def _split(name: str, values, size: int, mask: bool = False) -> np.ndarray:
     """The non-empty split ``values`` of ``size`` items, as int64 indices.
 
-    A ``mask`` is a boolean array with one entry per item; otherwise
-    ``values`` are integer codes in ``[0, size)`` (``graph._codes``). Raises
-    ValueError naming the argument at fault.
+    A ``mask`` is a boolean mask with one entry per node (``graph._mask``);
+    otherwise ``values`` are integer codes in ``[0, size)`` (``graph._codes``).
+    Raises ValueError naming the argument at fault.
     """
-    values = np.asarray(values)
-    if mask:
-        if values.dtype != bool:
-            raise ValueError(f"{name} must be a boolean mask, got dtype {values.dtype}")
-        if values.shape != (size,):
-            raise ValueError(f"{name} needs one entry per node ({size}), got shape {values.shape}")
-        values = np.flatnonzero(values)
+    values = np.flatnonzero(_mask(name, values, size, "node")) if mask else np.asarray(values)
     if values.size == 0:
         raise ValueError(f"{name} is empty")
     return _codes(name, values, (None,), size)

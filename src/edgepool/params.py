@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var
-from .graph import _count
+from .graph import _count, _real_number
 
 __all__ = [
     "Param",
@@ -69,8 +69,10 @@ class TrainConfig:
     :mod:`edgepool.models`. ``epochs``, ``batch_size`` and ``channels`` are
     integers of at least 1 and ``seed`` an integer of any sign, the seed rule
     of :func:`~edgepool.rng.seeded_rng` (both ``graph._count``); a float or a
-    boolean raises ValueError naming the field, as does a learning rate that
-    is not positive and finite. The four are kept as Python ints.
+    boolean raises ValueError naming the field. ``learning_rate`` is a real
+    number (``graph._real_number``), positive and finite, so a bool or a
+    string raises ValueError naming it too. The four are kept as Python ints
+    and the rate as a Python float.
     """
 
     epochs: int = 200
@@ -82,8 +84,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("channels", 1), ("seed", None)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate {self.learning_rate} must be positive and finite")
+        object.__setattr__(self, "learning_rate", _real_number(
+            "learning_rate", self.learning_rate, "positive and finite"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -94,7 +94,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _codes, _require_finite, _segment_sum, _sorted_unique
+from .graph import (Graph, _codes, _count, _mask, _real, _real_number, _require_finite,
+                    _segment_sum, _sorted_unique)
 from .rng import seeded_rng
 
 __all__ = [
@@ -208,7 +209,7 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     r += np.einsum("ij,j->i", x, w[f : 2 * f])[graph.edge_dst]
     if graph.edge_feature_width:
         r += np.einsum("ij,j->i", graph.edge_features.astype(np.float64, copy=False), w[2 * f :])
-    r += float(params.bias)
+    r += _real_number("scorer bias", params.bias)
     return r
 
 
@@ -225,10 +226,8 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
     compares scores for equality.
     """
     m = graph.num_edges
-    raw = np.asarray(raw, dtype=np.float64)
-    dropped = np.asarray(dropped, dtype=bool)
-    if raw.shape != (m,) or dropped.shape != (m,):
-        raise ValueError(f"raw scores and the dropped mask must have shape ({m},)")
+    raw = _real("raw", raw, (m,))
+    dropped = _mask("dropped", dropped, m, "edge")
     # With nothing dropped, a full slice skips the compaction (1-3 ms at 1e6
     # edges), and the softmax buffer is the result.
     keep = np.flatnonzero(~dropped) if dropped.any() else slice(None)
@@ -252,19 +251,13 @@ def normalize_scores(graph: Graph, raw: np.ndarray, dropped: np.ndarray) -> np.n
     return out
 
 
-def _check_dropout_rate(p: float) -> None:
-    """The one rule for a dropout rate, of edge scores or of features: 0 <= p < 1."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-
-
 def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
     """Boolean mask dropping each of ``num_edges`` edges with probability ``p``.
 
     Training only; deterministic given the seed. Dropped edges take part in
     neither normalization nor selection.
     """
-    _check_dropout_rate(p)
+    p = _real_number("dropout probability", p, "in [0, 1)")
     rng = seeded_rng(seed, "edge-score-dropout")
     return rng.random(num_edges) < p
 
@@ -572,7 +565,7 @@ def edgepool_forward(
     both the softmax denominator and selection. Dropout applies only when
     ``training`` is true, but the rate must be in [0, 1) either way.
     """
-    _check_dropout_rate(dropout_p)
+    dropout_p = _real_number("dropout probability", dropout_p, "in [0, 1)")
     raw = raw_scores(graph, params)
     if training and dropout_p > 0.0:
         if seed is None:
@@ -617,10 +610,7 @@ def edgepool_backward(
     (:func:`_gate_gradient`, :func:`_add_gated_rows`) and the gate's,
     :func:`score_path_backward`.
     """
-    upstream = np.asarray(upstream_grad)
-    if upstream.shape != (info.pooled_num_nodes, graph.feature_width):
-        raise ValueError(f"upstream gradient must have shape "
-                         f"({info.pooled_num_nodes}, {graph.feature_width})")
+    upstream = _real("upstream_grad", upstream_grad, (info.pooled_num_nodes, graph.feature_width))
     g_s = _gate_gradient(graph, info, upstream)
     # The score term holds no -0.0, so adding the row terms to it in place
     # rounds exactly as adding it to them.
@@ -666,9 +656,7 @@ def score_path_backward(
     v, f = graph.num_nodes, graph.feature_width
     w = np.asarray(params.weight, dtype=np.float64)
     e_idx = info.matched_edge_index
-    g_s = np.asarray(g_s, dtype=np.float64)
-    if g_s.shape != (info.num_matched,):
-        raise ValueError(f"g_s must have shape ({info.num_matched},)")
+    g_s = _real("g_s", g_s, (info.num_matched,))
 
     # Softmax coupling: within the destination group of matched edge e,
     # d s_e / d r_k = p_e (delta_ek - p_k) with p = normalized - 0.5.
@@ -713,8 +701,12 @@ def random_pool_params(
     edge_feature_width: int = 0,
     seed: int = 0,
 ) -> PoolParams:
-    """Gaussian scorer parameters, for visualization and property checks."""
+    """Gaussian scorer parameters, for visualization and property checks.
+
+    Both widths are counts (``graph._count``) of at least 0: a graph may have
+    zero-width features.
+    """
+    f, g = _count("feature_width", feature_width), _count("edge_feature_width", edge_feature_width)
     rng = seeded_rng(seed, "pool-params")
-    n = 2 * feature_width + edge_feature_width
-    return PoolParams(weight=rng.normal(size=n), bias=0.0)
+    return PoolParams(weight=rng.normal(size=2 * f + g), bias=0.0)
 

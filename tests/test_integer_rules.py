@@ -29,6 +29,7 @@ from edgepool import (
     kfold_splits,
     node_split,
     random_pool_params,
+    run_gradcheck,
     symmetrize,
     train_graph_model,
     train_node_model,
@@ -161,6 +162,25 @@ _CASES = {
         lambda s: edge_pool(Var(PATH4.node_features), Var(PATH4_PARAMS.weight),
                             Var(np.asarray(PATH4_PARAMS.bias)), PATH4, dropout_p=0.5, seed=s),
         3, SEED_CASES),
+    # Widths are at least 0 (a JSON graph may have zero-width features), class
+    # counts and channels at least 1.
+    "pool.random_pool_params:feature_width": (
+        lambda w: random_pool_params(w), 3, _count_cases() | {"probe": 2.5}),
+    "pool.random_pool_params:edge_feature_width": (
+        lambda w: random_pool_params(2, w), 1, _count_cases()),
+    "models.GraphClassifier:feature_width": (
+        lambda w: GraphClassifier.create(w, 2, channels=4), 3, _count_cases() | {"probe": 3.5}),
+    "models.GraphClassifier:num_classes": (
+        lambda c: GraphClassifier.create(3, c, channels=4), 2, _count_cases(1) | {"probe": 2.0}),
+    "models.GraphClassifier:channels": (
+        lambda c: GraphClassifier.create(3, 2, channels=c), 4, _count_cases(1)),
+    "models.NodeClassifier:feature_width": (
+        lambda w: NodeClassifier.create(w, 2, channels=4), 3, _count_cases()),
+    "models.NodeClassifier:num_classes": (
+        lambda c: NodeClassifier.create(3, c, channels=4), 2, _count_cases(1)),
+    "models.NodeClassifier:channels": (
+        lambda c: NodeClassifier.create(3, 2, channels=c), 4, _count_cases(1)),
+    "fdcheck.run_gradcheck:seed": (lambda s: run_gradcheck(s, ["relu"]), None, SEED_CASES),
     # The parser reads both flags as integers; the commands check the count.
     "cli.cmd_pool:--levels": (
         lambda v: cli.cmd_pool(argparse.Namespace(levels=v)), None, _count_cases()),
@@ -259,16 +279,16 @@ def test_every_caller_of_the_integer_rules_has_a_row():
     assert sorted(callers - covered) == []
 
 
-def _int64_cast(call: ast.Call) -> bool:
-    name = ast.unparse(call.func)
+def _array_cast(call: ast.Call, dtypes: set[str]) -> bool:
+    """Whether ``call`` is ``np.asarray`` or ``np.array`` with a dtype in ``dtypes``."""
     dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
-    return name == "int" or (name in ("np.asarray", "np.array")
-                             and any(ast.unparse(d) == "np.int64" for d in dtype))
+    return (ast.unparse(call.func) in ("np.asarray", "np.array")
+            and any(ast.unparse(d) in dtypes for d in dtype))
 
 
-def test_no_function_casts_its_own_arguments_to_integers():
-    # int(2.5) is 2 and np.asarray([0.5], dtype=np.int64) is [0]: an argument
-    # passes a rule instead, which refuses what a cast would truncate.
+def _own_argument_casts(is_cast) -> list[str]:
+    """``module.function: call`` for each call that ``is_cast`` matches and
+    that passes the function its own parameter."""
     casts = []
     for module, tree in _modules():
         for fn in ast.walk(tree):
@@ -277,5 +297,12 @@ def test_no_function_casts_its_own_arguments_to_integers():
             params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
             casts += [f"{module}.{fn.name}: {ast.unparse(c)}" for c in ast.walk(fn)
                       if isinstance(c, ast.Call) and c.args and isinstance(c.args[0], ast.Name)
-                      and c.args[0].id in params and _int64_cast(c)]
-    assert casts == []
+                      and c.args[0].id in params and is_cast(c)]
+    return casts
+
+
+def test_no_function_casts_its_own_arguments_to_integers():
+    # int(2.5) is 2 and np.asarray([0.5], dtype=np.int64) is [0]: an argument
+    # passes a rule instead, which refuses what a cast would truncate.
+    assert _own_argument_casts(
+        lambda c: ast.unparse(c.func) == "int" or _array_cast(c, {"np.int64"})) == []

@@ -696,7 +696,7 @@ class TestUnpoolLayer:
                                           Var(np.asarray(0.0)), g)
         assert info.num_matched > 0
         for bad in (info.node_score, gate.data[:-1], gate.data[:, None]):
-            with pytest.raises(ValueError, match="gate must have shape"):
+            with pytest.raises(ValueError, match="^gate must be 1-D of shape"):
                 unpool(out, Var(bad), info)
 
     def test_gate_of_another_level_is_refused(self):

@@ -115,7 +115,7 @@ class TestUnpoolChain:
         if pooled.num_nodes == g.num_nodes:  # paranoid: needs a real contraction
             pytest.skip("no contraction drawn")
         once = unpool_once(pooled.node_features, info1)
-        with pytest.raises(ValueError, match="pooled feature rows"):
+        with pytest.raises(ValueError, match="^pooled_features must be 2-D of shape"):
             unpool_once(once, info1)
 
 
