@@ -63,7 +63,10 @@ def backward(root: Var, seed: np.ndarray | None = None) -> None:
 
     ``seed`` defaults to ones, i.e. the gradient of root.sum(); a given seed
     is a real array of the output's shape (``graph._real``). Each gradient
-    a vjp returns is cast to its parent's dtype here, so no vjp casts its own.
+    a vjp returns is cast here, so no vjp casts its own: to its parent's
+    dtype when that is a float dtype, else to float64, the dtype the ops
+    widen integer activations to, so an integer leaf's gradient is not
+    truncated.
     """
     root.grad = np.ones_like(root.data) if seed is None else (
         _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
@@ -74,7 +77,5 @@ def backward(root: Var, seed: np.ndarray | None = None) -> None:
         for parent, g in zip(node.parents, grads):
             if g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.asarray(g, dtype=parent.data.dtype)
-            else:
-                parent.grad = parent.grad + np.asarray(g, dtype=parent.data.dtype)
+            g = np.asarray(g, dtype=parent.data.dtype if parent.data.dtype.kind == "f" else np.float64)
+            parent.grad = g if parent.grad is None else parent.grad + g

@@ -37,7 +37,7 @@ from .graph import (
     _graph_and_labels,
     _json_array,
     _real,
-    _sorted_unique,
+    _unique_edges,
     build_graph,
     graph_to_json,
     load_graph_file,
@@ -316,8 +316,7 @@ def _bench_graph(num_directed_edges: int, seed: int):
     v = rng.integers(0, n, size=int(target_undirected * 1.15))
     keep = u != v
     lo, hi = np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])
-    key = _sorted_unique(lo * np.int64(n) + hi)[:target_undirected]
-    pairs = np.stack([key // n, key % n], axis=1)
+    pairs = np.stack(_unique_edges(lo, hi, n), axis=1)[:target_undirected]
     features = rng.normal(0.0, 1.0, size=(n, 8)).astype(np.float32)
     return symmetrize(build_graph(n, pairs, features))
 

@@ -24,7 +24,7 @@ from itertools import compress
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph, _codes, _count, _sorted_unique, build_graph, symmetrize
+from .graph import Graph, _codes, _count, _sorted_unique, _unique_edges, build_graph, symmetrize
 from .rng import seeded_rng
 
 __all__ = [
@@ -260,10 +260,8 @@ def load_tu(directory, name: str) -> GraphDataset:
     # Nodes are numbered in graph order, so the sorted unique keys of every
     # edge and its reversal come out grouped per graph, each group symmetric
     # and in canonical (src, dst) order.
-    n = np.int64(total_nodes)
     u, v = u - 1, v - 1
-    key = _sorted_unique(np.concatenate([u * n + v, v * n + u]))
-    src, dst = key // n, key % n
+    src, dst = _unique_edges(np.concatenate([u, v]), np.concatenate([v, u]), total_nodes)
     bounds = np.searchsorted(src, np.append(offsets, total_nodes))
 
     labels, num_classes = _label_codes(raw_labels)

@@ -8,12 +8,14 @@ entry lies in its range. It checks the labels of the loss,
 :func:`cross_entropy` (one class per logit row), :func:`global_mean_pool`'s
 graph ids and :func:`gather_rows`' row index. Every activation an op reads
 as a matrix (``x``, ``logits``, ``concat_cols``' two operands and
-:func:`unpool`'s gate) passes the one rule of real arrays, ``graph._real``,
-of the shape the op needs, and every rate and the scorer bias the one rule
-of real numbers, ``graph._real_number``: boolean, complex, string and
-object input is refused, nothing is broadcast, and integer activations are
-widened to float64, never truncated. Both rules read the dtype and the
-shape alone, so a float operand costs O(1) and is not copied.
+:func:`unpool`'s gate) and every parameter of :func:`dense`,
+:func:`mean_conv` and :func:`batch_norm` passes the one rule of real
+arrays, ``graph._real``, of the shape the op needs, and every rate and
+the scorer bias the one rule of real numbers, ``graph._real_number``:
+boolean, complex, string and object input is refused, nothing is
+broadcast, and integer activations are widened to float64, never
+truncated. Both rules read the dtype and the shape alone, so a float
+operand costs O(1) and is not copied.
 No op takes what it can work out: dropout takes a rate alone (rate 0 is
 the identity), and a readout counts graphs off ``graph_id``. :func:`edge_pool` is a level's
 gate and merge, whose vjps are the two halves of ``edgepool_backward``.
@@ -23,9 +25,10 @@ canonical order. Two dtype rules have one home each. The operators' ones
 (``graph._unit_csr``) are float32 and widen exactly, so every such sum runs
 in its operand's dtype and no op widens its operand or casts a sum back;
 float64 stays in the pooling scorer, its softmax and the unpool divisions.
-And :func:`~edgepool.autodiff.backward` casts each gradient to its parent's
-dtype, so no vjp casts its result (``cross_entropy`` casts its float64
-gradient to the logits' dtype).
+And :func:`~edgepool.autodiff.backward` casts each gradient to its
+parent's float dtype (float64 for an integer parent), so no vjp casts its
+result (``cross_entropy`` casts its float64 gradient to the logits'
+dtype).
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ __all__ = [
 
 
 def dense(x: Var, weight: Var, bias: Var) -> Var:
-    """y = x @ weight + bias, for a 2-D ``x`` with a row of weight per column."""
-    xd = _real("x", x.data, (None, weight.data.shape[0]))
-    y = xd @ weight.data + bias.data
+    """y = x @ weight + bias, for a 2-D ``x`` with a row of weight per column
+    and a bias entry per column of weight."""
+    w = _real("weight", weight.data, (None, None))
+    xd = _real("x", x.data, (None, w.shape[0]))
+    y = xd @ w + _real("bias", bias.data, (w.shape[1],))
 
     def vjp(dy):
-        return dy @ weight.data.T, xd.T @ dy, dy.sum(axis=0)
+        return dy @ w.T, xd.T @ dy, dy.sum(axis=0)
 
     return Var(y, (x, weight, bias), vjp)
 
@@ -91,17 +96,20 @@ def mean_conv(graph: Graph, x: Var, w_self: Var, w_neigh: Var, bias: Var) -> Var
     """Graph convolution with mean aggregation.
 
     y_i = x_i @ w_self + mean over in-neighbors k of x_k @ w_neigh + bias;
-    isolated nodes use a zero neighbor term. Forward and backward aggregate
+    isolated nodes use a zero neighbor term. ``w_self`` and ``w_neigh`` are
+    (c_in, c_out) and ``bias`` (c_out,). Forward and backward aggregate
     with the cached ``graph.in_adjacency`` and its transpose, in fixed
     canonical order.
     """
     xd = _real("x", x.data, (graph.num_nodes, None))
+    ws = _real("w_self", w_self.data, (xd.shape[1], None))
+    wn = _real("w_neigh", w_neigh.data, ws.shape)
     nm, inv_deg = _neighbor_mean(graph, xd)
-    y = xd @ w_self.data + nm @ w_neigh.data + bias.data
+    y = xd @ ws + nm @ wn + _real("bias", bias.data, (ws.shape[1],))
 
     def vjp(dy):
-        d_nm = dy @ w_neigh.data.T
-        dx = dy @ w_self.data.T + graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
+        d_nm = dy @ wn.T
+        dx = dy @ ws.T + graph.in_adjacency.T @ (d_nm * inv_deg[:, None])
         return dx, xd.T @ dy, nm.T @ dy, dy.sum(axis=0)
 
     return Var(y, (x, w_self, w_neigh, bias), vjp)
@@ -118,9 +126,11 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     standardizes to exactly 0: the output is ``beta``, and the gradients
     with respect to ``x`` and ``gamma`` are exactly 0. A batch of one graph
     that pooling has reduced to one node gives such a batch. Zero rows
-    raise ``ValueError``, as does an ``x`` that is not 2-D.
+    raise ``ValueError``, as does an ``x`` that is not 2-D, or a ``gamma`` or
+    ``beta`` that is not one entry per column of ``x``.
     """
     xd = _real("x", x.data, (None, None))
+    g = _real("gamma", gamma.data, xd.shape[1:])
     n = xd.shape[0]
     if n < 1:
         raise ValueError("x must have at least 1 row")
@@ -129,12 +139,12 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     var = np.add.reduce(centered * centered, axis=0) / n
     inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     xhat = centered * inv_std
-    y = gamma.data * xhat + beta.data
+    y = g * xhat + _real("beta", beta.data, xd.shape[1:])
 
     def vjp(dy):
         dgamma = (dy * xhat).sum(axis=0)
         dbeta = dy.sum(axis=0)
-        dxhat = dy * gamma.data
+        dxhat = dy * g
         dx = inv_std * (
             dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).sum(axis=0) / n
         )

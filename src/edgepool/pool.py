@@ -94,8 +94,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (Graph, _codes, _count, _mask, _real, _real_number, _require_finite,
-                    _segment_sum, _sorted_unique)
+from .graph import (Graph, _codes, _count, _edge_key, _key_edges, _mask, _real, _real_number,
+                    _require_finite, _segment_sum, _sorted_unique)
 from .rng import seeded_rng
 
 __all__ = [
@@ -128,8 +128,10 @@ class EdgeScores:
     ``normalized`` is the shifted softmax value in (0.5, 1.5) for kept
     edges and exactly 0.0 for dropped ones. ``dropped`` marks edges removed
     by score dropout; they take part in neither normalization nor
-    selection. The scorer output itself is not kept, since neither
-    selection nor the backward reads it; :func:`raw_scores` recomputes it.
+    selection. Each stage that reads the scores checks both fields against
+    its graph (:func:`_check_scores`). The scorer output itself is not
+    kept, since neither selection nor the backward reads it;
+    :func:`raw_scores` recomputes it.
     A ``raw=`` keyword is accepted and discarded, so that constructions
     written when it was the first field still run; keyword-only, so that a
     positional call in the old order fails instead of shifting the fields.
@@ -178,8 +180,10 @@ class PoolInfo:
                                np.flatnonzero(self.cluster_of >= self.num_matched)])
 
 
-def _check_widths(graph: Graph, params: PoolParams) -> int:
-    """The scorer-width rule: a 1-D weight of length 2f+g. Returns f."""
+def _check_widths(graph: Graph, params: PoolParams) -> tuple[int, np.ndarray]:
+    """The scorer-weight rule: a 1-D weight of length 2f+g (the CLI tests read
+    this wording), which then passes the rule of real arrays
+    (:func:`~edgepool.graph._real`). Returns f and the weight in float64."""
     f = graph.feature_width
     g = graph.edge_feature_width
     expected = 2 * f + g
@@ -190,7 +194,15 @@ def _check_widths(graph: Graph, params: PoolParams) -> int:
             f"scorer weight must be 1-D of length 2*{f}+{g}={expected} for "
             f"this graph, got {got}"
         )
-    return f
+    return f, _real("scorer weight", params.weight, (expected,)).astype(np.float64, copy=False)
+
+
+def _check_scores(graph: Graph, scores: EdgeScores) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of a level's scores: ``normalized`` a real array (:func:`_real`)
+    and ``dropped`` a mask (:func:`_mask`), each with one entry per edge of
+    ``graph``. Returns both; O(1)."""
+    return (_real("scores.normalized", scores.normalized, (graph.num_edges,)),
+            _mask("scores.dropped", scores.dropped, graph.num_edges, "edge"))
 
 
 @np.errstate(over="ignore")  # an overflow to inf is normalize_scores' to reject
@@ -202,8 +214,7 @@ def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     Each projection is a row dot (``np.einsum``), the same in a batch as
     alone; a BLAS matrix-vector product's row sums depend on the row count.
     """
-    f = _check_widths(graph, params)
-    w = np.asarray(params.weight, dtype=np.float64)
+    f, w = _check_widths(graph, params)
     x = graph.node_features.astype(np.float64, copy=False)
     r = np.einsum("ij,j->i", x, w[:f])[graph.edge_src]
     r += np.einsum("ij,j->i", x, w[f : 2 * f])[graph.edge_dst]
@@ -306,12 +317,13 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     ``_STABLE_ORDER_MAX`` of them, by :func:`_score_order`.
     """
     v = graph.num_nodes
-    if scores.dropped.any():
-        e = np.flatnonzero(~scores.dropped)
-        src, dst, s = graph.edge_src[e], graph.edge_dst[e], scores.normalized[e]
+    normalized, dropped = _check_scores(graph, scores)
+    if dropped.any():
+        e = np.flatnonzero(~dropped)
+        src, dst, s = graph.edge_src[e], graph.edge_dst[e], normalized[e]
     else:  # round 1 reads the graph's endpoint columns and the scores themselves
         e = np.arange(graph.num_edges)
-        src, dst, s = graph.edge_src, graph.edge_dst, scores.normalized
+        src, dst, s = graph.edge_src, graph.edge_dst, normalized
     taken = [np.zeros(0, dtype=np.int64)]
     while e.size:
         best = np.full(v, -np.inf)
@@ -351,7 +363,7 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
             break
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
-    st = scores.normalized[t]
+    st = normalized[t]
     t = t[np.argsort(-st, kind="stable") if t.size <= _STABLE_ORDER_MAX else _score_order(st)]
     return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
 
@@ -427,10 +439,8 @@ def _greedy_sweep(
         above = t
     mate = np.frombuffer(mate, dtype=np.int64)
     taken = np.flatnonzero(mate >= 0)
-    n = np.int64(num_nodes)
-    key = src * n
-    key += dst
-    return e[np.searchsorted(key, taken * n + mate[taken])]
+    key = _edge_key(src, dst, num_nodes)
+    return e[np.searchsorted(key, _edge_key(taken, mate[taken], num_nodes))]
 
 
 def _member_rows(info: PoolInfo, x: np.ndarray, score: np.ndarray | None = None) -> np.ndarray:
@@ -489,14 +499,15 @@ def contract(
     sends into one cluster run between the two members of a pair, and a
     pair's matched edge is the one that starts at its first member (a
     boolean mask over the nodes marks the first members).
-    Deduplication sorts the int64 key ``src * pooled_n + dst`` (the bound
-    of :func:`build_graph`), built in place in the source cluster column
-    and then gathered at the edges that are not self-loops, and keeps each
-    value that differs from its predecessor; the sorted unique keys decode,
-    by one division, to canonical edges, so the pooled graph is built
-    directly, without :func:`build_graph`'s sort and checks. The features
-    computed here are checked to be finite, since a gated float32 sum can
-    overflow (with no warning). Only with edge features is each edge's
+    Deduplication sorts the edge key of the cluster pairs
+    (:func:`~edgepool.graph._edge_key` with ``n = pooled_n``), built in
+    place in the source cluster column and then gathered at the edges that
+    are not self-loops, and keeps each value that differs from its
+    predecessor; the sorted unique keys decode
+    (:func:`~edgepool.graph._key_edges`) to canonical edges, so the pooled
+    graph is built directly, without :func:`build_graph`'s sort and checks.
+    The features computed here are checked to be finite, since a gated
+    float32 sum can overflow (with no warning). Only with edge features is each edge's
     pooled index looked up (``np.searchsorted``), to sum the features of
     edges that collapse into one.
     """
@@ -515,7 +526,7 @@ def contract(
     src_c = cluster_of[graph.edge_src]
     dst_c = cluster_of[graph.edge_dst]
     edge_idx = _matched_edge_index(graph, matching, src_c, dst_c)
-    s = scores.normalized[edge_idx]
+    s = _check_scores(graph, scores)[0][edge_idx]
     if np.any(s <= 0.0):
         raise ValueError("cannot contract a dropped (zero-score) edge")
 
@@ -530,12 +541,8 @@ def contract(
     _require_finite(feats, "node features")
 
     keep = np.flatnonzero(src_c != dst_c)
-    n = np.int64(pooled_n)
-    key = src_c  # built in src_c's buffer
-    del src_c
-    key *= n
-    key += dst_c
-    del dst_c
+    key = _edge_key(src_c, dst_c, pooled_n, out=src_c)  # no new m-length array
+    del src_c, dst_c
     key = key[keep]
     ef = None
     if graph.edge_features is not None:
@@ -547,9 +554,7 @@ def contract(
         ef = _segment_sum(inverse, ef, len(uniq_key))
         _require_finite(ef, "edge features")
     del key
-    src = uniq_key // n
-    uniq_key -= src * n
-    return Graph(feats, src, uniq_key, ef), info
+    return Graph(feats, *_key_edges(uniq_key, pooled_n), ef), info
 
 
 def edgepool_forward(
@@ -653,16 +658,17 @@ def score_path_backward(
     ``layers.edge_pool``'s gate, which the tape runs once per backward,
     with the gradients of all the gate's consumers summed.
     """
-    v, f = graph.num_nodes, graph.feature_width
-    w = np.asarray(params.weight, dtype=np.float64)
+    v = graph.num_nodes
+    f, w = _check_widths(graph, params)
+    normalized, dropped = _check_scores(graph, scores)
     e_idx = info.matched_edge_index
     g_s = _real("g_s", g_s, (info.num_matched,))
 
     # Softmax coupling: within the destination group of matched edge e,
     # d s_e / d r_k = p_e (delta_ek - p_k) with p = normalized - 0.5.
     # Matched destinations are distinct, so one coefficient per group.
-    p = scores.normalized - 0.5
-    p[scores.dropped] = 0.0
+    p = normalized - 0.5
+    p[dropped] = 0.0
     group_coeff = np.zeros(v, dtype=np.float64)  # g_s * p_e per destination
     group_coeff[graph.edge_dst[e_idx]] = g_s * p[e_idx]
     grad_r = group_coeff[graph.edge_dst]

@@ -65,6 +65,20 @@ class TestTape:
         with pytest.raises(ValueError):
             backward(y, np.zeros(3))
 
+    def test_an_integer_leaf_gets_a_float64_gradient(self):
+        # The ops widen integer activations to float64, so the gradient of an
+        # integer leaf is float64 too, not truncated to int64 zeros.
+        x = Var(np.ones((3, 2), dtype=np.int64))
+        w = Var(np.full((2, 2), 0.3))
+        backward(layers.dense(x, w, Var(np.zeros(2))))
+        assert x.grad.dtype == np.float64
+        np.testing.assert_allclose(x.grad, np.full((3, 2), 0.6))
+        # Float parents keep their dtype.
+        x32 = Var(np.ones((3, 2), dtype=np.float32))
+        backward(layers.dense(x32, Var(np.full((2, 2), 0.3, dtype=np.float32)),
+                              Var(np.zeros(2, dtype=np.float32))))
+        assert x32.grad.dtype == np.float32
+
     def test_leaf_repr(self):
         assert "leaf=True" in repr(Var(np.zeros(2)))
 

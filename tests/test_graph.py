@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from edgepool import batch, build_graph, gen_synthetic, load_tu, models, save_tu
 from edgepool.graph import (
     BatchedGraph,
     Graph,
+    _edge_key,
+    _key_edges,
     _segment_sum,
+    _unique_edges,
     graph_from_json,
     graph_to_json,
     load_graph_file,
@@ -348,6 +352,47 @@ class TestSegmentSum:
         out = _segment_sum(index, values, num_segments)
         assert out.shape == (num_segments, 3)
         assert np.array_equal(out, expected)
+
+
+# The largest node count build_graph allows: num_nodes**2 < 2**63.
+MAX_NODES = math.isqrt(2**63 - 1)
+
+
+class TestEdgeKey:
+    """The edge key's one home: ``_edge_key`` encodes, ``_key_edges`` decodes
+    and ``_unique_edges`` deduplicates (src, dst) pairs."""
+
+    @staticmethod
+    def _check(pairs, n):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
+        key = _edge_key(src, dst, n)
+        uniq = np.stack(_unique_edges(src, dst, n), axis=1)
+        assert np.array_equal(src, pairs[:, 0]) and np.array_equal(dst, pairs[:, 1])
+        assert np.array_equal(_edge_key(uniq[:, 0], uniq[:, 1], n), np.unique(key))
+        assert np.array_equal(uniq, np.unique(pairs, axis=0).reshape(-1, 2))
+        decoded = _key_edges(key, n)
+        assert np.array_equal(decoded[0], pairs[:, 0]) and np.array_equal(decoded[1], pairs[:, 1])
+        assert decoded[1] is key  # dst is decoded in the key's buffer
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unique_edges_is_np_unique_of_the_keys_and_keys_decode(self, data):
+        n = data.draw(st.sampled_from([1, 2, MAX_NODES]) | st.integers(1, MAX_NODES))
+        # A few node ids, so that pairs repeat at any node count.
+        nodes = st.sampled_from(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+        self._check(data.draw(st.lists(st.tuples(nodes, nodes), max_size=30)), n)
+
+    @pytest.mark.parametrize("n", [1, MAX_NODES])
+    def test_extreme_node_counts(self, n):
+        last = n - 1
+        self._check([(last, last), (0, last), (last, 0), (0, 0), (last, last), (0, last)], n)
+        assert _edge_key(np.array([last]), np.array([last]), n)[0] == n * n - 1
+
+    def test_out_builds_the_key_in_place(self):
+        src, dst = np.array([2, 0, 1]), np.array([1, 2, 0])
+        key = _edge_key(src, dst, 3, out=src)
+        assert key is src and key.tolist() == [7, 2, 3]
 
 
 class TestBatch:

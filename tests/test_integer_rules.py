@@ -286,9 +286,18 @@ def _array_cast(call: ast.Call, dtypes: set[str]) -> bool:
             and any(ast.unparse(d) in dtypes for d in dtype))
 
 
+def _parameter(node: ast.AST) -> str | None:
+    """The name that ``node`` reads, a bare name or an attribute of one
+    (``params.weight``, ``scores.dropped``); None for anything else, such as
+    a subscript."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _own_argument_casts(is_cast) -> list[str]:
     """``module.function: call`` for each call that ``is_cast`` matches and
-    that passes the function its own parameter."""
+    that passes the function its own parameter, or an attribute of one."""
     casts = []
     for module, tree in _modules():
         for fn in ast.walk(tree):
@@ -296,8 +305,8 @@ def _own_argument_casts(is_cast) -> list[str]:
                 continue
             params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
             casts += [f"{module}.{fn.name}: {ast.unparse(c)}" for c in ast.walk(fn)
-                      if isinstance(c, ast.Call) and c.args and isinstance(c.args[0], ast.Name)
-                      and c.args[0].id in params and is_cast(c)]
+                      if isinstance(c, ast.Call) and c.args
+                      and _parameter(c.args[0]) in params and is_cast(c)]
     return casts
 
 

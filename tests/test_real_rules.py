@@ -2,14 +2,16 @@
 every rule in one home.
 
 ``graph._real`` is the one rule for real arrays (features, activations,
-gradients, gates and scores), ``graph._real_number`` the one rule for real
-scalars (dropout rates, the learning rate and the scorer bias) and
-``graph._mask`` the one rule for boolean masks. ``_CASES`` is their boundary
-table, in the style of ``test_integer_rules._CASES``: one row per (public
-callable, real argument). Each bad value raises ValueError whose message
-starts with the argument's name (a key for the dropout rates and the scorer
-bias), and the row's integer good value gives the result of its float64
-widening: integers are widened, never truncated.
+the tape ops' parameters, the scorer weight, gradients, gates and scores),
+``graph._real_number`` the one rule for real scalars (dropout rates, the
+learning rate and the scorer bias) and ``graph._mask`` the one rule for
+boolean masks. ``_CASES`` is their boundary table, in the style of
+``test_integer_rules._CASES``: one row per (public callable, real
+argument). Each bad value raises ValueError whose message starts with the
+argument's name (a key for the dropout rates and the scorer weight and
+bias, ``scores.<field>`` for a field of an ``EdgeScores``), and the row's
+integer good value gives the result of its float64 widening: integers are
+widened, never truncated.
 """
 
 import ast
@@ -34,13 +36,17 @@ from edgepool.layers import (
     unpool,
 )
 from edgepool.pool import (
+    EdgeScores,
     PoolParams,
     apply_score_dropout,
+    contract,
     edgepool_backward,
     edgepool_forward,
     normalize_scores,
+    random_pool_params,
     raw_scores,
     score_path_backward,
+    select_contractions,
 )
 from edgepool.rng import seeded_rng
 from edgepool.unpool import unpool_backward, unpool_once
@@ -65,6 +71,11 @@ OUT, GATE, _, _, _ = edge_pool(Var(PATH4.node_features), Var(PATH4_PARAMS.weight
                                Var(np.asarray(PATH4_PARAMS.bias)), PATH4)
 assert INFO.num_matched > 0
 W23 = np.arange(6.0).reshape(2, 3)
+KEPT = np.zeros(M, dtype=bool)
+# An integer mask that holds 2 at edge (1, 0); and the scorer weight of an f = 3 graph.
+assert PATH4.edge_src[1] == 1 and PATH4.edge_dst[1] == 0
+INT_DROPPED = np.array([0, 2, 0, 0, 0, 0])
+WEIGHT_F3 = random_pool_params(3).weight
 
 
 def _ints(*shape):
@@ -91,6 +102,35 @@ def _grad_of_relu(seed):
     return x.grad
 
 
+def _with_weight(w):
+    return PoolParams(w, PATH4_PARAMS.bias)
+
+
+# The three stages that read an EdgeScores, each as a call of the scores.
+_STAGES = {
+    "select_contractions": lambda s: select_contractions(PATH4, s),
+    "contract": lambda s: contract(PATH4, INFO.matching, s),
+    "score_path_backward": lambda s: score_path_backward(PATH4, PATH4_PARAMS, INFO, s,
+                                                         np.ones(INFO.num_matched)),
+}
+# Scores that the stages accept: positive at every edge, so contract takes any matching.
+GOOD_SCORES = _ints(M) + 1
+
+
+def _score_rows():
+    rows = {}
+    for stage, call in _STAGES.items():
+        rows[f"pool.{stage}:scores.normalized"] = (
+            lambda s, call=call: call(EdgeScores(s, KEPT)), GOOD_SCORES,
+            _array_cases(GOOD_SCORES) | {"probe-length": np.ones(3), "length": np.ones(M + 1)})
+        # A mask is boolean: the integer mask [0, 2, ...] is not cast (nor an index).
+        rows[f"pool.{stage}:scores.dropped"] = (
+            lambda d, call=call: call(EdgeScores(SCORES.normalized, d)), None,
+            {"probe-int": INT_DROPPED, "float": np.zeros(M),
+             "length": np.zeros(M - 1, dtype=bool), "flat-2-D": np.zeros((M, 1), dtype=bool)})
+    return rows
+
+
 # "module.callable:argument" -> (call(value), integer good value or None, {case: bad value}).
 _CASES = {
     "graph.build_graph:node features": (
@@ -104,12 +144,35 @@ _CASES = {
     "layers.dense:x": (
         lambda x: dense(Var(x), Var(W23), Var(np.zeros(3))), _ints(3, 2),
         _array_cases(_ints(3, 2)) | {"width": np.ones((3, 3))}),
+    "layers.dense:weight": (
+        lambda w: dense(Var(ROWS3), Var(w), Var(np.zeros(3))), _ints(2, 3),
+        _array_cases(_ints(2, 3)) | {"probe-1-D": np.ones(2)}),
+    "layers.dense:bias": (
+        lambda b: dense(Var(ROWS3), Var(np.ones((2, 3))), Var(b)), _ints(3),
+        _array_cases(_ints(3)) | {"length": np.zeros(2)}),
     "layers.mean_conv:x": (
         lambda x: mean_conv(PATH4, Var(x), Var(W23), Var(W23), Var(np.zeros(3))), _ints(4, 2),
         _array_cases(_ints(4, 2)) | {"probe-1-D": np.ones(4), "rows": np.ones((3, 2))}),
+    "layers.mean_conv:w_self": (
+        lambda w: mean_conv(PATH4, Var(PATH4.node_features), Var(w), Var(W23),
+                            Var(np.zeros(3))), _ints(2, 3),
+        _array_cases(_ints(2, 3)) | {"rows": np.ones((3, 3))}),
+    "layers.mean_conv:w_neigh": (
+        lambda w: mean_conv(PATH4, Var(PATH4.node_features), Var(W23), Var(w),
+                            Var(np.zeros(3))), _ints(2, 3),
+        _array_cases(_ints(2, 3)) | {"cols": np.ones((2, 2)), "rows": np.ones((3, 3))}),
+    "layers.mean_conv:bias": (
+        lambda b: mean_conv(PATH4, Var(PATH4.node_features), Var(W23), Var(W23), Var(b)),
+        _ints(3), _array_cases(_ints(3)) | {"probe-(4,1)": np.zeros((4, 1))}),
     "layers.batch_norm:x": (
         lambda x: batch_norm(Var(x), Var(np.ones(2)), Var(np.zeros(2))), _ints(3, 2),
         _array_cases(_ints(3, 2)) | {"no-rows": np.ones((0, 2))}),
+    "layers.batch_norm:gamma": (
+        lambda g: batch_norm(Var(ROWS3), Var(g), Var(np.zeros(2))), _ints(2),
+        _array_cases(_ints(2)) | {"probe-(1,)": np.ones(1)}),
+    "layers.batch_norm:beta": (
+        lambda b: batch_norm(Var(ROWS3), Var(np.ones(2)), Var(b)), _ints(2),
+        _array_cases(_ints(2)) | {"length": np.ones(3)}),
     "layers.feature_dropout:dropout probability": (
         lambda p: feature_dropout(Var(ROWS3), p, seeded_rng(0, "rate")), 0,
         RATE_CASES | {"probe": "a"}),
@@ -138,6 +201,9 @@ _CASES = {
     # The gate must hold the level's scores, so it has no integer good value.
     "layers.unpool:gate": (
         lambda g: unpool(OUT, Var(g), INFO), None, _array_cases(GATE.data)),
+    # The weight rule reads the length first: its wording is pinned by the CLI tests.
+    "pool.raw_scores:scorer weight": (
+        lambda w: raw_scores(PATH4, _with_weight(w)), _ints(4), _array_cases(_ints(4))),
     "pool.raw_scores:scorer bias": (
         lambda b: raw_scores(PATH4, PoolParams(PATH4_PARAMS.weight, b)), 1, NUMBER_CASES),
     "pool.normalize_scores:raw": (
@@ -153,15 +219,24 @@ _CASES = {
     "pool.edgepool_forward:dropout probability": (
         lambda p: edgepool_forward(PATH4, PATH4_PARAMS, training=True, dropout_p=p, seed=3), 0,
         RATE_CASES | {"probe": "a"}),
+    "pool.edgepool_forward:scorer weight": (
+        lambda w: edgepool_forward(PATH4, _with_weight(w)), _ints(4), _array_cases(_ints(4))),
     "pool.edgepool_forward:scorer bias": (
         lambda b: edgepool_forward(PATH4, PoolParams(PATH4_PARAMS.weight, b)), 1, NUMBER_CASES),
     "pool.edgepool_backward:upstream_grad": (
         lambda u: edgepool_backward(PATH4, PATH4_PARAMS, INFO, SCORES, u),
         _ints(POOLED.num_nodes, 2),
         _array_cases(_ints(POOLED.num_nodes, 2)) | {"width": np.ones((POOLED.num_nodes, 3))}),
+    "pool.edgepool_backward:scorer weight": (
+        lambda w: edgepool_backward(PATH4, _with_weight(w), INFO, SCORES, OUT.data), _ints(4),
+        _array_cases(_ints(4)) | {"probe-length": WEIGHT_F3}),
     "pool.score_path_backward:g_s": (
         lambda g: score_path_backward(PATH4, PATH4_PARAMS, INFO, SCORES, g),
         _ints(INFO.num_matched), _array_cases(_ints(INFO.num_matched))),
+    "pool.score_path_backward:scorer weight": (
+        lambda w: score_path_backward(PATH4, _with_weight(w), INFO, SCORES,
+                                      np.ones(INFO.num_matched)), _ints(4),
+        _array_cases(_ints(4)) | {"probe-length": WEIGHT_F3}),
     "unpool.unpool_once:pooled_features": (
         lambda x: unpool_once(x, INFO), _ints(POOLED.num_nodes, 2),
         _array_cases(_ints(POOLED.num_nodes, 2)) | {"rows": np.ones((4, 2))}),
@@ -173,7 +248,7 @@ _CASES = {
     "params.TrainConfig:learning_rate": (
         lambda lr: TrainConfig(learning_rate=lr), 1,
         NUMBER_CASES | {"zero": 0.0, "inf": float("inf"), "nan": float("nan")}),
-}
+} | _score_rows()
 
 BAD = [(row, case, value) for row, (_, _, cases) in _CASES.items()
        for case, value in cases.items()]
@@ -240,9 +315,10 @@ def test_every_caller_of_the_real_rules_has_a_row():
 EXEMPT = {
     "symmetrize": "takes a Graph, whose arrays build_graph or a checked path made",
     "batch": "takes Graphs, and refuses only mismatched widths among them",
-    "PoolParams": "a container: raw_scores checks its weight (pool._check_widths) and bias",
-    "EdgeScores": "a container that normalize_scores and apply_score_dropout fill",
-    "select_contractions": "reads a Graph and the EdgeScores that normalize_scores made",
+    "PoolParams": "a container: raw_scores and score_path_backward check its weight "
+                  "(pool._check_widths), and raw_scores its bias",
+    "EdgeScores": "a container: each stage that reads one checks both fields against its "
+                  "graph (pool._check_scores)",
     "Var": "wraps any array: each tape op checks the operands it reads",
     "relu": "elementwise, so an array of any shape is valid",
     "load_tu": "reads files, by the one rule of TU tables (data._read_table)",
