@@ -3,9 +3,15 @@
 A ``Var`` wraps an array and remembers how it was produced: its parents
 and a vector-Jacobian-product closure. Calling :func:`backward` on a
 scalar (or seeded) output walks the recorded graph once in reverse
-topological order and accumulates gradients into every reachable Var.
-Layers register a single fused vjp each, so the per-layer backward math
-stays explicit and individually checkable.
+topological order and accumulates gradients into the leaves it reaches.
+The walk consumes the tape: once a node's vjp has run, the node drops it,
+and with it the arrays its closure saved, and a non-leaf node drops its
+gradient too, so backward frees the tape as it goes and only the leaves
+keep gradients. A tape therefore serves one backward; a second over any
+consumed node raises ``ValueError`` instead of leaving a leaf without its
+gradient. A Var with parents but no vjp is a constant, as before: backward
+neither walks through it nor consumes it. Layers register a single fused vjp each, so the per-layer
+backward math stays explicit and individually checkable.
 """
 
 from __future__ import annotations
@@ -20,9 +26,12 @@ __all__ = ["Var", "backward"]
 
 
 class Var:
-    """Array node in the tape. Leaf Vars have no parents."""
+    """Array node in the tape. Leaf Vars have no parents.
 
-    __slots__ = ("data", "grad", "parents", "vjp")
+    A Var can be referenced weakly, so a caller can see when a tape is freed.
+    """
+
+    __slots__ = ("data", "grad", "parents", "vjp", "__weakref__")
 
     def __init__(
         self,
@@ -39,6 +48,11 @@ class Var:
         return f"Var(shape={self.data.shape}, leaf={not self.parents})"
 
 
+def _consumed(grad: np.ndarray) -> tuple:
+    """The vjp a node holds once backward has run and dropped its own."""
+    raise ValueError("this Var was consumed by an earlier backward: a tape serves one")
+
+
 def _topo_order(root: Var) -> list[Var]:
     order: list[Var] = []
     seen: set[int] = set()
@@ -50,6 +64,8 @@ def _topo_order(root: Var) -> list[Var]:
             continue
         if id(node) in seen:
             continue
+        if node.vjp is _consumed:
+            raise ValueError(f"{node!r} was consumed by an earlier backward: a tape serves one")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -59,7 +75,7 @@ def _topo_order(root: Var) -> list[Var]:
 
 
 def backward(root: Var, seed: np.ndarray | None = None) -> None:
-    """Accumulate gradients of ``root`` into every Var it depends on.
+    """Accumulate gradients of ``root`` into every leaf Var it depends on.
 
     ``seed`` defaults to ones, i.e. the gradient of root.sum(); a given seed
     is a real array of the output's shape (``graph._real``). Each gradient
@@ -67,13 +83,21 @@ def backward(root: Var, seed: np.ndarray | None = None) -> None:
     dtype when that is a float dtype, else to float64, the dtype the ops
     widen integer activations to, so an integer leaf's gradient is not
     truncated.
+
+    The walk consumes the tape (see the module docstring): each node whose
+    vjp ran drops it and its gradient, and a tape
+    that an earlier backward consumed raises ``ValueError`` before any
+    gradient is added.
     """
-    root.grad = np.ones_like(root.data) if seed is None else (
+    seed = np.ones_like(root.data) if seed is None else (
         _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
-    for node in reversed(_topo_order(root)):
+    order = _topo_order(root)
+    root.grad = seed
+    for node in reversed(order):
         if node.vjp is None or node.grad is None:
             continue
         grads = node.vjp(node.grad)
+        node.vjp, node.grad = _consumed, None  # a leaf has no vjp, so it keeps its gradient
         for parent, g in zip(node.parents, grads):
             if g is None:
                 continue

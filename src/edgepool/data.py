@@ -24,7 +24,8 @@ from itertools import compress
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph, _codes, _count, _sorted_unique, _unique_edges, build_graph, symmetrize
+from .graph import (Graph, _codes, _count, _real_number, _sorted_unique, _unique_edges,
+                    build_graph, symmetrize)
 from .rng import seeded_rng
 
 __all__ = [
@@ -470,12 +471,16 @@ def _make_proteinlike(
     )
 
 
-# Each synthetic kind's parameters, with their defaults.
-_SYNTHETIC_DEFAULTS = {
-    "path_proteinlike": {"num_graphs": 100, "min_nodes": 10, "max_nodes": 30},
-    "sbm_node_task": {"blocks": 2, "nodes_per_block": 100, "p_in": 0.12, "p_out": 0.01,
-                      "feature_width": 4, "feature_noise": 1.8, "signal": 1.0,
-                      "per_class_train": _PER_CLASS_TRAIN, "per_class_test": _PER_CLASS_TEST},
+# Each synthetic kind's parameters, as (default, rule): an int rule is a
+# count's minimum (``graph._count``), a string a real number's range
+# (``graph._real_number``).
+_SYNTHETIC_PARAMS = {
+    "path_proteinlike": {"num_graphs": (100, 1), "min_nodes": (10, 1), "max_nodes": (30, 1)},
+    "sbm_node_task": {"blocks": (2, 1), "nodes_per_block": (100, 1),
+                      "p_in": (0.12, "in [0, 1]"), "p_out": (0.01, "in [0, 1]"),
+                      "feature_width": (4, 1), "feature_noise": (1.8, "non-negative and finite"),
+                      "signal": (1.0, "finite"), "per_class_train": (_PER_CLASS_TRAIN, 0),
+                      "per_class_test": (_PER_CLASS_TEST, 0)},
 }
 
 
@@ -489,21 +494,26 @@ def gen_synthetic(kind: str, params: dict, seed: int = 0) -> GraphDataset | Node
     * ``sbm_node_task``: a stochastic block model node task with the blocks
       as labels and the standard per-class train/test split.
 
-    ``params`` overrides the kind's ``_SYNTHETIC_DEFAULTS``; an unknown
-    kind or key raises ``ValueError`` naming it. A key whose default is an
-    int takes a count (``graph._count``: a float or a negative value raises
-    ``ValueError`` naming the key); the others are read as floats.
+    ``params`` overrides the defaults of the kind's ``_SYNTHETIC_PARAMS``;
+    an unknown kind or key raises ``ValueError`` naming it. Each key passes
+    its declared rule, else ``ValueError`` naming the key: a count
+    (``graph._count``) is at least its minimum, 1 for every size, 0 for
+    the split counts (``node_split``), and ``max_nodes`` at least
+    ``min_nodes``; a real number (``graph._real_number``) lies in its range,
+    so a probability is in [0, 1] and the noise scale non-negative.
     """
-    if kind not in _SYNTHETIC_DEFAULTS:
+    if kind not in _SYNTHETIC_PARAMS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    defaults = _SYNTHETIC_DEFAULTS[kind]
-    unknown = sorted(set(params) - set(defaults))
+    declared = _SYNTHETIC_PARAMS[kind]
+    unknown = sorted(set(params) - set(declared))
     if unknown:
-        raise ValueError(f"unknown {kind} parameters {unknown}; known: {sorted(defaults)}")
-    p = {key: _count(key, params.get(key, value)) if type(value) is int
-         else float(params.get(key, value)) for key, value in defaults.items()}
+        raise ValueError(f"unknown {kind} parameters {unknown}; known: {sorted(declared)}")
+    p = {key: _count(key, params.get(key, default), rule) if type(rule) is int
+         else _real_number(key, params.get(key, default), rule)
+         for key, (default, rule) in declared.items()}
     rng = seeded_rng(seed, "synthetic", kind)
     if kind == "path_proteinlike":
+        _count("max_nodes", p["max_nodes"], p["min_nodes"])
         return _make_proteinlike(p["num_graphs"], rng, p["min_nodes"], p["max_nodes"])
     graph, blocks = make_sbm(p["blocks"], p["nodes_per_block"], p["p_in"], p["p_out"], rng,
                              p["feature_width"], p["feature_noise"], p["signal"])

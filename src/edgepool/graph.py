@@ -98,14 +98,18 @@ def _real(name: str, values, shape: tuple, finite: bool = False) -> np.ndarray:
 
 # The ranges that a real number can be held to, by the words that name them.
 _RANGES = {"in [0, 1)": lambda v: 0.0 <= v < 1.0,
-           "positive and finite": lambda v: 0.0 < v < np.inf}
+           "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+           "positive and finite": lambda v: 0.0 < v < np.inf,
+           "non-negative and finite": lambda v: 0.0 <= v < np.inf,
+           "finite": lambda v: -np.inf < v < np.inf}
 
 
 def _real_number(name: str, value, within: str | None = None) -> float:
     """``value`` as a float: a Python or numpy real number, or a 0-D real
     array (:func:`_real`), so a bool or a string is refused; with ``within``,
     a key of ``_RANGES``, it must lie in that range (a dropout rate in
-    ``[0, 1)``, a learning rate positive and finite). Raises ValueError whose
+    ``[0, 1)``, a probability in ``[0, 1]``, a learning rate positive and
+    finite, a noise scale non-negative and finite). Raises ValueError whose
     message starts with ``name`` otherwise.
     """
     number = float(_real(name, value, ()))
@@ -262,19 +266,19 @@ class Graph:
 
     @property
     def num_nodes(self) -> int:
-        return int(self.node_features.shape[0])
+        return self.node_features.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_src.shape[0])
+        return self.edge_src.shape[0]
 
     @property
     def feature_width(self) -> int:
-        return int(self.node_features.shape[1])
+        return self.node_features.shape[1]
 
     @property
     def edge_feature_width(self) -> int:
-        return 0 if self.edge_features is None else int(self.edge_features.shape[1])
+        return 0 if self.edge_features is None else self.edge_features.shape[1]
 
     @property
     def edges(self) -> np.ndarray:
@@ -429,14 +433,17 @@ _DOT_PALETTE = (
 def to_dot(graph: Graph, cluster_colors: Sequence[int] | None = None, name: str = "g") -> str:
     """Render as DOT text. Reverse edge pairs are drawn once (undirected).
 
-    ``cluster_colors`` assigns a cluster ordinal per node; nodes sharing an
-    ordinal are filled with the same palette colour.
+    ``cluster_colors`` assigns a cluster ordinal per node, a non-negative
+    integer code (:func:`_codes`, else ValueError); nodes sharing an ordinal
+    are filled with the same palette colour.
     """
+    if cluster_colors is not None:
+        cluster_colors = _codes("cluster_colors", cluster_colors, (graph.num_nodes,), item="node")
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(graph.num_nodes):
         attrs = ""
         if cluster_colors is not None:
-            color = _DOT_PALETTE[int(cluster_colors[v]) % len(_DOT_PALETTE)]
+            color = _DOT_PALETTE[cluster_colors[v] % len(_DOT_PALETTE)]
             attrs = f' [style=filled, fillcolor="{color}"]'
         lines.append(f"  {v}{attrs};")
     src, dst = graph.edge_src, graph.edge_dst

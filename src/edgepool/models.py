@@ -299,6 +299,9 @@ def _fit(model, config: TrainConfig, stream: str, batches, batch_loss, evaluate,
     what ``batches(epoch_rng)`` draws, then one forward seed per batch.
     ``batches`` yields (batch, weight) pairs; a history row holds the
     weighted mean of ``batch_loss(leaves, batch, seed)`` and ``evaluate(model)``.
+    Each step's loss, leaves and batch are dropped once Adam has stepped, so
+    no step's tape (which ``backward`` consumed) lives into the next forward
+    or into ``evaluate``; only the model's parameters carry over.
     """
     history = []
     step = 0
@@ -315,6 +318,7 @@ def _fit(model, config: TrainConfig, stream: str, batches, batch_loss, evaluate,
             adam_step(model.params, leaves, lr, step)
             total_loss += float(loss.data) * weight
             total_weight += weight
+            del loss, leaves, item  # the step's tape, gradients and batch
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -342,8 +346,8 @@ def evaluate_graph_model(
     correct = 0
     for chunk in _batches(indices, config.batch_size):
         batched = batch([dataset.graphs[i] for i in chunk])
-        logits = model.forward(leaves, batched.graph, batched.graph_id)
-        pred = logits.data.argmax(axis=1)
+        # Reduced to predictions at once: no chunk's tape outlives its chunk.
+        pred = model.forward(leaves, batched.graph, batched.graph_id).data.argmax(axis=1)
         correct += int((pred == dataset.labels[chunk]).sum())
     return correct / len(indices)
 

@@ -163,7 +163,7 @@ class PoolInfo:
 
     @property
     def num_matched(self) -> int:
-        return int(self.matching.shape[0])
+        return self.matching.shape[0]
 
     @property
     def pooled_num_nodes(self) -> int:
@@ -203,6 +203,30 @@ def _check_scores(graph: Graph, scores: EdgeScores) -> tuple[np.ndarray, np.ndar
     ``graph``. Returns both; O(1)."""
     return (_real("scores.normalized", scores.normalized, (graph.num_edges,)),
             _mask("scores.dropped", scores.dropped, graph.num_edges, "edge"))
+
+
+def _check_nodes(graph: Graph, info: PoolInfo) -> None:
+    """The O(1) half of :func:`_check_info`: one ``info.cluster_of`` entry per node."""
+    if len(info.cluster_of) != graph.num_nodes:
+        raise ValueError(f"info.cluster_of must have one entry per node ({graph.num_nodes}), "
+                         f"got {len(info.cluster_of)}: info is another graph's")
+
+
+def _check_info(graph: Graph, info: PoolInfo) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of a level's info: it was made on ``graph``, so
+    ``info.cluster_of`` has one entry per node and the edges at
+    ``info.matched_edge_index`` are the pairs of ``info.matching``. Returns
+    the matched edge indices and their destinations; O(k). Raises
+    ValueError naming ``info``."""
+    _check_nodes(graph, info)
+    e = _codes("info.matched_edge_index", info.matched_edge_index, (info.num_matched,),
+               graph.num_edges)
+    dst = graph.edge_dst[e]
+    if not (np.array_equal(dst, info.matching[:, 1])
+            and np.array_equal(graph.edge_src[e], info.matching[:, 0])):
+        raise ValueError("info is another graph's: the edges at info.matched_edge_index "
+                         "are not the pairs of info.matching")
+    return e, dst
 
 
 @np.errstate(over="ignore")  # an overflow to inf is normalize_scores' to reject
@@ -613,8 +637,12 @@ def edgepool_backward(
     non-dropped edges sharing a destination with a matched edge. It composes
     the vjps of ``layers.edge_pool``'s two ops: the merge adjoint
     (:func:`_gate_gradient`, :func:`_add_gated_rows`) and the gate's,
-    :func:`score_path_backward`.
+    :func:`score_path_backward`. ``info`` must be the level's on ``graph``
+    (:func:`_check_info`), else ValueError.
     """
+    # Its pairs are checked in score_path_backward, before a result returns;
+    # with one entry per node, no read of info before that can fail.
+    _check_nodes(graph, info)
     upstream = _real("upstream_grad", upstream_grad, (info.pooled_num_nodes, graph.feature_width))
     g_s = _gate_gradient(graph, info, upstream)
     # The score term holds no -0.0, so adding the row terms to it in place
@@ -656,12 +684,13 @@ def score_path_backward(
     matched edge, ordered like info.matching. Returns gradients w.r.t.
     node features, scorer weight, and scorer bias. It is the vjp of
     ``layers.edge_pool``'s gate, which the tape runs once per backward,
-    with the gradients of all the gate's consumers summed.
+    with the gradients of all the gate's consumers summed. ``info`` must
+    be the level's on ``graph`` (:func:`_check_info`), else ValueError.
     """
     v = graph.num_nodes
     f, w = _check_widths(graph, params)
     normalized, dropped = _check_scores(graph, scores)
-    e_idx = info.matched_edge_index
+    e_idx, e_dst = _check_info(graph, info)
     g_s = _real("g_s", g_s, (info.num_matched,))
 
     # Softmax coupling: within the destination group of matched edge e,
@@ -669,13 +698,14 @@ def score_path_backward(
     # Matched destinations are distinct, so one coefficient per group.
     p = normalized - 0.5
     p[dropped] = 0.0
+    gp = g_s * p[e_idx]
     group_coeff = np.zeros(v, dtype=np.float64)  # g_s * p_e per destination
-    group_coeff[graph.edge_dst[e_idx]] = g_s * p[e_idx]
+    group_coeff[e_dst] = gp
     grad_r = group_coeff[graph.edge_dst]
     np.negative(grad_r, out=grad_r)
     grad_r *= p
-    grad_r[e_idx] += g_s * p[e_idx]
-    del p
+    grad_r[e_idx] += gp
+    del p, gp
 
     # Linear scorer backward, restricted to edges with nonzero grad_r and
     # summed per endpoint node before touching the (v, f) features.

@@ -472,3 +472,22 @@ def loop_load_tu(directory, name: str) -> GraphDataset:
         graphs.append(symmetrize(graph))
 
     return GraphDataset(graphs=graphs, labels=labels, num_classes=len(label_values), name=name)
+
+
+def keeping_backward(root, seed=None) -> None:
+    """``autodiff.backward`` as it was before it consumed the tape: the same
+    walk and casts, but every node keeps its vjp and its gradient."""
+    from edgepool.autodiff import _topo_order
+    from edgepool.graph import _real
+
+    root.grad = np.ones_like(root.data) if seed is None else (
+        _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
+    for node in reversed(_topo_order(root)):
+        if node.vjp is None or node.grad is None:
+            continue
+        grads = node.vjp(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if g is None:
+                continue
+            g = np.asarray(g, dtype=parent.data.dtype if parent.data.dtype.kind == "f" else np.float64)
+            parent.grad = g if parent.grad is None else parent.grad + g

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from edgepool import Var, backward, layers, run_gradcheck
+from edgepool import GraphClassifier, NodeClassifier, Var, backward, batch, layers, run_gradcheck
+from edgepool.autodiff import _consumed, _topo_order
 from edgepool.fdcheck import CASE_GROUPS, CASE_NAMES
 from edgepool.rng import draw_seed, seeded_rng
+
+from oracles import keeping_backward
+from test_models import graph_fixture, node_fixture
 
 
 class TestSeededRng:
@@ -81,6 +85,66 @@ class TestTape:
 
     def test_leaf_repr(self):
         assert "leaf=True" in repr(Var(np.zeros(2)))
+
+    def test_a_consumed_tape_refuses_a_second_backward(self):
+        # Two outputs share h: the first backward consumes h, so the second
+        # raises before it adds any gradient, instead of skipping h and
+        # leaving x without its share.
+        x = Var(np.asarray([1.0]))
+        h = Var(2.0 * x.data, (x,), lambda dy: (2.0 * dy,))
+        a = Var(h.data, (h,), lambda dy: (dy,))
+        b = Var(3.0 * h.data, (h,), lambda dy: (3.0 * dy,))
+        backward(a)
+        assert x.grad.tolist() == [2.0]
+        for root in (a, b):
+            with pytest.raises(ValueError, match="consumed by an earlier backward"):
+                backward(root)
+        assert b.grad is None and x.grad.tolist() == [2.0]
+
+    def test_a_var_with_parents_but_no_vjp_is_a_constant(self):
+        # backward neither walks through such a Var nor consumes it, so a
+        # second backward over it runs, and it keeps the gradients it gets.
+        x = Var(np.asarray([1.0]))
+        c = Var(5.0 * x.data, (x,))
+        backward(Var(c.data + x.data, (c, x), lambda dy: (dy, dy)))
+        assert x.grad.tolist() == [1.0] and c.grad.tolist() == [1.0]
+        backward(Var(2.0 * c.data, (c,), lambda dy: (2.0 * dy,)))
+        assert x.grad.tolist() == [1.0] and c.grad.tolist() == [3.0]
+
+
+def _model_loss(kind):
+    """The leaves and a training-mode loss of a pooling model, both dropout stages on."""
+    if kind == "graph":
+        ds = graph_fixture(num_graphs=6)
+        model = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        batched = batch(ds.graphs)
+        leaves = model.params.as_vars()
+        logits = model.forward(leaves, batched.graph, batched.graph_id, training=True, seed=5)
+        return leaves, layers.cross_entropy(logits, ds.labels)
+    task = node_fixture()
+    model = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
+    leaves = model.params.as_vars()
+    logits = model.forward(leaves, task.graph, training=True, seed=5)
+    return leaves, layers.cross_entropy(logits, task.node_labels)
+
+
+@pytest.mark.parametrize("kind", ["graph", "node"])
+def test_backward_consumes_the_tape_and_keeps_the_leaf_gradients(kind):
+    leaves, loss = _model_loss(kind)
+    kept, kept_loss = _model_loss(kind)
+    tape = _topo_order(loss)
+    backward(loss)
+    keeping_backward(kept_loss)
+    inner = [node for node in tape if node.parents]
+    assert len(inner) > 20
+    assert all(node.grad is None and node.vjp is _consumed for node in inner)
+    # The leaves' gradients are bit for bit those of a backward that keeps its tape.
+    for name, leaf in leaves.items():
+        assert leaf.grad.dtype == kept[name].grad.dtype, name
+        assert leaf.grad.tobytes() == kept[name].grad.tobytes(), name
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        backward(loss)
+    assert all(leaf.grad.tobytes() == kept[name].grad.tobytes() for name, leaf in leaves.items())
 
 
 class TestFdHarness:

@@ -35,6 +35,7 @@ from edgepool import (
     train_node_model,
 )
 from edgepool import GraphClassifier, cli
+from edgepool.graph import to_dot
 from edgepool.layers import cross_entropy, gather_rows, global_mean_pool
 from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.params import ParamStore
@@ -46,8 +47,8 @@ RULES = {"_codes", "_count", "_split"}  # _split passes its indices to _codes
 
 CONFIG = TrainConfig(epochs=1, batch_size=4, channels=4, seed=0)
 DATASET = gen_synthetic("path_proteinlike", {"num_graphs": 6, "min_nodes": 5, "max_nodes": 8})
-TASK = gen_synthetic("sbm_node_task", {"nodes_per_block": 20, "per_class_train": 4,
-                                       "per_class_test": 6})
+SMALL_SBM = {"nodes_per_block": 20, "per_class_train": 4, "per_class_test": 6}
+TASK = gen_synthetic("sbm_node_task", SMALL_SBM)
 NODE_MODEL = NodeClassifier.create(TASK.graph.feature_width, TASK.num_classes, channels=4)
 GRAPH_MODEL = GraphClassifier.create(DATASET.graphs[0].feature_width, DATASET.num_classes,
                                      channels=4)
@@ -96,6 +97,11 @@ _CASES = {
     "graph.build_graph:num_nodes": (
         lambda n: build_graph(n, [], np.ones((2, 1))), 2,
         _count_cases() | {"past-bound": 2**32}),
+    # Cluster ordinals are codes with no upper bound: the palette wraps.
+    "graph.to_dot:cluster_colors": (
+        lambda c: to_dot(PATH4, c), [0, 1, 12, 3],
+        {"float": [0.0, 1.0, 12.0, 3.0], "bool": [True, True, False, True],
+         "negative": [0, 1, -1, 3], "probe": [1.7, 0.2, -1, 2.5], "probe-short": [0, 1]}),
     "pool.contract:matching": (
         lambda m: contract(PATH4, m, PATH4_SCORES), [[0, 1], [2, 3]],
         _code_cases([[0, 1], [2, 3]], 4, at=(1, 1)) | {
@@ -143,9 +149,17 @@ _CASES = {
     "data.kfold_splits:k": (
         lambda k: kfold_splits(10, k), 3,
         _count_cases() | {"probe": 2.5, "one": 1, "past-bound": 11}),
+    # Every size of a synthetic set is at least 1, and max_nodes at least min_nodes.
     "data.gen_synthetic:num_graphs": (
         lambda n: gen_synthetic("path_proteinlike", {"num_graphs": n}), 3,
-        _count_cases() | {"probe": 2.7}),
+        _count_cases(1) | {"probe": 2.7}),
+    "data.gen_synthetic:max_nodes": (
+        lambda n: gen_synthetic("path_proteinlike", {"num_graphs": 3, "min_nodes": 5,
+                                                     "max_nodes": n}), 8,
+        _count_cases(1) | {"probe-below-min_nodes": 3}),
+    "data.gen_synthetic:blocks": (
+        lambda b: gen_synthetic("sbm_node_task", SMALL_SBM | {"blocks": b}), 2,
+        _count_cases(1)),
     "params.TrainConfig:epochs": (
         lambda v: TrainConfig(epochs=v), 3, _count_cases(1) | {"probe": 2.5}),
     "params.TrainConfig:batch_size": (lambda v: TrainConfig(batch_size=v), 3, _count_cases(1)),
@@ -287,17 +301,18 @@ def _array_cast(call: ast.Call, dtypes: set[str]) -> bool:
 
 
 def _parameter(node: ast.AST) -> str | None:
-    """The name that ``node`` reads, a bare name or an attribute of one
-    (``params.weight``, ``scores.dropped``); None for anything else, such as
-    a subscript."""
-    while isinstance(node, ast.Attribute):
+    """The name that ``node`` reads, a bare name or an attribute or a
+    subscript of one (``params.weight``, ``scores.dropped``,
+    ``cluster_colors[v]``); None for anything else, such as a call."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
 
 
 def _own_argument_casts(is_cast) -> list[str]:
     """``module.function: call`` for each call that ``is_cast`` matches and
-    that passes the function its own parameter, or an attribute of one."""
+    that passes the function its own parameter, or an attribute or a
+    subscript of one."""
     casts = []
     for module, tree in _modules():
         for fn in ast.walk(tree):

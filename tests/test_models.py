@@ -1,6 +1,7 @@
 """Reference architectures and their training loops."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -336,6 +337,50 @@ def test_one_backward_runs_each_levels_score_path_once(kind, levels, monkeypatch
     backward(loss)
     assert len(trace) == levels
     assert sorted(map(id, calls)) == sorted(map(id, trace))
+
+
+class TestTapeLifetime:
+    """No tape outlives its use: weak references to each step's loss and each
+    forward's logits, taken by wrapping ``models.backward`` and the model's
+    ``forward``, are dead by the time the next forward starts."""
+
+    @staticmethod
+    def _watch(monkeypatch, cls):
+        losses, logits, seen = [], [], []
+        forward, step_backward = cls.forward, models.backward
+
+        def watched_forward(self, *args, **kwargs):
+            # What is alive when this forward starts: the last loss, and
+            # the logits of every forward before this one.
+            seen.append((kwargs.get("training", False),
+                         losses[-1]() is not None if losses else False,
+                         [ref() is not None for ref in logits]))
+            out = forward(self, *args, **kwargs)
+            logits.append(weakref.ref(out))
+            return out
+
+        def watched_backward(loss):
+            step_backward(loss)
+            losses.append(weakref.ref(loss))
+
+        monkeypatch.setattr(cls, "forward", watched_forward)
+        monkeypatch.setattr(models, "backward", watched_backward)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["graph", "node"])
+    def test_no_step_tape_reaches_the_next_forward_or_the_evaluation(self, kind, monkeypatch):
+        seen = self._watch(monkeypatch, GraphClassifier if kind == "graph" else NodeClassifier)
+        run_model(kind, pooling=True)
+        assert sum(not training for training, _, _ in seen) == 3  # one evaluation per epoch
+        assert not any(alive or any(older) for _, alive, older in seen)
+
+    def test_no_chunk_of_an_evaluation_outlives_its_chunk(self, monkeypatch):
+        ds = graph_fixture(num_graphs=20)
+        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
+        seen = self._watch(monkeypatch, GraphClassifier)
+        evaluate_graph_model(m, ds, np.arange(20), tiny_config(batch_size=4))
+        assert len(seen) == 5
+        assert [older for _, _, older in seen] == [[False] * i for i in range(5)]
 
 
 def param_bytes(model):

@@ -1191,6 +1191,30 @@ class TestBackward:
             edgepool_backward(g, params, info, scores,
                               np.zeros((pooled.num_nodes + 1, 2)))
 
+    def test_info_of_another_graph_is_refused(self):
+        # The 4-node path's level, handed the graph of edges 0-2, 1-3 and 2-3:
+        # also 4 nodes and 6 directed edges, so only the pairs give it away.
+        feats = np.arange(8.0).reshape(4, 2)
+        path = path_graph(4, feats)
+        other = symmetrize(build_graph(4, [(0, 2), (1, 3), (2, 3)], feats))
+        params = PoolParams(weight=np.asarray([0.3, -0.2, 0.5, 0.1]), bias=0.0)
+        pooled, info, scores = edgepool_forward(path, params)
+        assert info.num_matched == 2 and other.num_edges == path.num_edges
+        up = np.ones((pooled.num_nodes, 2))
+        match = "^info is another graph's: the edges at info.matched_edge_index"
+        with pytest.raises(ValueError, match=match):
+            score_path_backward(other, params, info, scores, np.ones(2))
+        with pytest.raises(ValueError, match=match):
+            edgepool_backward(other, params, info, scores, up)
+        # Another node count is refused before any row of info is read.
+        five = path_graph(5, np.arange(10.0).reshape(5, 2))
+        _, info5, scores5 = edgepool_forward(five, params)
+        for graph, level, s in ((path, info5, scores), (five, info, scores5)):
+            with pytest.raises(ValueError, match="^info.cluster_of must have one entry per node"):
+                edgepool_backward(graph, params, level, s, up)
+        # The level's own graph passes.
+        edgepool_backward(path, params, info, scores, up)
+
 
 class TestLevelPeakMemory:
     """Peaks of one level in units of m*8 bytes, on a graph where edge arrays dominate."""

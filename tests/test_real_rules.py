@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import edgepool
-from edgepool import TrainConfig, Var, backward, build_graph, layers
+from edgepool import TrainConfig, Var, backward, build_graph, gen_synthetic, layers
 from edgepool.graph import _real
 from edgepool.layers import (
     batch_norm,
@@ -56,6 +56,7 @@ from test_integer_rules import (
     PATH4,
     PATH4_PARAMS,
     ROWS3,
+    SMALL_SBM,
     _array_cast,
     _as,
     _leaves,
@@ -248,6 +249,16 @@ _CASES = {
     "params.TrainConfig:learning_rate": (
         lambda lr: TrainConfig(learning_rate=lr), 1,
         NUMBER_CASES | {"zero": 0.0, "inf": float("inf"), "nan": float("nan")}),
+    # gen_synthetic's real keys: probabilities in [0, 1], a noise scale at
+    # least 0 and a finite signal, so NaN, 2.0 and True are no probability.
+    **{f"data.gen_synthetic:{key}": (
+        lambda v, key=key: gen_synthetic("sbm_node_task", SMALL_SBM | {key: v}), good,
+        NUMBER_CASES | {"nan": float("nan"), "inf": float("inf")} | extra)
+       for key, good, extra in (
+           ("p_in", 1, {"above": 2.0, "negative": -0.1}),
+           ("p_out", 0, {"above": 1.5, "negative": -0.1}),
+           ("feature_noise", 1, {"negative": -1.0}),
+           ("signal", 2, {}))},
 } | _score_rows()
 
 BAD = [(row, case, value) for row, (_, _, cases) in _CASES.items()
