@@ -28,7 +28,6 @@ from .params import TrainConfig
 from .pool import (
     EdgeScores,
     PoolParams,
-    edgepool_backward,
     edgepool_forward,
     random_pool_params,
     select_contractions,
@@ -43,7 +42,6 @@ __all__ = [
     "batch",
     "PoolParams",
     "edgepool_forward",
-    "edgepool_backward",
     "unpool_once",
     "unpool_backward",
     "Var",

@@ -10,12 +10,16 @@ gradient too, so backward frees the tape as it goes and only the leaves
 keep gradients. A tape therefore serves one backward; a second over any
 consumed node raises ``ValueError`` instead of leaving a leaf without its
 gradient. A Var with parents but no vjp is a constant, as before: backward
-neither walks through it nor consumes it. Layers register a single fused vjp each, so the per-layer
-backward math stays explicit and individually checkable.
+neither walks through it nor consumes it. Inside a :func:`_no_tape` block
+a Var keeps no parents and no vjp, so a forward run there (an evaluation)
+records no tape and frees each array once nothing but its closure holds
+it. Layers register a single fused vjp each, so the per-layer backward
+math stays explicit and individually checkable.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +27,19 @@ import numpy as np
 from .graph import _real
 
 __all__ = ["Var", "backward"]
+
+_taping = True
+
+
+@contextmanager
+def _no_tape():
+    """A block whose Vars record no parents and no vjp: a forward without a tape."""
+    global _taping
+    was, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = was
 
 
 class Var:
@@ -41,8 +58,8 @@ class Var:
     ):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.parents = tuple(parents)
-        self.vjp = vjp
+        self.parents = tuple(parents) if _taping else ()
+        self.vjp = vjp if _taping else None
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, leaf={not self.parents})"
@@ -85,9 +102,8 @@ def backward(root: Var, seed: np.ndarray | None = None) -> None:
     truncated.
 
     The walk consumes the tape (see the module docstring): each node whose
-    vjp ran drops it and its gradient, and a tape
-    that an earlier backward consumed raises ``ValueError`` before any
-    gradient is added.
+    vjp ran drops it and its gradient, and a tape that an earlier backward
+    consumed raises ``ValueError`` before any gradient is added.
     """
     seed = np.ones_like(root.data) if seed is None else (
         _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))

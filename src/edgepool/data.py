@@ -8,7 +8,8 @@ attribute a decimal number within float32 range, each after stripping
 whitespace; anything else raises ``ValueError`` naming ``path:line``,
 as does an attribute line whose entry count differs from the first
 line's. An integer line is read for its first entries (two for an edge,
-one otherwise) and may have more. The CLI's number flags follow the
+one otherwise) and may have more. A graph with no nodes raises
+``ValueError`` naming the indicator file. The CLI's number flags follow the
 number rule (:func:`integer`, :func:`decimal`). Synthetic generators
 provide deterministic desk-scale graphs for the gradient check and the
 training experiments.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -98,81 +98,34 @@ def _float32(tok: str) -> float:
     return value
 
 
-# Each table dtype's entry rule, and the characters its entries may hold
-# besides whitespace. Once every character passes, Python's int() and float()
-# accept exactly the entries the rule accepts, but for the separators
-# U+001C..U+001F: whitespace to str.strip, and so to the rule, but not to them.
-_TABLE_RULES = {
-    np.int64: (integer, "0123456789+-"),
-    np.float32: (_float32, "0123456789+-.eE"),
-}
-_SEPARATORS_TO_SPACES = str.maketrans("\x1c\x1d\x1e\x1f", "    ")
-
-
 def _read_table(path, what: str, dtype, columns: int | None = None) -> np.ndarray:
-    """Every non-blank line of ``path``, split at commas, each entry read by
-    ``dtype``'s rule (:func:`integer` or :func:`_float32`): a (lines, width)
-    array of ``dtype``.
+    """Every non-blank line of ``path``, stripped and split at commas, each
+    entry read by ``dtype``'s rule (:func:`integer` or :func:`_float32`): a
+    (lines, width) array of ``dtype``.
 
     With ``columns``, each line keeps its first ``columns`` entries; without,
-    every line must have as many entries as the first. Raises ``ValueError``
-    naming ``path:line`` for the first line that breaks either rule or has an
-    entry the rule rejects.
-
-    The file is read whole: its characters are checked once, its entries
-    converted by one numpy call, and its line widths read off the separator
-    positions. Only a file that fails has its entries read by the rule one by
-    one, up to the first it rejects, to name that entry.
+    every line must have as many entries as the first. Lines are read one by
+    one, and the first that has an entry the rule rejects, or breaks the
+    width rule, raises ``ValueError`` naming ``path:line``.
     """
-    parse, number_chars = _TABLE_RULES[dtype]
+    parse = _float32 if dtype is np.float32 else integer
+    rows, width = [], columns
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        text += "\n"
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    present = [chr(c) for c in np.flatnonzero(np.bincount(codes)).tolist()]
-    space = np.zeros(ord(present[-1]) + 1, dtype=bool)
-    space[[ord(c) for c in present if c.isspace()]] = True
-    odd = any(not (c.isspace() or c == "," or c in number_chars) for c in present)
-
-    # Entry k ends at separator ends[k], on line line_of[k] (from 0).
-    ends = np.flatnonzero((codes == 10) | (codes == 44))
-    newline = codes[ends] == 10
-    line_of = np.cumsum(newline) - newline
-    filled = np.diff(np.cumsum(~space[codes] & (codes != 44))[ends], prepend=0) > 0
-    kept = filled | (np.bincount(line_of)[line_of] > 1)  # the entries of non-blank lines
-    entries = list(compress(text.replace("\n", ",").split(","), kept.tolist()))
-    widths = np.bincount(line_of[kept])
-    rows = np.flatnonzero(widths)
-    widths = widths[rows]
-    width = columns or (int(widths[0]) if len(rows) else 0)
-
-    numbers = entries
-    if space[0x1C:0x20].any():
-        numbers = [e.translate(_SEPARATORS_TO_SPACES) for e in entries]
-    try:
-        values = np.array(numbers, dtype=np.float64 if dtype is np.float32 else dtype)
-    except (ValueError, OverflowError):
-        values = None
-    bad_line, message = len(newline), None
-    if odd or values is None or (dtype is np.float32 and not np.all(np.abs(values) <= _FLOAT32_MAX)):
-        for k, entry in enumerate(entries):
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                parse(entry)
+                row = [parse(tok) for tok in line.split(",")]
+                width = width or len(row)
+                if len(row) < width:
+                    raise ValueError(f"needs {width} entries")
+                if len(row) > width and columns is None:
+                    raise ValueError(f"has {len(row)} entries, not the first line's {width}")
             except ValueError as exc:
-                bad_line, message = line_of[kept][k], exc
-                break
-    wrong = np.flatnonzero((widths < width) | ((widths > width) & (columns is None)))
-    if len(wrong) and rows[wrong[0]] < bad_line:
-        bad_line, n = rows[wrong[0]], widths[wrong[0]]
-        message = (f"needs {width} entries" if n < width
-                   else f"has {n} entries, not the first line's {width}")
-    if message is not None:
-        line_ends = ends[newline]
-        line = text[line_ends[bad_line - 1] + 1 if bad_line else 0 : line_ends[bad_line]]
-        raise ValueError(f"{path}:{bad_line + 1}: bad {what} line {line.strip()!r}: {message}")
-    starts = np.cumsum(widths) - widths
-    return values[starts[:, None] + np.arange(width)].astype(dtype)
+                raise ValueError(f"{path}:{lineno}: bad {what} line {line!r}: {exc}") from None
+            rows.append(row[:width])
+    return np.array(rows, dtype=dtype).reshape(len(rows), width or 0)
 
 
 def _label_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -194,7 +147,8 @@ def load_tu(directory, name: str) -> GraphDataset:
     Node features are the attributes concatenated with a one-hot encoding
     of the node labels; datasets with neither get a constant 1.0 feature.
     Graph labels are remapped to 0..C-1 preserving sorted original order.
-    Edges are symmetrized and deduplicated.
+    Edges are symmetrized and deduplicated. A graph label with no node in
+    the indicator file is a graph with no nodes, and raises ``ValueError``.
     """
     a_path = _tu_path(directory, name, "A")
     ind_path = _tu_path(directory, name, "graph_indicator")
@@ -244,6 +198,8 @@ def load_tu(directory, name: str) -> GraphDataset:
     counts = np.bincount(node_graph, minlength=num_graphs)
     if np.any(np.diff(node_graph) < 0):
         raise ValueError("graph indicator must be non-decreasing")
+    if not counts.all():
+        raise ValueError(f"{ind_path}: graph {np.argmin(counts) + 1} has no nodes")
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
     u, v = edges_global[:, 0], edges_global[:, 1]

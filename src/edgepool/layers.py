@@ -7,8 +7,8 @@ backward pass. Every index vector passes the one rule of integer codes,
 entry lies in its range. It checks the labels of the loss,
 :func:`cross_entropy` (one class per logit row), :func:`global_mean_pool`'s
 graph ids and :func:`gather_rows`' row index. Every activation an op reads
-as a matrix (``x``, ``logits``, ``concat_cols``' two operands and
-:func:`unpool`'s gate) and every parameter of :func:`dense`,
+(``x``, of any shape for the entrywise ops, ``logits``, ``concat_cols``'
+two operands and :func:`unpool`'s gate) and every parameter of :func:`dense`,
 :func:`mean_conv` and :func:`batch_norm` passes the one rule of real
 arrays, ``graph._real``, of the shape the op needs, and every rate and
 the scorer bias the one rule of real numbers, ``graph._real_number``:
@@ -154,22 +154,25 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
 
 
 def relu(x: Var) -> Var:
-    y = np.maximum(x.data, 0)
+    """max(x, 0) entrywise, for a real ``x`` of any shape."""
+    xd = _real("x", x.data, (None,) * x.data.ndim)
+    y = np.maximum(xd, 0)
 
     def vjp(dy):
-        return ((x.data > 0) * dy,)
+        return ((xd > 0) * dy,)
 
     return Var(y, (x,), vjp)
 
 
 def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
-    """Inverted dropout on feature entries at rate ``p``; rate 0 is the identity."""
+    """Inverted dropout on the entries of a real ``x`` at rate ``p``; rate 0
+    is the identity."""
     p = _real_number("dropout probability", p, "in [0, 1)")
+    xd = _real("x", x.data, (None,) * x.data.ndim)
     if p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    mask = mask.astype(x.data.dtype)
-    return Var(x.data * mask, (x,), lambda dy: (dy * mask,))
+    mask = ((rng.random(xd.shape) >= p) / (1.0 - p)).astype(xd.dtype)
+    return Var(xd * mask, (x,), lambda dy: (dy * mask,))
 
 
 def global_mean_pool(x: Var, graph_id: np.ndarray) -> Var:
@@ -205,13 +208,15 @@ def concat_cols(a: Var, b: Var) -> Var:
 
 
 def gather_rows(x: Var, index: np.ndarray) -> Var:
-    """Rows ``x[index]``; ``index`` is a 1-D integer array with entries in
-    ``[0, rows)`` (:func:`~edgepool.graph._codes`)."""
-    index = _codes("index", index, (None,), x.data.shape[0])
-    y = np.take(x.data, index, axis=0)
+    """Rows ``x[index]`` of a real ``x`` of at least one dimension; ``index``
+    is a 1-D integer array with entries in ``[0, rows)``
+    (:func:`~edgepool.graph._codes`)."""
+    xd = _real("x", x.data, (None,) * max(x.data.ndim, 1))
+    index = _codes("index", index, (None,), len(xd))
+    y = np.take(xd, index, axis=0)
 
     def vjp(dy):
-        return (_segment_sum(index, dy, x.data.shape[0]),)
+        return (_segment_sum(index, dy, len(xd)),)
 
     return Var(y, (x,), vjp)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Var, backward
+from .autodiff import Var, _no_tape, backward
 from .data import GraphDataset, NodeTask
 from .graph import Graph, _codes, _count, _mask, batch
 from .layers import (
@@ -339,15 +339,16 @@ def _batches(indices: np.ndarray, batch_size: int):
 def evaluate_graph_model(
     model: GraphClassifier, dataset: GraphDataset, indices: np.ndarray, config: TrainConfig
 ) -> float:
-    """Accuracy over the indexed graphs (at least one) with training behaviors off."""
+    """Accuracy over the indexed graphs (at least one) with training behaviors
+    off and no tape recorded."""
     indices = _split("indices", indices, len(dataset))
     _codes("labels", dataset.labels, (len(dataset),), dataset.num_classes, item="graph")
     leaves = model.params.as_vars()
     correct = 0
     for chunk in _batches(indices, config.batch_size):
         batched = batch([dataset.graphs[i] for i in chunk])
-        # Reduced to predictions at once: no chunk's tape outlives its chunk.
-        pred = model.forward(leaves, batched.graph, batched.graph_id).data.argmax(axis=1)
+        with _no_tape():
+            pred = model.forward(leaves, batched.graph, batched.graph_id).data.argmax(axis=1)
         correct += int((pred == dataset.labels[chunk]).sum())
     return correct / len(indices)
 
@@ -390,15 +391,16 @@ def train_graph_model(
 
 
 def evaluate_node_model(model: NodeClassifier, task: NodeTask, config: TrainConfig) -> float:
-    """Accuracy over the task's test nodes (at least one) with training behaviors off.
+    """Accuracy over the task's test nodes (at least one) with training behaviors
+    off and no tape recorded.
 
     ``config`` is unused: full-batch evaluation has no batch size.
     """
     n = task.graph.num_nodes
     nodes = _split("test_mask", task.test_mask, n, mask=True)
     _codes("node_labels", task.node_labels, (n,), task.num_classes, item="node")
-    logits = model.forward(model.params.as_vars(), task.graph)
-    pred = logits.data.argmax(axis=1)
+    with _no_tape():
+        pred = model.forward(model.params.as_vars(), task.graph).data.argmax(axis=1)
     return float((pred[nodes] == task.node_labels[nodes]).mean())
 
 

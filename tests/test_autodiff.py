@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgepool import GraphClassifier, NodeClassifier, Var, backward, batch, layers, run_gradcheck
-from edgepool.autodiff import _consumed, _topo_order
+from edgepool.autodiff import _consumed, _no_tape, _topo_order
 from edgepool.fdcheck import CASE_GROUPS, CASE_NAMES
 from edgepool.rng import draw_seed, seeded_rng
 
@@ -110,6 +110,18 @@ class TestTape:
         assert x.grad.tolist() == [1.0] and c.grad.tolist() == [1.0]
         backward(Var(2.0 * c.data, (c,), lambda dy: (2.0 * dy,)))
         assert x.grad.tolist() == [1.0] and c.grad.tolist() == [3.0]
+
+    def test_a_no_tape_block_records_nothing_and_restores_the_tape(self):
+        x = Var(np.asarray([1.0, -1.0]))
+        with pytest.raises(RuntimeError):
+            with _no_tape():
+                with _no_tape():
+                    inner = layers.relu(x)
+                outer = layers.relu(x)
+                raise RuntimeError
+        assert inner.parents == outer.parents == () and inner.vjp is outer.vjp is None
+        y = layers.relu(x)
+        assert y.parents == (x,) and y.vjp is not None
 
 
 def _model_loss(kind):

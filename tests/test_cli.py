@@ -343,6 +343,20 @@ class TestTuInput:
         assert code == 2
         assert "R_node_attributes.txt:2:" in capsys.readouterr().err
 
+    def test_graph_with_no_nodes_rejected_at_load(self, tmp_path, capsys):
+        # Two labels but one graph in the indicator: graph 2 has no nodes.
+        data = tmp_path / "data"
+        data.mkdir()
+        for suffix, text in (("A", "1, 2\n2, 1\n"), ("graph_indicator", "1\n1\n"),
+                             ("graph_labels", "0\n1\n")):
+            (data / f"E_{suffix}.txt").write_text(text)
+        out = tmp_path / "out"
+        code = main(["train-graph", "--quiet", "--tu", str(data), "E", "--folds", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "E_graph_indicator.txt: graph 2 has no nodes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainNodeCommand:
     def run_synthetic(self, out, extra=()):
@@ -910,8 +924,9 @@ def tu_files_with_odd_lines(draw):
 class TestTuLineFuzz:
     # Whole lines of each TU file dropped, repeated, moved, added, widened,
     # narrowed or cut off, or a file removed: load_tu reads exactly what the
-    # loop oracle reads from the same files, or refuses them as it does, and
-    # a run exits 0 or 2 and never raises.
+    # loop oracle reads from the same files, or refuses them as it does or
+    # for a graph with no nodes (which the oracle loads), and a run exits 0
+    # or 2 and never raises.
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(files=tu_files_with_odd_lines())
     def test_odd_lines_read_as_the_oracle_reads_them_or_exit_2(self, tmp_path_factory, files):
@@ -920,6 +935,8 @@ class TestTuLineFuzz:
         try:
             want = loop_load_tu(tmp / "odd", "F")
         except (OSError, ValueError):
+            want = None
+        if want is not None and any(g.num_nodes == 0 for g in want.graphs):
             want = None
         calls = {}
         with pytest.MonkeyPatch.context() as mp:

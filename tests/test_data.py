@@ -153,6 +153,17 @@ class TestLoadTu:
         with pytest.raises(ValueError, match=r"TOY_A\.txt:9: .*needs 2 entries"):
             load_tu(d, "TOY")
 
+    @pytest.mark.parametrize("indicator, empty", [("1\n1\n1\n1\n1\n", 2),
+                                                  ("2\n2\n2\n2\n2\n", 1)],
+                             ids=["last", "first"])
+    def test_graph_with_no_nodes_rejected(self, tmp_path, indicator, empty):
+        d = write_tu_fixture(tmp_path / "toy")
+        (d / "TOY_graph_indicator.txt").write_text(indicator)
+        (d / "TOY_A.txt").write_text("1, 2\n2, 1\n")
+        with pytest.raises(ValueError,
+                           match=rf"TOY_graph_indicator\.txt: graph {empty} has no nodes"):
+            load_tu(d, "TOY")
+
     def test_duplicate_edges_collapse(self, tmp_path):
         d = write_tu_fixture(tmp_path / "toy")
         path = d / "TOY_A.txt"

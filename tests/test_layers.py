@@ -16,7 +16,6 @@ from edgepool import (
     cross_entropy,
     dense,
     edge_pool,
-    edgepool_backward,
     edgepool_forward,
     mean_conv,
     relu,
@@ -36,7 +35,8 @@ from edgepool.layers import (
 from edgepool.params import (
     LR_HALVING_PERIOD, ParamStore, adam_step, glorot_uniform, lr_at_epoch, save_checkpoint,
 )
-from edgepool.pool import EdgeScores, apply_score_dropout, contract, score_path_backward
+from edgepool.pool import (EdgeScores, apply_score_dropout, contract, edgepool_backward,
+                           score_path_backward)
 from edgepool.rng import seeded_rng
 
 from oracles import var_batch_norm

@@ -26,6 +26,7 @@ from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
 
 from oracles import two_loop_train_graph_model, two_loop_train_node_model
+from test_pool import traced_peak
 
 
 def tiny_config(**overrides):
@@ -381,6 +382,47 @@ class TestTapeLifetime:
         evaluate_graph_model(m, ds, np.arange(20), tiny_config(batch_size=4))
         assert len(seen) == 5
         assert [older for _, _, older in seen] == [[False] * i for i in range(5)]
+
+
+class TestEvaluationTape:
+    """An evaluation runs its forward in ``autodiff._no_tape``: its Vars keep
+    no parents and no vjp, so no closure keeps an activation alive."""
+
+    @pytest.mark.parametrize("kind", ["graph", "node"])
+    def test_evaluation_logits_hold_no_parents_and_no_vjp(self, kind, monkeypatch):
+        cls = GraphClassifier if kind == "graph" else NodeClassifier
+        outs, forward = [], cls.forward
+
+        def kept_forward(self, *args, **kwargs):
+            outs.append(forward(self, *args, **kwargs))
+            return outs[-1]
+
+        monkeypatch.setattr(cls, "forward", kept_forward)
+        if kind == "graph":
+            data = graph_fixture(num_graphs=10)
+            m = GraphClassifier.create(data.graphs[0].feature_width, data.num_classes, channels=8)
+            evaluate_graph_model(m, data, np.arange(10), tiny_config(batch_size=4))
+            batched = batch(data.graphs[:4])
+            args = (batched.graph, batched.graph_id)
+        else:
+            data = node_fixture()
+            m = NodeClassifier.create(data.graph.feature_width, data.num_classes, channels=8)
+            evaluate_node_model(m, data, tiny_config())
+            args = (data.graph,)
+        assert len(outs) == (3 if kind == "graph" else 1)
+        assert all(out.parents == () and out.vjp is None for out in outs)
+        # The tape records again once the evaluation is over.
+        taped = m.forward(m.params.as_vars(), *args)
+        assert taped.parents and taped.vjp is not None
+
+    def test_node_evaluation_peaks_under_half_a_taped_forward(self):
+        # An evaluation that records the tape peaks at the taped forward's peak.
+        task = gen_synthetic("sbm_node_task", {"nodes_per_block": 60}, seed=0)
+        m = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=32)
+        config = tiny_config(channels=32)
+        evaluate_node_model(m, task, config)  # builds the graph's cached operator
+        taped = traced_peak(lambda: m.forward(m.params.as_vars(), task.graph))
+        assert traced_peak(evaluate_node_model, m, task, config) < 0.5 * taped
 
 
 def param_bytes(model):

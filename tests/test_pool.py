@@ -13,7 +13,6 @@ from edgepool import (
     PoolParams,
     batch,
     build_graph,
-    edgepool_backward,
     edgepool_forward,
     select_contractions,
     symmetrize,
@@ -25,6 +24,7 @@ from edgepool.pool import (
     _score_order,
     apply_score_dropout,
     contract,
+    edgepool_backward,
     normalize_scores,
     raw_scores,
     score_path_backward,

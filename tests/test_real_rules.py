@@ -30,6 +30,7 @@ from edgepool.layers import (
     dense,
     edge_pool,
     feature_dropout,
+    gather_rows,
     global_mean_pool,
     mean_conv,
     relu,
@@ -101,6 +102,19 @@ def _grad_of_relu(seed):
     x = Var(ROWS3)
     backward(relu(x), seed)
     return x.grad
+
+
+def _value_and_grad(op, x):
+    """An op's output on the leaf ``x``, and the leaf's gradient under ones."""
+    leaf = Var(x)
+    out = op(leaf)
+    backward(out)
+    return out, leaf.grad
+
+
+# An entrywise op takes a real array of any shape: every bad kind but the shape.
+def _entrywise_cases(good):
+    return {case: value for case, value in _array_cases(good).items() if case != "ndim"}
 
 
 def _with_weight(w):
@@ -177,6 +191,15 @@ _CASES = {
     "layers.feature_dropout:dropout probability": (
         lambda p: feature_dropout(Var(ROWS3), p, seeded_rng(0, "rate")), 0,
         RATE_CASES | {"probe": "a"}),
+    # Integer activations are widened: dropout's kept entries read 1 / (1 - p), not 1.
+    "layers.feature_dropout:x": (
+        lambda x: _value_and_grad(lambda v: feature_dropout(v, 0.3, seeded_rng(0, "x")), x),
+        _ints(3, 2), _entrywise_cases(_ints(3, 2))),
+    "layers.relu:x": (
+        lambda x: _value_and_grad(relu, x), _ints(3, 2), _entrywise_cases(_ints(3, 2))),
+    "layers.gather_rows:x": (
+        lambda x: _value_and_grad(lambda v: gather_rows(v, [2, 0, 2]), x), _ints(3, 2),
+        _entrywise_cases(_ints(3, 2)) | {"0-D": np.asarray(1.0)}),
     "layers.global_mean_pool:x": (
         lambda x: global_mean_pool(Var(x), [0, 0, 1]), _ints(3, 2),
         _array_cases(_ints(3, 2)) | {"probe-1-D": np.arange(3.0)}),
@@ -331,7 +354,6 @@ EXEMPT = {
     "EdgeScores": "a container: each stage that reads one checks both fields against its "
                   "graph (pool._check_scores)",
     "Var": "wraps any array: each tape op checks the operands it reads",
-    "relu": "elementwise, so an array of any shape is valid",
     "load_tu": "reads files, by the one rule of TU tables (data._read_table)",
     "save_tu": "writes a GraphDataset's graphs, which build_graph checked",
     "GraphDataset": "a container: the graph trainers check its labels and splits",

@@ -38,7 +38,7 @@ def test_readme_surface_is_exported():
 
 def test_exports_are_the_readme_surface():
     names = readme_surface_names()
-    assert len(names) == len(set(names)) == 33
+    assert len(names) == len(set(names)) == 32
     assert set(edgepool.__all__) - {"__version__"} == set(names)
 
 
