@@ -130,13 +130,11 @@ def _load_pool_input(args):
     if args.input is not None:
         graph, _, _ = load_graph_file(args.input)
         return graph, os.path.basename(args.input)
-    if args.tu is not None:
-        directory, name = args.tu
-        dataset = load_tu(directory, name)
-        if not 0 <= args.index < len(dataset):
-            raise ValueError(f"--index {args.index} out of range for {name} ({len(dataset)} graphs)")
-        return dataset.graphs[args.index], f"{name}[{args.index}]"
-    raise ValueError("one of --input or --tu is required")
+    directory, name = args.tu  # the parser requires one of --input and --tu
+    dataset = load_tu(directory, name)
+    if not 0 <= args.index < len(dataset):
+        raise ValueError(f"--index {args.index} out of range for {name} ({len(dataset)} graphs)")
+    return dataset.graphs[args.index], f"{name}[{args.index}]"
 
 
 def _load_pool_params(args, graph: Graph) -> PoolParams:
@@ -261,10 +259,8 @@ def _load_task(args):
                                  "the splits must be disjoint")
             return _node_task(graph, labels, train_mask, test_mask), identity
         return node_split(graph, labels, seed=args.seed), identity
-    if args.synthetic is not None:  # the parser allows "sbm" alone
-        task = gen_synthetic("sbm_node_task", {}, seed=args.seed)
-        return task, "sbm"
-    raise ValueError("one of --input or --synthetic is required")
+    # The parser requires one of --input and --synthetic, which allows "sbm" alone.
+    return gen_synthetic("sbm_node_task", {}, seed=args.seed), "sbm"
 
 
 def cmd_train_node(args) -> int:
@@ -381,8 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pool", help="pool a graph repeatedly and export the hierarchy")
-    p.add_argument("--input", help="graph JSON file")
-    p.add_argument("--tu", nargs=2, metavar=("DIR", "NAME"), help="benchmark dataset")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="graph JSON file")
+    source.add_argument("--tu", nargs=2, metavar=("DIR", "NAME"), help="benchmark dataset")
     p.add_argument("--index", type=integer, default=0, help="graph index within --tu")
     p.add_argument("--levels", type=integer, default=1)
     p.add_argument("--params", help="scorer params JSON file {weight, bias}")
@@ -409,8 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-node", parents=[train],
                        help="semi-supervised node classification")
-    p.add_argument("--input", help="task JSON file (graph plus node_labels)")
-    p.add_argument("--synthetic", choices=["sbm"], help="generate the task instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="task JSON file (graph plus node_labels)")
+    source.add_argument("--synthetic", choices=["sbm"], help="generate the task instead")
     p.add_argument("--conv", choices=CONV_KINDS, default=CONV_KINDS[0])
     p.set_defaults(func=cmd_train_node)
 

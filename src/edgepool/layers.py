@@ -224,12 +224,15 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
 def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     """Mean negative log softmax probability of the true class: a scalar Var.
 
-    A stable log-sum-exp in double precision. ``labels`` follow the rule of
-    integer codes (:func:`~edgepool.graph._codes`): one integer class per
-    logit row, in ``[0, classes)``.
+    A stable log-sum-exp in double precision. ``logits`` must have at least
+    one row, since the mean of no rows is undefined. ``labels`` follow the
+    rule of integer codes (:func:`~edgepool.graph._codes`): one integer
+    class per logit row, in ``[0, classes)``.
     """
     logits64 = _real("logits", logits.data, (None, None)).astype(np.float64, copy=False)
     n, c = logits64.shape
+    if n < 1:
+        raise ValueError("logits must have at least 1 row")
     labels = _codes("labels", labels, (n,), c, item="logit row")
     mx = logits64.max(axis=1, keepdims=True)
     shifted = logits64 - mx

@@ -12,8 +12,9 @@ One pooling level works in four stages:
    matching is found without sorting every edge: in vectorized rounds, each
    taking the edges that rank first among the alive edges at both of their
    endpoints, with a sequential sweep once rounds stop paying off. The
-   sweep sorts its edges in blocks of the visiting order, each just before
-   its visit, so the edges matched away first are never sorted;
+   visiting order has one home, :func:`_score_order`: the sweep orders its
+   edges by it once and walks that order in fixed slices, and the taken
+   edges are put in selection order by it;
 4. each matched pair collapses to one node whose feature vector is the sum
    of the pair's features gated (multiplied) by the edge score, so that
    gradients reach the scoring parameters despite the discrete selection.
@@ -65,30 +66,38 @@ so the blocks change no bit. Measured on numpy 2.4.6 at 1e6 edges:
   peak from 5.14 to 3.53 m*8 bytes, and the forward's from 6.40 to 4.80
   (5.64 with dropout) on the edge-heavy graph of the tests.
 
-Measured on numpy 2.4.6 for the block sweep, against one stable argsort
-of every edge handed to the sweep:
+Measured on numpy 2.4.6 for the sweep, on a 2-vCPU VM, in one process
+against the block sweep it replaced (an ``np.partition`` set score bounds,
+each block, whole tie classes at its ends, was found by a scan of every
+edge and stable-sorted just before its visit, and a C ``array`` of mates
+was looked up by edge key at the end):
 
 - on perfbench's ``node_train`` graph (2,000 nodes, about 33k directed
-  edges, mean degree about 16) the rounds leave about 19k edges to the
+  edges, mean degree about 16) the rounds leave 10k-25k edges to the
   sweep, of which a few thousand are still unmatched at both ends when
-  their block comes. ``select_contractions`` took 4.4-4.5 ms per call,
-  against 7.8-8.8 ms (the calls of 10 training epochs, seeds 3 and 11,
-  replayed in-process);
+  their slice comes. The 35 sweeps of 48 replayed selection calls (12
+  epochs of training steps and evaluations, seed 3) took 35-36 ms,
+  against 46-47 ms (best of 7 each), and ``select_contractions`` 7.9-8.4
+  against 8.0-8.4 ms per call (medians of 11 alternating rounds, two
+  runs). The taken edges' positions go into a
+  plain Python list. In the block sweep such a list had made the path
+  below slower than one stable argsort of every edge (0.103 against
+  0.096 s); here no keys are looked up after the loop, and the list is the
+  simpler record;
 - on the 100k-node monotone path of the tests, which the sweep visits
-  almost whole, selection took 0.088 against 0.094 s (medians of 16
-  alternating rounds, best of 5 each; faster in 14). Four variants did
-  worse there, each against one argsort in the same run: compacting the
-  remainder's arrays after each block, so that later blocks scan only it
-  (0.074 against 0.057 s), since every block copied the whole remainder;
-  blocks of a fixed 512 edges (0.19 against 0.087 s), one scan per block;
-  and recording the taken edges in Python lists, of edge indices (0.103
-  against 0.096 s) or of endpoint pairs (0.081 against 0.081 s), whose
-  ints are made and read back one at a time.
+  almost whole, selection took 0.049-0.052 against 0.052-0.053 s (medians
+  of 16 alternating rounds, best of 5 each; faster in 12 and 13 of 16). Slices
+  growing 4-fold from 512 took 0.054 s there against 0.046 s for fixed
+  ones, and on the replayed ``node_train`` calls 3% longer; fixed slices
+  of 256 to 2,048 all beat them;
+- one order over every edge costs where few edges survive to their turn:
+  a 1e6-edge sweep on 10,000 nodes took 0.107 against 0.040 s, on
+  100,000 nodes 0.132 against 0.092 s. No workload hands the sweep such a
+  set: ``pool_1e6`` and ``graph_train`` never reach it.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import Sequence
 
@@ -299,16 +308,15 @@ def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
 
 # A round that removes less than this share of the alive edges hands them to
 # the sequential sweep; rounds on the bulk of a random graph remove about 2/3.
-# With the block sweep, shares from 0.25 to 1.0 gave the same node_train
-# selection time (4.3-4.5 ms per call), and at 0.25 neither graph_train
-# nor pool_1e6 reaches the sweep.
+# With an earlier block sweep, shares from 0.25 to 1.0 gave the same
+# node_train selection time (4.3-4.5 ms per call), and at 0.25 neither
+# graph_train nor pool_1e6 reaches the sweep.
 _SWEEP_SHARE = 0.25
-# The sweep's first block of edges, and the factor by which each next one grows.
+# The sweep's slice of its visiting order.
 _SWEEP_BLOCK = 512
-_SWEEP_GROWTH = 4
-# Up to this many taken edges, a stable argsort puts them in selection order
-# faster than _score_order: on numpy 2.4.6 the two crossed at 1,300-1,500
-# (about 50 us), and at 1,000 took 21-26 against 34-41 us.
+# Up to this many scores, _score_order is a stable argsort, faster than the
+# run key: on numpy 2.4.6 the two crossed at 1,300-1,500 (about 50 us), and
+# at 1,000 took 21-26 against 34-41 us.
 _STABLE_ORDER_MAX = 1400
 
 
@@ -332,13 +340,10 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     first at a node has that node's best score. A chain of monotone
     scores matches one edge per round, so once a round removes less than
     ``_SWEEP_SHARE`` of the alive edges, :func:`_greedy_sweep` finishes
-    the remaining edges in order, which is exact for the same reason. It
-    sorts them block by block and skips, before each block is sorted, the
-    edges already matched away, which on a dense graph are most of them.
+    the remaining edges in order, which is exact for the same reason.
     Returns the matched directed edges in selection order (the greedy's
     visiting order) as a (k, 2) int64 array; only the k taken edges are put
-    in that order, by a stable argsort or, for more than
-    ``_STABLE_ORDER_MAX`` of them, by :func:`_score_order`.
+    in that order, by :func:`_score_order`, which also orders the sweep.
     """
     v = graph.num_nodes
     normalized, dropped = _check_scores(graph, scores)
@@ -387,21 +392,25 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
             break
     # Selection order: only the k taken edges are sorted.
     t = np.sort(np.concatenate(taken))
-    st = normalized[t]
-    t = t[np.argsort(-st, kind="stable") if t.size <= _STABLE_ORDER_MAX else _score_order(st)]
+    t = t[_score_order(normalized[t])]
     return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
 
 
 def _score_order(s: np.ndarray) -> np.ndarray:
-    """``np.argsort(-s, kind="stable")``, from the default (unstable) sort.
+    """The greedy's visiting order of scores ``s``: ``np.argsort(-s,
+    kind="stable")``, score descending, position ascending on ties.
 
-    The unstable sort leaves each run of tied scores in some order. A run's
-    number (nondecreasing along the sorted scores) times k plus the position
-    is an int64 key whose sort puts every run back in position order; the
-    key mod k is the stable order. Ties are common: a node with one kept
-    incoming edge gives it a score of exactly 1.5.
+    Up to ``_STABLE_ORDER_MAX`` entries it is that stable argsort. Above,
+    it comes from the default (unstable) sort, which leaves each run of
+    tied scores in some order: a run's number (nondecreasing along the
+    sorted scores) times k plus the position is an int64 key whose sort
+    puts every run back in position order, and the key mod k is the stable
+    order. Ties are common: a node with one kept incoming edge gives it a
+    score of exactly 1.5.
     """
     k = s.size
+    if k <= _STABLE_ORDER_MAX:
+        return np.argsort(-s, kind="stable")
     order = np.argsort(-s)
     ranked = s[order]
     key = np.zeros(k, dtype=np.int64)
@@ -420,51 +429,29 @@ def _greedy_sweep(
 
     Visits by score descending, index ascending on ties; returns the taken
     edge indices, ascending. The edges must touch no node matched earlier,
-    so every node starts unmatched, and must be canonical edges in
-    canonical order, so that their (src, dst) keys ascend with ``e``.
+    so every node starts unmatched.
 
-    Most edges touch a matched node by the time their turn comes, so the
-    visiting order is cut into blocks by score, and each block is sorted
-    just before its visit, without the edges matched away meanwhile. One
-    ``np.partition`` finds each block's lowest score: the scores of rank
-    ``_SWEEP_BLOCK``, then of ranks further on by blocks growing
-    ``_SWEEP_GROWTH``-fold, up to where at most two more blocks' worth is
-    left; the last block is the rest. A block takes every edge scoring from
-    its bound up to the previous block's bound, so whole tie classes come
-    in and the blocks are consecutive runs of the visiting order; a stable
-    sort of a block keeps its ties in index order. Each block scans all
-    the edges to find its members, which the growth keeps to a few scans.
-    The loop stores each taken edge's dst under its src in a C ``array``,
-    which numpy reads without conversion; the taken edges' keys are then
-    looked up.
+    The visiting order is :func:`_score_order` of all the edges, walked in
+    slices of ``_SWEEP_BLOCK``. Most edges touch a matched node by the time
+    their turn comes, so each slice first drops, in one vectorized test,
+    the edges matched away by the slices before it; the Python loop visits
+    the rest and lists the position of each edge it takes.
     """
-    m = e.size
-    ends, size = [0], _SWEEP_BLOCK
-    while m - ends[-1] > 2 * size:
-        ends.append(ends[-1] + size)
-        size *= _SWEEP_GROWTH
-    kth = [m - c for c in ends[1:]]
-    bounds = np.partition(s, kth)[kth].tolist() if kth else []
+    order = _score_order(s)
     matched = bytearray(num_nodes)
     is_matched = np.frombuffer(matched, dtype=bool)
-    mate = array("q", [-1]) * num_nodes
-    above = np.inf
-    for t in bounds + [-np.inf]:
-        block = np.flatnonzero((s >= t) & (s < above))
+    taken = []
+    for start in range(0, order.size, _SWEEP_BLOCK):
+        block = order[start : start + _SWEEP_BLOCK]
         gone = is_matched[src[block]]
         gone |= is_matched[dst[block]]
         block = block[np.flatnonzero(~gone)]
-        order = block[np.argsort(-s[block], kind="stable")]
-        for i, j in zip(src[order].tolist(), dst[order].tolist()):
+        for p, i, j in zip(block.tolist(), src[block].tolist(), dst[block].tolist()):
             if not matched[i] and not matched[j]:
                 matched[i] = 1
                 matched[j] = 1
-                mate[i] = j
-        above = t
-    mate = np.frombuffer(mate, dtype=np.int64)
-    taken = np.flatnonzero(mate >= 0)
-    key = _edge_key(src, dst, num_nodes)
-    return e[np.searchsorted(key, _edge_key(taken, mate[taken], num_nodes))]
+                taken.append(p)
+    return e[np.sort(np.array(taken, dtype=np.int64))]
 
 
 def _member_rows(info: PoolInfo, x: np.ndarray, score: np.ndarray | None = None) -> np.ndarray:

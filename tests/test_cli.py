@@ -312,8 +312,19 @@ class TestPoolCommand:
         assert code == 2
 
     def test_requires_some_input(self, tmp_path):
-        code = main(["pool", "--out", str(tmp_path / "out")])
+        code = exit_code(["pool", "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_input_and_tu_together_rejected(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path)
+        write_dataset(tmp_path / "data", num_graphs=4)
+        out = tmp_path / "out"
+        code = exit_code(["pool", "--input", str(graph_path), "--tu", str(tmp_path / "data"),
+                          "TINY", "--index", "2", "--out", str(out)])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTuInput:
@@ -407,7 +418,17 @@ class TestTrainNodeCommand:
         assert not any("w_neigh" in name for name in params)
 
     def test_requires_input_or_synthetic(self, tmp_path):
-        assert main(["train-node", "--quiet", "--out", str(tmp_path)]) == 2
+        assert exit_code(["train-node", "--quiet", "--out", str(tmp_path)]) == 2
+
+    def test_input_and_synthetic_together_rejected(self, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        out = tmp_path / "out"
+        code = exit_code(["train-node", "--input", str(task_path), "--synthetic", "sbm",
+                          "--quiet", "--out", str(out)])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_task_with_edge_features_trains_as_without(self, tmp_path):
         # Neither model reads edge features, so they change no history byte.
@@ -950,7 +971,8 @@ class TestTuLineFuzz:
             assert same_dataset(dataset, want)
 
 
-# Every flag that takes a number. Each command takes --out, and train-graph needs --tu.
+# Every flag that takes a number. Each command takes --out, and the three that
+# read an input take one source (SOURCE_ARGV).
 NUMBER_FLAGS = [("pool", "--index"), ("pool", "--levels"), ("pool", "--seed"),
                 *[("train-graph", f) for f in ("--seed", "--epochs", "--channels", "--lr",
                                                "--folds", "--batch-size")],
@@ -958,9 +980,12 @@ NUMBER_FLAGS = [("pool", "--index"), ("pool", "--levels"), ("pool", "--seed"),
                 ("gradcheck", "--seed"), ("bench", "--seed")]
 
 
+SOURCE_ARGV = {"pool": ["--input", "g.json"], "train-graph": ["--tu", "data", "T"],
+               "train-node": ["--synthetic", "sbm"]}
+
+
 def number_argv(command, out, option, text):
-    tu = ["--tu", str(out), "T"] if command == "train-graph" else []
-    return [command, *tu, "--out", str(out), option, text]
+    return [command, *SOURCE_ARGV.get(command, []), "--out", str(out), option, text]
 
 
 class TestArgumentErrors:

@@ -566,6 +566,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="labels"):
             cross_entropy(logits, labels)
 
+    def test_needs_one_row(self):
+        # The mean over no rows was a NaN loss, with a RuntimeWarning.
+        with pytest.raises(ValueError, match="logits must have at least 1 row"):
+            cross_entropy(Var(np.zeros((0, 3), np.float32)), np.zeros(0, np.int64))
+
     def test_stability_with_large_logits(self):
         loss, grad = loss_and_grad(np.asarray([[1e4, 0.0], [0.0, 1e4]]), np.asarray([0, 1]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))

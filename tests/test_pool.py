@@ -1,6 +1,8 @@
 """Scoring, normalization, selection, contraction, and the exact backward."""
 
+import ast
 import dataclasses
+import inspect
 import time
 import tracemalloc
 
@@ -18,6 +20,7 @@ from edgepool import (
     symmetrize,
     unpool_backward,
 )
+import edgepool.pool
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.pool import (
     _greedy_sweep,
@@ -369,11 +372,12 @@ def sweep_inputs(draw):
     edges in canonical order, their endpoints, scores and the node count.
 
     Dense random edge sets of 1,500-9,900 edges on at most 100 nodes run
-    several blocks and the final sort; their scores are continuous or drawn
-    from a 3-4 value set. A monotone chain of up to 6,000 edges and the
-    empty input come too.
+    several slices; their scores are continuous, drawn from a 3-4 value
+    set, or (with at least 3,000 edges) all one value, a single tie class
+    across six or more slices. A monotone chain of up to 6,000 edges and
+    the empty input come too.
     """
-    kind = draw(st.sampled_from(["dense", "dense-ties", "chain", "empty"]))
+    kind = draw(st.sampled_from(["dense", "dense-ties", "one-tie", "chain", "empty"]))
     rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "sweep-inputs")
     if kind == "empty":
         z = np.zeros(0, dtype=np.int64)
@@ -383,13 +387,15 @@ def sweep_inputs(draw):
         g = path_graph(n)
         src, dst = g.edge_src, g.edge_dst
         return np.arange(g.num_edges), src, dst, 0.6 + 0.8 * np.minimum(src, dst) / n, n
-    n = draw(st.integers(40, 100))
+    n = draw(st.integers(56 if kind == "one-tie" else 40, 100))  # 56 * 55 >= 3,000
     off_diagonal = np.flatnonzero(~np.eye(n, dtype=bool))
-    m = draw(st.integers(1500, min(9900, off_diagonal.size)))
+    m = draw(st.integers(3000 if kind == "one-tie" else 1500, min(9900, off_diagonal.size)))
     key = np.sort(rng.choice(off_diagonal, size=m, replace=False))
     e = np.sort(rng.choice(2 * m, size=m, replace=False))
     if kind == "dense":
         s = rng.uniform(0.5, 1.5, size=m)
+    elif kind == "one-tie":
+        s = np.full(m, draw(st.floats(0.5, 1.5, exclude_min=True)))
     else:
         values = draw(st.lists(st.floats(0.5, 1.5, exclude_min=True),
                                min_size=3, max_size=4, unique=True))
@@ -486,8 +492,7 @@ def tie_class_graph(rng):
 
 class TestSelectionOrder:
     """The k taken edges come by score descending, edge index ascending on
-    ties, also where the default (unstable) argsort orders them first
-    (more than ``_STABLE_ORDER_MAX`` of them)."""
+    ties, also where the default (unstable) argsort orders them first."""
 
     @pytest.mark.parametrize("case", ["plain", "dropout"])
     def test_tie_classes_keep_index_order(self, case):
@@ -520,6 +525,19 @@ class TestSelectionOrder:
         order = _score_order(s)
         assert order.dtype == np.int64
         assert np.array_equal(order, np.argsort(-s, kind="stable"))
+
+    def test_score_order_is_the_only_score_sort(self):
+        # The visiting order has one home: no other routine in pool.py sorts
+        # or partitions scores on its own.
+        def sort_lines(node):
+            return [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and ast.unparse(c.func) in ("np.argsort", "np.lexsort", "np.partition")]
+
+        tree = ast.parse(inspect.getsource(edgepool.pool))
+        home = next(fn for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_score_order")
+        assert sort_lines(home), "_score_order sorts nothing"
+        assert sort_lines(tree) == sort_lines(home)
 
 
 class TestContract:
