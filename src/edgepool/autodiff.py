@@ -10,7 +10,11 @@ gradient too, so backward frees the tape as it goes and only the leaves
 keep gradients. A tape therefore serves one backward; a second over any
 consumed node raises ``ValueError`` instead of leaving a leaf without its
 gradient. A Var with parents but no vjp is a constant, as before: backward
-neither walks through it nor consumes it. Inside a :func:`_no_tape` block
+neither walks through it nor consumes it. The tape holds an op's output only
+where a vjp reads it: an entrywise op whose vjp reads its own output, not
+its input (``layers.relu``), links past its input's producer
+(:func:`_link_past`), so nothing on the tape refers to that input and it is
+freed once its caller drops it. Inside a :func:`_no_tape` block
 a Var keeps no parents and no vjp, so a forward run there (an evaluation)
 records no tape and frees each array once nothing but its closure holds
 it. Layers register a single fused vjp each, so the per-layer backward
@@ -68,6 +72,26 @@ class Var:
 def _consumed(grad: np.ndarray) -> tuple:
     """The vjp a node holds once backward has run and dropped its own."""
     raise ValueError("this Var was consumed by an earlier backward: a tape serves one")
+
+
+def _link_past(x: Var, data, grad: Callable[[np.ndarray], np.ndarray]) -> Var:
+    """The Var of ``data``, an entrywise function of ``x`` whose vjp is
+    ``grad(dy)`` and reads no ``x``.
+
+    When ``x`` has a live vjp, the result takes ``x``'s parents and the
+    composed vjp ``x.vjp(grad(dy))``, so the tape holds no reference to
+    ``x``. With ``data`` in ``x``'s dtype (float64 for an integer ``x``),
+    ``grad(dy)`` is in the dtype that ``backward`` would cast it to, so
+    ``x``'s vjp gets the gradient it would have got through ``x``. If
+    ``x`` has a second consumer, its vjp runs once per consumer, which
+    gives the same gradient because a vjp is linear. A leaf, a constant (no
+    vjp) or a consumed ``x`` keeps the link ``(x,)``: backward still
+    refuses a consumed tape before it adds any gradient.
+    """
+    x_vjp = x.vjp
+    if x_vjp is None or x_vjp is _consumed:
+        return Var(data, (x,), lambda dy: (grad(dy),))
+    return Var(data, x.parents, lambda dy: x_vjp(grad(dy)))
 
 
 def _topo_order(root: Var) -> list[Var]:

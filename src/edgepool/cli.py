@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
+from .autodiff import Var, _no_tape
 from .data import _node_task, decimal, gen_synthetic, integer, kfold_splits, load_tu, node_split
 from .fdcheck import CASE_GROUPS, run_gradcheck
 from .graph import (
@@ -44,9 +45,10 @@ from .graph import (
     symmetrize,
     to_dot,
 )
+from .layers import edge_pool
 from .models import CONV_KINDS, _split, train_graph_model, train_node_model
 from .params import TrainConfig, save_checkpoint
-from .pool import PoolParams, _check_widths, edgepool_forward, random_pool_params
+from .pool import PoolInfo, PoolParams, _check_widths, random_pool_params
 from .rng import seeded_rng
 
 __all__ = ["main", "entry_point", "RunManifest"]
@@ -152,6 +154,15 @@ def _load_pool_params(args, graph: Graph) -> PoolParams:
     return random_pool_params(graph.feature_width, graph.edge_feature_width, seed=args.seed)
 
 
+def _pool_level(graph: Graph, params: PoolParams) -> tuple[Graph, PoolInfo]:
+    """One pooling level of ``graph`` by ``params`` through the tape op
+    ``layers.edge_pool``, recording no tape: (pooled graph, info)."""
+    with _no_tape():
+        _, _, pooled, info, _ = edge_pool(Var(graph.node_features), Var(params.weight),
+                                          Var(params.bias), graph)
+    return pooled, info
+
+
 def cmd_pool(args) -> int:
     _count("--levels", args.levels)
     graph, identity = _load_pool_input(args)
@@ -161,7 +172,7 @@ def cmd_pool(args) -> int:
     # scorer; the last level is not contracted again.
     levels = []
     for _ in range(args.levels):
-        pooled, info, _ = edgepool_forward(graph, params)
+        pooled, info = _pool_level(graph, params)
         levels.append((graph, info))
         graph = pooled
     levels.append((graph, None))
@@ -345,12 +356,12 @@ def cmd_bench(args) -> int:
     for size in sizes:
         graph = _bench_graph(size, args.seed)
         params = random_pool_params(graph.feature_width, seed=args.seed)
-        edgepool_forward(graph, params)  # warm caches before timing
+        _pool_level(graph, params)  # warm caches before timing
         t0 = time.perf_counter()
-        edgepool_forward(graph, params)
+        _pool_level(graph, params)
         elapsed = time.perf_counter() - t0
         tracemalloc.start()
-        edgepool_forward(graph, params)
+        _pool_level(graph, params)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         rows.append((graph.num_edges, elapsed, peak))

@@ -239,7 +239,7 @@ class Graph:
     :func:`build_graph` instead of constructing directly; it validates and
     canonicalizes.
 
-    Six internal paths construct a ``Graph`` directly, because their parts
+    Seven internal paths construct a ``Graph`` directly, because their parts
     are canonical and valid by construction and a second validation would
     only repeat work: :meth:`with_node_features` (same structure; it checks
     the new features as :func:`build_graph` does), :func:`symmetrize`
@@ -248,8 +248,10 @@ class Graph:
     :func:`~edgepool.pool.contract` (sorted unique keys of the pooled
     edges; it checks the features it computes for overflow),
     :func:`~edgepool.data.load_tu` (sorted unique keys of all its edges and
-    their reversals, split per graph) and the models' ``forward`` (the same
-    graph without its edge features). Whichever path builds it, the type
+    their reversals, split per graph), the models' ``forward`` (the same
+    graph without its edge features) and :func:`~edgepool.layers.edge_pool`
+    (the same graph on a view of its activations, which it checks as
+    :meth:`with_node_features` does). Whichever path builds it, the type
     makes every array read-only (as :class:`BatchedGraph` does its
     ``graph_id``).
     """
@@ -299,8 +301,13 @@ class Graph:
         return _unit_csr(self.edge_dst, self.edge_src, (self.num_nodes, self.num_nodes))
 
     def with_node_features(self, features: np.ndarray) -> "Graph":
-        """Same structure, different node features (layer activations etc.),
-        checked and copied as :func:`build_graph` checks and copies them."""
+        """Same structure, different node features, checked and copied as
+        :func:`build_graph` checks and copies them.
+
+        The gradient check's random graphs take their features here. A tape
+        op does not: :func:`~edgepool.layers.edge_pool` scores a read-only
+        view of its activations, so a training step copies none of them.
+        """
         x = _real("node features", features, (self.num_nodes, None), finite=True).copy()
         return Graph(x, self.edge_src, self.edge_dst, self.edge_features)
 

@@ -33,9 +33,11 @@ dtype).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import Var, _link_past
 from .graph import Graph, _codes, _real, _real_number, _segment_sum
 from .pool import (
     EdgeScores,
@@ -154,14 +156,16 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
 
 
 def relu(x: Var) -> Var:
-    """max(x, 0) entrywise, for a real ``x`` of any shape."""
-    xd = _real("x", x.data, (None,) * x.data.ndim)
-    y = np.maximum(xd, 0)
+    """max(x, 0) entrywise, for a real ``x`` of any shape.
 
-    def vjp(dy):
-        return ((xd > 0) * dy,)
-
-    return Var(y, (x,), vjp)
+    The vjp reads the output's sign: ``y > 0`` has the bits of ``x > 0`` (a
+    NaN or a 0 gives ``False`` both ways). So the result links past the op
+    that made ``x`` (:func:`~edgepool.autodiff._link_past`), and the tape
+    keeps no pre-activation: the output of :func:`mean_conv`,
+    :func:`batch_norm` or :func:`dense` is freed once the caller drops it.
+    """
+    y = np.maximum(_real("x", x.data, (None,) * x.data.ndim), 0)
+    return _link_past(x, y, lambda dy: (y > 0) * dy)
 
 
 def feature_dropout(x: Var, p: float, rng: np.random.Generator) -> Var:
@@ -266,8 +270,14 @@ def edge_pool(
     vjp. Edge-score dropout at rate ``dropout_p`` needs a ``seed``; rate 0
     drops nothing. Returns (pooled activations, gate, pooled graph, level
     info, edge scores); the matching is a constant of the backward.
+
+    ``x`` is real and finite, one row per node (``graph._real``), else
+    ``ValueError``. The scored graph holds a view of ``x.data``, not a
+    copy: ``Graph`` makes the view read-only and leaves ``x.data`` as it
+    was, and the gate's vjp keeps nothing the tape does not hold already.
     """
-    scored_graph = graph.with_node_features(x.data)
+    xd = _real("x", x.data, (graph.num_nodes, None), finite=True)
+    scored_graph = replace(graph, node_features=xd.view())
     params = PoolParams(weight=weight.data, bias=_real_number("bias", bias.data))
     # Training mode: the rate alone decides whether edges are dropped.
     pooled, info, scores = edgepool_forward(scored_graph, params, training=True,
@@ -277,7 +287,7 @@ def edge_pool(
                lambda g_s: score_path_backward(scored_graph, params, info, scores, g_s))
 
     def vjp(dy):
-        gx = _add_gated_rows(info, dy, np.zeros_like(x.data))
+        gx = _add_gated_rows(info, dy, np.zeros_like(xd))
         return gx, _gate_gradient(scored_graph, info, dy)
 
     return Var(pooled.node_features, (x, gate), vjp), gate, pooled, info, scores

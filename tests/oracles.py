@@ -12,8 +12,9 @@ import os
 
 import numpy as np
 
+from edgepool.autodiff import Var
 from edgepool.data import GraphDataset, _float32, _tu_path, integer
-from edgepool.graph import build_graph, symmetrize
+from edgepool.graph import _real, build_graph, symmetrize
 
 
 def naive_normalize(edges: np.ndarray, raw: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -478,7 +479,6 @@ def keeping_backward(root, seed=None) -> None:
     """``autodiff.backward`` as it was before it consumed the tape: the same
     walk and casts, but every node keeps its vjp and its gradient."""
     from edgepool.autodiff import _topo_order
-    from edgepool.graph import _real
 
     root.grad = np.ones_like(root.data) if seed is None else (
         _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
@@ -491,3 +491,15 @@ def keeping_backward(root, seed=None) -> None:
                 continue
             g = np.asarray(g, dtype=parent.data.dtype if parent.data.dtype.kind == "f" else np.float64)
             parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def linked_relu(x: Var) -> Var:
+    """``layers.relu`` as it was before it linked past its producer: its vjp
+    reads ``x``, and the tape keeps ``x``, so it keeps every pre-activation."""
+    xd = _real("x", x.data, (None,) * x.data.ndim)
+    y = np.maximum(xd, 0)
+
+    def vjp(dy):
+        return ((xd > 0) * dy,)
+
+    return Var(y, (x,), vjp)

@@ -801,7 +801,7 @@ class TestJsonFuzz:
         for argv in runs:
             calls = {}
             with pytest.MonkeyPatch.context() as mp:
-                for name in ("load_graph_file", "edgepool_forward", "train_node_model"):
+                for name in ("load_graph_file", "edge_pool", "train_node_model"):
                     mp.setattr(cli, name, recording(calls, name, getattr(cli, name)))
                 code = main([*argv, "--out", str(tmp / "out")])
             assert code in (0, 2)
@@ -809,9 +809,9 @@ class TestJsonFuzz:
                 continue
             obj = json.loads(text)
             if kind == "params":
-                (_, params), _ = calls["edgepool_forward"]
-                assert_read_exactly(params.weight, obj, "weight")
-                assert_read_exactly(params.bias, obj, "bias")
+                (_, weight, bias, _), _ = calls["edge_pool"]
+                assert_read_exactly(weight.data, obj, "weight")
+                assert_read_exactly(bias.data, obj, "bias")
                 continue
             if argv[0] == "pool":
                 _, (graph, label, node_labels) = calls["load_graph_file"]

@@ -1,6 +1,7 @@
 """Tape ops, parameter store, optimizer, schedule, and checkpoints."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from edgepool import (
     unpool,
     unpool_backward,
 )
-from edgepool import models
+from edgepool import layers, models
 from edgepool.data import make_connected_erdos_renyi
 from edgepool.layers import (
     BATCH_NORM_EPS,
@@ -39,7 +40,7 @@ from edgepool.pool import (EdgeScores, apply_score_dropout, contract, edgepool_b
                            score_path_backward)
 from edgepool.rng import seeded_rng
 
-from oracles import var_batch_norm
+from oracles import linked_relu, var_batch_norm
 from strategies import pool_levels, signed_rows, simple_digraphs
 
 
@@ -214,6 +215,64 @@ class TestRelu:
         assert y.data.tolist() == [[0.0, 0.0, 2.0]]
         backward(y, np.asarray([[5.0, 5.0, 5.0]]))
         assert x.grad.tolist() == [[0.0, 0.0, 5.0]]
+
+
+class TestReluLinksPastItsProducer:
+    """relu's vjp reads its output's sign, so the tape keeps no pre-activation."""
+
+    PRODUCERS = {
+        "mean_conv": lambda g, x, rng: mean_conv(g, x, leaf(rng, 3, 2), leaf(rng, 3, 2),
+                                                 leaf(rng, 2)),
+        "batch_norm": lambda g, x, rng: batch_norm(x, leaf(rng, 3), leaf(rng, 3)),
+        "dense": lambda g, x, rng: dense(x, leaf(rng, 3, 2), leaf(rng, 2)),
+    }
+
+    def case(self, op, relu_op):
+        """``op``'s leaves, an upstream gradient, the relu of ``op``'s output
+        and a weak reference to that output, which nothing else holds."""
+        rng = seeded_rng(9, "relu-link", op)
+        g = make_connected_erdos_renyi(6, 0.4, rng, feature_width=3)
+        x = leaf(rng, 6, 3)
+        h = self.PRODUCERS[op](g, x, rng)
+        y = relu_op(h)
+        upstream = rng.normal(size=y.data.shape)
+        return h.parents, upstream, y, weakref.ref(h)
+
+    @pytest.mark.parametrize("op", list(PRODUCERS))
+    def test_the_pre_activation_dies_with_its_caller(self, op):
+        leaves, upstream, y, ref = self.case(op, relu)
+        assert ref() is None
+        backward(y, upstream)
+        # The gradients are bit for bit those of a relu that keeps the link.
+        kept_leaves, _, kept_y, kept_ref = self.case(op, linked_relu)
+        assert kept_ref() is not None
+        backward(kept_y, upstream)
+        for got, want in zip(leaves, kept_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_a_pre_activation_with_a_second_consumer_matches_finite_differences(self):
+        # h's vjp runs once per consumer; a vjp is linear, so the sum is the gradient.
+        rng = seeded_rng(10, "relu-fd")
+        data, w1, b1 = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        w2, b2 = rng.normal(size=(4, 2)), rng.normal(size=2)
+        projection = rng.normal(size=(5, 6))
+
+        def forward(x, w):
+            h = dense(x, w, Var(b1))
+            return concat_cols(relu(h), dense(h, Var(w2), Var(b2)))
+
+        x, w = Var(data), Var(w1)
+        out = forward(x, w)
+        assert out.parents[0].parents[:2] == (x, w)  # relu(h) links past h
+        backward(out, projection)
+        h = 1e-6
+        for var, base, value in ((x, data, lambda d: forward(Var(d), Var(w1))),
+                                 (w, w1, lambda d: forward(Var(data), Var(d)))):
+            for idx in range(base.size):
+                plus = base.copy(); plus.flat[idx] += h
+                minus = base.copy(); minus.flat[idx] -= h
+                fd = float((projection * (value(plus).data - value(minus).data)).sum()) / (2 * h)
+                assert abs(fd - var.grad.flat[idx]) <= 1e-7 + 1e-4 * abs(fd)
 
 
 class TestBatchNorm:
@@ -601,6 +660,29 @@ class TestEdgePoolLayer:
         rng, g, x, w, b = self.instance(0, np.float64)
         with pytest.raises(ValueError, match="dropout probability"):
             edge_pool(x, w, b, g, dropout_p=p, seed=0)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_the_scored_graph_is_a_view_of_x(self, writeable, monkeypatch):
+        scored = []
+
+        def recorded(graph, *args, **kwargs):
+            scored.append(graph)
+            return edgepool_forward(graph, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "edgepool_forward", recorded)
+        rng, g, x, w, b = self.instance(2, np.float32)
+        x.data.flags.writeable = writeable
+        edge_pool(x, w, b, g)
+        features = scored[0].node_features
+        assert np.shares_memory(features, x.data) and np.array_equal(features, x.data)
+        assert not features.flags.writeable and x.data.flags.writeable == writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_x_rejected(self, bad):
+        rng, g, x, w, b = self.instance(3, np.float64)
+        x.data[4, 1] = bad
+        with pytest.raises(ValueError, match="^x must be finite"):
+            edge_pool(x, w, b, g)
 
     def test_forward_matches_functional(self):
         for dtype, mode in self.CASES:

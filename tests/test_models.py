@@ -25,7 +25,7 @@ from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
 
-from oracles import two_loop_train_graph_model, two_loop_train_node_model
+from oracles import linked_relu, two_loop_train_graph_model, two_loop_train_node_model
 from test_pool import traced_peak
 
 
@@ -423,6 +423,20 @@ class TestEvaluationTape:
         evaluate_node_model(m, task, config)  # builds the graph's cached operator
         taped = traced_peak(lambda: m.forward(m.params.as_vars(), task.graph))
         assert traced_peak(evaluate_node_model, m, task, config) < 0.5 * taped
+
+
+class TestTrainingPeak:
+    def test_a_node_epoch_peaks_under_0_9_of_one_that_keeps_the_pre_activations(
+            self, monkeypatch):
+        # relu links past its producer, so no step's tape keeps the output of
+        # a convolution or of the head's first dense layer.
+        task = gen_synthetic("sbm_node_task", {"blocks": 4, "nodes_per_block": 100,
+                                               "p_in": 0.03, "p_out": 0.001}, seed=0)
+        config = tiny_config(epochs=1, channels=32)
+        train_node_model(task, config)  # builds the graph's cached operator
+        peak = traced_peak(train_node_model, task, config)
+        monkeypatch.setattr(models, "relu", linked_relu)
+        assert peak < 0.9 * traced_peak(train_node_model, task, config)
 
 
 def param_bytes(model):

@@ -212,6 +212,12 @@ _CASES = {
     "layers.cross_entropy:logits": (
         lambda z: cross_entropy(Var(z), [0, 1, 1]), _ints(3, 2),
         _array_cases(_ints(3, 2)) | {"probe-1-D": np.ones(3)}),
+    # An integer x is scored and pooled as its float64 widening, and gets its gradient.
+    "layers.edge_pool:x": (
+        lambda x: _value_and_grad(lambda v: edge_pool(v, Var(PATH4_PARAMS.weight),
+                                                      Var(np.asarray(0.0)), PATH4)[0], x),
+        _ints(4, 2),
+        _array_cases(_ints(4, 2)) | {"rows": np.ones((3, 2))}),
     "layers.edge_pool:bias": (
         lambda b: edge_pool(Var(PATH4.node_features), Var(PATH4_PARAMS.weight), Var(b), PATH4),
         1, NUMBER_CASES | {"probe-(1,)": [0.0], "probe-(2,)": [0.0, 1.0]}),
