@@ -3,8 +3,9 @@
 Every command honors ``--seed``, funnels randomness through labeled
 generators, and writes a run manifest next to its artifacts so a run can
 be reproduced from the recorded configuration alone. ``RunManifest`` is
-each run's only writer: it makes the ``--out`` directory, names every
-artifact in it, and lists each under ``outputs`` in ``manifest.json``.
+each run's only writer: it names every artifact in the ``--out``
+directory, making it with the first, and lists each under ``outputs`` in
+``manifest.json``.
 The two training commands declare their shared flags once, with
 ``TrainConfig``'s defaults.
 Number flags are read by the TU files' rule (``data.integer`` and
@@ -70,10 +71,11 @@ def _versions() -> dict:
 class RunManifest:
     """Everything needed to re-run a command deterministically, and the run's writer.
 
-    ``start`` makes the output directory ``config["out"]``. ``output(name)``
-    is the path of one artifact in it, listed under ``outputs``, so the
-    manifest names every file the run wrote. ``finish`` writes
-    ``manifest.json`` beside them.
+    ``output(name)`` is the path of one artifact in the output directory
+    ``config["out"]``, listed under ``outputs``, so the manifest names every
+    file the run wrote; the first one makes the directory, so a run refused
+    before it writes anything leaves none. ``finish`` writes
+    ``manifest.json`` beside the artifacts.
     """
 
     command: str
@@ -87,13 +89,15 @@ class RunManifest:
 
     @classmethod
     def start(cls, args: argparse.Namespace, dataset: str) -> "RunManifest":
-        """A manifest for the parsed command ``args``, started now; makes ``args.out``."""
+        """A manifest for the parsed command ``args``, started now."""
         config = {k: v for k, v in vars(args).items() if k != "func"}
-        os.makedirs(args.out, exist_ok=True)
         return cls(args.command, config, args.seed, dataset, started=_now())
 
     def output(self, name: str) -> str:
-        """The path of artifact ``name`` in the output directory, now listed in ``outputs``."""
+        """The path of artifact ``name`` in the output directory, now listed in
+        ``outputs``; the first artifact makes the directory."""
+        if not self.outputs:
+            os.makedirs(self.config["out"], exist_ok=True)
         path = os.path.join(self.config["out"], name)
         self.outputs.append(path)
         return path

@@ -237,11 +237,18 @@ def save_tu(dataset: GraphDataset, directory, name: str | None = None) -> None:
 
     Features go to the attributes file, so a reload reproduces the dataset
     exactly (modulo the label remap, which is idempotent). The format has no
-    edge attributes, so a graph with edge features raises ``ValueError``.
+    edge attributes, and :func:`load_tu` reads attributes as float32, so a
+    graph with edge features, or with a node feature that float32 does not
+    hold exactly, raises ``ValueError`` before anything is written.
     """
     for k, g in enumerate(dataset.graphs):
         if g.edge_features is not None:
             raise ValueError(f"graph {k} has edge features, which the text format cannot hold")
+        with np.errstate(over="ignore"):  # a feature beyond float32 casts to inf
+            exact = np.array_equal(g.node_features, g.node_features.astype(np.float32))
+        if not exact:
+            raise ValueError(f"graph {k} has node features that float32 does not hold "
+                             "exactly, and the text format is read as float32")
     name = name or dataset.name
     os.makedirs(directory, exist_ok=True)
     a_lines, ind_lines, attr_lines = [], [], []

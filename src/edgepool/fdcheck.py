@@ -5,9 +5,16 @@ and its check, in report order. Every tape op of :mod:`edgepool.layers` has
 a case, and so do both models. A tape case builds a small randomized
 problem, computes analytic gradients through the tape, then compares
 against central differences of a scalar projection of the output.
-Contraction choices are recorded as a structural fingerprint; if a
-perturbation flips the matching the case is rebuilt from a fresh seed,
-since the objective is only piecewise smooth across matching boundaries.
+
+A case whose inputs are random arrays has one builder, ``_normal_case``.
+Each input is a shape, drawn standard normal, or a sampler ``rng -> array``;
+a callable constant (such as the case's graph) is drawn before the inputs.
+The builders whose draws interleave with pooling structure record each
+level's matching as a structural fingerprint, and nothing else: a
+perturbation can change the matching but no fixed input such as a dropout
+mask. If a perturbation flips the matching the case is rebuilt from a
+fresh seed, since the objective is only piecewise smooth across matching
+boundaries.
 
 The ``corrupt`` flag scales one analytic gradient by 5 percent, proving
 the comparison actually has teeth.
@@ -66,10 +73,6 @@ def _as_vars(inputs: dict[str, np.ndarray]) -> dict[str, Var]:
     return {k: Var(v.copy()) for k, v in inputs.items()}
 
 
-def _scalar(projection: np.ndarray, out: np.ndarray) -> float:
-    return float((projection * out).sum())
-
-
 def _numeric_grads(inputs, run, projection, base_fp):
     grads = {}
     for name, value in inputs.items():
@@ -84,7 +87,7 @@ def _numeric_grads(inputs, run, projection, base_fp):
                 out, fp = run(_as_vars(shifted))
                 if fp != base_fp:
                     raise _MatchingFlip(name)
-                samples.append(_scalar(projection, out.data))
+                samples.append(float((projection * out.data).sum()))
             g.flat[i] = (samples[0] - samples[1]) / (2.0 * FD_STEP)
         grads[name] = g
     return grads
@@ -150,45 +153,31 @@ def _random_graph(rng, n=8, f=3, p=0.4):
 # (output Var, structural fingerprint).
 
 
-def _normal_case(op, shapes, *constants):
-    """``op(*inputs, *constants)`` over standard-normal inputs of ``shapes``, in order."""
+def _normal_case(op, inputs, *constants):
+    """``op(*drawn inputs, *constants)``, drawing the callable constants, then the inputs.
+
+    An input is a shape, drawn standard normal, or a sampler ``rng -> array``;
+    a callable constant is a sampler ``rng -> value``.
+    """
     def build(rng):
-        inputs = {f"arg{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)}
-        return inputs, lambda v: (op(*v.values(), *constants), None)
+        fixed = [c(rng) if callable(c) else c for c in constants]
+        drawn = {f"arg{k}": spec(rng) if callable(spec) else rng.normal(size=spec)
+                 for k, spec in enumerate(inputs)}
+        return drawn, lambda v: (op(*v.values(), *fixed), None)
 
     return build
 
 
-def _build_mean_conv(rng):
-    graph = _random_graph(rng, n=7, f=3)
-    inputs = {
-        "x": rng.normal(size=(7, 3)),
-        "w_self": rng.normal(size=(3, 4)),
-        "w_neigh": rng.normal(size=(3, 4)),
-        "b": rng.normal(size=4),
-    }
-    return inputs, lambda v: (
-        mean_conv(graph, v["x"], v["w_self"], v["w_neigh"], v["b"]), None
-    )
-
-
-def _batch_norm_case(rows: int):
-    def build(rng):
-        inputs = {
-            "x": rng.normal(size=(rows, 3)),
-            "gamma": rng.uniform(0.5, 1.5, size=3),
-            "beta": rng.normal(size=3),
-        }
-        return inputs, lambda v: (batch_norm(v["x"], v["gamma"], v["beta"]), None)
-
-    return build
-
-
-def _build_relu(rng):
+def _off_kink(rng):
+    """A (6, 4) standard-normal draw with entries near 0 moved off relu's kink,
+    so that central differences are valid."""
     x = rng.normal(size=(6, 4))
-    # Keep entries away from the kink so central differences are valid.
-    x = np.where(np.abs(x) < 0.05, x + 0.2 * np.sign(x + 0.5), x)
-    return {"x": x}, lambda v: (relu(v["x"]), None)
+    return np.where(np.abs(x) < 0.05, x + 0.2 * np.sign(x + 0.5), x)
+
+
+def _gamma(rng):
+    """A ``batch_norm`` scale of 3 channels, drawn from [0.5, 1.5)."""
+    return rng.uniform(0.5, 1.5, size=3)
 
 
 def _edge_pool_case(dropout_p: float):
@@ -201,11 +190,13 @@ def _edge_pool_case(dropout_p: float):
         }
         dropout_seed = int(rng.integers(0, 2**31))
 
+        # The dropout mask is fixed by the edge count, the rate and the seed,
+        # so only the matching can flip.
         def run(v):
-            out, _, _, info, scores = edge_pool(
+            out, _, _, info, _ = edge_pool(
                 v["x"], v["weight"], v["bias"], graph, dropout_p=dropout_p, seed=dropout_seed
             )
-            return out, (info.matching.tobytes(), scores.dropped.tobytes())
+            return out, info.matching.tobytes()
 
         return inputs, run
 
@@ -286,10 +277,12 @@ def _tape(build, tol=LAYER_TOL):
 # (name, seed, corrupt) to its result; every case is also in group "all".
 _CASES = {
     "dense": ("layers", _tape(_normal_case(dense, [(5, 3), (3, 4), (4,)]))),
-    "mean_conv": ("layers", _tape(_build_mean_conv)),
-    "batch_norm": ("layers", _tape(_batch_norm_case(6))),
-    "batch_norm_one_row": ("layers", _tape(_batch_norm_case(1))),
-    "relu": ("layers", _tape(_build_relu)),
+    "mean_conv": ("layers", _tape(_normal_case(
+        lambda x, w_self, w_neigh, b, graph: mean_conv(graph, x, w_self, w_neigh, b),
+        [(7, 3), (3, 4), (3, 4), (4,)], partial(_random_graph, n=7, f=3)))),
+    "batch_norm": ("layers", _tape(_normal_case(batch_norm, [(6, 3), _gamma, (3,)]))),
+    "batch_norm_one_row": ("layers", _tape(_normal_case(batch_norm, [(1, 3), _gamma, (3,)]))),
+    "relu": ("layers", _tape(_normal_case(relu, [_off_kink]))),
     # A generator seeded alike on every evaluation: the differences see one mask.
     "feature_dropout": ("layers", _tape(_normal_case(
         lambda x: feature_dropout(x, 0.5, seeded_rng(0, "gradcheck-dropout")), [(6, 4)]))),

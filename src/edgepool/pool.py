@@ -66,34 +66,19 @@ so the blocks change no bit. Measured on numpy 2.4.6 at 1e6 edges:
   peak from 5.14 to 3.53 m*8 bytes, and the forward's from 6.40 to 4.80
   (5.64 with dropout) on the edge-heavy graph of the tests.
 
-Measured on numpy 2.4.6 for the sweep, on a 2-vCPU VM, in one process
-against the block sweep it replaced (an ``np.partition`` set score bounds,
-each block, whole tie classes at its ends, was found by a scan of every
-edge and stable-sorted just before its visit, and a C ``array`` of mates
-was looked up by edge key at the end):
-
-- on perfbench's ``node_train`` graph (2,000 nodes, about 33k directed
-  edges, mean degree about 16) the rounds leave 10k-25k edges to the
-  sweep, of which a few thousand are still unmatched at both ends when
-  their slice comes. The 35 sweeps of 48 replayed selection calls (12
-  epochs of training steps and evaluations, seed 3) took 35-36 ms,
-  against 46-47 ms (best of 7 each), and ``select_contractions`` 7.9-8.4
-  against 8.0-8.4 ms per call (medians of 11 alternating rounds, two
-  runs). The taken edges' positions go into a
-  plain Python list. In the block sweep such a list had made the path
-  below slower than one stable argsort of every edge (0.103 against
-  0.096 s); here no keys are looked up after the loop, and the list is the
-  simpler record;
-- on the 100k-node monotone path of the tests, which the sweep visits
-  almost whole, selection took 0.049-0.052 against 0.052-0.053 s (medians
-  of 16 alternating rounds, best of 5 each; faster in 12 and 13 of 16). Slices
-  growing 4-fold from 512 took 0.054 s there against 0.046 s for fixed
-  ones, and on the replayed ``node_train`` calls 3% longer; fixed slices
-  of 256 to 2,048 all beat them;
-- one order over every edge costs where few edges survive to their turn:
-  a 1e6-edge sweep on 10,000 nodes took 0.107 against 0.040 s, on
-  100,000 nodes 0.132 against 0.092 s. No workload hands the sweep such a
-  set: ``pool_1e6`` and ``graph_train`` never reach it.
+The sweep orders every edge it is handed once, by :func:`_score_order`,
+and walks that order in fixed slices of ``_SWEEP_BLOCK``; the taken edges'
+positions go into a plain Python list. It replaced a block sweep that
+found and sorted each block of the order just before visiting it, with
+the same matching bit for bit. The one order keeps the visiting order in
+one home and needs no key lookup after the loop, and the training
+workloads, whose rounds leave the sweep at most about 25k edges, did not
+get slower. On the 100k-node monotone path of the tests, which the sweep
+visits almost whole, fixed slices took 0.046 s against 0.054 s for slices
+growing 4-fold from 512 (numpy 2.4.6, 2-vCPU VM). Its cost is the edges
+it orders that are matched away before their turn, which is most of them
+on a dense 1e6-edge set over 10,000 nodes; no benchmark workload hands the
+sweep such a set (``pool_1e6`` and ``graph_train`` never reach it).
 """
 
 from __future__ import annotations
@@ -308,9 +293,9 @@ def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
 
 # A round that removes less than this share of the alive edges hands them to
 # the sequential sweep; rounds on the bulk of a random graph remove about 2/3.
-# With an earlier block sweep, shares from 0.25 to 1.0 gave the same
-# node_train selection time (4.3-4.5 ms per call), and at 0.25 neither
-# graph_train nor pool_1e6 reaches the sweep.
+# At 0.25 neither graph_train nor pool_1e6 reaches the sweep. Shares from 0.25
+# to 1.0 gave the same node_train selection time (4.3-4.5 ms per call), measured
+# on the earlier block sweep and not again on the sliced walk of one order.
 _SWEEP_SHARE = 0.25
 # The sweep's slice of its visiting order.
 _SWEEP_BLOCK = 512

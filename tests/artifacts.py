@@ -76,6 +76,7 @@ RUNS = [
       for c in ("mean", "mlp") for p in ("edgepool", "none")],
     ("train_node_input", ["train-node", "--input", "{in}/task.json", "--epochs", "3", "--quiet"]),
     ("gradcheck", ["gradcheck"]),
+    ("gradcheck_seed1", ["gradcheck", "--seed", "1"]),
     ("gradcheck_layers", ["gradcheck", "--cases", "layers"]),
     ("bench", ["bench", "--min-edges", "1e3", "--max-edges", "1e3"]),
 ]

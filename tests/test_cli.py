@@ -698,6 +698,23 @@ class TestManifestOutputs:
         assert len(listed) == len(set(listed))
         assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
 
+    # Each is refused by the training config or the fold split, which the
+    # commands build after their manifest starts.
+    @pytest.mark.parametrize("argv", [
+        ["train-graph", "--tu", "{data}", "TINY", "--epochs", "0"],
+        ["train-graph", "--tu", "{data}", "TINY", "--lr", "0"],
+        ["train-graph", "--tu", "{data}", "TINY", "--batch-size", "0"],
+        ["train-graph", "--tu", "{data}", "TINY", "--folds", "50"],
+        ["train-node", "--synthetic", "sbm", "--channels", "0"],
+    ], ids=["epochs-0", "lr-0", "batch-size-0", "folds-50", "channels-0"])
+    def test_a_refused_run_makes_no_out(self, tmp_path, capsys, argv):
+        write_dataset(tmp_path / "data", num_graphs=12)
+        out = tmp_path / "out"
+        argv = [a.format(data=tmp_path / "data") for a in argv]
+        assert main(argv + ["--quiet", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_digest_tool_covers_every_listed_output(self, tmp_path):
         # tests/artifacts.py shows two trees write the same bytes: it digests
         # every file each manifest lists, and each manifest, timings aside.

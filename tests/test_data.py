@@ -239,8 +239,8 @@ def table_or_error(read, path, dtype, columns):
 
 
 class TestReadTable:
-    # _read_table checks and converts a file whole; the per-entry loop it
-    # replaced is the oracle, for the values and for each error message.
+    # _read_table reads each line by the entry rule; the per-entry loop of
+    # tests/oracles.py is the oracle, for the values and for each error message.
     @settings(max_examples=400, deadline=None)
     @given(text=table_texts(),
            rule=st.sampled_from([(np.int64, 1), (np.int64, 2), (np.float32, None)]))
@@ -271,7 +271,7 @@ class TestSaveTu:
         assert again.labels.tolist() == ds.labels.tolist()
         for a, b in zip(ds.graphs, again.graphs):
             assert a.edges.tolist() == b.edges.tolist()
-            assert np.allclose(a.node_features, b.node_features, atol=1e-7)
+            assert np.array_equal(a.node_features, b.node_features)
 
     def test_edge_features_refused(self, tmp_path):
         # The text format has no edge attributes: writing would drop them.
@@ -281,6 +281,29 @@ class TestSaveTu:
         with pytest.raises(ValueError, match="graph 1 has edge features"):
             save_tu(ds, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0.1, 1e-50, 1e39],
+                             ids=["rounds", "underflows", "overflows"])
+    def test_features_float32_cannot_hold_refused(self, tmp_path, value):
+        # load_tu reads attributes as float32: 0.1 would come back as
+        # 0.10000000149011612, 1e-50 as 0.0, and 1e39 not at all.
+        x = np.ones((3, 2))
+        x[2, 1] = value
+        ds = GraphDataset([make_path(3), make_path(3).with_node_features(x)],
+                          np.zeros(2, dtype=np.int64), 1, "F64")
+        with pytest.raises(ValueError, match="graph 1 has node features that float32"):
+            save_tu(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_float64_features_float32_holds_roundtrip_exactly(self, tmp_path):
+        # The float32 nearest 0.1, the largest float32 and its smallest subnormal.
+        x = np.array([[0.5, -3.25], [2.0**-20, np.float32(0.1)],
+                      [np.finfo(np.float32).max, np.float32(1e-45)]], dtype=np.float64)
+        ds = GraphDataset([make_path(3).with_node_features(x)], np.zeros(1, dtype=np.int64),
+                          1, "F64")
+        save_tu(ds, tmp_path, "F64")
+        again = load_tu(tmp_path, "F64").graphs[0].node_features
+        assert again.astype(np.float64).tobytes() == x.tobytes()
 
 
 class TestKfold:

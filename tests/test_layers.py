@@ -661,6 +661,17 @@ class TestEdgePoolLayer:
         with pytest.raises(ValueError, match="dropout probability"):
             edge_pool(x, w, b, g, dropout_p=p, seed=0)
 
+    def test_the_dropout_mask_depends_on_the_edges_rate_and_seed_alone(self):
+        # So the gradient check fingerprints only the matching: no perturbation
+        # of x, weight or bias changes which edges are dropped.
+        rng, g, x, w, b = self.instance(3, np.float64)
+        other = (Var(rng.normal(size=(8, 3))), Var(rng.normal(size=6)), Var(np.asarray(-0.7)))
+        masks = [edge_pool(*inputs, g, dropout_p=0.3, seed=11)[4].dropped
+                 for inputs in ((x, w, b), other)]
+        assert masks[0].any()
+        assert np.array_equal(masks[0], masks[1])
+        assert np.array_equal(masks[0], apply_score_dropout(g.num_edges, 0.3, 11))
+
     @pytest.mark.parametrize("writeable", [True, False])
     def test_the_scored_graph_is_a_view_of_x(self, writeable, monkeypatch):
         scored = []
