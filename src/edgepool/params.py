@@ -105,15 +105,19 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(store: ParamStore, leaves: dict[str, Var], lr: float, t: int) -> None:
-    """Standard bias-corrected Adam update over every parameter; t >= 1.
+    """Standard bias-corrected Adam update over every parameter.
 
-    Each parameter's gradient is the tape gradient of its leaf in
-    ``leaves`` (from :meth:`ParamStore.as_vars`), already cast to the
-    parameter's dtype by :func:`~edgepool.autodiff.backward`; a leaf the
-    loss does not reach (gradient ``None``) counts as a zero gradient.
+    ``lr`` is a real number, positive and finite, as
+    ``TrainConfig.learning_rate`` is (``graph._real_number``); ``t``, the
+    step count, is an integer of at least 1 (``graph._count``), so neither
+    a float nor a bool is cast. Each parameter's gradient is the tape
+    gradient of its leaf in ``leaves`` (from :meth:`ParamStore.as_vars`),
+    already cast to the parameter's dtype by
+    :func:`~edgepool.autodiff.backward`; a leaf the loss does not reach
+    (gradient ``None``) counts as a zero gradient.
     """
-    if t < 1:
-        raise ValueError("Adam step count starts at 1")
+    lr = _real_number("lr", lr, "positive and finite")
+    t = _count("t", t, 1)
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in store.items():

@@ -19,7 +19,7 @@ byte-identity claim on it::
 
     python tests/artifacts.py /path/to/parent/src src
 
-The run set takes about 16 s on two cores.
+The run set takes about 13 s on two cores.
 pytest does not collect this file; ``tests/test_cli.py`` runs it once.
 """
 
@@ -46,6 +46,10 @@ GRAPH = {
     "edge_features": [[float(k)] for k in range(12)],
 }
 
+# Scorer params for `pool --input --params`: 2 * 2 node-feature entries, one
+# edge-feature entry and a bias, for `GRAPH`.
+PARAMS = {"weight": [0.5, -1.0, 0.25, 1.5, -0.75], "bias": 0.125}
+
 # `save_tu` copy of the graph set that `train-graph` and `pool --tu` read.
 MAKE_TU = ("import sys; from edgepool import gen_synthetic, save_tu; "
            "save_tu(gen_synthetic('path_proteinlike', {'num_graphs': 40}, seed=3), "
@@ -62,11 +66,20 @@ MAKE_TASK = ("import json, sys; import numpy as np; from edgepool import gen_syn
              "'test_nodes': np.flatnonzero(t.test_mask).tolist()}; "
              "open(sys.argv[1], 'w', encoding='utf-8').write(json.dumps(obj))")
 
+# Task JSON with `node_labels` and no split keys, for the split `train-node` draws.
+MAKE_DRAWN_TASK = ("import json, sys; from edgepool import gen_synthetic; "
+                   "from edgepool.graph import graph_to_json; "
+                   "t = gen_synthetic('sbm_node_task', {}, seed=5); "
+                   "obj = graph_to_json(t.graph) | {'node_labels': t.node_labels.tolist()}; "
+                   "open(sys.argv[1], 'w', encoding='utf-8').write(json.dumps(obj))")
+
 # (run name, CLI arguments); "{in}" is the inputs directory, and each run
 # writes to --out <root>/<run name>.
 RUNS = [
     ("pool_levels3", ["pool", "--input", "{in}/graph.json", "--levels", "3"]),
     ("pool_levels0", ["pool", "--input", "{in}/graph.json", "--levels", "0"]),
+    ("pool_params", ["pool", "--input", "{in}/graph.json", "--params", "{in}/params.json",
+                     "--levels", "2"]),
     ("pool_tu", ["pool", "--tu", "{in}/tu", "P", "--index", "3", "--levels", "2"]),
     *[(f"train_graph_{p}", ["train-graph", "--tu", "{in}/tu", "P", "--folds", "2",
                             "--epochs", "2", "--pooling", p, "--quiet"])
@@ -75,6 +88,8 @@ RUNS = [
                                "--conv", c, "--pooling", p, "--quiet"])
       for c in ("mean", "mlp") for p in ("edgepool", "none")],
     ("train_node_input", ["train-node", "--input", "{in}/task.json", "--epochs", "3", "--quiet"]),
+    ("train_node_drawn", ["train-node", "--input", "{in}/task_drawn.json", "--epochs", "3",
+                          "--quiet"]),
     ("gradcheck", ["gradcheck"]),
     ("gradcheck_seed1", ["gradcheck", "--seed", "1"]),
     ("gradcheck_layers", ["gradcheck", "--cases", "layers"]),
@@ -94,8 +109,10 @@ def run_set(src: Path, root: Path) -> None:
     inputs = root / "inputs"
     (inputs / "tu").mkdir(parents=True)
     (inputs / "graph.json").write_text(json.dumps(GRAPH), encoding="utf-8")
+    (inputs / "params.json").write_text(json.dumps(PARAMS), encoding="utf-8")
     _run(["-c", MAKE_TU, str(inputs / "tu")], src)
     _run(["-c", MAKE_TASK, str(inputs / "task.json")], src)
+    _run(["-c", MAKE_DRAWN_TASK, str(inputs / "task_drawn.json")], src)
     for name, args in RUNS:
         args = [a.replace("{in}", str(inputs)) for a in args]
         _run(["-m", "edgepool.cli", *args, "--out", str(root / name)], src)

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from edgepool.autodiff import Var
-from edgepool.data import GraphDataset, _float32, _tu_path, integer
+from edgepool.data import GraphDataset, _float32, _read_table, _tu_path
 from edgepool.graph import _real, build_graph, symmetrize
 
 
@@ -118,24 +118,6 @@ def naive_contract_features(
         if v not in used:
             rows.append(node_features[v].astype(np.float64))
     return np.asarray(rows)
-
-
-def brute_force_max_matching_size(num_nodes: int, undirected_pairs: set) -> int:
-    """Size of a maximum (not merely maximal) matching, by recursion.
-
-    Used only to sanity-check reduction ratios on tiny graphs.
-    """
-    pairs = sorted(undirected_pairs)
-
-    def rec(available: frozenset, idx: int) -> int:
-        best = 0
-        for k in range(idx, len(pairs)):
-            i, j = pairs[k]
-            if i in available and j in available:
-                best = max(best, 1 + rec(available - {i, j}, k + 1))
-        return best
-
-    return rec(frozenset(range(num_nodes)), 0)
 
 
 def unique_symmetrize(graph):
@@ -362,35 +344,13 @@ def _read_lines(path, what: str, parse_row) -> list[list]:
     return rows
 
 
-def loop_read_table(path, what: str, dtype, columns: int | None = None) -> np.ndarray:
-    """``edgepool.data._read_table`` as it was before it read a file whole: each
-    entry of each line read by ``dtype``'s rule, one Python call per entry.
-
-    With ``columns``, each line keeps its first ``columns`` entries; without,
-    every line must have as many entries as the first.
-    """
-    parse = _float32 if dtype is np.float32 else integer
-    width = columns
-
-    def parse_row(tokens):
-        nonlocal width
-        row = [parse(tok) for tok in tokens]
-        width = width or len(row)
-        if len(row) < width:
-            raise ValueError(f"needs {width} entries")
-        if len(row) > width and columns is None:
-            raise ValueError(f"has {len(row)} entries, not the first line's {width}")
-        return row[:width]
-
-    rows = _read_lines(path, what, parse_row)
-    return np.asarray(rows, dtype=dtype).reshape(len(rows), width or 0)
-
-
 def loop_load_tu(directory, name: str) -> GraphDataset:
     """``edgepool.data.load_tu`` as it was before edges were grouped by one
-    sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph,
-    with per-entry readers (its attribute reader leaves a ragged attribute
-    file to numpy to refuse).
+    sort: one Python step per edge line, then ``np.unique(axis=0)`` per graph.
+    Its integer tables are read by the library's own ``_read_table``, whose
+    lines ``tests/test_data.py::TestReadTable`` checks against what they
+    spell; its attribute reader, one entry at a time, leaves a ragged
+    attribute file to numpy to refuse.
 
     Load one benchmark dataset from its plain-text files.
 
@@ -406,9 +366,9 @@ def loop_load_tu(directory, name: str) -> GraphDataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing mandatory {what} file: {path}")
 
-    indicator = loop_read_table(ind_path, "graph indicator", np.int64, 1)[:, 0]
-    raw_labels = loop_read_table(lab_path, "graph label", np.int64, 1)[:, 0]
-    edges_global = loop_read_table(a_path, "edge", np.int64, 2)
+    indicator = _read_table(ind_path, "graph indicator", np.int64, 1)[:, 0]
+    raw_labels = _read_table(lab_path, "graph label", np.int64, 1)[:, 0]
+    edges_global = _read_table(a_path, "edge", np.int64, 2)
 
     total_nodes = len(indicator)
     num_graphs = len(raw_labels)
@@ -418,7 +378,7 @@ def loop_load_tu(directory, name: str) -> GraphDataset:
     node_labels = None
     nl_path = _tu_path(directory, name, "node_labels")
     if os.path.exists(nl_path):
-        node_labels = loop_read_table(nl_path, "node label", np.int64, 1)[:, 0]
+        node_labels = _read_table(nl_path, "node label", np.int64, 1)[:, 0]
         if len(node_labels) != total_nodes:
             raise ValueError("node label count != node count")
 

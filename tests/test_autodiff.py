@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgepool import GraphClassifier, NodeClassifier, Var, backward, batch, layers, run_gradcheck
+from edgepool import fdcheck
 from edgepool.autodiff import _consumed, _no_tape, _topo_order
 from edgepool.fdcheck import CASE_GROUPS, CASE_NAMES
 from edgepool.rng import draw_seed, seeded_rng
@@ -200,6 +201,37 @@ class TestFdHarness:
     def test_corrupt_flag_fails_some_case(self):
         results = run_gradcheck(cases=["dense", "relu"], corrupt=True)
         assert any(not r.passed for r in results)
+
+    # Negative controls: a gate that passes a NaN or crashes on a dropped
+    # gradient proves nothing, so each broken vjp must give a FAIL result.
+    @staticmethod
+    def _with_vjp(op, edit):
+        """``op`` whose output's vjp passes its parents' gradients through ``edit``."""
+        def wrapped(*args):
+            out = op(*args)
+            vjp = out.vjp
+            out.vjp = lambda dy: edit(vjp(dy))
+            return out
+        return wrapped
+
+    @pytest.mark.parametrize("edit", [
+        lambda g: (g[0], g[1] * np.nan, g[2]),
+        lambda g: (g[0], None, g[2]),
+    ], ids=["nan-weight-gradient", "dropped-weight-gradient"])
+    def test_a_broken_dense_vjp_fails(self, monkeypatch, edit):
+        broken = self._with_vjp(layers.dense, edit)
+        monkeypatch.setitem(fdcheck._CASES, "dense", (
+            "layers", fdcheck._tape(fdcheck._normal_case(broken, [(5, 3), (3, 4), (4,)]))))
+        [result] = run_gradcheck(cases=["dense"])
+        assert not result.passed
+        assert result.num_entries == 31
+
+    def test_a_nan_unpool_adjoint_fails(self, monkeypatch):
+        monkeypatch.setattr(fdcheck, "unpool",
+                            self._with_vjp(layers.unpool, lambda g: (g[0] * np.nan, g[1])))
+        [result] = run_gradcheck(cases=["unpool_adjoint"])
+        assert not result.passed
+        assert np.isnan(result.max_abs_err)
 
     def test_case_names_complete(self):
         assert "edge_pool" in CASE_NAMES

@@ -18,7 +18,7 @@ from edgepool.data import (
 from edgepool.graph import build_graph
 from edgepool.rng import seeded_rng
 
-from oracles import loop_load_tu, loop_read_table
+from oracles import loop_load_tu
 from strategies import make_cycle, make_path, make_star
 
 
@@ -216,39 +216,93 @@ class TestLoadTuGrouping:
         assert str(got.value) == str(want.value)
 
 
-TABLE_ENTRIES = ["1", "-3", "+07", "2.5", " .5", "1e3 ", "\u30008"] * 4 + [
-    "", " ", "1 2", "+", "e5", "nan", "1_0", "\u0661", "1e39", "1e400", "9223372036854775808",
-    "\x1c4", "4\x1c", "1\x1c2", "\xa05"]
+TABLE_RULES = [(np.int64, 1), (np.int64, 2), (np.float32, None)]
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Whitespace that strip() removes around an entry, and blank lines.
+PADS = ["", " ", "\t", "\u3000", "\xa0", "\x1c"]
+BLANKS = ["", " ", "\t"]
+# Entries each rule refuses wherever they stand in a line.
+BAD_ENTRIES = {
+    np.int64: ["2.5", "1 2", "1\x1c2", "+", "e5", "nan", "1_0", "\u0661", "0x1",
+               "9223372036854775808", "-9223372036854775809"],
+    np.float32: ["1 2", "1\x1c2", "+", ".", "e5", "nan", "inf", "1_0", "\u0661", "1e39",
+                 "-1e400"],
+}
 
 
 @st.composite
-def table_texts(draw):
-    """A table file's text: lines of entries, blank lines among them, with
-    any newline convention and with or without a last newline."""
-    lines = draw(st.lists(st.lists(st.sampled_from(TABLE_ENTRIES), max_size=4), max_size=6))
+def spelled_entries(draw, dtype):
+    """A valid entry of ``dtype``'s rule: (its padded token, the value it spells)."""
+    if dtype is np.float32:
+        value = draw(st.floats(-FLOAT32_MAX, FLOAT32_MAX))
+        token = draw(st.sampled_from(["{!r}", "{:+}"])).format(value)
+        token = token.upper() if draw(st.booleans()) else token  # an "E" exponent
+    else:
+        value = draw(st.integers(-(2**63), 2**63 - 1))
+        token = draw(st.sampled_from(["{}", "{:+}", "{:04}"])).format(value)
+    return draw(st.sampled_from(PADS)) + token + draw(st.sampled_from(PADS)), value
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table file of valid entries: its rule (dtype, columns), its lines (a
+    blank line as a string, a row as a list of entries, at least one row)
+    and its newline and ending. With ``columns`` a row has at least that
+    many entries; without, every row has the same number."""
+    dtype, columns = draw(st.sampled_from(TABLE_RULES))
+    width = columns or draw(st.integers(1, 4))
+    row = st.lists(spelled_entries(dtype), min_size=width, max_size=4 if columns else width)
+    lines = draw(st.lists(st.one_of(row, st.sampled_from(BLANKS)), min_size=1, max_size=8)
+                 .filter(lambda lines: any(isinstance(line, list) for line in lines)))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(",".join(entries) for entries in lines) + draw(st.sampled_from(["", newline]))
+    return (dtype, columns), lines, newline, draw(st.sampled_from(["", newline]))
 
 
-def table_or_error(read, path, dtype, columns):
-    try:
-        out = read(path, "entry", dtype, columns)
-    except ValueError as exc:
-        return str(exc)
-    return out.dtype, out.shape, out.tobytes()
+def write_table(path, lines, newline, end):
+    text = newline.join(line if isinstance(line, str) else ",".join(tok for tok, _ in line)
+                        for line in lines)
+    path.write_bytes((text + end).encode("utf-8"))
 
 
 class TestReadTable:
-    # _read_table reads each line by the entry rule; the per-entry loop of
-    # tests/oracles.py is the oracle, for the values and for each error message.
-    @settings(max_examples=400, deadline=None)
-    @given(text=table_texts(),
-           rule=st.sampled_from([(np.int64, 1), (np.int64, 2), (np.float32, None)]))
-    def test_reads_as_the_entry_loop_reads(self, tmp_path_factory, text, rule):
+    # What the drawn lines spell is the oracle: the values of a valid table,
+    # and the line of the one fault in a broken one.
+    @settings(max_examples=300, deadline=None)
+    @given(table=drawn_tables())
+    def test_valid_entries_read_as_the_values_they_spell(self, tmp_path_factory, table):
+        (dtype, columns), lines, newline, end = table
         path = tmp_path_factory.mktemp("table") / "t.txt"
-        path.write_bytes(text.encode("utf-8"))
-        assert (table_or_error(_read_table, path, *rule)
-                == table_or_error(loop_read_table, path, *rule))
+        write_table(path, lines, newline, end)
+        got = _read_table(path, "entry", dtype, columns)
+        want = np.array([[value for _, value in line[:columns]]
+                         for line in lines if isinstance(line, list)], dtype)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=drawn_tables(), data=st.data())
+    def test_one_fault_is_refused_naming_its_line(self, tmp_path_factory, table, data):
+        # The fault is an entry the rule refuses or, where the width rule
+        # applies, a row one entry short of the width or one past it.
+        (dtype, columns), lines, newline, end = table
+        rows = [at for at, line in enumerate(lines) if isinstance(line, list)]
+        at = data.draw(st.sampled_from(rows))
+        row = lines[at]
+        faults = ["entry"]
+        if len(row) > 1 and (columns == len(row) or (columns is None and at != rows[0])):
+            faults.append("short")
+        if columns is None and at != rows[0]:
+            faults.append("long")
+        fault = data.draw(st.sampled_from(faults))
+        if fault == "entry":
+            k = data.draw(st.integers(0, len(row) - 1))
+            row = [*row[:k], (data.draw(st.sampled_from(BAD_ENTRIES[dtype])), None), *row[k + 1:]]
+        else:
+            row = row[:-1] if fault == "short" else [*row, row[0]]
+        path = tmp_path_factory.mktemp("table") / "t.txt"
+        write_table(path, [*lines[:at], row, *lines[at + 1:]], newline, end)
+        with pytest.raises(ValueError) as refused:
+            _read_table(path, "entry", dtype, columns)
+        assert str(refused.value).startswith(f"{path}:{at + 1}: bad entry line ")
 
 
 class TestSaveTu:

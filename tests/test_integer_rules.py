@@ -38,7 +38,7 @@ from edgepool import GraphClassifier, cli
 from edgepool.graph import to_dot
 from edgepool.layers import cross_entropy, gather_rows, global_mean_pool
 from edgepool.models import evaluate_graph_model, evaluate_node_model
-from edgepool.params import ParamStore
+from edgepool.params import ParamStore, adam_step
 from edgepool.pool import EdgeScores, contract
 from edgepool.rng import seeded_rng
 
@@ -57,6 +57,16 @@ PATH4_SCORES = EdgeScores(normalized=np.ones(PATH4.num_edges),
                           dropped=np.zeros(PATH4.num_edges, dtype=bool))
 PATH4_PARAMS = random_pool_params(PATH4.feature_width, seed=1)
 ROWS3 = np.arange(6.0).reshape(3, 2)
+
+
+def _adam_store(lr, t):
+    """A three-entry parameter after one Adam step at ``lr`` and step count ``t``."""
+    store = ParamStore()
+    store.add("w", np.zeros(3))
+    leaves = store.as_vars()
+    leaves["w"].grad = np.array([2.0, -2.0, 0.5])
+    adam_step(store, leaves, lr, t)
+    return store
 
 
 def _labels(ds, labels):
@@ -194,6 +204,7 @@ _CASES = {
         lambda c: NodeClassifier.create(3, c, channels=4), 2, _count_cases(1)),
     "models.NodeClassifier:channels": (
         lambda c: NodeClassifier.create(3, 2, channels=c), 4, _count_cases(1)),
+    "params.adam_step:t": (lambda t: _adam_store(0.1, t), 3, _count_cases(1) | {"probe": 1.5}),
     "fdcheck.run_gradcheck:seed": (lambda s: run_gradcheck(s, ["relu"]), None, SEED_CASES),
     # The parser reads both flags as integers; the commands check the count.
     "cli.cmd_pool:--levels": (

@@ -58,6 +58,7 @@ from test_integer_rules import (
     PATH4_PARAMS,
     ROWS3,
     SMALL_SBM,
+    _adam_store,
     _array_cast,
     _as,
     _leaves,
@@ -278,6 +279,10 @@ _CASES = {
     "params.TrainConfig:learning_rate": (
         lambda lr: TrainConfig(learning_rate=lr), 1,
         NUMBER_CASES | {"zero": 0.0, "inf": float("inf"), "nan": float("nan")}),
+    "params.adam_step:lr": (
+        lambda lr: _adam_store(lr, 1), 1,
+        NUMBER_CASES | {"zero": 0.0, "negative": -1.0, "inf": float("inf"),
+                        "nan": float("nan")}),
     # gen_synthetic's real keys: probabilities in [0, 1], a noise scale at
     # least 0 and a finite signal, so NaN, 2.0 and True are no probability.
     **{f"data.gen_synthetic:{key}": (
