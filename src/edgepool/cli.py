@@ -312,8 +312,12 @@ def cmd_gradcheck(args) -> int:
         all_ok = all_ok and r.passed
     if args.out is not None:
         manifest = RunManifest.start(args, "synthetic")
+        # A NaN or infinite error (a NaN gradient, a shape mismatch) is null,
+        # so the file stays strict JSON.
+        report = [{k: None if isinstance(x, float) and not np.isfinite(x) else x
+                   for k, x in asdict(r).items()} for r in results]
         with open(manifest.output("gradcheck.json"), "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in results], fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
         manifest.finish()
     return EXIT_OK if all_ok else EXIT_VALIDATION
 

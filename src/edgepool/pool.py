@@ -56,15 +56,24 @@ so the blocks change no bit. Measured on numpy 2.4.6 at 1e6 edges:
 - on perfbench's ``pool_1e6`` graph (seed 1, best of 15 or 21 calls on a
   2-vCPU VM): round 1's winner test took 3.4-3.8 ms on the 36k edges that
   have the best score at both endpoints, against 7.9-11.0 ms on all 1e6;
-  the selection order of the 74k taken edges, 3.2-4.6 ms by
-  :func:`_score_order` against 7.9-10.5 ms by a stable argsort (of which
-  the default argsort is about 2.2 ms); ``contract``'s matched edge index
+  round 1's two best-score masks and those 36k candidates, 12.7-12.8 ms
+  taking them from the destination side's positions against 12.9-13.1
+  ms by ``&`` and a second ``np.flatnonzero``; the selection order of
+  the 74k taken edges (3,892 of them in tied runs), 2.1 ms by
+  :func:`_score_order`, which re-sorts only the tied runs, against
+  3.2 ms keying every entry and 8.1 ms by a stable argsort (of which the
+  default argsort is about 1.7 ms); ``contract``'s matched edge index
   4.6-6.5 ms from the first-member mask, against 6.1-7.5 ms by a 2-D
   gather from the matching; and the key's decode by one division
   3.0-3.2 ms, against 4.1-4.9 ms by ``//`` and ``%``. Building the key in
   place took as long as from the kept entries, but cut ``contract``'s
   peak from 5.14 to 3.53 m*8 bytes, and the forward's from 6.40 to 4.80
-  (5.64 with dropout) on the edge-heavy graph of the tests.
+  (5.64 with dropout) on the edge-heavy graph of the tests;
+- on the seed-11 ``pool_1e6`` graph (medians of 21 calls, alternating
+  with the code before), rounds that read positions, with no
+  ``np.arange(m)`` and no ``e[at]`` or ``e[cand]`` gather, together with
+  the tie-only order, took a whole ``select_contractions`` from 57-59 to
+  52-54 ms.
 
 The sweep orders every edge it is handed once, by :func:`_score_order`,
 and walks that order in fixed slices of ``_SWEEP_BLOCK``; the taken edges'
@@ -78,7 +87,13 @@ visits almost whole, fixed slices took 0.046 s against 0.054 s for slices
 growing 4-fold from 512 (numpy 2.4.6, 2-vCPU VM). Its cost is the edges
 it orders that are matched away before their turn, which is most of them
 on a dense 1e6-edge set over 10,000 nodes; no benchmark workload hands the
-sweep such a set (``pool_1e6`` and ``graph_train`` never reach it).
+sweep such a set (``pool_1e6`` and ``graph_train`` never reach it). On
+such a random set (best and median of 3 direct calls), the sweep took
+86-94 ms with distinct scores, against 109-121 ms keying every entry; with
+3-decimal scores, where nearly every score sits in a tied run, it took
+111-128 ms, against 96-102 ms, since re-sorting only the tied runs then
+adds its bookkeeping to a key over almost every entry (about 8 ms of
+:func:`_score_order`'s 80 ms at 1e6 entries).
 """
 
 from __future__ import annotations
@@ -318,11 +333,15 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     after removing their endpoints, and it is built in rounds over the
     alive kept edges without a global sort. Each round finds every node's
     first incident edge (``np.maximum.at`` on the score, then
-    ``np.minimum.at`` on the edge index over the incidences at that best
+    ``np.minimum.at`` on the position over the incidences at that best
     score), takes every edge that is first at both endpoints, and drops
-    every edge that touches a newly matched node. Only the edges with the
-    best score at both endpoints are tested for being first, since an edge
-    first at a node has that node's best score. A chain of monotone
+    every edge that touches a newly matched node. The alive arrays are
+    compacted in edge order, so a position ranks as its edge index does,
+    and edge indices are read only for the taken edges. Only the edges
+    with the best score at both endpoints are tested for being first,
+    since an edge first at a node has that node's best score; they are
+    the destination side's best-score positions that are also best at
+    their source. A chain of monotone
     scores matches one edge per round, so once a round removes less than
     ``_SWEEP_SHARE`` of the alive edges, :func:`_greedy_sweep` finishes
     the remaining edges in order, which is exact for the same reason.
@@ -336,28 +355,26 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         e = np.flatnonzero(~dropped)
         src, dst, s = graph.edge_src[e], graph.edge_dst[e], normalized[e]
     else:  # round 1 reads the graph's endpoint columns and the scores themselves
-        e = np.arange(graph.num_edges)
+        e = None  # and its positions are the edge indices
         src, dst, s = graph.edge_src, graph.edge_dst, normalized
     taken = [np.zeros(0, dtype=np.int64)]
-    while e.size:
+    while s.size:
+        # Compaction keeps edge order, so a position ranks as its edge index.
         best = np.full(v, -np.inf)
         np.maximum.at(best, src, s)
         np.maximum.at(best, dst, s)
-        first = np.full(v, graph.num_edges, dtype=np.int64)
+        first = np.full(v, s.size, dtype=np.int64)
         at_s = s == best[src]
-        at_d = s == best[dst]
         at = np.flatnonzero(at_s)
-        np.minimum.at(first, src[at], e[at])
-        at = np.flatnonzero(at_d)
-        np.minimum.at(first, dst[at], e[at])
-        at_s &= at_d
-        cand = np.flatnonzero(at_s)
-        del at, at_s, at_d
-        ce = e[cand]
-        hit = first[src[cand]] == ce
-        hit &= first[dst[cand]] == ce
+        np.minimum.at(first, src[at], at)
+        at = np.flatnonzero(s == best[dst])
+        np.minimum.at(first, dst[at], at)
+        cand = at[at_s[at]]
+        del at, at_s
+        hit = first[src[cand]] == cand
+        hit &= first[dst[cand]] == cand
         win = cand[np.flatnonzero(hit)]
-        taken.append(e[win])
+        taken.append(win if e is None else e[win])
         matched = np.zeros(v, dtype=bool)
         matched[src[win]] = True
         matched[dst[win]] = True
@@ -365,14 +382,14 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         gone |= matched[dst]
         alive = np.flatnonzero(np.logical_not(gone, out=gone))
         del gone
-        before = e.size
+        before = s.size
         # One array at a time, so each old one is freed before the next copy.
-        e = e[alive]
+        e = alive if e is None else e[alive]
         src = src[alive]
         dst = dst[alive]
         s = s[alive]
         del alive
-        if before - e.size < _SWEEP_SHARE * before:
+        if before - s.size < _SWEEP_SHARE * before:
             taken.append(_greedy_sweep(e, src, dst, s, v))
             break
     # Selection order: only the k taken edges are sorted.
@@ -387,24 +404,34 @@ def _score_order(s: np.ndarray) -> np.ndarray:
 
     Up to ``_STABLE_ORDER_MAX`` entries it is that stable argsort. Above,
     it comes from the default (unstable) sort, which leaves each run of
-    tied scores in some order: a run's number (nondecreasing along the
-    sorted scores) times k plus the position is an int64 key whose sort
-    puts every run back in position order, and the key mod k is the stable
-    order. Ties are common: a node with one kept incoming edge gives it a
-    score of exactly 1.5.
+    tied scores in some order; with no tie that order is the stable one.
+    Otherwise only the entries in tied runs are put back in position
+    order: a run's number (nondecreasing along the sorted scores) times k
+    plus the position is an int64 key whose sort orders each run by
+    position, and the key mod k fills the run's slots. Ties are common: a
+    node with one kept incoming edge gives it a score of exactly 1.5.
     """
     k = s.size
     if k <= _STABLE_ORDER_MAX:
         return np.argsort(-s, kind="stable")
     order = np.argsort(-s)
     ranked = s[order]
-    key = np.zeros(k, dtype=np.int64)
+    tie = ranked[1:] == ranked[:-1]
+    if not tie.any():
+        return order
+    tied = np.zeros(k, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    slots = np.flatnonzero(tied)
+    ranked = ranked[slots]
+    key = np.zeros(slots.size, dtype=np.int64)
     np.cumsum(ranked[1:] != ranked[:-1], out=key[1:])
     key *= k
-    key += order
+    key += order[slots]
     key.sort()
     key %= k
-    return key
+    order[slots] = key
+    return order
 
 
 def _greedy_sweep(

@@ -12,7 +12,8 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from edgepool import cli, edgepool_forward, gen_synthetic, load_tu, random_pool_params, save_tu
+from edgepool import (cli, edgepool_forward, fdcheck, gen_synthetic, layers, load_tu,
+                      random_pool_params, save_tu)
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.graph import (
@@ -599,6 +600,27 @@ class TestGradcheckCommand:
         stdout = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in stdout
+
+    def test_a_nan_error_is_written_as_null(self, tmp_path, monkeypatch, capsys):
+        # A NaN unpool adjoint gives NaN errors; the report stays strict JSON.
+        def nan_adjoint_unpool(*args):
+            out = layers.unpool(*args)
+            vjp = out.vjp
+            out.vjp = lambda dy: (lambda g: (g[0] * np.nan, g[1]))(vjp(dy))
+            return out
+
+        monkeypatch.setattr(fdcheck, "unpool", nan_adjoint_unpool)
+        out = tmp_path / "report"
+        assert main(["gradcheck", "--cases", "unpool", "--out", str(out)]) == 1
+        assert "FAIL unpool_adjoint: max_rel_err=nan max_abs_err=nan" in capsys.readouterr().out
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "gradcheck.json").read_text(), parse_constant=refuse)
+        [adjoint] = [entry for entry in report if entry["name"] == "unpool_adjoint"]
+        assert not adjoint["passed"]
+        assert adjoint["max_abs_err"] is None and adjoint["max_rel_err"] is None
 
 
 class TestBenchCommand:

@@ -376,6 +376,10 @@ class TestKfold:
             assert len(train) + len(test) == n
             assert not np.intersect1d(train, test).size
 
+    def test_fold_indices_ascend(self):
+        for train, test in kfold_splits(57, k=5, seed=3):
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+
     def test_seed_controls_assignment(self):
         a = kfold_splits(40, k=4, seed=0)
         b = kfold_splits(40, k=4, seed=0)

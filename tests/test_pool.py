@@ -23,6 +23,7 @@ from edgepool import (
 import edgepool.pool
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.pool import (
+    _STABLE_ORDER_MAX,
     _greedy_sweep,
     _score_order,
     apply_score_dropout,
@@ -420,6 +421,8 @@ class TestSelectionAtScale:
         # destination's term of a linear scorer, so the normalized score
         # follows a source term; it spreads little at small weights. Then
         # the first round removes too little, and the sweep does most of the work.
+        # Its scores are all distinct but for the rounded case, so the sweep's
+        # order takes both paths of _score_order above _STABLE_ORDER_MAX.
         rng = seeded_rng(23, "select-sbm")
         g, _ = make_sbm(4, 500, 0.03, 0.001, rng)
         raw = 0.05 * rng.normal(size=g.num_nodes)[g.edge_src]
@@ -430,13 +433,15 @@ class TestSelectionAtScale:
             normalized = np.round(normalized, 2)
         swept = []
 
-        def spy(e, *args):
-            swept.append(e.size)
-            return _greedy_sweep(e, *args)
+        def spy(e, src, dst, s, v):
+            swept.append((e.size, np.unique(s).size))
+            return _greedy_sweep(e, src, dst, s, v)
 
         monkeypatch.setattr("edgepool.pool._greedy_sweep", spy)
         mine = select_contractions(g, EdgeScores(normalized=normalized, dropped=dropped))
-        assert swept, "the sweep did not run"
+        [(size, distinct)] = swept
+        assert size > _STABLE_ORDER_MAX
+        assert (distinct < size) if case == "ties" else (distinct == size)
         assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
 
     def test_monotone_path_is_fast_and_exact(self):
@@ -514,14 +519,26 @@ class TestSelectionOrder:
             assert np.count_nonzero(s[idx] == 1.5) >= 1500
             assert np.count_nonzero(s[idx] == 0.75) >= 500
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(0.5, 1.5, exclude_min=True), min_size=1, max_size=4),
-           size=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
-    @example(values=[1.5], size=0, seed=0)
-    @example(values=[1.5], size=1, seed=0)
-    def test_score_order_is_the_stable_order(self, values, size, seed):
-        # Few values make long tie runs.
-        s = np.asarray(values)[seeded_rng(seed, "score-order").integers(0, len(values), size)]
+           size=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["few", "distinct", "ends"]))
+    @example(values=[1.5], size=0, seed=0, kind="few")
+    @example(values=[1.5], size=1, seed=0, kind="few")
+    @example(values=[1.5], size=3000, seed=0, kind="distinct")
+    @example(values=[1.5], size=3000, seed=0, kind="ends")
+    def test_score_order_is_the_stable_order(self, values, size, seed, kind):
+        # Few values make long tie runs; continuous draws have no tie, and
+        # "ends" adds tie runs at the first and the last position of the order.
+        rng = seeded_rng(seed, "score-order")
+        if kind == "few":
+            s = np.asarray(values)[rng.integers(0, len(values), size)]
+        else:
+            s = rng.uniform(0.6, 1.4, size)
+            assert np.unique(s).size == size
+        if kind == "ends" and size:
+            s[rng.integers(0, size, size // 8 + 2)] = 1.5
+            s[rng.integers(0, size, size // 8 + 2)] = 0.55
         order = _score_order(s)
         assert order.dtype == np.int64
         assert np.array_equal(order, np.argsort(-s, kind="stable"))
@@ -1232,6 +1249,24 @@ class TestBackward:
                 edgepool_backward(graph, params, level, s, up)
         # The level's own graph passes.
         edgepool_backward(path, params, info, scores, up)
+
+    def test_info_with_other_sources_is_refused(self):
+        # The 4-cycle's level, each matched edge swapped for the other edge
+        # into its destination: the destinations agree, only the sources differ.
+        cycle = symmetrize(build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                                       np.arange(8.0).reshape(4, 2)))
+        params = PoolParams(weight=np.asarray([0.3, -0.2, 0.5, 0.1]), bias=0.0)
+        pooled, info, scores = edgepool_forward(cycle, params)
+        e = np.asarray([np.flatnonzero((cycle.edge_dst == j) & (cycle.edge_src != i))[0]
+                        for i, j in info.matching.tolist()])
+        assert info.num_matched == 2
+        assert np.array_equal(cycle.edge_dst[e], info.matching[:, 1])
+        forged = dataclasses.replace(info, matched_edge_index=e)
+        match = "^info is another graph's: the edges at info.matched_edge_index"
+        with pytest.raises(ValueError, match=match):
+            score_path_backward(cycle, params, forged, scores, np.ones(2))
+        with pytest.raises(ValueError, match=match):
+            edgepool_backward(cycle, params, forged, scores, np.ones((pooled.num_nodes, 2)))
 
 
 class TestLevelPeakMemory:
