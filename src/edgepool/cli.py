@@ -155,7 +155,7 @@ def _load_pool_params(args, graph: Graph) -> PoolParams:
         _check_widths(graph, params)  # also when --levels 0 scores nothing
         _real("params weight and bias", np.append(weight, bias), (None,), finite=True)
         return params
-    return random_pool_params(graph.feature_width, graph.edge_feature_width, seed=args.seed)
+    return random_pool_params(graph.feature_width, seed=args.seed)
 
 
 def _pool_level(graph: Graph, params: PoolParams) -> tuple[Graph, PoolInfo]:

@@ -230,7 +230,7 @@ def _unique_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable directed graph with per-node (and optional per-edge) features.
+    """Immutable directed graph with per-node features.
 
     Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``: two 1-D int64
     columns in canonical order, which every pooling stage reads as they
@@ -239,7 +239,7 @@ class Graph:
     :func:`build_graph` instead of constructing directly; it validates and
     canonicalizes.
 
-    Seven internal paths construct a ``Graph`` directly, because their parts
+    Six internal paths construct a ``Graph`` directly, because their parts
     are canonical and valid by construction and a second validation would
     only repeat work: :meth:`with_node_features` (same structure; it checks
     the new features as :func:`build_graph` does), :func:`symmetrize`
@@ -248,8 +248,7 @@ class Graph:
     :func:`~edgepool.pool.contract` (sorted unique keys of the pooled
     edges; it checks the features it computes for overflow),
     :func:`~edgepool.data.load_tu` (sorted unique keys of all its edges and
-    their reversals, split per graph), the models' ``forward`` (the same
-    graph without its edge features) and :func:`~edgepool.layers.edge_pool`
+    their reversals, split per graph) and :func:`~edgepool.layers.edge_pool`
     (the same graph on a view of its activations, which it checks as
     :meth:`with_node_features` does). Whichever path builds it, the type
     makes every array read-only (as :class:`BatchedGraph` does its
@@ -259,12 +258,10 @@ class Graph:
     node_features: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for a in (self.node_features, self.edge_src, self.edge_dst, self.edge_features):
-            if a is not None:
-                a.flags.writeable = False
+        for a in (self.node_features, self.edge_src, self.edge_dst):
+            a.flags.writeable = False
 
     @property
     def num_nodes(self) -> int:
@@ -277,10 +274,6 @@ class Graph:
     @property
     def feature_width(self) -> int:
         return self.node_features.shape[1]
-
-    @property
-    def edge_feature_width(self) -> int:
-        return 0 if self.edge_features is None else self.edge_features.shape[1]
 
     @property
     def edges(self) -> np.ndarray:
@@ -309,7 +302,7 @@ class Graph:
         view of its activations, so a training step copies none of them.
         """
         x = _real("node features", features, (self.num_nodes, None), finite=True).copy()
-        return Graph(x, self.edge_src, self.edge_dst, self.edge_features)
+        return Graph(x, self.edge_src, self.edge_dst)
 
 
 @dataclass(frozen=True)
@@ -327,7 +320,6 @@ def build_graph(
     num_nodes: int,
     edge_list: Sequence | np.ndarray,
     node_features: Sequence | np.ndarray,
-    edge_features: Sequence | np.ndarray | None = None,
 ) -> Graph:
     """Validate inputs and return a Graph with edges in canonical order.
 
@@ -350,8 +342,6 @@ def build_graph(
 
     features = _real("node features", node_features, (num_nodes, None), finite=True)
     edges = _codes("edge_list", edge_list, (None, 2), num_nodes)
-    ef = edge_features if edge_features is None else _real(
-        "edge features", edge_features, (len(edges), None), finite=True)
 
     src, dst = edges[:, 0].copy(), edges[:, 1].copy()
     if src.size:
@@ -361,39 +351,27 @@ def build_graph(
         if not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
             src, dst = src[order], dst[order]
-            if ef is not None:
-                ef = ef[order]
             dup = np.flatnonzero(np.diff(key[order]) == 0)
             if dup.size:
                 i = dup[0] + 1
                 raise ValueError(f"duplicate directed edge ({src[i]}, {dst[i]})")
 
-    return Graph(features.copy(), src, dst, None if ef is None else ef.copy())
+    return Graph(features.copy(), src, dst)
 
 
 def symmetrize(graph: Graph) -> Graph:
     """Ensure every edge has its reverse.
 
-    Returns ``graph`` itself when every edge already has its reverse.
-    Otherwise every edge keeps its features, and each added reversal
-    copies the features of the edge it reverses; the operation is
-    idempotent.
+    Returns ``graph`` itself when every edge already has its reverse;
+    otherwise a graph with the same node features and the union of the
+    edges and their reversals. The operation is idempotent.
     """
-    fkey = _edge_key(graph.edge_src, graph.edge_dst, graph.num_nodes)  # ascending: canonical order
+    fkey = _edge_key(graph.edge_src, graph.edge_dst, graph.num_nodes)
     rkey = _edge_key(graph.edge_dst, graph.edge_src, graph.num_nodes)
     key = _sorted_unique(np.concatenate([fkey, rkey]))
     if key.size == graph.num_edges:
         return graph
-    ef = graph.edge_features
-    if ef is not None:
-        # Both searches take ascending needles, so each starts where the last
-        # one ended: at 1e6 edges, 5e5 unsorted needles took 7-8x as long.
-        row = np.searchsorted(fkey, key)
-        added = np.flatnonzero(np.take(fkey, row, mode="clip") != key)
-        order = np.argsort(rkey)  # the reverse keys are distinct
-        row[added] = order[np.searchsorted(np.take(rkey, order), key[added])]
-        ef = np.take(ef, row, axis=0)
-    return Graph(graph.node_features, *_key_edges(key, graph.num_nodes), ef)
+    return Graph(graph.node_features, *_key_edges(key, graph.num_nodes))
 
 
 def batch(graphs: Sequence[Graph]) -> BatchedGraph:
@@ -401,8 +379,6 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     if len(graphs) == 0:
         raise ValueError("cannot batch an empty list of graphs")
     width = graphs[0].feature_width
-    has_ef = graphs[0].edge_features is not None
-    ef_width = graphs[0].edge_feature_width
     for g in graphs:
         if g.num_nodes == 0:
             raise ValueError("cannot batch a graph with zero nodes")
@@ -410,8 +386,6 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
             raise ValueError(
                 f"feature width mismatch: {g.feature_width} != {width}"
             )
-        if (g.edge_features is not None) != has_ef or g.edge_feature_width != ef_width:
-            raise ValueError("edge feature presence/width mismatch across graphs")
 
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -421,13 +395,10 @@ def batch(graphs: Sequence[Graph]) -> BatchedGraph:
     dst = np.concatenate([g.edge_dst for g in graphs])
     dst += shift
     features = np.concatenate([g.node_features for g in graphs], axis=0)
-    ef = (
-        np.concatenate([g.edge_features for g in graphs], axis=0) if has_ef else None
-    )
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     # Offsetting canonical graphs by the preceding node totals keeps their
     # concatenation canonical, and every part was validated when it was built.
-    return BatchedGraph(Graph(features, src, dst, ef), graph_id)
+    return BatchedGraph(Graph(features, src, dst), graph_id)
 
 
 # Fill palette for cluster-coloured DOT output (colour-blind friendly hexes).
@@ -462,14 +433,11 @@ def to_dot(graph: Graph, cluster_colors: Sequence[int] | None = None, name: str 
 
 def graph_to_json(graph: Graph) -> dict:
     """JSON-ready dict in the interchange graph format, without labels."""
-    obj: dict = {
+    return {
         "num_nodes": graph.num_nodes,
         "edges": [[u, v] for u, v in zip(graph.edge_src.tolist(), graph.edge_dst.tolist())],
         "node_features": graph.node_features.tolist(),
     }
-    if graph.edge_features is not None:
-        obj["edge_features"] = graph.edge_features.tolist()
-    return obj
 
 
 def _json_array(
@@ -506,15 +474,19 @@ def _json_array(
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """Build a validated Graph from an interchange-format dict (see README "Graph JSON")."""
+    """Build a validated Graph from an interchange-format dict (see README "Graph JSON").
+
+    A graph has no edge features: a non-null ``edge_features`` is refused,
+    never dropped, and a null one means none.
+    """
     if not isinstance(obj, dict) or not {"num_nodes", "edges", "node_features"} <= obj.keys():
         raise ValueError("graph JSON needs an object with num_nodes, edges and node_features")
-    ef = obj.get("edge_features")
+    if obj.get("edge_features") is not None:
+        raise ValueError("edge_features are not supported: the scorer reads node features only")
     return build_graph(
         int(_json_array(obj["num_nodes"], "num_nodes", 0, integer=True)),
         _json_array(obj["edges"], "edges", 2, integer=True),
         _json_array(obj["node_features"], "node_features", 2),
-        None if ef is None else _json_array(ef, "edge_features", 2),
     )
 
 

@@ -30,7 +30,7 @@ empty split, or a bad label, raises ``ValueError`` naming the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,7 +181,6 @@ class GraphClassifier:
         it, exposing the contraction structure to callers.
         """
         rng = seeded_rng(seed, "graph-forward")
-        graph = _without_edge_features(graph)
         x = Var(graph.node_features.astype(np.float32))
         readouts = []
         for i in range(3):
@@ -243,7 +242,6 @@ class NodeClassifier:
     ) -> Var:
         """Per-node logits, shape (num_nodes, classes)."""
         rng = seeded_rng(seed, "node-forward")
-        graph = _without_edge_features(graph)
 
         x = Var(graph.node_features.astype(np.float32))
         x = relu(_conv(leaves, "conv1", graph, x))
@@ -260,12 +258,6 @@ class NodeClassifier:
         x = relu(_conv(leaves, "conv7", g1, x))
         x = concat_cols(_unpool(x, score1, info1), shortcut1)
         return _head(leaves, x, rng, training)
-
-
-def _without_edge_features(graph: Graph) -> Graph:
-    """The graph the models convolve and pool: neither reads edge features,
-    so the scorers are 2c wide and score by node features alone."""
-    return graph if graph.edge_features is None else replace(graph, edge_features=None)
 
 
 def _check_step(loss: Var, leaves: dict[str, Var], epoch: int, batch_index: int) -> None:

@@ -3,7 +3,7 @@
 One pooling level works in four stages:
 
 1. every directed edge gets a raw score, a linear function of the
-   concatenated endpoint features (plus edge features, when configured);
+   concatenated endpoint features;
 2. raw scores are normalized per destination node with a softmax shifted
    so the score range is centred at 1;
 3. edges are contracted greedily in score order, skipping any edge with an
@@ -104,7 +104,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import (Graph, _codes, _count, _edge_key, _key_edges, _mask, _real, _real_number,
-                    _require_finite, _segment_sum, _sorted_unique)
+                    _require_finite, _sorted_unique)
 from .rng import seeded_rng
 
 __all__ = [
@@ -124,7 +124,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoolParams:
-    """Linear edge scorer: weight has length 2f, or 2f+g with edge features."""
+    """Linear edge scorer: weight has length 2f, for node features of width f."""
 
     weight: np.ndarray
     bias: float
@@ -190,18 +190,16 @@ class PoolInfo:
 
 
 def _check_widths(graph: Graph, params: PoolParams) -> tuple[int, np.ndarray]:
-    """The scorer-weight rule: a 1-D weight of length 2f+g (the CLI tests read
+    """The scorer-weight rule: a 1-D weight of length 2f (the CLI tests read
     this wording), which then passes the rule of real arrays
     (:func:`~edgepool.graph._real`). Returns f and the weight in float64."""
     f = graph.feature_width
-    g = graph.edge_feature_width
-    expected = 2 * f + g
+    expected = 2 * f
     shape = np.shape(params.weight)
     if shape != (expected,):
         got = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
         raise ValueError(
-            f"scorer weight must be 1-D of length 2*{f}+{g}={expected} for "
-            f"this graph, got {got}"
+            f"scorer weight must be 1-D of length 2*{f}={expected} for this graph, got {got}"
         )
     return f, _real("scorer weight", params.weight, (expected,)).astype(np.float64, copy=False)
 
@@ -242,17 +240,15 @@ def _check_info(graph: Graph, info: PoolInfo) -> tuple[np.ndarray, np.ndarray]:
 def raw_scores(graph: Graph, params: PoolParams) -> np.ndarray:
     """Linear raw score per directed edge, in float64.
 
-    For edge (i, j): weight . (features_i ++ features_j [++ edge_features])
-    plus bias. The node terms are projected once per node, then gathered.
-    Each projection is a row dot (``np.einsum``), the same in a batch as
-    alone; a BLAS matrix-vector product's row sums depend on the row count.
+    For edge (i, j): weight . (features_i ++ features_j) plus bias. The
+    node terms are projected once per node, then gathered. Each projection
+    is a row dot (``np.einsum``), the same in a batch as alone; a BLAS
+    matrix-vector product's row sums depend on the row count.
     """
     f, w = _check_widths(graph, params)
     x = graph.node_features.astype(np.float64, copy=False)
     r = np.einsum("ij,j->i", x, w[:f])[graph.edge_src]
-    r += np.einsum("ij,j->i", x, w[f : 2 * f])[graph.edge_dst]
-    if graph.edge_feature_width:
-        r += np.einsum("ij,j->i", graph.edge_features.astype(np.float64, copy=False), w[2 * f :])
+    r += np.einsum("ij,j->i", x, w[f:])[graph.edge_dst]
     r += _real_number("scorer bias", params.bias)
     return r
 
@@ -516,8 +512,7 @@ def contract(
     naming it, never cast or reshaped, and ``[]`` is the empty matching.
     Pooled nodes come in the level's row order (:class:`PoolInfo`). Pooled
     edges are the image of the original edges under the cluster map, with
-    self-loops removed and parallel edges deduplicated (edge features of
-    collapsing edges are summed).
+    self-loops removed and parallel edges deduplicated.
     The matched edges are read off the cluster map: the only edges it
     sends into one cluster run between the two members of a pair, and a
     pair's matched edge is the one that starts at its first member (a
@@ -530,9 +525,7 @@ def contract(
     (:func:`~edgepool.graph._key_edges`) to canonical edges, so the pooled
     graph is built directly, without :func:`build_graph`'s sort and checks.
     The features computed here are checked to be finite, since a gated
-    float32 sum can overflow (with no warning). Only with edge features is each edge's
-    pooled index looked up (``np.searchsorted``), to sum the features of
-    edges that collapse into one.
+    float32 sum can overflow (with no warning).
     """
     v = graph.num_nodes
     matching = _codes("matching", matching, (None, 2), v)
@@ -567,17 +560,9 @@ def contract(
     key = _edge_key(src_c, dst_c, pooled_n, out=src_c)  # no new m-length array
     del src_c, dst_c
     key = key[keep]
-    ef = None
-    if graph.edge_features is not None:
-        ef = np.take(graph.edge_features, keep, axis=0)
     del keep
-    uniq_key = _sorted_unique(key if ef is None else key.copy())
-    if ef is not None:
-        inverse = np.searchsorted(uniq_key, key)
-        ef = _segment_sum(inverse, ef, len(uniq_key))
-        _require_finite(ef, "edge features")
-    del key
-    return Graph(feats, *_key_edges(uniq_key, pooled_n), ef), info
+    key = _sorted_unique(key)  # rebound, so the keys with duplicates go before the decode
+    return Graph(feats, *_key_edges(key, pooled_n)), info
 
 
 def edgepool_forward(
@@ -713,35 +698,28 @@ def score_path_backward(
     del grad_r
     g_src = np.bincount(graph.edge_src[live], gr, minlength=v)
     g_dst = np.bincount(graph.edge_dst[live], gr, minlength=v)
-    grad_w = np.zeros_like(w)
-    if graph.edge_feature_width:
-        grad_w[2 * f :] = gr @ np.take(graph.edge_features, live, axis=0).astype(np.float64)
     grad_b = float(gr.sum())
     del live, gr
     x = graph.node_features.astype(np.float64, copy=False)
-    grad_w[:f] = g_src @ x
-    grad_w[f : 2 * f] = g_dst @ x
+    grad_w = np.concatenate([g_src @ x, g_dst @ x])
     del x
     # Added one term at a time into the zeros, so the sum holds no -0.0,
     # which edgepool_backward relies on.
     grad_x = np.zeros((v, f), dtype=np.float64)
     for rows in _row_blocks(v, f):
         grad_x[rows] += g_src[rows, None] * w[:f]
-        grad_x[rows] += g_dst[rows, None] * w[f : 2 * f]
+        grad_x[rows] += g_dst[rows, None] * w[f:]
     return grad_x, grad_w, grad_b
 
 
-def random_pool_params(
-    feature_width: int,
-    edge_feature_width: int = 0,
-    seed: int = 0,
-) -> PoolParams:
+def random_pool_params(feature_width: int, *, seed: int = 0) -> PoolParams:
     """Gaussian scorer parameters, for visualization and property checks.
 
-    Both widths are counts (``graph._count``) of at least 0: a graph may have
-    zero-width features.
+    The width is a count (``graph._count``) of at least 0: a graph may have
+    zero-width features. ``seed`` is keyword-only, so a call that passes a
+    second width fails instead of reading it as the seed.
     """
-    f, g = _count("feature_width", feature_width), _count("edge_feature_width", edge_feature_width)
+    f = _count("feature_width", feature_width)
     rng = seeded_rng(seed, "pool-params")
-    return PoolParams(weight=rng.normal(size=2 * f + g), bias=0.0)
+    return PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
 

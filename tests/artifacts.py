@@ -37,18 +37,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ROOT_TOKEN = "<root>"
 TIMED = {"bench/bench.csv"}  # wall times; its manifest is still digested
 
-# A 6-node graph with edge features, for `pool --input`.
+# A 6-node graph, for `pool --input`.
 GRAPH = {
     "num_nodes": 6,
     "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3], [4, 5], [5, 4],
               [0, 5], [5, 0]],
     "node_features": [[1.0, 0.0], [0.5, 1.0], [0.0, 2.0], [1.5, 0.5], [2.0, 1.0], [0.25, 0.75]],
-    "edge_features": [[float(k)] for k in range(12)],
 }
 
-# Scorer params for `pool --input --params`: 2 * 2 node-feature entries, one
-# edge-feature entry and a bias, for `GRAPH`.
-PARAMS = {"weight": [0.5, -1.0, 0.25, 1.5, -0.75], "bias": 0.125}
+# Scorer params for `pool --input --params`: 2 * 2 node-feature entries and
+# a bias, for `GRAPH`.
+PARAMS = {"weight": [0.5, -1.0, 0.25, 1.5], "bias": 0.125}
 
 # `save_tu` copy of the graph set that `train-graph` and `pool --tu` read.
 MAKE_TU = ("import sys; from edgepool import gen_synthetic, save_tu; "

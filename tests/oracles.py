@@ -124,8 +124,7 @@ def unique_symmetrize(graph):
     """``symmetrize`` by ``np.unique(return_index=True)`` over the forward
     edges followed by their reversals.
 
-    ``np.unique`` keeps each key's first occurrence, so an existing edge
-    wins over an added reversal and keeps its features; the result goes
+    ``np.unique`` keeps each key's first occurrence; the result goes
     through ``build_graph`` again.
     """
     from edgepool import build_graph
@@ -135,10 +134,7 @@ def unique_symmetrize(graph):
     both = np.concatenate([graph.edges, graph.edges[:, ::-1]], axis=0)
     key = both[:, 0] * np.int64(graph.num_nodes) + both[:, 1]
     _, first = np.unique(key, return_index=True)
-    ef = None
-    if graph.edge_features is not None:
-        ef = np.concatenate([graph.edge_features, graph.edge_features], axis=0)[first]
-    return build_graph(graph.num_nodes, both[first], graph.node_features, ef)
+    return build_graph(graph.num_nodes, both[first], graph.node_features)
 
 
 def whole_array_score_path_backward(graph, params, info, scores, g_s):
@@ -168,8 +164,6 @@ def whole_array_score_path_backward(graph, params, info, scores, g_s):
     grad_w = np.zeros_like(w)
     grad_w[:f] = g_src @ x
     grad_w[f : 2 * f] = g_dst @ x
-    if graph.edge_feature_width:
-        grad_w[2 * f :] = gr @ graph.edge_features[live].astype(np.float64)
     return grad_x, grad_w, float(gr.sum())
 
 

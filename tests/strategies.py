@@ -25,13 +25,12 @@ def simple_digraphs(draw, max_nodes: int = 12, min_edges: int = 0, max_edges: in
 
 
 @st.composite
-def featured_digraphs(draw, edge_width=None, dtype=None):
+def featured_digraphs(draw, dtype=None):
     """A built graph whose edges are drawn mixed, in one direction per
     node pair, or symmetric, with ``signed_rows`` features.
 
-    Node and edge features are float32 or float64 (``dtype`` fixes both),
-    with 0-2 edge-feature columns unless ``edge_width`` fixes the count.
-    The edge set may be empty and nodes may be isolated.
+    Node features are float32 or float64 (``dtype`` fixes which). The edge
+    set may be empty and nodes may be isolated.
     """
     n, pairs = draw(simple_digraphs())
     kind = draw(st.sampled_from(["mixed", "one-direction", "symmetric"]))
@@ -40,11 +39,8 @@ def featured_digraphs(draw, edge_width=None, dtype=None):
     elif kind == "symmetric":
         pairs = sorted(set(pairs) | {(j, i) for i, j in pairs})
     rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "featured-digraph")
-    pick = st.sampled_from([np.float32, np.float64])
-    x = signed_rows(rng, (n, 2), dtype or draw(pick))
-    g = draw(st.integers(0, 2)) if edge_width is None else edge_width
-    ef = signed_rows(rng, (len(pairs), g), dtype or draw(pick)) if g else None
-    return build_graph(n, pairs, x, ef)
+    x = signed_rows(rng, (n, 2), dtype or draw(st.sampled_from([np.float32, np.float64])))
+    return build_graph(n, pairs, x)
 
 
 def signed_rows(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
@@ -62,7 +58,7 @@ def pool_levels(draw):
 
     The graph is a random digraph, disjoint symmetric pairs (a perfect
     matching, every node merged) or edgeless (no merge); its features are
-    float32 or float64, with or without edge features, and pooling runs
+    float32 or float64, and pooling runs
     with or without score dropout. ``rng`` is seeded for further draws.
     """
     kind = draw(st.sampled_from(["random", "perfect", "edgeless"]))
@@ -72,13 +68,11 @@ def pool_levels(draw):
         n = 2 * draw(st.integers(1, 6))
         pairs = [] if kind == "edgeless" else [(i, i ^ 1) for i in range(n)]
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    g = draw(st.integers(0, 2)) if pairs else 0
     rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "pool-level")
     f = 3
     x = rng.normal(size=(n, f)).astype(dtype)
-    ef = rng.normal(size=(len(pairs), g)).astype(dtype) if g else None
-    graph = build_graph(n, pairs, x, ef)
-    params = PoolParams(weight=rng.normal(size=2 * f + g), bias=float(rng.normal()))
+    graph = build_graph(n, pairs, x)
+    params = PoolParams(weight=rng.normal(size=2 * f), bias=float(rng.normal()))
     drop = draw(st.sampled_from([0.0, 0.0, 0.4]))
     pooled, info, scores = edgepool_forward(graph, params, training=drop > 0.0,
                                             dropout_p=drop, seed=int(rng.integers(2**31)))

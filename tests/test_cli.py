@@ -107,22 +107,20 @@ class TestPoolCommand:
         assert json.loads((out / "hierarchy.json").read_text()) == []
 
     @pytest.mark.parametrize("graph", [
-        {"num_nodes": 2, "edges": [[0, 1], [1, 0]], "node_features": [[1.0], [2.0]],
-         "edge_features": [[0.5, 1.0], [0.5, 1.0]]},
+        {"num_nodes": 2, "edges": [[0, 1], [1, 0]], "node_features": [[1.0], [2.0]]},
         {"num_nodes": 0, "edges": [], "node_features": []},
     ], ids=["level-loses-every-edge", "no-nodes"])
     def test_every_written_level_reads_back(self, tmp_path, graph):
         # The first graph pools to one node with no edges, whose empty edge
-        # feature matrix is written as []; the second has no nodes at all.
+        # list is written as []; the second has no nodes at all.
         graph_path = tmp_path / "g.json"
         graph_path.write_text(json.dumps(graph))
         out = tmp_path / "out"
         assert main(["pool", "--input", str(graph_path), "--levels", "2",
                      "--out", str(out)]) == 0
         for level in json.loads((out / "hierarchy.json").read_text()):
-            pooled = graph_from_json(level["graph"])
-            assert pooled.num_edges == 0
-            assert pooled.edge_feature_width == 0
+            assert sorted(level["graph"]) == ["edges", "node_features", "num_nodes"]
+            assert graph_from_json(level["graph"]).num_edges == 0
 
     def test_three_levels_make_four_drawings(self, tmp_path):
         graph_path = tmp_path / "g.json"
@@ -206,15 +204,23 @@ class TestPoolCommand:
     @pytest.mark.parametrize("levels", ["1", "0"])
     def test_wrong_width_params_rejected(self, tmp_path, capsys, levels):
         # At --levels 0 nothing is scored, and the params file is still checked.
+        self.assert_weight_length_rejected(tmp_path, capsys, levels, 4)
+
+    @pytest.mark.parametrize("levels", ["1", "0"])
+    def test_edge_width_params_rejected(self, tmp_path, capsys, levels):
+        # A params file written for one edge feature (2f + 1) is not truncated.
+        self.assert_weight_length_rejected(tmp_path, capsys, levels, 7)
+
+    def assert_weight_length_rejected(self, tmp_path, capsys, levels, length):
         graph_path = tmp_path / "g.json"
         write_graph(graph_path)  # feature width 3 -> weight length 6
         params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps({"weight": [0.1] * 4, "bias": 0.0}))
+        params_path.write_text(json.dumps({"weight": [0.1] * length, "bias": 0.0}))
         code = main(["pool", "--input", str(graph_path), "--params", str(params_path),
                      "--levels", levels, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "length 4" in err and "=6" in err
+        assert f"length {length}" in err and "=6" in err
 
     def test_nan_feature_rejected(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
@@ -227,6 +233,30 @@ class TestPoolCommand:
         assert code == 2
         assert "node features must be finite" in capsys.readouterr().err
         assert not (out / "hierarchy.json").exists()
+
+    def test_edge_features_refused(self, tmp_path, capsys):
+        # A graph has no edge features, so the key is refused, not ignored.
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(
+            {"num_nodes": 2, "edges": [[0, 1], [1, 0]], "node_features": [[1.0], [2.0]],
+             "edge_features": [[0.5], [1.0]]}
+        ))
+        out = tmp_path / "out"
+        code = main(["pool", "--input", str(graph_path), "--out", str(out)])
+        assert code == 2
+        assert "edge_features are not supported" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_edge_features_accepted(self, tmp_path):
+        # null means absent, as README's example writes it.
+        graph_path = tmp_path / "g.json"
+        write_graph(graph_path)
+        graph_path.write_text(json.dumps(json.loads(graph_path.read_text())
+                                         | {"edge_features": None}))
+        out = tmp_path / "out"
+        assert main(["pool", "--input", str(graph_path), "--levels", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "hierarchy.json").exists()
 
     def test_nan_params_rejected(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
@@ -431,20 +461,31 @@ class TestTrainNodeCommand:
         assert "not allowed with" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_task_with_edge_features_trains_as_without(self, tmp_path):
-        # Neither model reads edge features, so they change no history byte.
-        plain_path, ef_path = tmp_path / "plain.json", tmp_path / "ef.json"
-        write_task(plain_path)
-        obj = json.loads(plain_path.read_text())
+    def test_task_with_edge_features_refused(self, tmp_path, capsys):
+        # A graph has no edge features, so the key is refused, not ignored.
+        task_path = tmp_path / "task.json"
+        write_task(task_path)
+        obj = json.loads(task_path.read_text())
         obj["edge_features"] = [[float(k % 3), 1.0] for k in range(len(obj["edges"]))]
-        ef_path.write_text(json.dumps(obj))
-        histories = []
-        for name, path in (("plain", plain_path), ("ef", ef_path)):
-            out = tmp_path / name
-            assert main(["train-node", "--input", str(path), "--epochs", "2",
+        task_path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main(["train-node", "--input", str(task_path), "--epochs", "1",
+                     "--channels", "4", "--quiet", "--out", str(out)]) == 2
+        assert "edge_features are not supported" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_task_with_null_edge_features_trains_as_without(self, tmp_path):
+        # null means absent: the same task file trains to the same checkpoint.
+        checkpoints = []
+        for k, extra in enumerate([{}, {"edge_features": None}]):
+            task_path = tmp_path / f"task{k}.json"
+            write_task(task_path)
+            task_path.write_text(json.dumps(json.loads(task_path.read_text()) | extra))
+            out = tmp_path / f"out{k}"
+            assert main(["train-node", "--input", str(task_path), "--epochs", "1",
                          "--channels", "4", "--quiet", "--out", str(out)]) == 0
-            histories.append((out / "history.csv").read_bytes())
-        assert histories[0] == histories[1]
+            checkpoints.append((out / "checkpoint.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     @pytest.mark.parametrize("field, value, message", [
         ("train_nodes", [0, 999], "not an index"),
@@ -679,18 +720,16 @@ class TestBenchCommand:
         assert not out.exists()
 
 
-# Valid files for the JSON fuzz test: a graph with edge features and both
-# label keys for `pool`, a task for `train-node` (without edge features,
-# which its models do not read), and scorer params for the graph.
+# Valid files for the JSON fuzz test: a graph with both label keys for
+# `pool`, a task for `train-node`, and scorer params for the graph.
 FUZZ_BASES = {
     "graph": {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
               "node_features": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]],
-              "edge_features": [[1.0], [1.0], [2.0], [2.0], [3.0], [3.0]],
               "label": 1, "node_labels": [0, 0, 1, 1]},
     "task": {"num_nodes": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
              "node_features": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]],
              "node_labels": [0, 0, 1, 1], "train_nodes": [0, 2], "test_nodes": [1, 3]},
-    "params": {"weight": [0.5, -0.5, 0.25, -0.25, 1.0], "bias": 0.0},
+    "params": {"weight": [0.5, -0.5, 0.25, -0.25], "bias": 0.0},
 }
 LITERAL_1E400 = "<1e400>"  # written as the bare JSON number 1e400, which reads as inf
 FUZZ_VALUES = [None, True, False, "1", {}, {"a": 1}, [], [1], 2**70, LITERAL_1E400, 0.5, -2.5]
@@ -770,15 +809,16 @@ class TestManifestOutputs:
 @st.composite
 def odd_json_files(draw):
     """(file kind, JSON text): one key of a valid file, or its top level, set to
-    an odd value, put in one entry of a list, or made into a ragged row."""
+    an odd value, put in one entry of a list, or made into a ragged row. A
+    graph or task may instead gain an ``edge_features`` key of an odd value."""
     kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
     obj = copy.deepcopy(FUZZ_BASES[kind])
-    key = draw(st.sampled_from([None, *obj]))
+    key = draw(st.sampled_from([None, *obj] + ["edge_features"] * (kind != "params")))
     odd = draw(st.sampled_from(FUZZ_VALUES))
     how = draw(st.sampled_from(["whole", "entry", "ragged"]))
     if key is None:
         obj = odd
-    elif how == "whole" or not isinstance(obj[key], list) or not obj[key]:
+    elif how == "whole" or not isinstance(obj.get(key), list) or not obj[key]:
         obj[key] = odd
     else:
         rows = obj[key]
@@ -820,7 +860,8 @@ def recording(calls, name, fn):
 class TestJsonFuzz:
     # Every number the CLI reads from a graph, task or params file passes
     # one rule: a run exits 0 having read exactly the file's values, or 2
-    # with a message, and never raises.
+    # with a message, and never raises. A graph's non-null edge_features
+    # always exit 2: a graph has none.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=odd_json_files())
     def test_odd_values_exit_0_with_exact_values_or_2(self, tmp_path_factory, case):
@@ -844,9 +885,11 @@ class TestJsonFuzz:
                     mp.setattr(cli, name, recording(calls, name, getattr(cli, name)))
                 code = main([*argv, "--out", str(tmp / "out")])
             assert code in (0, 2)
+            obj = json.loads(text)
+            if kind != "params" and isinstance(obj, dict):
+                assert code == 2 or obj.get("edge_features") is None
             if code != 0:
                 continue
-            obj = json.loads(text)
             if kind == "params":
                 (_, weight, bias, _), _ = calls["edge_pool"]
                 assert_read_exactly(weight.data, obj, "weight")
@@ -859,7 +902,7 @@ class TestJsonFuzz:
             else:
                 (task, _), _ = calls["train_node_model"]
                 graph = task.graph
-            for key in ("num_nodes", "edges", "node_features", "edge_features"):
+            for key in ("num_nodes", "edges", "node_features"):
                 assert_read_exactly(getattr(graph, key), obj, key)
 
 

@@ -15,7 +15,6 @@ from edgepool.data import (
     make_erdos_renyi,
     make_sbm,
 )
-from edgepool.graph import build_graph
 from edgepool.rng import seeded_rng
 
 from oracles import loop_load_tu
@@ -177,7 +176,6 @@ def same_dataset(a, b) -> bool:
             and len(a.graphs) == len(b.graphs)
             and all(g.num_nodes == h.num_nodes and g.edges.tobytes() == h.edges.tobytes()
                     and g.node_features.tobytes() == h.node_features.tobytes()
-                    and g.edge_features is None and h.edge_features is None
                     for g, h in zip(a.graphs, b.graphs)))
 
 
@@ -327,14 +325,13 @@ class TestSaveTu:
             assert a.edges.tolist() == b.edges.tolist()
             assert np.array_equal(a.node_features, b.node_features)
 
-    def test_edge_features_refused(self, tmp_path):
-        # The text format has no edge attributes: writing would drop them.
-        g = build_graph(3, [[0, 1], [1, 0], [1, 2], [2, 1]], np.ones((3, 1)),
-                        edge_features=[[1.0], [1.0], [2.0], [2.0]])
-        ds = GraphDataset([make_path(3), g], np.zeros(2, dtype=np.int64), 1, "EF")
-        with pytest.raises(ValueError, match="graph 1 has edge features"):
-            save_tu(ds, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+    def test_writes_the_four_format_files(self, tmp_path):
+        # No edge-attribute file: a graph has no edge features to write.
+        ds = gen_synthetic("path_proteinlike", {"num_graphs": 3}, seed=2)
+        save_tu(ds, tmp_path / "out", "SYN")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "SYN_A.txt", "SYN_graph_indicator.txt", "SYN_graph_labels.txt",
+            "SYN_node_attributes.txt"]
 
     @pytest.mark.parametrize("value", [0.1, 1e-50, 1e39],
                              ids=["rounds", "underflows", "overflows"])

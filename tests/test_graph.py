@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgepool import batch, build_graph, gen_synthetic, load_tu, models, save_tu, symmetrize
+from edgepool import batch, build_graph, gen_synthetic, load_tu, save_tu, symmetrize
 from edgepool.graph import (
     BatchedGraph,
     Graph,
@@ -57,34 +57,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 1)], features(2))
 
-    def test_edge_feature_row_mismatch(self):
-        with pytest.raises(ValueError):
-            build_graph(2, [(0, 1)], features(2), np.zeros((2, 1)))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_node_features_rejected(self, bad):
         with pytest.raises(ValueError, match="node features must be finite"):
             build_graph(3, [(0, 1)], [[bad], [1.0], [2.0]])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_edge_features_rejected(self, bad):
-        with pytest.raises(ValueError, match="edge features must be finite"):
-            build_graph(3, [(0, 1), (1, 2)], features(3), [[1.0], [bad]])
-
-    @pytest.mark.parametrize("bad", [[["a"]], [[None]], [[True]]])
-    def test_non_numeric_edge_features_rejected(self, bad):
-        with pytest.raises(ValueError, match="edge features must be numeric"):
-            build_graph(2, [(0, 1)], features(2), bad)
-
     def test_canonical_edge_order(self):
         g = build_graph(3, [(2, 1), (0, 1), (1, 0), (0, 2)], features(3))
         assert g.edges.tolist() == [[0, 1], [0, 2], [1, 0], [2, 1]]
-
-    def test_canonical_order_permutes_edge_features(self):
-        ef = np.asarray([[10.0], [20.0]])
-        g = build_graph(3, [(2, 0), (0, 1)], features(3), ef)
-        assert g.edges.tolist() == [[0, 1], [2, 0]]
-        assert g.edge_features.tolist() == [[20.0], [10.0]]
 
     def test_roundtrip_is_canonical_for_any_valid_input(self):
         rng = seeded_rng(7, "canon")
@@ -102,16 +82,10 @@ class TestBuildGraph:
     def test_any_edge_order_gives_the_same_graph(self, data):
         n, pairs = data.draw(simple_digraphs())
         shuffled = [pairs[k] for k in data.draw(st.permutations(range(len(pairs))))]
-
-        def tag(edges):  # edge feature that names its edge
-            return np.asarray([[100.0 * i + j] for i, j in edges]).reshape(-1, 1)
-
-        ref = build_graph(n, sorted(pairs), features(n), tag(sorted(pairs)))
-        got = build_graph(n, shuffled, features(n), tag(shuffled))
+        ref = build_graph(n, sorted(pairs), features(n))
+        got = build_graph(n, shuffled, features(n))
         assert [tuple(e) for e in ref.edges.tolist()] == sorted(pairs)
         assert np.array_equal(got.edges, ref.edges)
-        assert np.array_equal(got.edge_features, ref.edge_features)
-        assert np.array_equal(got.edge_features, tag(got.edges.tolist()))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -155,6 +129,12 @@ class TestSymmetrize:
         g = symmetrize(build_graph(3, [], features(3)))
         assert g.num_edges == 0
 
+    def test_added_reverse_keeps_the_node_features(self):
+        g = build_graph(3, [(0, 1), (2, 1)], features(3, 2))
+        h = symmetrize(g)
+        assert h.node_features is g.node_features
+        assert h.edges.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
+
     def test_idempotent(self):
         rng = seeded_rng(0, "sym")
         for _ in range(20):
@@ -163,20 +143,6 @@ class TestSymmetrize:
             once = symmetrize(build_graph(n, sorted(pairs), features(n)))
             twice = symmetrize(once)
             assert twice.edges.tolist() == once.edges.tolist()
-
-    def test_reverse_copies_edge_features(self):
-        g = build_graph(3, [(0, 1), (2, 1)], features(3), np.asarray([[5.0], [7.0]]))
-        s = symmetrize(g)
-        lookup = {tuple(e): f[0] for e, f in zip(s.edges.tolist(), s.edge_features.tolist())}
-        assert lookup[(1, 0)] == 5.0
-        assert lookup[(1, 2)] == 7.0
-        assert lookup[(0, 1)] == 5.0
-
-    def test_forward_features_win_over_added_reverse(self):
-        # (0,1) and (1,0) both present with distinct features: unchanged.
-        g = build_graph(2, [(0, 1), (1, 0)], features(2), np.asarray([[1.0], [2.0]]))
-        s = symmetrize(g)
-        assert s.edge_features.tolist() == [[1.0], [2.0]]
 
     @settings(max_examples=150, deadline=None)
     @given(g=featured_digraphs())
@@ -187,13 +153,11 @@ class TestSymmetrize:
 
 
 def graph_arrays(g):
-    return [g.node_features, g.edge_src, g.edge_dst] + (
-        [] if g.edge_features is None else [g.edge_features])
+    return [g.node_features, g.edge_src, g.edge_dst]
 
 
 def assert_same_graph(got, want):
     assert got.num_nodes == want.num_nodes
-    assert (got.edge_features is None) == (want.edge_features is None)
     for a, b in zip(graph_arrays(got), graph_arrays(want)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -204,7 +168,7 @@ def assert_canonical(g):
     endpoints in two 1-D C-contiguous int64 columns, ``edges`` their stack,
     and one node per feature row."""
     assert g.num_nodes == len(g.node_features)
-    assert_same_graph(g, build_graph(g.num_nodes, g.edges, g.node_features, g.edge_features))
+    assert_same_graph(g, build_graph(g.num_nodes, g.edges, g.node_features))
     for column in (g.edge_src, g.edge_dst):
         assert column.ndim == 1 and column.dtype == np.int64 and column.flags.c_contiguous
     assert not any(a.flags.writeable for a in graph_arrays(g))
@@ -215,10 +179,15 @@ def assert_canonical(g):
 class TestGraphsBuiltFromCanonicalParts:
     """build_graph validates; every other constructor builds a Graph directly."""
 
+    def test_build_graph_takes_no_edge_features(self):
+        # A stale fourth argument is not silently dropped.
+        with pytest.raises(TypeError):
+            build_graph(2, [(0, 1)], features(2), [[1.0]])
+
     def test_fields_are_features_and_endpoints(self):
         # The node count is derived from the feature rows, never stored beside them.
         fields = [f.name for f in dataclasses.fields(Graph)]
-        assert fields == ["node_features", "edge_src", "edge_dst", "edge_features"]
+        assert fields == ["node_features", "edge_src", "edge_dst"]
 
     @settings(max_examples=100, deadline=None)
     @given(g=featured_digraphs())
@@ -233,9 +202,8 @@ class TestGraphsBuiltFromCanonicalParts:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_batch(self, data):
-        width = data.draw(st.integers(0, 2))
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
-        parts = data.draw(st.lists(featured_digraphs(width, dtype), min_size=1, max_size=4))
+        parts = data.draw(st.lists(featured_digraphs(dtype), min_size=1, max_size=4))
         merged = batch(parts)
         assert_canonical(merged.graph)
         assert not merged.graph_id.flags.writeable
@@ -259,11 +227,6 @@ class TestGraphsBuiltFromCanonicalParts:
             with pytest.raises(ValueError):
                 g.with_node_features(bad)
 
-    @settings(max_examples=100, deadline=None)
-    @given(g=featured_digraphs())
-    def test_models_copy_without_edge_features(self, g):
-        assert_canonical(models._without_edge_features(g))
-
     @pytest.mark.parametrize("seed", range(3))
     def test_load_tu(self, tmp_path, seed):
         # A third of the lines dropped and a fifth repeated: load_tu restores
@@ -278,7 +241,7 @@ class TestGraphsBuiltFromCanonicalParts:
 
     def test_any_construction_is_read_only(self):
         src, dst = np.asarray([0, 1]), np.asarray([1, 0])
-        g = Graph(np.ones((2, 1)), src, dst, np.ones((2, 1)))
+        g = Graph(np.ones((2, 1)), src, dst)
         assert not any(a.flags.writeable for a in graph_arrays(g))
         assert not BatchedGraph(g, np.zeros(2, dtype=np.int64)).graph_id.flags.writeable
 
@@ -473,24 +436,41 @@ class TestDot:
 
 class TestJson:
     def test_roundtrip(self):
-        g = build_graph(3, [(0, 1), (1, 2)], features(3, 2), np.asarray([[1.0], [2.0]]))
+        g = build_graph(3, [(0, 1), (1, 2)], features(3, 2))
         obj = graph_to_json(g)
+        assert sorted(obj) == ["edges", "node_features", "num_nodes"]
         h = graph_from_json(json.loads(json.dumps(obj)))
         assert h.edges.tolist() == g.edges.tolist()
         assert np.allclose(h.node_features, g.node_features)
-        assert np.allclose(h.edge_features, g.edge_features)
 
-    @pytest.mark.parametrize("graph, widths", [
-        (build_graph(2, [], features(2), np.zeros((0, 3))), (1, 0)),
-        (build_graph(0, [], np.zeros((0, 2))), (0, 0)),
-    ], ids=["edgeless-with-edge-features", "no-nodes"])
-    def test_empty_feature_matrix_reads_back_zero_wide(self, graph, widths):
+    @pytest.mark.parametrize("graph, width", [
+        (build_graph(2, [], features(2)), 1),
+        (build_graph(0, [], np.zeros((0, 2))), 0),
+    ], ids=["edgeless", "no-nodes"])
+    def test_empty_feature_matrix_reads_back_zero_wide(self, graph, width):
         # JSON [] keeps no width, so an empty matrix reads back with none.
         h = graph_from_json(json.loads(json.dumps(graph_to_json(graph))))
         assert h.num_nodes == graph.num_nodes and h.edges.shape == (0, 2)
         assert h.node_features.tolist() == graph.node_features.tolist()
-        assert (h.edge_features is None) == (graph.edge_features is None)
-        assert (h.feature_width, h.edge_feature_width) == widths
+        assert h.feature_width == width
+
+    @pytest.mark.parametrize("edge_features", [
+        [[1.0]], [], [[]], 0, "x", {}, [[float("nan")]], [[float("inf")]], [[-float("inf")]],
+        [[True]], [[[1.0]]], [[1.0], [2.0]],
+    ], ids=["rows", "empty", "empty-row", "zero", "string", "object", "nan", "inf", "-inf",
+            "bool", "ndim", "extra-row"])
+    def test_edge_features_refused(self, edge_features):
+        # Refused by the key alone: a well-formed matrix, one bad as a real
+        # array and one of the wrong row count all meet the same message.
+        obj = graph_to_json(build_graph(2, [(0, 1)], features(2))) | {
+            "edge_features": edge_features}
+        with pytest.raises(ValueError, match="^edge_features are not supported"):
+            graph_from_json(obj)
+
+    def test_null_edge_features_mean_none(self):
+        g = build_graph(2, [(0, 1)], features(2))
+        h = graph_from_json(graph_to_json(g) | {"edge_features": None})
+        assert_same_graph(h, g)
 
     def test_required_keys(self):
         with pytest.raises(ValueError):

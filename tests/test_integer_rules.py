@@ -190,8 +190,6 @@ _CASES = {
     # counts and channels at least 1.
     "pool.random_pool_params:feature_width": (
         lambda w: random_pool_params(w), 3, _count_cases() | {"probe": 2.5}),
-    "pool.random_pool_params:edge_feature_width": (
-        lambda w: random_pool_params(2, w), 1, _count_cases()),
     "models.GraphClassifier:feature_width": (
         lambda w: GraphClassifier.create(w, 2, channels=4), 3, _count_cases() | {"probe": 3.5}),
     "models.GraphClassifier:num_classes": (
@@ -260,6 +258,16 @@ def test_every_kind_of_bad_value_has_rows():
     kinds = {case for _, case, _ in BAD}
     assert {"float", "bool", "negative", "past-bound"} <= kinds
     assert all({"float", "bool"} <= set(cases) for _, _, cases in _CASES.values())
+
+
+@pytest.mark.parametrize("second", [1, 0, -1, True, 1.0, np.int8(1)],
+                         ids=["int", "zero", "negative", "bool", "float", "narrow"])
+def test_random_pool_params_takes_its_seed_by_keyword_only(second):
+    # A second positional argument, of any value the edge-feature width once
+    # took or refused, is not read as the seed.
+    with pytest.raises(TypeError):
+        random_pool_params(2, second)
+    assert random_pool_params(2, seed=1).weight.shape == (4,)
 
 
 def test_negative_seeds_stay_valid():

@@ -562,10 +562,10 @@ class TestConcatGather:
 @pytest.mark.parametrize("op", ["mean_conv", "global_mean_pool", "gather_rows", "contract"])
 def test_unit_operator_sums_keep_the_operand_dtype(op, dtype):
     # Each op that sums through a unit operator returns its operand's dtype,
-    # forward and vjp; contract sums edge features.
+    # forward and vjp; contract sums each pair's node features.
     rng = seeded_rng(16, "sum-dtype")
     pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)]
-    g = build_graph(4, pairs, np.ones((4, 1)), rng.normal(size=(6, 2)).astype(dtype))
+    g = build_graph(4, pairs, np.ones((4, 1)))
     x = Var(rng.normal(size=(4, 3)).astype(dtype))
     if op == "mean_conv":
         w = [Var(rng.normal(size=shape).astype(dtype)) for shape in [(3, 2), (3, 2), (2,)]]
@@ -578,7 +578,8 @@ def test_unit_operator_sums_keep_the_operand_dtype(op, dtype):
         outs = list(gather_rows(x, np.asarray([0, 3, 0])).vjp(np.ones((3, 3), dtype)))
     else:
         scores = EdgeScores(normalized=np.full(6, 0.5), dropped=np.zeros(6, dtype=bool))
-        outs = [contract(g, np.asarray([[0, 1], [2, 3]]), scores)[0].edge_features]
+        g = build_graph(4, pairs, x.data)
+        outs = [contract(g, np.asarray([[0, 1], [2, 3]]), scores)[0].node_features]
     assert [a.dtype for a in outs] == [np.dtype(dtype)] * len(outs)
 
 

