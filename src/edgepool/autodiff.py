@@ -4,13 +4,17 @@ A ``Var`` wraps an array and remembers how it was produced: its parents
 and a vector-Jacobian-product closure. Calling :func:`backward` on a
 scalar (or seeded) output walks the recorded graph once in reverse
 topological order and accumulates gradients into the leaves it reaches.
-The walk consumes the tape: once a node's vjp has run, the node drops it,
-and with it the arrays its closure saved, and a non-leaf node drops its
-gradient too, so backward frees the tape as it goes and only the leaves
-keep gradients. A tape therefore serves one backward; a second over any
-consumed node raises ``ValueError`` instead of leaving a leaf without its
-gradient. A Var with parents but no vjp is a constant, as before: backward
-neither walks through it nor consumes it. The tape holds an op's output only
+The walk consumes the tape: it takes each node off the topological order
+as it reaches it, and once the node's vjp has run, the node drops that
+vjp (and with it the arrays its closure saved), its gradient and its
+parents. So nothing on the tape refers to a node the walk has passed, and
+each interior Var, with its ``data``, is freed there unless the caller
+holds it. What survives the walk is what the caller holds: the root keeps
+its data, a held interior Var its data, and the leaves their gradients.
+A tape therefore serves one backward; a second over any consumed node
+raises ``ValueError`` instead of leaving a leaf without its gradient. A
+Var with parents but no vjp is a constant, as before: backward neither
+walks through it nor consumes it. The tape holds an op's output only
 where a vjp reads it: an entrywise op whose vjp reads its own output, not
 its input (``layers.relu``), links past its input's producer
 (:func:`_link_past`), so nothing on the tape refers to that input and it is
@@ -66,7 +70,8 @@ class Var:
         self.vjp = vjp if _taping else None
 
     def __repr__(self):
-        return f"Var(shape={self.data.shape}, leaf={not self.parents})"
+        state = "consumed" if self.vjp is _consumed else f"leaf={not self.parents}"
+        return f"Var(shape={self.data.shape}, {state})"
 
 
 def _consumed(grad: np.ndarray) -> tuple:
@@ -125,21 +130,25 @@ def backward(root: Var, seed: np.ndarray | None = None) -> None:
     widen integer activations to, so an integer leaf's gradient is not
     truncated.
 
-    The walk consumes the tape (see the module docstring): each node whose
-    vjp ran drops it and its gradient, and a tape that an earlier backward
-    consumed raises ``ValueError`` before any gradient is added.
+    The walk consumes the tape (see the module docstring): it pops each
+    node off the order as it reaches it, and each node whose vjp ran drops
+    it, its gradient and its parents, so an interior Var the caller does not
+    hold is freed once the walk has passed it. The root keeps its data and
+    the leaves their gradients. A tape that an earlier backward consumed
+    raises ``ValueError`` before any gradient is added.
     """
     seed = np.ones_like(root.data) if seed is None else (
         _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
     order = _topo_order(root)
     root.grad = seed
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node.vjp is None or node.grad is None:
             continue
-        grads = node.vjp(node.grad)
-        node.vjp, node.grad = _consumed, None  # a leaf has no vjp, so it keeps its gradient
-        for parent, g in zip(node.parents, grads):
+        for parent, g in zip(node.parents, node.vjp(node.grad)):
             if g is None:
                 continue
             g = np.asarray(g, dtype=parent.data.dtype if parent.data.dtype.kind == "f" else np.float64)
             parent.grad = g if parent.grad is None else parent.grad + g
+        # A leaf has no vjp, so it keeps its gradient.
+        node.vjp, node.grad, node.parents = _consumed, None, ()

@@ -130,6 +130,12 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     that pooling has reduced to one node gives such a batch. Zero rows
     raise ``ValueError``, as does an ``x`` that is not 2-D, or a ``gamma`` or
     ``beta`` that is not one entry per column of ``x``.
+
+    The vjp builds the gradient of ``x`` in place from ``dy * gamma``, with
+    the operations of ``inv_std * (dxhat - mean(dxhat) - xhat * sum(dxhat *
+    xhat) / n)`` in that order, so it has the formula's bits while at most
+    two (n, f) arrays are live. ``dy`` comes in the output's dtype (a float
+    dtype that holds ``xhat``'s), as ``autodiff.backward`` casts it.
     """
     xd = _real("x", x.data, (None, None))
     g = _real("gamma", gamma.data, xd.shape[1:])
@@ -146,10 +152,13 @@ def batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
     def vjp(dy):
         dgamma = (dy * xhat).sum(axis=0)
         dbeta = dy.sum(axis=0)
-        dxhat = dy * g
-        dx = inv_std * (
-            dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).sum(axis=0) / n
-        )
+        dx = dy * g  # the gradient of xhat, turned into that of x in place
+        mean = dx.mean(axis=0)
+        t = xhat * (dx * xhat).sum(axis=0)
+        t /= n
+        dx -= mean
+        dx -= t
+        dx *= inv_std
         return dx, dgamma, dbeta
 
     return Var(y, (x, gamma, beta), vjp)

@@ -447,6 +447,58 @@ def keeping_backward(root, seed=None) -> None:
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
+def listed_backward(root: Var, seed: np.ndarray | None = None) -> None:
+    """``autodiff.backward`` as it was before the walk dropped each node's
+    parents: it walks ``reversed(order)``, so the order keeps every node,
+    and a held root's parents every node below it, alive until the walk
+    ends. Each walked node still drops its vjp and its gradient."""
+    from edgepool.autodiff import _consumed, _topo_order
+
+    seed = np.ones_like(root.data) if seed is None else (
+        _real("seed", seed, root.data.shape).astype(root.data.dtype, copy=False))
+    order = _topo_order(root)
+    root.grad = seed
+    for node in reversed(order):
+        if node.vjp is None or node.grad is None:
+            continue
+        grads = node.vjp(node.grad)
+        node.vjp, node.grad = _consumed, None  # a leaf has no vjp, so it keeps its gradient
+        for parent, g in zip(node.parents, grads):
+            if g is None:
+                continue
+            g = np.asarray(g, dtype=parent.data.dtype if parent.data.dtype.kind == "f" else np.float64)
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def formula_batch_norm(x: Var, gamma: Var, beta: Var) -> Var:
+    """``edgepool.layers.batch_norm`` as it was before its vjp built the
+    gradient of ``x`` in place: the vjp evaluates the formula as one
+    expression, with four (n, f) arrays live at its peak."""
+    from edgepool.layers import BATCH_NORM_EPS
+
+    xd = _real("x", x.data, (None, None))
+    g = _real("gamma", gamma.data, xd.shape[1:])
+    n = xd.shape[0]
+    if n < 1:
+        raise ValueError("x must have at least 1 row")
+    centered = xd - xd.mean(axis=0)
+    var = np.add.reduce(centered * centered, axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
+    xhat = centered * inv_std
+    y = g * xhat + _real("beta", beta.data, xd.shape[1:])
+
+    def vjp(dy):
+        dgamma = (dy * xhat).sum(axis=0)
+        dbeta = dy.sum(axis=0)
+        dxhat = dy * g
+        dx = inv_std * (
+            dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).sum(axis=0) / n
+        )
+        return dx, dgamma, dbeta
+
+    return Var(y, (x, gamma, beta), vjp)
+
+
 def linked_relu(x: Var) -> Var:
     """``layers.relu`` as it was before it linked past its producer: its vjp
     reads ``x``, and the tape keeps ``x``, so it keeps every pre-activation."""

@@ -1,5 +1,7 @@
 """Seeded streams, tape mechanics, and the finite-difference harness."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from edgepool.autodiff import _consumed, _no_tape, _topo_order
 from edgepool.fdcheck import CASE_GROUPS, CASE_NAMES
 from edgepool.rng import draw_seed, seeded_rng
 
-from oracles import keeping_backward
+from oracles import keeping_backward, listed_backward
 from test_models import graph_fixture, node_fixture
 
 
@@ -87,6 +89,14 @@ class TestTape:
     def test_leaf_repr(self):
         assert "leaf=True" in repr(Var(np.zeros(2)))
 
+    def test_a_walked_node_reads_as_consumed_not_as_a_leaf(self):
+        x = Var(np.asarray([1.0]))
+        h = Var(2.0 * x.data, (x,), lambda dy: (2.0 * dy,))
+        assert repr(h) == "Var(shape=(1,), leaf=False)"
+        backward(Var(h.data, (h,), lambda dy: (dy,)))
+        assert h.parents == () and repr(h) == "Var(shape=(1,), consumed)"
+        assert repr(x) == "Var(shape=(1,), leaf=True)"
+
     def test_a_consumed_tape_refuses_a_second_backward(self):
         # Two outputs share h: the first backward consumes h, so the second
         # raises before it adds any gradient, instead of skipping h and
@@ -151,40 +161,96 @@ class TestTape:
         assert x.grad.tolist() == [2.0, 2.0]
 
 
-def _model_loss(kind):
-    """The leaves and a training-mode loss of a pooling model, both dropout stages on."""
+def _model_logits(kind):
+    """The leaves, training-mode logits and labels of a pooling model, both
+    dropout stages on."""
     if kind == "graph":
         ds = graph_fixture(num_graphs=6)
         model = GraphClassifier.create(ds.graphs[0].feature_width, ds.num_classes, channels=8)
         batched = batch(ds.graphs)
         leaves = model.params.as_vars()
-        logits = model.forward(leaves, batched.graph, batched.graph_id, training=True, seed=5)
-        return leaves, layers.cross_entropy(logits, ds.labels)
+        return leaves, model.forward(leaves, batched.graph, batched.graph_id, training=True,
+                                     seed=5), ds.labels
     task = node_fixture()
     model = NodeClassifier.create(task.graph.feature_width, task.num_classes, channels=8)
     leaves = model.params.as_vars()
-    logits = model.forward(leaves, task.graph, training=True, seed=5)
-    return leaves, layers.cross_entropy(logits, task.node_labels)
+    return leaves, model.forward(leaves, task.graph, training=True, seed=5), task.node_labels
+
+
+def _model_loss(kind):
+    """The leaves and a training-mode loss of :func:`_model_logits`' model."""
+    leaves, logits, labels = _model_logits(kind)
+    return leaves, layers.cross_entropy(logits, labels)
 
 
 @pytest.mark.parametrize("kind", ["graph", "node"])
 def test_backward_consumes_the_tape_and_keeps_the_leaf_gradients(kind):
     leaves, loss = _model_loss(kind)
     kept, kept_loss = _model_loss(kind)
-    tape = _topo_order(loss)
+    listed, listed_loss = _model_loss(kind)
+    # The walk empties each inner node's parents, so the inner nodes are read off first.
+    inner = [node for node in _topo_order(loss) if node.parents]
     backward(loss)
     keeping_backward(kept_loss)
-    inner = [node for node in tape if node.parents]
+    listed_backward(listed_loss)
     # relu links past its producer, so the tapes hold 21 (graph) and 19 (node) inner nodes.
     assert len(inner) >= 19
-    assert all(node.grad is None and node.vjp is _consumed for node in inner)
-    # The leaves' gradients are bit for bit those of a backward that keeps its tape.
+    assert all(node.grad is None and node.vjp is _consumed and node.parents == ()
+               for node in inner)
+    # The leaves' gradients are bit for bit those of a backward that keeps its
+    # tape, and of one that walks a list holding every node to the end.
     for name, leaf in leaves.items():
-        assert leaf.grad.dtype == kept[name].grad.dtype, name
-        assert leaf.grad.tobytes() == kept[name].grad.tobytes(), name
+        for other in (kept, listed):
+            assert leaf.grad.dtype == other[name].grad.dtype, name
+            assert leaf.grad.tobytes() == other[name].grad.tobytes(), name
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
         backward(loss)
     assert all(leaf.grad.tobytes() == kept[name].grad.tobytes() for name, leaf in leaves.items())
+
+
+class TestWalkFreesTheTape:
+    @staticmethod
+    def chain():
+        """dense/relu three times over a leaf: the root, the leaves, a weak
+        reference to the middle relu (which only the tape holds), and what
+        the bottom relu's vjp saw of that reference when it ran."""
+        rng = seeded_rng(11, "walk-frees")
+        x = Var(rng.normal(size=(6, 4)))
+        weights = [(Var(rng.normal(size=(4, 4))), Var(rng.normal(size=4))) for _ in range(3)]
+        bottom = layers.relu(layers.dense(x, *weights[0]))
+        seen, ref = [], []
+        vjp = bottom.vjp
+
+        def watched(dy):
+            seen.append(ref[0]() is None)
+            return vjp(dy)
+
+        bottom.vjp = watched
+        middle = layers.relu(layers.dense(bottom, *weights[1]))
+        ref.append(weakref.ref(middle))
+        return (layers.dense(middle, *weights[2]), [x, *(v for pair in weights for v in pair)],
+                ref[0], seen)
+
+    def test_a_walked_node_the_caller_does_not_hold_is_dead_when_the_next_vjp_runs(self):
+        root, leaves, middle, seen = self.chain()
+        assert middle() is not None  # the root's parents hold it
+        backward(root)
+        # The listed walk keeps it alive to the end, with the same gradients.
+        listed_root, listed_leaves, _, listed_seen = self.chain()
+        listed_backward(listed_root)
+        assert seen == [True] and listed_seen == [False]
+        assert [v.grad.tobytes() for v in leaves] == [v.grad.tobytes() for v in listed_leaves]
+
+    @pytest.mark.parametrize("kind", ["graph", "node"])
+    def test_a_held_interior_var_and_the_root_keep_their_data(self, kind):
+        leaves, logits, labels = _model_logits(kind)
+        loss = layers.cross_entropy(logits, labels)
+        logits_data, loss_data = logits.data.copy(), loss.data.copy()
+        backward(loss)
+        assert logits.vjp is _consumed and logits.parents == ()
+        assert logits.data.tobytes() == logits_data.tobytes()
+        assert loss.data.tobytes() == loss_data.tobytes()
+        assert all(leaf.grad is not None for leaf in leaves.values())
 
 
 class TestFdHarness:

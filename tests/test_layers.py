@@ -40,7 +40,8 @@ from edgepool.pool import (EdgeScores, apply_score_dropout, contract, edgepool_b
                            score_path_backward)
 from edgepool.rng import seeded_rng
 
-from oracles import linked_relu, var_batch_norm
+from oracles import formula_batch_norm, linked_relu, var_batch_norm
+from peaks import traced_peak
 from strategies import pool_levels, signed_rows, simple_digraphs
 
 
@@ -320,6 +321,39 @@ class TestBatchNorm:
             y = batch_norm(Var(x), Var(gamma), Var(beta))
             want = var_batch_norm(x, gamma, beta, BATCH_NORM_EPS)
             assert y.data.dtype == want.dtype and y.data.tobytes() == want.tobytes(), rows
+
+    @staticmethod
+    def vjp_case(op, rows, dtype, sliced):
+        """``op``'s output over a spread (rows, 64) ``x``, and a ``dy`` that is
+        either contiguous or every other column of a wider array."""
+        rng = seeded_rng(12, "bn-vjp", rows)
+        x = spread_values(rng, (rows, 64), dtype)
+        gamma, beta = rng.normal(size=64).astype(dtype), rng.normal(size=64).astype(dtype)
+        wide = spread_values(rng, (rows, 128), dtype)
+        dy = wide[:, ::2] if sliced else np.ascontiguousarray(wide[:, :64])
+        return op(Var(x), Var(gamma), Var(beta)), dy
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["contiguous", "column-sliced"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 2000])
+    def test_vjp_has_the_bits_of_the_formula(self, rows, dtype, sliced):
+        # The in-place vjp runs the formula's operations in the formula's order.
+        y, dy = self.vjp_case(batch_norm, rows, dtype, sliced)
+        want_y, _ = self.vjp_case(formula_batch_norm, rows, dtype, sliced)
+        assert y.data.tobytes() == want_y.data.tobytes()
+        got, want = y.vjp(dy), want_y.vjp(dy)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+        if rows == 1:  # one row standardizes to 0: no gradient reaches x or gamma
+            assert not got[0].any() and not got[1].any()
+
+    def test_vjp_peaks_at_two_inputs_where_the_formula_took_four(self):
+        rng = seeded_rng(13, "bn-peak")
+        x, dy = (rng.normal(size=(2000, 64)).astype(np.float32) for _ in range(2))
+        gamma, beta = Var(rng.normal(size=64).astype(np.float32)), Var(np.zeros(64, np.float32))
+        peaks = [traced_peak(op(Var(x), gamma, beta).vjp, dy) / x.nbytes
+                 for op in (batch_norm, formula_batch_norm)]
+        assert peaks[0] <= 3 < peaks[1], peaks
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(6, "bn-fd")

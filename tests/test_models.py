@@ -25,8 +25,10 @@ from edgepool.models import evaluate_graph_model, evaluate_node_model
 from edgepool.params import ParamStore
 from edgepool.rng import seeded_rng
 
-from oracles import linked_relu, two_loop_train_graph_model, two_loop_train_node_model
-from test_pool import traced_peak
+from oracles import (
+    linked_relu, listed_backward, two_loop_train_graph_model, two_loop_train_node_model,
+)
+from peaks import traced_peak
 
 
 def tiny_config(**overrides):
@@ -422,6 +424,19 @@ class TestTrainingPeak:
         peak = traced_peak(train_node_model, task, config)
         monkeypatch.setattr(models, "relu", linked_relu)
         assert peak < 0.9 * traced_peak(train_node_model, task, config)
+
+    def test_a_graph_epoch_peaks_under_0_9_of_one_whose_walk_keeps_the_tape(
+            self, monkeypatch):
+        # backward drops each walked node's parents and pops it off the order,
+        # so an activation the walk has passed is freed while the walk goes on.
+        ds = gen_synthetic("path_proteinlike", {"num_graphs": 40}, seed=0)
+        idx = np.arange(len(ds))
+        config = tiny_config(epochs=1, channels=32, batch_size=16)
+        args = (ds, idx[:32], idx[32:], config)
+        train_graph_model(*args)  # builds the graphs' cached operators
+        peak = traced_peak(train_graph_model, *args)
+        monkeypatch.setattr(models, "backward", listed_backward)
+        assert peak < 0.9 * traced_peak(train_graph_model, *args)
 
 
 def param_bytes(model):

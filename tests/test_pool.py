@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import inspect
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from oracles import (
     sequential_greedy,
     whole_array_score_path_backward,
 )
+from peaks import traced_peak
 from strategies import make_cycle, make_star, pool_levels, signed_rows, simple_digraphs
 
 
@@ -964,16 +964,6 @@ def edge_heavy_instance(dropout):
     params = PoolParams(weight=rng.normal(size=2 * f), bias=0.0)
     kw = dict(training=True, dropout_p=0.2, seed=3) if dropout else {}
     return g, params, kw
-
-
-def traced_peak(fn, *args, **kwargs):
-    """Peak bytes ``tracemalloc`` sees allocated during ``fn(*args, **kwargs)``."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @st.composite
