@@ -114,10 +114,14 @@ def adam_step(store: ParamStore, leaves: dict[str, Var], lr: float, t: int) -> N
     gradient of its leaf in ``leaves`` (from :meth:`ParamStore.as_vars`),
     already cast to the parameter's dtype by
     :func:`~edgepool.autodiff.backward`; a leaf the loss does not reach
-    (gradient ``None``) counts as a zero gradient.
+    (gradient ``None``) counts as a zero gradient. A parameter with no leaf
+    raises ValueError naming it, before any parameter is updated.
     """
     lr = _real_number("lr", lr, "positive and finite")
     t = _count("t", t, 1)
+    for name, _ in store.items():
+        if name not in leaves:
+            raise ValueError(f"leaves has no leaf for parameter {name!r}")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in store.items():

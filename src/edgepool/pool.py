@@ -69,30 +69,24 @@ so the blocks change no bit. Measured on numpy 2.4.6 at 1e6 edges:
   place took as long as from the kept entries, but cut ``contract``'s
   peak from 5.14 to 3.53 m*8 bytes, and the forward's from 6.40 to 4.80
   (5.64 with dropout) on the edge-heavy graph of the tests;
-- on the seed-11 ``pool_1e6`` graph (medians of 21 calls, alternating
-  with the code before), rounds that read positions, with no
-  ``np.arange(m)`` and no ``e[at]`` or ``e[cand]`` gather, together with
-  the tie-only order, took a whole ``select_contractions`` from 57-59 to
-  52-54 ms.
+- on the seed-11 ``pool_1e6`` graph (medians of 21 calls), rounds that
+  read positions, with no ``np.arange(m)`` and no ``e[at]`` or ``e[cand]``
+  gather, together with the tie-only order, took a whole
+  ``select_contractions`` 52-54 ms, against 57-59 ms with edge indices.
 
 The sweep orders every edge it is handed once, by :func:`_score_order`,
 and walks that order in fixed slices of ``_SWEEP_BLOCK``; the taken edges'
-positions go into a plain Python list. It replaced a block sweep that
-found and sorted each block of the order just before visiting it, with
-the same matching bit for bit. The one order keeps the visiting order in
-one home and needs no key lookup after the loop, and the training
-workloads, whose rounds leave the sweep at most about 25k edges, did not
-get slower. On the 100k-node monotone path of the tests, which the sweep
-visits almost whole, fixed slices took 0.046 s against 0.054 s for slices
-growing 4-fold from 512 (numpy 2.4.6, 2-vCPU VM). Its cost is the edges
-it orders that are matched away before their turn, which is most of them
-on a dense 1e6-edge set over 10,000 nodes; no benchmark workload hands the
-sweep such a set (``pool_1e6`` and ``graph_train`` never reach it). On
-such a random set (best and median of 3 direct calls), the sweep took
-86-94 ms with distinct scores, against 109-121 ms keying every entry; with
-3-decimal scores, where nearly every score sits in a tied run, it took
-111-128 ms, against 96-102 ms, since re-sorting only the tied runs then
-adds its bookkeeping to a key over almost every entry (about 8 ms of
+positions go into a plain Python list, left in visiting order, since
+selection sorts all its taken edges once. The one order keeps the visiting
+order in one home and needs no key lookup after the loop. Its cost is the
+edges it orders that are matched away before their turn, which is most of
+them on a dense 1e6-edge set over 10,000 nodes; no benchmark workload
+hands the sweep such a set (``pool_1e6`` and ``graph_train`` never reach
+it, and ``node_train``'s rounds leave it at most about 26k edges). On such
+a random set (best and median of 3 direct calls), the sweep took 86-94 ms
+with distinct scores, and 111-128 ms with 3-decimal scores, where nearly
+every score sits in a tied run and re-sorting only the tied runs adds its
+bookkeeping to a key over almost every entry (about 8 ms of
 :func:`_score_order`'s 80 ms at 1e6 entries).
 """
 
@@ -304,16 +298,14 @@ def apply_score_dropout(num_edges: int, p: float, seed: int) -> np.ndarray:
 
 # A round that removes less than this share of the alive edges hands them to
 # the sequential sweep; rounds on the bulk of a random graph remove about 2/3.
-# At 0.25 neither graph_train nor pool_1e6 reaches the sweep. Shares from 0.25
-# to 1.0 gave the same node_train selection time (4.3-4.5 ms per call), measured
-# on the earlier block sweep and not again on the sliced walk of one order.
+# At 0.25 neither graph_train nor pool_1e6 reaches the sweep. On the
+# select_contractions calls of two training epochs (perfbench seed 1, numpy
+# 2.4.6, 2-vCPU VM, medians of 31 or 21 passes), shares 0.25, 0.5 and 1.0 took
+# 1.98, 1.81 and 1.84 ms per node_train call, and 0.27, 0.27 and 0.33 ms per
+# graph_train call.
 _SWEEP_SHARE = 0.25
 # The sweep's slice of its visiting order.
 _SWEEP_BLOCK = 512
-# Up to this many scores, _score_order is a stable argsort, faster than the
-# run key: on numpy 2.4.6 the two crossed at 1,300-1,500 (about 50 us), and
-# at 1,000 took 21-26 against 34-41 us.
-_STABLE_ORDER_MAX = 1400
 
 
 def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
@@ -344,9 +336,12 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
     Returns the matched directed edges in selection order (the greedy's
     visiting order) as a (k, 2) int64 array; only the k taken edges are put
     in that order, by :func:`_score_order`, which also orders the sweep.
+    A NaN or infinite score, which :func:`normalize_scores` never gives,
+    raises ValueError naming ``scores.normalized``.
     """
     v = graph.num_nodes
     normalized, dropped = _check_scores(graph, scores)
+    _require_finite(normalized, "scores.normalized")
     if dropped.any():
         e = np.flatnonzero(~dropped)
         src, dst, s = graph.edge_src[e], graph.edge_dst[e], normalized[e]
@@ -388,7 +383,8 @@ def select_contractions(graph: Graph, scores: EdgeScores) -> np.ndarray:
         if before - s.size < _SWEEP_SHARE * before:
             taken.append(_greedy_sweep(e, src, dst, s, v))
             break
-    # Selection order: only the k taken edges are sorted.
+    # Selection order: the k taken edges, of the rounds and the sweep, are
+    # sorted once, by index and then by _score_order.
     t = np.sort(np.concatenate(taken))
     t = t[_score_order(normalized[t])]
     return np.stack([graph.edge_src[t], graph.edge_dst[t]], axis=1)
@@ -398,23 +394,21 @@ def _score_order(s: np.ndarray) -> np.ndarray:
     """The greedy's visiting order of scores ``s``: ``np.argsort(-s,
     kind="stable")``, score descending, position ascending on ties.
 
-    Up to ``_STABLE_ORDER_MAX`` entries it is that stable argsort. Above,
-    it comes from the default (unstable) sort, which leaves each run of
-    tied scores in some order; with no tie that order is the stable one.
-    Otherwise only the entries in tied runs are put back in position
-    order: a run's number (nondecreasing along the sorted scores) times k
-    plus the position is an int64 key whose sort orders each run by
-    position, and the key mod k fills the run's slots. Ties are common: a
-    node with one kept incoming edge gives it a score of exactly 1.5.
+    It comes from the default (unstable) sort, which leaves each run of
+    tied scores in some order; only the entries in tied runs are put back
+    in position order. A run's number (nondecreasing along the sorted
+    scores) times k plus the position is an int64 key whose sort orders
+    each run by position, and the key mod k fills the run's slots. Ties are
+    common: a node with one kept incoming edge gives it a score of exactly 1.5.
+    One path serves every size: on the calls of two training epochs
+    (perfbench seed 1, numpy 2.4.6), it took 3.2 ms over graph_train's 96
+    calls of 8-1,180 scores, against 2.9 ms for stable argsorts, and 1.8
+    against 1.9 ms over node_train's 12 calls of up to 25,936.
     """
     k = s.size
-    if k <= _STABLE_ORDER_MAX:
-        return np.argsort(-s, kind="stable")
     order = np.argsort(-s)
     ranked = s[order]
     tie = ranked[1:] == ranked[:-1]
-    if not tie.any():
-        return order
     tied = np.zeros(k, dtype=bool)
     tied[1:] = tie
     tied[:-1] |= tie
@@ -436,8 +430,8 @@ def _greedy_sweep(
     """Sequential greedy over edges ``e`` (ascending) with endpoints and scores.
 
     Visits by score descending, index ascending on ties; returns the taken
-    edge indices, ascending. The edges must touch no node matched earlier,
-    so every node starts unmatched.
+    edge indices in visiting order. The edges must touch no node matched
+    earlier, so every node starts unmatched.
 
     The visiting order is :func:`_score_order` of all the edges, walked in
     slices of ``_SWEEP_BLOCK``. Most edges touch a matched node by the time
@@ -459,7 +453,7 @@ def _greedy_sweep(
                 matched[i] = 1
                 matched[j] = 1
                 taken.append(p)
-    return e[np.sort(np.array(taken, dtype=np.int64))]
+    return e[np.array(taken, dtype=np.int64)]
 
 
 def _member_rows(info: PoolInfo, x: np.ndarray, score: np.ndarray | None = None) -> np.ndarray:

@@ -19,7 +19,7 @@ byte-identity claim on it::
 
     python tests/artifacts.py /path/to/parent/src src
 
-The run set takes about 13 s on two cores.
+The run set takes about 14 s on two cores.
 pytest does not collect this file; ``tests/test_cli.py`` runs it once.
 """
 
@@ -72,6 +72,18 @@ MAKE_DRAWN_TASK = ("import json, sys; from edgepool import gen_synthetic; "
                    "obj = graph_to_json(t.graph) | {'node_labels': t.node_labels.tolist()}; "
                    "open(sys.argv[1], 'w', encoding='utf-8').write(json.dumps(obj))")
 
+# Graph JSON for a `pool --input` run that reaches selection's sweep with
+# tied scores: a 2,000-node SBM graph (mean degree about 16) whose one
+# feature takes three values. The softmax cancels the destination's term, so
+# a destination's in-edges from sources of one value tie, and the scores
+# spread so little that the first round hands most edges to the sweep.
+MAKE_SWEEP_GRAPH = ("import json, sys; import numpy as np; from edgepool import gen_synthetic; "
+                    "from edgepool.graph import graph_to_json; "
+                    "g = gen_synthetic('sbm_node_task', {'blocks': 4, 'nodes_per_block': 500, "
+                    "'p_in': 0.03, 'p_out': 0.001}, seed=6).graph; "
+                    "g = g.with_node_features(0.05 * (np.arange(g.num_nodes) % 3)[:, None]); "
+                    "open(sys.argv[1], 'w', encoding='utf-8').write(json.dumps(graph_to_json(g)))")
+
 # (run name, CLI arguments); "{in}" is the inputs directory, and each run
 # writes to --out <root>/<run name>.
 RUNS = [
@@ -79,6 +91,7 @@ RUNS = [
     ("pool_levels0", ["pool", "--input", "{in}/graph.json", "--levels", "0"]),
     ("pool_params", ["pool", "--input", "{in}/graph.json", "--params", "{in}/params.json",
                      "--levels", "2"]),
+    ("pool_sweep_ties", ["pool", "--input", "{in}/sweep_graph.json", "--levels", "1"]),
     ("pool_tu", ["pool", "--tu", "{in}/tu", "P", "--index", "3", "--levels", "2"]),
     *[(f"train_graph_{p}", ["train-graph", "--tu", "{in}/tu", "P", "--folds", "2",
                             "--epochs", "2", "--pooling", p, "--quiet"])
@@ -112,6 +125,7 @@ def run_set(src: Path, root: Path) -> None:
     _run(["-c", MAKE_TU, str(inputs / "tu")], src)
     _run(["-c", MAKE_TASK, str(inputs / "task.json")], src)
     _run(["-c", MAKE_DRAWN_TASK, str(inputs / "task_drawn.json")], src)
+    _run(["-c", MAKE_SWEEP_GRAPH, str(inputs / "sweep_graph.json")], src)
     for name, args in RUNS:
         args = [a.replace("{in}", str(inputs)) for a in args]
         _run(["-m", "edgepool.cli", *args, "--out", str(root / name)], src)

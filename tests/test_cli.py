@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from edgepool import (cli, edgepool_forward, fdcheck, gen_synthetic, layers, load_tu,
                       random_pool_params, save_tu)
+import edgepool.pool
 from edgepool.cli import _bench_graph, main
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.graph import (
@@ -804,6 +805,27 @@ class TestManifestOutputs:
         assert digest_tool.main(["same", "other"]) == 1
         assert capsys.readouterr().out == "a/x\n"
         assert digest_tool.main(["other"]) == 0
+
+    def test_digest_tool_sweep_run_reaches_the_sweep_with_ties(self, tmp_path, monkeypatch):
+        # pool_sweep_ties is the run set's check of selection's sweep and of
+        # the tie repair in its visiting order, so its graph must keep
+        # handing the sweep most edges, with tied scores among them.
+        digest_tool._run(["-c", digest_tool.MAKE_SWEEP_GRAPH, str(tmp_path / "sweep_graph.json")],
+                         digest_tool.SRC)
+        args = [a.replace("{in}", str(tmp_path))
+                for a in dict(digest_tool.RUNS)["pool_sweep_ties"]]
+        sweep, swept = edgepool.pool._greedy_sweep, []
+
+        def spy(e, src, dst, s, v):
+            swept.append((e.size, np.unique(s).size))
+            return sweep(e, src, dst, s, v)
+
+        monkeypatch.setattr("edgepool.pool._greedy_sweep", spy)
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        [(size, distinct)] = swept
+        graph, _, _ = load_graph_file(tmp_path / "sweep_graph.json")
+        assert 2 * size > graph.num_edges
+        assert distinct < size
 
 
 @st.composite

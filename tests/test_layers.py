@@ -115,6 +115,13 @@ class TestAdam:
             runs.append((p.data.tobytes(), p.m.tobytes(), p.v.tobytes()))
         assert runs[0] == runs[1]
 
+    def test_parameter_without_a_leaf_is_refused_naming_it(self):
+        store, leaves, p = self.store_with([1.0, 1.0, 1.0])
+        store.add("b", np.zeros(2))
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(store, leaves, lr=0.1, t=1)
+        assert np.array_equal(p.data, np.zeros(3)), "a parameter was updated"
+
     def test_step_count_validated(self):
         store, leaves, _ = self.store_with([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from edgepool import (
 import edgepool.pool
 from edgepool.data import make_connected_erdos_renyi, make_sbm
 from edgepool.pool import (
-    _STABLE_ORDER_MAX,
     _greedy_sweep,
     _score_order,
     apply_score_dropout,
@@ -414,7 +413,7 @@ class TestGreedySweep:
     def test_equals_argsort_sweep(self, args):
         got = _greedy_sweep(*args)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.sort(argsort_sweep(*args)))
+        assert np.array_equal(got, argsort_sweep(*args))
 
 
 class TestSelectionAtScale:
@@ -426,7 +425,7 @@ class TestSelectionAtScale:
         # follows a source term; it spreads little at small weights. Then
         # the first round removes too little, and the sweep does most of the work.
         # Its scores are all distinct but for the rounded case, so the sweep's
-        # order takes both paths of _score_order above _STABLE_ORDER_MAX.
+        # order is found both with and without tied runs to repair.
         rng = seeded_rng(23, "select-sbm")
         g, _ = make_sbm(4, 500, 0.03, 0.001, rng)
         raw = 0.05 * rng.normal(size=g.num_nodes)[g.edge_src]
@@ -444,7 +443,7 @@ class TestSelectionAtScale:
         monkeypatch.setattr("edgepool.pool._greedy_sweep", spy)
         mine = select_contractions(g, EdgeScores(normalized=normalized, dropped=dropped))
         [(size, distinct)] = swept
-        assert size > _STABLE_ORDER_MAX
+        assert 2 * size > np.count_nonzero(~dropped)
         assert (distinct < size) if case == "ties" else (distinct == size)
         assert np.array_equal(mine, sequential_greedy(g.edges, normalized, dropped))
 
@@ -499,6 +498,12 @@ def tie_class_graph(rng):
     return symmetrize(build_graph(n, perm[np.asarray(edges)], shuffled))
 
 
+def score_order_node(tree):
+    """The definition of ``_score_order`` in the parsed ``tree``."""
+    return next(fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_score_order")
+
+
 class TestSelectionOrder:
     """The k taken edges come by score descending, edge index ascending on
     ties, also where the default (unstable) argsort orders them first."""
@@ -529,6 +534,9 @@ class TestSelectionOrder:
            kind=st.sampled_from(["few", "distinct", "ends"]))
     @example(values=[1.5], size=0, seed=0, kind="few")
     @example(values=[1.5], size=1, seed=0, kind="few")
+    @example(values=[1.5], size=2, seed=0, kind="few")
+    @example(values=[1.5], size=1400, seed=0, kind="few")
+    @example(values=[1.5], size=1401, seed=0, kind="few")
     @example(values=[1.5], size=3000, seed=0, kind="distinct")
     @example(values=[1.5], size=3000, seed=0, kind="ends")
     def test_score_order_is_the_stable_order(self, values, size, seed, kind):
@@ -555,10 +563,19 @@ class TestSelectionOrder:
                     and ast.unparse(c.func) in ("np.argsort", "np.lexsort", "np.partition")]
 
         tree = ast.parse(inspect.getsource(edgepool.pool))
-        home = next(fn for fn in ast.walk(tree)
-                    if isinstance(fn, ast.FunctionDef) and fn.name == "_score_order")
+        home = score_order_node(tree)
         assert sort_lines(home), "_score_order sorts nothing"
         assert sort_lines(tree) == sort_lines(home)
+
+    def test_score_order_has_one_path(self):
+        # One default argsort, then the tie repair, at every size: no switch
+        # to a second sort and no early return.
+        home = score_order_node(ast.parse(inspect.getsource(edgepool.pool)))
+        argsorts = [ast.unparse(c) for c in ast.walk(home) if isinstance(c, ast.Call)
+                    and ast.unparse(c.func) == "np.argsort"]
+        assert argsorts == ["np.argsort(-s)"]
+        assert not [n for n in ast.walk(home) if isinstance(n, (ast.If, ast.IfExp))]
+        assert sum(isinstance(n, ast.Return) for n in ast.walk(home)) == 1
 
 
 class TestContract:

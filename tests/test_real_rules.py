@@ -131,6 +131,10 @@ _STAGES = {
 }
 # Scores that the stages accept: positive at every edge, so contract takes any matching.
 GOOD_SCORES = _ints(M) + 1
+# Selection orders the scores, so it also refuses a NaN or an infinite one.
+NON_FINITE_SCORES = {"select_contractions": {
+    "nan": np.r_[np.nan, np.ones(M - 1)], "inf": np.r_[np.ones(M - 1), np.inf],
+    "-inf": np.r_[1.0, -np.inf, np.ones(M - 2)]}}
 
 
 def _score_rows():
@@ -138,7 +142,8 @@ def _score_rows():
     for stage, call in _STAGES.items():
         rows[f"pool.{stage}:scores.normalized"] = (
             lambda s, call=call: call(EdgeScores(s, KEPT)), GOOD_SCORES,
-            _array_cases(GOOD_SCORES) | {"probe-length": np.ones(3), "length": np.ones(M + 1)})
+            _array_cases(GOOD_SCORES) | {"probe-length": np.ones(3), "length": np.ones(M + 1)}
+            | NON_FINITE_SCORES.get(stage, {}))
         # A mask is boolean: the integer mask [0, 2, ...] is not cast (nor an index).
         rows[f"pool.{stage}:scores.dropped"] = (
             lambda d, call=call: call(EdgeScores(SCORES.normalized, d)), None,
